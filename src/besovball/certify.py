@@ -39,6 +39,7 @@ from .spaces import SpaceSpec
 SPHERE_TOL = 1e-12
 SUPPORT_TOL = 1e-10
 ENERGY_DOUBLING_TOL = 0.02
+LATTICE_CHECK_TOL = 1e-12
 
 
 # -- derivative functionals on the D_alpha scale ------------------------------
@@ -250,6 +251,12 @@ class CubeMeasure:
     polynomial.  Named families keep an angular safety margin ("shrink")
     away from chart degeneracies so the reverse-Lipschitz constant of the
     closed cube stays positive.
+
+    ``shift_invariant`` claims <phi(t), phi(s)> = <phi(t - s), phi(0)> for
+    all parameters t, s, including differences outside the cube.  Only
+    ``torus`` sets it: its points are exponentials of linear forms in t.
+    ``energy`` then sums over the difference lattice instead of all node
+    pairs, after checking the claim against the pair sum on the base grid.
     """
 
     m: int
@@ -258,6 +265,7 @@ class CubeMeasure:
     label: str
     shrink: float = 0.0
     scale: float = 1.0  # density multiplier; mass and energy scale as c and c^2
+    shift_invariant: bool = False
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -294,7 +302,8 @@ class CubeMeasure:
             Z[:, :k] = inv_sqrt_k * np.exp(1j * full)
             return Z
 
-        return CubeMeasure(m=m, d=d, phi=phi, label=f"torus(k={k}, d={d})", shrink=shrink)
+        return CubeMeasure(m=m, d=d, phi=phi, label=f"torus(k={k}, d={d})", shrink=shrink,
+                           shift_invariant=True)
 
     @staticmethod
     def sphere_patch(k: int, d: int, shrink: float = 0.1) -> "CubeMeasure":
@@ -329,20 +338,28 @@ class CubeMeasure:
     def from_callable(m: int, d: int, fn, label: str = "custom") -> "CubeMeasure":
         return CubeMeasure(m=m, d=d, phi=fn, label=label)
 
-    def grid(self, n: int, offset: float = 0.0):
-        """Tensor midpoint grid with n nodes per axis, shifted by ``offset``
-        cells; returns (params (n^m, m), points (n^m, d))."""
-        h = 2.0 / n
-        axis = -1.0 + (np.arange(n) + 0.5 + offset) * h
-        mesh = np.meshgrid(*([axis] * self.m), indexing="ij")
-        T = np.stack([a.ravel() for a in mesh], axis=1)
+    def points(self, T: np.ndarray) -> np.ndarray:
+        """phi on the rows of T, checked to land on the unit sphere."""
         Z = np.asarray(self.phi(T), dtype=complex)
         if Z.shape != (T.shape[0], self.d):
             raise ValueError(f"phi returned shape {Z.shape}, expected {(T.shape[0], self.d)}")
         dev = float(np.abs(np.sqrt(np.sum(np.abs(Z) ** 2, axis=1)) - 1.0).max())
         if dev > SPHERE_TOL:
             raise ValueError(f"parametrization leaves the unit sphere by {dev:.2e}")
-        return T, Z
+        return Z
+
+    def grid(self, n: int, offset: float = 0.0):
+        """Tensor midpoint grid with n nodes per axis, shifted by ``offset``
+        cells; returns (params (n^m, m), points (n^m, d))."""
+        h = 2.0 / n
+        T = _tensor(-1.0 + (np.arange(n) + 0.5 + offset) * h, self.m)
+        return T, self.points(T)
+
+
+def _tensor(axis: np.ndarray, m: int) -> np.ndarray:
+    """All m-tuples of entries of ``axis`` as rows, first coordinate slowest."""
+    mesh = np.meshgrid(*([axis] * m), indexing="ij")
+    return np.stack([a.ravel() for a in mesh], axis=1)
 
 
 def evaluate_on_points(f: SparsePoly, Z: np.ndarray) -> np.ndarray:
@@ -368,15 +385,16 @@ class EnergyResult:
     analytic_upper: float
     m: int
     label: str
+    energy_sum: str  # "lattice" or "pairs"
+    kernel_evaluations: int  # 1/|1 - <z,w>| evaluations over all levels and the lattice check
+    lattice_check_rel: float | None  # lattice vs pair sum on the base grid; None on the pair path
 
 
 def _param_inv_sq_integral(m: int, n: int) -> float:
     """Quadrature for the box-pair integral of |t-s|^(-2) via the difference
     substitution: integral over (-2,2)^m of prod_j (2-|u_j|) / |u|^2."""
     h = 4.0 / n
-    axis = -2.0 + (np.arange(n) + 0.5) * h
-    mesh = np.meshgrid(*([axis] * m), indexing="ij")
-    U = np.stack([a.ravel() for a in mesh], axis=1)
+    U = _tensor(-2.0 + (np.arange(n) + 0.5) * h, m)
     dens = np.prod(2.0 - np.abs(U), axis=1)
     r2 = np.sum(U**2, axis=1)
     return float(np.sum(dens / r2) * h**m)
@@ -396,6 +414,41 @@ def param_inv_sq_integral(m: int, n_base: int = 64, rel_tol: float = ENERGY_DOUB
         prev = cur
 
 
+def _pair_sum(measure: CubeMeasure, n: int) -> float:
+    """Sum of 1/|1 - <phi(t), phi(s)>| over all node pairs of the two offset
+    midpoint grids with n nodes per axis."""
+    _, Z1 = measure.grid(n, offset=0.0)
+    _, Z2 = measure.grid(n, offset=0.5)
+    return kernels.energy_pair_sum(Z1, Z2)
+
+
+def _lattice_sum(measure: CubeMeasure, n: int) -> float:
+    """``_pair_sum`` for a shift-invariant cube, as a sum over differences.
+
+    Per axis t_i - s_j = (i - j - 1/2) h, and i - j = u occurs n - |u| times,
+    so the n^m x n^m pairs collapse to (2n - 1)^m difference points u with
+    weight prod_j (n - |u_j|) and kernel 1/|1 - <phi((u - 1/2) h), phi(0)>|.
+    """
+    h = 2.0 / n
+    U = _tensor(np.arange(1 - n, n, dtype=float), measure.m)
+    weight = np.prod(n - np.abs(U), axis=1)
+    Z = measure.points((U - 0.5) * h)
+    z0 = measure.points(np.zeros((1, measure.m)))[0]
+    return float(np.sum(weight / np.abs(1.0 - Z @ z0.conj())))
+
+
+def _check_lattice_sum(measure: CubeMeasure, n: int, lattice_sum: float) -> float:
+    """Relative gap between ``lattice_sum`` and the pair sum at n nodes per
+    axis; ValueError past LATTICE_CHECK_TOL, so a cube that claims shift
+    invariance without having it cannot reach the lattice path."""
+    pairs = _pair_sum(measure, n)
+    rel = abs(lattice_sum - pairs) / pairs
+    if not rel <= LATTICE_CHECK_TOL:
+        raise ValueError(f"{measure.label} claims shift invariance, but its lattice sum differs "
+                         f"from the pair sum by {rel:.2e} relative at n = {n}")
+    return rel
+
+
 def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
            rel_tol: float = ENERGY_DOUBLING_TOL) -> EnergyResult:
     """Quadrature value and analytic upper bound for E(mu).
@@ -403,24 +456,40 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     Convergence of the box-pair integral needs m >= 3 (ValueError below
     that).  The two grid copies are midpoint grids offset by half a cell,
     so the singular diagonal t = s is never sampled; the node count doubles
-    until the energy moves by less than rel_tol.
+    until the energy moves by less than rel_tol.  A shift-invariant cube is
+    summed over the difference lattice, (2n - 1)^m kernel evaluations per
+    level instead of n^(2m), once the lattice sum has matched the pair sum
+    on the base grid.
     """
     if measure.m < 3:
         raise ValueError(f"energy requires a cube of dimension >= 3, got m = {measure.m}")
+    m = measure.m
+    lattice = measure.shift_invariant
+    evaluations = 0
+
+    def node_sum(n: int) -> float:
+        nonlocal evaluations
+        if lattice:
+            evaluations += (2 * n - 1) ** m
+            return _lattice_sum(measure, n)
+        evaluations += n ** (2 * m)
+        return _pair_sum(measure, n)
+
     n = n_base
     mass_sq = measure.scale**2
-    T1, Z1 = measure.grid(n, offset=0.0)
-    T2, Z2 = measure.grid(n, offset=0.5)
-    w = (2.0 / n) ** measure.m
-    prev = kernels.energy_pair_sum(Z1, Z2) * w * w * mass_sq
+    total = node_sum(n)
+    check_rel = None
+    if lattice:
+        check_rel = _check_lattice_sum(measure, n, total)
+        evaluations += n ** (2 * m)
+    w = (2.0 / n) ** m
+    prev = total * w * w * mass_sq
     rel = math.inf
     converged = False
     for _ in range(max_doublings):
         n *= 2
-        T1, Z1 = measure.grid(n, offset=0.0)
-        T2, Z2 = measure.grid(n, offset=0.5)
-        w = (2.0 / n) ** measure.m
-        cur = kernels.energy_pair_sum(Z1, Z2) * w * w * mass_sq
+        w = (2.0 / n) ** m
+        cur = node_sum(n) * w * w * mass_sq
         rel = abs(cur - prev) / cur
         prev = cur
         if rel < rel_tol:
@@ -438,7 +507,9 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     return EnergyResult(
         value=value, rel_change=rel, nodes_per_axis=n, converged=converged,
         c_estimate=c_est, param_integral=integral, analytic_upper=analytic_upper,
-        m=measure.m, label=measure.label,
+        m=m, label=measure.label,
+        energy_sum="lattice" if lattice else "pairs",
+        kernel_evaluations=evaluations, lattice_check_rel=check_rel,
     )
 
 
@@ -495,6 +566,8 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
         "energy_quadrature": res.value,
         "energy_rel_change_on_doubling": res.rel_change,
         "energy_converged": res.converged,
+        "energy_kernel_evaluations": res.kernel_evaluations,
+        "lattice_check_rel": res.lattice_check_rel,
         "c_estimate_grid_min": res.c_estimate,
         "param_box_inv_sq_integral": res.param_integral,
         "energy_upper_analytic": res.analytic_upper,
@@ -508,6 +581,7 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
         "m": measure.m,
         "nodes_per_axis": res.nodes_per_axis,
         "offset_scheme": "midpoint pair, half-cell shift",
+        "energy_sum": res.energy_sum,
         "shrink": measure.shrink,
     }
     return Certificate(kind="energy", lower_bound=lower, audit=audit, grid=grid)

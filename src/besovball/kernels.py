@@ -1,104 +1,69 @@
-"""Hot quadrature kernels with a numba fast path and a pure-numpy fallback.
+"""Pair-sum quadrature kernels over two point sets on the unit sphere of C^d.
 
-The Riesz-type energy of a parametrized surface measure needs sums over all
-pairs of quadrature nodes (n^m x n^m pairs for an m-cube), which is the one
-part of the package that is genuinely loop-bound.  Each kernel exists twice:
+The Riesz-type energy of a parametrized surface measure needs a sum over all
+pairs of quadrature nodes (n^m x n^m pairs for an m-cube), and the
+reverse-Lipschitz estimate a minimum over the same kind of pair grid.  Both
+kernels scan the first point set in blocks of rows against the whole second
+set, so the pair matrix is never held at once; the blocks are summed in a
+fixed order, so results are reproducible.
 
-* a ``@njit`` version compiled by numba (serial loops, fixed summation
-  order, no fastmath, so results are reproducible),
-* a blocked numpy version used when numba is unavailable or disabled.
-
-Selection: the environment variable ``BESOVBALL_KERNELS`` set to ``numpy``
-forces the fallback, ``numba`` insists on the jit path (raising if numba is
-missing), and the default ``auto`` uses numba when importable.  The numpy
-fallback accumulates blocks in a fixed order too; the two paths agree to
-relative 1e-10 (floating-point association is the only difference).
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Shift-invariant cubes (the torus) never reach ``energy_pair_sum`` at full
+size: ``certify.energy`` sums them over the difference lattice and calls the
+pair sum only once, at the base grid, to check that sum.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    numba = None
-    HAS_NUMBA = False
-
-_ENV_FLAG = "BESOVBALL_KERNELS"
+PAIR_BLOCK_ROWS = 128  # scratch of 128 * |W| * 24 bytes: 100 MB at |W| = 32^3
 
 
 def backend() -> str:
-    """The backend in force: 'numba' or 'numpy'."""
-    mode = os.environ.get(_ENV_FLAG, "auto").lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_FLAG} must be auto, numba or numpy, got {mode!r}")
-    if mode == "numpy":
-        return "numpy"
-    if mode == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(f"{_ENV_FLAG}=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-# -- energy pair sum ---------------------------------------------------------
-# sum over all pairs (i, j) of 1 / |1 - <z_i, w_j>| for rows of Z, W on the
-# unit sphere of C^d.
-
-
-def _energy_pair_sum_numpy(Z: np.ndarray, W: np.ndarray, block: int = 512) -> float:
-    total = 0.0
-    Wc = W.conj()
-    for start in range(0, Z.shape[0], block):
-        zb = Z[start : start + block]
-        inner = zb @ Wc.T
-        total += float(np.sum(1.0 / np.abs(1.0 - inner)))
-    return total
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=False)
-    def _energy_pair_sum_numba(Z, W):  # pragma: no cover - exercised via dispatch
-        nz, d = Z.shape
-        nw = W.shape[0]
-        total = 0.0
-        for i in range(nz):
-            for j in range(nw):
-                acc = 0j
-                for k in range(d):
-                    acc += Z[i, k] * np.conj(W[j, k])
-                total += 1.0 / abs(1.0 - acc)
-        return total
+    """The kernel implementation in force, recorded in manifests: always 'numpy'."""
+    return "numpy"
 
 
 def energy_pair_sum(Z: np.ndarray, W: np.ndarray) -> float:
+    """Sum over all pairs (i, j) of 1 / |1 - <z_i, w_j>| for rows of Z, W on
+    the unit sphere of C^d.
+
+    Each block of rows works in two preallocated buffers (one complex, one
+    real), so no temporary of the full block size is allocated per step.
+    """
+    Z = np.ascontiguousarray(Z, dtype=complex)
+    Wh = np.ascontiguousarray(np.asarray(W, dtype=complex).conj().T)
+    rows = min(PAIR_BLOCK_ROWS, Z.shape[0])
+    inner = np.empty((rows, Wh.shape[1]), dtype=complex)
+    recip = np.empty((rows, Wh.shape[1]), dtype=float)
+    total = 0.0
+    for start in range(0, Z.shape[0], PAIR_BLOCK_ROWS):
+        zb = Z[start : start + PAIR_BLOCK_ROWS]
+        b, r = inner[: zb.shape[0]], recip[: zb.shape[0]]
+        np.matmul(zb, Wh, out=b)
+        np.subtract(1.0, b, out=b)
+        np.abs(b, out=r)
+        np.reciprocal(r, out=r)
+        total += float(r.sum())
+    return total
+
+
+def min_chord_ratio(Z: np.ndarray, W: np.ndarray, T: np.ndarray, S: np.ndarray) -> float:
+    """Grid estimate of the reverse-Lipschitz constant of the parametrization:
+    min over pairs of |phi(t) - phi(s)| / |t - s| for offset parameter grids
+    (the grids never collide, so |t - s| > 0)."""
     Z = np.ascontiguousarray(Z, dtype=complex)
     W = np.ascontiguousarray(W, dtype=complex)
-    if backend() == "numba":
-        return float(_energy_pair_sum_numba(Z, W))
-    return _energy_pair_sum_numpy(Z, W)
-
-
-# -- reverse-Lipschitz estimate ----------------------------------------------
-# min over pairs of |phi(t) - phi(s)| / |t - s| for offset parameter grids
-# (the grids never collide, so |t - s| > 0).
-
-
-def _min_chord_ratio_numpy(Z, W, T, S, block: int = 512) -> float:
+    T = np.ascontiguousarray(T, dtype=float)
+    S = np.ascontiguousarray(S, dtype=float)
     # |z - w|^2 = |z|^2 + |w|^2 - 2 Re<z, w> keeps the pair scan at matmul cost
     nw2 = np.sum(np.abs(W) ** 2, axis=1)
     ns2 = np.sum(S**2, axis=1)
     Wc = W.conj()
     best = math.inf
+    block = 512
     for start in range(0, Z.shape[0], block):
         zb = Z[start : start + block]
         tb = T[start : start + block]
@@ -109,38 +74,3 @@ def _min_chord_ratio_numpy(Z, W, T, S, block: int = 512) -> float:
         ratio2 = np.maximum(chord2, 0.0) / np.maximum(param2, 1e-300)
         best = min(best, float(ratio2.min()))
     return math.sqrt(best)
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=False)
-    def _min_chord_ratio_numba(Z, W, T, S):  # pragma: no cover - exercised via dispatch
-        nz, d = Z.shape
-        nw = W.shape[0]
-        m = T.shape[1]
-        best = 1e300
-        for i in range(nz):
-            for j in range(nw):
-                chord = 0.0
-                for k in range(d):
-                    diff = Z[i, k] - W[j, k]
-                    chord += diff.real * diff.real + diff.imag * diff.imag
-                dist = 0.0
-                for k in range(m):
-                    dt = T[i, k] - S[j, k]
-                    dist += dt * dt
-                ratio = math.sqrt(chord / dist)
-                if ratio < best:
-                    best = ratio
-        return best
-
-
-def min_chord_ratio(Z: np.ndarray, W: np.ndarray, T: np.ndarray, S: np.ndarray) -> float:
-    """Grid estimate of the reverse-Lipschitz constant of the parametrization."""
-    Z = np.ascontiguousarray(Z, dtype=complex)
-    W = np.ascontiguousarray(W, dtype=complex)
-    T = np.ascontiguousarray(T, dtype=float)
-    S = np.ascontiguousarray(S, dtype=float)
-    if backend() == "numba":
-        return float(_min_chord_ratio_numba(Z, W, T, S))
-    return _min_chord_ratio_numpy(Z, W, T, S)

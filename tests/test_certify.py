@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from besovball.certify import (
     Certificate,
     CubeMeasure,
+    _lattice_sum,
+    _pair_sum,
     DerivativeFunctional,
     domination_constant,
     dual_lower_bound,
@@ -189,6 +192,35 @@ def test_energy_scaling_quadratic():
     assert e1.c_estimate > 0
 
 
+@pytest.mark.parametrize("k, n", [(4, 8), (4, 16), (5, 8)])
+def test_lattice_energy_sum_matches_pair_sum(k, n):
+    mu = CubeMeasure.torus(k, k)
+    assert _lattice_sum(mu, n) == pytest.approx(_pair_sum(mu, n), rel=1e-12)
+
+
+def test_rotated_torus_takes_pair_path():
+    # Householder reflection I - v v^T / 15 with v = (1, 2, 3, 4): rational,
+    # orthogonal and dense, so the rotated cube keeps the energy but is not
+    # marked shift-invariant
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    U = np.eye(4) - np.outer(v, v) / 15.0
+    mu = CubeMeasure.torus(4, 4)
+    rotated = CubeMeasure.from_callable(3, 4, lambda T: mu.phi(T) @ U, label="rotated torus")
+    a = energy(mu, n_base=8, max_doublings=1)
+    b = energy(rotated, n_base=8, max_doublings=1)
+    assert (a.energy_sum, b.energy_sum) == ("lattice", "pairs")
+    assert b.value == pytest.approx(a.value, rel=1e-12)
+    assert a.lattice_check_rel <= 1e-12 and b.lattice_check_rel is None
+    assert a.kernel_evaluations == 8**6 + 15**3 + 31**3
+    assert b.kernel_evaluations == 8**6 + 16**6
+
+
+def test_false_shift_invariance_claim_is_caught():
+    mu = replace(CubeMeasure.sphere_patch(4, 4), shift_invariant=True)
+    with pytest.raises(ValueError, match="shift invariance"):
+        energy(mu, max_doublings=0)
+
+
 def test_param_integral_cross_check():
     # the difference-substitution quadrature against a direct double-grid
     # midpoint rule (offset copies, so the diagonal is never hit)
@@ -227,6 +259,9 @@ def test_energy_certificate_pipeline():
     assert audit["support_max_abs_f"] < 1e-10
     assert audit["alt_constant_2_over_c_value"] > 0
     assert audit["energy_quadrature"] <= audit["energy_upper_analytic"]
+    assert cert.grid["energy_sum"] == "lattice"
+    assert audit["lattice_check_rel"] <= 1e-12
+    assert audit["energy_kernel_evaluations"] == 8**6 + 15**3 + 31**3 + 63**3
     back = Certificate.from_json(cert.to_json())
     assert back.audit["mu_total"] == audit["mu_total"]
     assert back.grid["family"] == cert.grid["family"]

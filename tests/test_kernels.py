@@ -1,4 +1,4 @@
-"""Backend selection and agreement for the pair-sum quadrature kernels."""
+"""The pair-sum quadrature kernels against direct loops and hand-computed cases."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from besovball import kernels
-from besovball.kernels import HAS_NUMBA, backend, energy_pair_sum, min_chord_ratio
+from besovball.kernels import PAIR_BLOCK_ROWS, energy_pair_sum, min_chord_ratio
 
 
 def _random_sphere_points(rng, n, d):
@@ -24,57 +23,16 @@ def _pair_sum_reference(Z, W):
     return total
 
 
-def test_backend_flag_values(monkeypatch):
-    monkeypatch.setenv("BESOVBALL_KERNELS", "numpy")
-    assert backend() == "numpy"
-    monkeypatch.setenv("BESOVBALL_KERNELS", "auto")
-    assert backend() in ("numba", "numpy")
-    monkeypatch.setenv("BESOVBALL_KERNELS", "cuda")
-    with pytest.raises(ValueError):
-        backend()
-    monkeypatch.delenv("BESOVBALL_KERNELS")
-    assert backend() == ("numba" if HAS_NUMBA else "numpy")
-
-
-def test_numba_flag_without_numba(monkeypatch):
-    if HAS_NUMBA:
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-    monkeypatch.setenv("BESOVBALL_KERNELS", "numba")
-    with pytest.raises(RuntimeError):
-        backend()
-
-
-def test_energy_pair_sum_vs_direct_loop(monkeypatch):
+def test_energy_pair_sum_vs_direct_loop():
     rng = np.random.default_rng(7)
-    Z = _random_sphere_points(rng, 37, 3) * 0.7
     W = _random_sphere_points(rng, 53, 3) * 0.7
-    ref = _pair_sum_reference(Z, W)
-    monkeypatch.setenv("BESOVBALL_KERNELS", "numpy")
-    assert energy_pair_sum(Z, W) == pytest.approx(ref, rel=1e-12)
+    # one partial block, then several full blocks and a partial last one
+    for rows in (37, 2 * PAIR_BLOCK_ROWS + 44):
+        Z = _random_sphere_points(rng, rows, 3) * 0.7
+        assert energy_pair_sum(Z, W) == pytest.approx(_pair_sum_reference(Z, W), rel=1e-12)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree(monkeypatch):
-    rng = np.random.default_rng(11)
-    Z = _random_sphere_points(rng, 600, 4) * 0.9
-    W = _random_sphere_points(rng, 700, 4) * 0.9
-    monkeypatch.setenv("BESOVBALL_KERNELS", "numpy")
-    a = energy_pair_sum(Z, W)
-    monkeypatch.setenv("BESOVBALL_KERNELS", "numba")
-    b = energy_pair_sum(Z, W)
-    assert a == pytest.approx(b, rel=1e-10)
-
-    T = rng.uniform(0, 1, size=(600, 2))
-    S = rng.uniform(2, 3, size=(700, 2))
-    monkeypatch.setenv("BESOVBALL_KERNELS", "numpy")
-    ra = min_chord_ratio(Z, W, T, S)
-    monkeypatch.setenv("BESOVBALL_KERNELS", "numba")
-    rb = min_chord_ratio(Z, W, T, S)
-    assert ra == pytest.approx(rb, rel=1e-10)
-
-
-def test_min_chord_ratio_small_case(monkeypatch):
-    monkeypatch.setenv("BESOVBALL_KERNELS", "numpy")
+def test_min_chord_ratio_small_case():
     Z = np.array([[1.0 + 0j, 0.0], [0.0, 1.0 + 0j]])
     W = np.array([[0.0, 1.0 + 0j]])
     T = np.array([[0.0], [1.0]])
