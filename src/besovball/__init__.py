@@ -29,7 +29,6 @@ from .spaces import (
     homogeneous_norms_sq,
     inner_product,
     measure_from_json,
-    moment,
     monomial_norm_sq,
     norm_sq,
     slice_norm_gap,
@@ -84,7 +83,7 @@ __all__ = [
     "BetaDensity", "ConstantDensity", "GeneralQuadrature", "NormalizedVolume",
     "PointMassAtOne", "SpaceSpec", "besov_da_ratio", "dilation_contraction_gap",
     "hardy_sphere_norm_sq", "homogeneous_norms_sq", "inner_product",
-    "measure_from_json", "moment", "monomial_norm_sq", "norm_sq",
+    "measure_from_json", "monomial_norm_sq", "norm_sq",
     "slice_norm_gap", "space_from_json",
     "diagonal_projection", "projection_lift", "sk_coefficient",
     "sk_coefficient_ratios", "sum_squares_compose", "tau_compose",

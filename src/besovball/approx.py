@@ -10,6 +10,10 @@ over the graded lexicographic monomial basis, and
 
     dist^2 = ||g||^2 - c* a.
 
+One routine, ``_gram_columns``, computes the nonzero entries of G for both
+``assemble_gram`` and ``finite_section_mult_bound``: it picks the exact or
+float path once per call, then runs one loop over pairs of terms of f.
+
 Three solver paths: exact rational LDL* (default for small exact systems),
 scaled float Cholesky (large sweeps), and an mpmath retry that kicks in
 when the float pivots collapse below 1e-13 of the largest one.
@@ -25,12 +29,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 import scipy.linalg
 
 from .poly import SparsePoly, series_invert
-from .scalars import ComplexRational, conj, to_complex
+from .scalars import ComplexRational, path_casts
 from .spaces import SpaceSpec, homogeneous_norms_sq, inner_product, monomial_norm_sq, norm_sq
 
 BASIS_ORDER = "grlex"
@@ -82,63 +87,71 @@ class GramSystem:
         return out
 
 
-def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int, force_float: bool = False) -> GramSystem:
-    """Build the Gram system of {z^beta f} against target g.
+def _gram_columns(space: SpaceSpec, f: SparsePoly, basis, exact: bool):
+    """Yield (j, {i: <z^(beta_j) f, z^(beta_i) f>}) over basis, nonzero entries only.
 
     Orthogonality of monomials collapses each entry to a sum over pairs of
     terms of f whose exponents differ by beta_i - beta_j, so assembly costs
-    O(len(basis) * len(f.terms)^2) dictionary operations.
+    O(len(basis) * len(f.terms)^2) dictionary operations; each product
+    c_delta conj(c_eps) is formed once per pair.  Column by column, so no
+    more than one column of entries is held as Python objects at a time.
     """
+    cast, weight = path_casts(exact)
+    zero = cast(0)
+    fitems = [(delta, cast(c)) for delta, c in f.terms.items()]
+    pairs = [(delta, [(tuple(map(sub, delta, eps)), cd * ce.conjugate()) for eps, ce in fitems])
+             for delta, cd in fitems]
+    index = {b: i for i, b in enumerate(basis)}
+    for j, bj in enumerate(basis):
+        col = {}
+        for delta, row in pairs:
+            w = weight(monomial_norm_sq(space, tuple(map(add, bj, delta))))
+            for shift, p in row:
+                # exponents off the basis (negative or past the degree) miss the index
+                i = index.get(tuple(map(add, bj, shift)))
+                if i is not None:
+                    col[i] = col.get(i, zero) + p * w
+        yield j, col
+
+
+def _dense(columns, n: int, exact: bool):
+    """Scatter Gram columns into nested lists (exact) or a numpy array."""
+    if exact:
+        G = [[ComplexRational()] * n for _ in range(n)]
+        for j, col in columns:
+            for i, v in col.items():
+                G[i][j] = v
+        return G
+    G = np.zeros((n, n), dtype=complex)
+    for j, col in columns:
+        G[list(col), j] = list(col.values())
+    return G
+
+
+def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int, force_float: bool = False) -> GramSystem:
+    """Build the Gram system of {z^beta f} against target g."""
     if f.dim != space.d or g.dim != space.d:
         raise ValueError("dimension mismatch between space and polynomials")
     if f.is_zero():
         raise ValueError("the generator must be nonzero")
     basis = graded_monomials(space.d, max_degree)
-    index = {b: i for i, b in enumerate(basis)}
     exact = space.is_exact and f.is_exact() and g.is_exact() and not force_float
-    n = len(basis)
-    fitems = [(b, c) for b, c in f.terms.items()]
+    G = _dense(_gram_columns(space, f, basis, exact), len(basis), exact)
 
-    if exact:
-        zero = ComplexRational()
-        G = [[zero] * n for _ in range(n)]
-        c = [zero] * n
-    else:
-        G = np.zeros((n, n), dtype=complex)
-        c = np.zeros(n, dtype=complex)
-
-    for j, bj in enumerate(basis):
-        for delta, cd in fitems:
-            prod = tuple(x + y for x, y in zip(bj, delta))
-            w = monomial_norm_sq(space, prod)
-            for eps, ce in fitems:
-                target = tuple(p - e for p, e in zip(prod, eps))
-                if any(t < 0 for t in target):
-                    continue
-                i = index.get(target)
-                if i is None:
-                    continue
-                if exact:
-                    G[i][j] = G[i][j] + cd * conj(ce) * w
-                else:
-                    G[i, j] += to_complex(cd) * to_complex(ce).conjugate() * float(w)
-
-    gitems = g.terms
+    cast, weight = path_casts(exact)
+    fconj = [(delta, cast(c).conjugate()) for delta, c in f.terms.items()]
+    gterms = {b: cast(c) for b, c in g.terms.items()}
+    c = [cast(0)] * len(basis)
     for i, bi in enumerate(basis):
-        for delta, cd in fitems:
-            prod = tuple(x + y for x, y in zip(bi, delta))
-            cg = gitems.get(prod)
-            if cg is None:
-                continue
-            w = monomial_norm_sq(space, prod)
-            if exact:
-                c[i] = c[i] + ComplexRational.coerce(cg) * conj(cd) * w
-            else:
-                c[i] += to_complex(cg) * to_complex(cd).conjugate() * float(w)
+        for delta, cd in fconj:
+            prod = tuple(map(add, bi, delta))
+            cg = gterms.get(prod)
+            if cg is not None:
+                c[i] = c[i] + cg * cd * weight(monomial_norm_sq(space, prod))
 
     return GramSystem(
         space=space, f=f, g=g, degree=max_degree, basis=tuple(basis),
-        matrix=G, rhs=c, g_norm_sq=norm_sq(space, g), exact=exact,
+        matrix=G, rhs=c if exact else np.array(c, dtype=complex), g_norm_sq=norm_sq(space, g), exact=exact,
     )
 
 
@@ -250,11 +263,10 @@ def _solve_block(system: GramSystem, size: int, method: str):
     if system.exact:
         Gf = np.array([[complex(system.matrix[i][j]) for j in range(size)] for i in range(size)], dtype=complex)
         cf = np.array([complex(x) for x in system.rhs[:size]], dtype=complex)
-        gn = float(system.g_norm_sq)
     else:
         Gf = np.ascontiguousarray(system.matrix[:size, :size])
         cf = np.ascontiguousarray(system.rhs[:size])
-        gn = float(system.g_norm_sq)
+    gn = float(system.g_norm_sq)
 
     flagged = False
     path = "float"
@@ -355,22 +367,7 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
     M_phi* M_phi against the diagonal of monomial norms.
     """
     basis = graded_monomials(space.d, max_degree)
-    index = {b: i for i, b in enumerate(basis)}
-    n = len(basis)
-    A = np.zeros((n, n), dtype=complex)
-    fitems = list(phi.terms.items())
-    for j, bj in enumerate(basis):
-        for delta, cd in fitems:
-            prod = tuple(x + y for x, y in zip(bj, delta))
-            w = float(monomial_norm_sq(space, prod))
-            for eps, ce in fitems:
-                target = tuple(p - e for p, e in zip(prod, eps))
-                if any(t < 0 for t in target):
-                    continue
-                i = index.get(target)
-                if i is None:
-                    continue
-                A[i, j] += to_complex(cd) * to_complex(ce).conjugate() * w
+    A = _dense(_gram_columns(space, phi, basis, exact=False), len(basis), exact=False)
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
     vals = scipy.linalg.eigh(A, D, eigvals_only=True)
     top = float(vals[-1])

@@ -34,12 +34,13 @@ import numpy as np
 from . import kernels
 from .poly import SparsePoly, series_from_poly
 from .scalars import ComplexRational, abs_sq, to_complex
-from .spaces import SpaceSpec
+from .spaces import CACHE_MAXSIZE, SpaceSpec
 
 SPHERE_TOL = 1e-12
 SUPPORT_TOL = 1e-10
 ENERGY_DOUBLING_TOL = 0.02
 LATTICE_CHECK_TOL = 1e-12
+BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; one float64 column is 32 MB
 
 
 # -- derivative functionals on the D_alpha scale ------------------------------
@@ -53,7 +54,7 @@ def _poly_mul(p, q):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _falling_sq_in_shifted_basis(j: int) -> tuple:
     """Coefficients q_i with (n(n-1)...(n-j+1))^2 = sum_i q_i (n+1)^i."""
     poly = [Fraction(1)]
@@ -183,20 +184,6 @@ class Certificate:
                            audit=obj.get("audit", {}), grid=obj.get("grid", {}))
 
 
-def _derivatives_at_one(h: SparsePoly, up_to: int):
-    """[h(1), h'(1), ..., h^(up_to)(1)], exact when h is exact."""
-    s = series_from_poly(h)
-    vals = []
-    for i in range(up_to + 1):
-        total = ComplexRational() if h.is_exact() else 0j
-        for n, a in enumerate(s.coeffs):
-            if n < i:
-                continue
-            total = total + a * (math.factorial(n) // math.factorial(n - i))
-        vals.append(total)
-    return vals
-
-
 def dual_lower_bound(space: SpaceSpec, g: SparsePoly, h: SparsePoly, j: int) -> Certificate:
     """Certificate: dist(g, {p h : p polynomial}) >= |g^(j)(1)| / ||L_j||.
 
@@ -211,7 +198,8 @@ def dual_lower_bound(space: SpaceSpec, g: SparsePoly, h: SparsePoly, j: int) -> 
         raise ValueError("g and h must be one-variable polynomials")
     func = DerivativeFunctional(j, space.alpha)  # raises if unbounded
 
-    derivs = _derivatives_at_one(h, j)
+    # each L_i with i <= j is bounded too, since alpha > 2j + 1 >= 2i + 1
+    derivs = [DerivativeFunctional(i, space.alpha).apply(h) for i in range(j + 1)]
     scale = math.fsum(math.sqrt(float(abs_sq(c))) for c in h.terms.values()) or 1.0
     for i, v in enumerate(derivs):
         if isinstance(v, ComplexRational):
@@ -402,16 +390,21 @@ def _param_inv_sq_integral(m: int, n: int) -> float:
 
 def param_inv_sq_integral(m: int, n_base: int = 64, rel_tol: float = ENERGY_DOUBLING_TOL):
     """(value, rel_change, n_final) for the parameter-box integral, with
-    midpoint-grid doubling until the change falls under rel_tol."""
-    n = n_base
-    prev = _param_inv_sq_integral(m, n)
+    midpoint-grid doubling until the change falls under rel_tol; ValueError,
+    before building it, for a grid past BOX_GRID_POINTS points."""
+    n, prev = n_base, None
     while True:
-        n *= 2
+        if n**m > BOX_GRID_POINTS:
+            state = "" if prev is None else f", unconverged at relative change {rel:.3g} (tolerance {rel_tol})"
+            raise ValueError(f"box integral for m = {m}: the n = {n} grid needs {n**m} points, "
+                             f"over the budget of {BOX_GRID_POINTS}{state}")
         cur = _param_inv_sq_integral(m, n)
-        rel = abs(cur - prev) / cur
-        if rel < rel_tol or n >= 512:
-            return cur, rel, n
+        if prev is not None:
+            rel = abs(cur - prev) / cur
+            if rel < rel_tol:
+                return cur, rel, n
         prev = cur
+        n *= 2
 
 
 def _pair_sum(measure: CubeMeasure, n: int) -> float:
@@ -464,6 +457,8 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     if measure.m < 3:
         raise ValueError(f"energy requires a cube of dimension >= 3, got m = {measure.m}")
     m = measure.m
+    # first, so a box integral past its grid budget fails before any quadrature
+    integral, _, _ = param_inv_sq_integral(m)
     lattice = measure.shift_invariant
     evaluations = 0
 
@@ -502,7 +497,6 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     Tc1, Zc1 = measure.grid(nc, offset=0.0)
     Tc2, Zc2 = measure.grid(nc, offset=0.5)
     c_est = kernels.min_chord_ratio(Zc1, Zc2, Tc1, Tc2)
-    integral, _, _ = param_inv_sq_integral(measure.m)
     analytic_upper = (2.0 / c_est**2) * integral * mass_sq
     return EnergyResult(
         value=value, rel_change=rel, nodes_per_axis=n, converged=converged,

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .poly import Series1D, SparsePoly, series_from_poly
 from .scalars import ComplexRational, to_complex
+from .spaces import CACHE_MAXSIZE
 
 
 def _as_series(f) -> Series1D:
@@ -69,7 +70,7 @@ def tau_compose(f, k: int, d: int) -> SparsePoly:
     return SparsePoly(d, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def tkd_monomial_norm_sq(k: int, n: int) -> Fraction:
     """Exact ||tau image of lambda^n||^2 in the Drury-Arveson space:
     k^(nk) (n!)^k / (nk)! (independent of the ambient d >= k)."""
@@ -103,12 +104,12 @@ def sum_squares_compose(f, k: int, d: int) -> SparsePoly:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _central_binomial(j: int) -> int:
     return math.comb(2 * j, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _sum_sq_term_sum(d: int, n: int) -> int:
     """sum over |alpha| = n, alpha in N_0^d, of (2 alpha)!/(alpha!)^2.
 

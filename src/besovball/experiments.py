@@ -65,7 +65,7 @@ THREADS_ENV = "BESOVBALL_THREADS"
 
 
 def thread_budget(explicit=None) -> int:
-    if explicit:
+    if explicit is not None:
         return max(1, int(explicit))
     env = os.environ.get(THREADS_ENV)
     if env:

@@ -387,10 +387,6 @@ class Series1D:
         return f"Series1D({list(self.coeffs)!r})"
 
 
-def poly_from_series(s: Series1D) -> SparsePoly:
-    return s.to_poly()
-
-
 def series_from_poly(f: SparsePoly) -> Series1D:
     if f.dim != 1:
         raise ValueError("series_from_poly requires a 1-variable polynomial")

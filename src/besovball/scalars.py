@@ -180,6 +180,13 @@ def abs_sq(x):
 
 
 def to_complex(x) -> complex:
-    if isinstance(x, ComplexRational):
-        return complex(x)
     return complex(x)
+
+
+def path_casts(exact: bool):
+    """(coefficient cast, weight cast) of one arithmetic path, picked once
+    per sum so its loop needs no branch: ComplexRational and weights as
+    they are (exact), or complex and float."""
+    if exact:
+        return ComplexRational.coerce, lambda w: w
+    return to_complex, float

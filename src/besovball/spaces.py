@@ -31,7 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import SparsePoly, factorial_ratio
-from .scalars import abs_sq, conj, to_complex
+from .scalars import abs_sq, path_casts, to_complex
+
+# entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
+# space), yet spaces built in a loop, with their quadrature rules, are evicted
+CACHE_MAXSIZE = 4096
 
 # -- radial measures ---------------------------------------------------------
 
@@ -180,15 +184,6 @@ def measure_from_json(obj):
     raise ValueError(f"unknown measure type: {kind!r}")
 
 
-def moment(measure, n: int):
-    """integral of r^(2n) dmu(r); exact Fraction for the named measures."""
-    return measure.moment(n)
-
-
-def measure_mass(measure):
-    return measure.moment(0)
-
-
 # -- space specifications ----------------------------------------------------
 
 
@@ -270,13 +265,13 @@ def space_from_json(obj) -> SpaceSpec:
     raise ValueError(f"unknown space kind: {kind!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _sphere_factor(d: int, n: int) -> Fraction:
     """n!(d-1)!/(n+d-1)! — the Hardy-sphere/Drury-Arveson norm ratio in degree n."""
     return Fraction(math.factorial(n) * math.factorial(d - 1), math.factorial(n + d - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _weight(space: SpaceSpec, n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -288,7 +283,7 @@ def _weight(space: SpaceSpec, n: int):
             return Fraction(n + 1) ** int(a)
         return float(n + 1) ** float(a)
     if n == 0:
-        return measure_mass(space.measure)
+        return space.measure.moment(0)
     omega_n = _sphere_factor(space.d, n) * space.measure.moment(n)
     return n ** (2 * space.N) * omega_n
 
@@ -309,26 +304,26 @@ def inner_product(space: SpaceSpec, f: SparsePoly, g: SparsePoly):
     if f.dim != space.d or g.dim != space.d:
         raise ValueError("polynomial dimension must equal the space dimension")
     exact = space.is_exact and f.is_exact() and g.is_exact()
+    cast, weight = path_casts(exact)
     total = Fraction(0) if exact else 0j
     for beta, c in f.terms.items():
         cg = g.terms.get(beta)
-        if cg is None:
-            continue
-        w = monomial_norm_sq(space, beta)
-        if exact:
-            total = total + (c * conj(cg)) * w
-        else:
-            total = total + to_complex(c) * to_complex(cg).conjugate() * float(w)
+        if cg is not None:
+            total = total + cast(c) * cast(cg).conjugate() * weight(monomial_norm_sq(space, beta))
+    return total
+
+
+def _weighted_abs_sq_sum(f: SparsePoly, norm_sq_of, exact: bool):
+    """sum over the terms of f of |c_beta|^2 norm_sq_of(beta), on one path."""
+    _, weight = path_casts(exact)
+    total = Fraction(0) if exact else 0.0
+    for beta, c in f.terms.items():
+        total = total + abs_sq(c) * weight(norm_sq_of(beta))
     return total
 
 
 def norm_sq(space: SpaceSpec, f: SparsePoly):
-    exact = space.is_exact and f.is_exact()
-    total = Fraction(0) if exact else 0.0
-    for beta, c in f.terms.items():
-        w = monomial_norm_sq(space, beta)
-        total = total + abs_sq(c) * (w if exact else float(w))
-    return total
+    return _weighted_abs_sq_sum(f, lambda beta: monomial_norm_sq(space, beta), space.is_exact and f.is_exact())
 
 
 def hardy_sphere_norm_sq(f: SparsePoly):
@@ -341,12 +336,7 @@ def hardy_sphere_norm_sq(f: SparsePoly):
     """
     if not f.is_homogeneous():
         raise ValueError("hardy_sphere_norm_sq needs a homogeneous polynomial")
-    exact = f.is_exact()
-    total = Fraction(0) if exact else 0.0
-    for beta, c in f.terms.items():
-        w = _sphere_factor(f.dim, sum(beta)) * factorial_ratio(beta)
-        total = total + abs_sq(c) * (w if exact else float(w))
-    return total
+    return _weighted_abs_sq_sum(f, lambda beta: _sphere_factor(f.dim, sum(beta)) * factorial_ratio(beta), f.is_exact())
 
 
 def homogeneous_norms_sq(space: SpaceSpec, f: SparsePoly):

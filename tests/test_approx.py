@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from besovball.approx import (
     ApproximantResult,
@@ -23,7 +24,7 @@ from besovball.approx import (
 )
 from besovball.poly import SparsePoly
 from besovball.scalars import ComplexRational
-from besovball.spaces import PointMassAtOne, SpaceSpec, inner_product, norm_sq
+from besovball.spaces import NormalizedVolume, PointMassAtOne, SpaceSpec, inner_product, monomial_norm_sq, norm_sq
 
 try:
     from hypothesis import given, settings
@@ -226,6 +227,28 @@ def test_finite_section_anchor_values():
     assert all(x <= 2.0 + 1e-9 for x in bounds)
 
 
+def test_finite_section_is_the_gram_section_eigenvalue():
+    # both callers of the one Gram-entry routine must agree: the bound is the
+    # top generalized eigenvalue of the float Gram matrix of {z^beta phi}
+    # against the diagonal of monomial norms
+    cases = [
+        (DA2, F22),
+        (DA2, SparsePoly(2, {(1, 0): 1, (0, 2): Fraction(-1, 3), (0, 0): 2})),
+        (SpaceSpec.alpha_scale(1, 4), ONE_MINUS_Z ** 3),
+        (SpaceSpec.alpha_scale(2, -1), SparsePoly(2, {(1, 0): 0.5, (0, 1): 0.25j, (2, 0): 1})),
+    ]
+    for space, phi in cases:
+        for m in (0, 2, 5):
+            system = assemble_gram(space, phi, SparsePoly.one(space.d), m, force_float=True)
+            D = np.diag([float(monomial_norm_sq(space, b)) for b in system.basis])
+            top = scipy.linalg.eigh(system.matrix, D, eigvals_only=True)[-1]
+            assert finite_section_mult_bound(space, phi, m) == pytest.approx(math.sqrt(top), rel=1e-12, abs=1e-12)
+
+
+def test_finite_section_of_zero_is_zero():
+    assert finite_section_mult_bound(DA2, SparsePoly.zero(2), 3) == 0.0
+
+
 def test_ratio_sweep_against_series_oracle():
     # p = 1 - z = (1-z), s = 1: h_r has coefficients 1, r-2, then
     # r^(n-2) (1-r)^2; sum the Besov weights directly
@@ -299,3 +322,37 @@ if HAVE_HYPOTHESIS:
             assemble_gram(H1, f, SparsePoly.one(1), m), method="exact"
         )
         assert 0 <= res.dist_sq <= 1
+
+    EXACT_SPACES = (
+        SpaceSpec.drury_arveson(1),
+        DA2,
+        SpaceSpec.alpha_scale(1, 3),
+        SpaceSpec.alpha_scale(2, -1),
+        SpaceSpec.besov(2, 1, NormalizedVolume(2)),
+    )
+    _fracs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+    def _exact_polys(d):
+        coeff = st.builds(ComplexRational, _fracs, _fracs)
+        exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * d)
+        return st.dictionaries(exps, coeff, min_size=1, max_size=3).map(lambda t: SparsePoly(d, t))
+
+    @given(
+        st.sampled_from(EXACT_SPACES).flatmap(lambda sp: st.tuples(st.just(sp), _exact_polys(sp.d), _exact_polys(sp.d))),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_gram_system_is_the_exact_one_rounded(case, m):
+        space, f, g = case
+        if f.is_zero():
+            return
+        exact = assemble_gram(space, f, g, m)
+        flt = assemble_gram(space, f, g, m, force_float=True)
+        assert exact.exact and not flt.exact
+        G = np.array([[complex(x) for x in row] for row in exact.matrix])
+        c = np.array([complex(x) for x in exact.rhs])
+        # by Cauchy-Schwarz the terms of G[i][j] sum in modulus to at most
+        # sqrt(G[i][i] G[j][j]), and those of c[i] to sqrt(G[i][i] ||g||^2)
+        diag = np.diag(G).real
+        assert np.all(np.abs(flt.matrix - G) <= 1e-15 * np.sqrt(np.outer(diag, diag)))
+        assert np.all(np.abs(flt.rhs - c) <= 1e-15 * np.sqrt(diag * float(exact.g_norm_sq)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -304,3 +305,24 @@ def test_domination_anchors():
     near = domination_constant(f, f, 0, radii=[0.9])
     nearer = domination_constant(f, f, 0, radii=[0.9, 0.9999])
     assert nearer >= near > 1.0
+
+
+def test_param_integral_grid_budget():
+    # m = 3 converges on the 128^3 grid, inside the budget
+    val, _, n_final = param_inv_sq_integral(3)
+    assert (val, n_final) == (88.74771025858979, 128)
+    # unconverged at n = 128: the next grid is past the budget
+    with pytest.raises(ValueError, match="unconverged"):
+        param_inv_sq_integral(3, rel_tol=1e-4)
+    tracemalloc.start()
+    try:
+        # m = 4: the first grid, 64^4 points, is past the budget
+        with pytest.raises(ValueError, match="m = 4.*16777216 points"):
+            param_inv_sq_integral(4)
+        # energy checks the box integral before building its quadrature grids
+        with pytest.raises(ValueError, match="m = 4"):
+            energy(CubeMeasure.torus(5, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

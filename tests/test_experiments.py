@@ -133,3 +133,9 @@ def test_lemma_check_forced_failure():
 def test_lemma_unknown_name():
     with pytest.raises(ValueError):
         verify_lemma("no-such-lemma")
+
+
+def test_explicit_zero_threads_clamp_instead_of_reading_env(monkeypatch):
+    monkeypatch.setenv("BESOVBALL_THREADS", "3")
+    assert thread_budget(0) == 1
+    assert thread_budget() == 3

@@ -15,7 +15,6 @@ from besovball.poly import (
     is_outer_1d,
     multi_factorial,
     poly_from_literal,
-    poly_from_series,
     poly_to_literal,
     roots_1d,
     series_from_poly,
@@ -163,8 +162,8 @@ def test_series1d_ops():
     assert s.derivative().coeffs == (-2, 6)
     assert s.derivative(2).coeffs == (6,)
     assert abs(s.evaluate(0.5) - (1 - 1 + 0.75)) < 1e-15
-    assert poly_from_series(s) == _p(1, {(0,): 1, (1,): -2, (2,): 3})
-    assert series_from_poly(poly_from_series(s)) == s
+    assert s.to_poly() == _p(1, {(0,): 1, (1,): -2, (2,): 3})
+    assert series_from_poly(s.to_poly()) == s
 
 
 def test_roots_anchors():

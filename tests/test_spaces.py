@@ -24,12 +24,12 @@ from besovball.spaces import (
     homogeneous_norms_sq,
     inner_product,
     measure_from_json,
-    moment,
     monomial_norm_sq,
     norm_sq,
     slice_norm_gap,
     space_from_json,
 )
+from besovball import certify, embeddings, spaces
 
 try:
     from hypothesis import given, settings
@@ -45,12 +45,12 @@ def _p(dim, terms):
 
 
 def test_moment_anchors():
-    assert moment(PointMassAtOne(), 7) == 1
-    assert moment(NormalizedVolume(2), 3) == Fraction(2, 5)
-    assert moment(ConstantDensity(1), 4) == Fraction(1, 5)
+    assert PointMassAtOne().moment(7) == 1
+    assert NormalizedVolume(2).moment(3) == Fraction(2, 5)
+    assert ConstantDensity(1).moment(4) == Fraction(1, 5)
     # (1-r)^beta density: 2 (2n+1)! beta! / (2n+2+beta)!
-    assert moment(BetaDensity(0), 1) == Fraction(1, 2)
-    assert moment(BetaDensity(2), 1) == Fraction(
+    assert BetaDensity(0).moment(1) == Fraction(1, 2)
+    assert BetaDensity(2).moment(1) == Fraction(
         2 * math.factorial(3) * 2, math.factorial(6)
     )
 
@@ -62,7 +62,7 @@ def test_moment_oracle_quadrature():
         assert abs(gq.moment(n) - 1.0 / (n + 1)) < 1e-12
     gq2 = GeneralQuadrature.from_density(lambda r: (1.0 - r) ** 2)
     for n in range(0, 8):
-        exact = float(moment(BetaDensity(2), n))
+        exact = float(BetaDensity(2).moment(n))
         assert abs(gq2.moment(n) - exact) < 1e-12
 
 
@@ -244,3 +244,18 @@ if HAVE_HYPOTHESIS:
     def test_dilation_contraction_property(f, r):
         sp = SpaceSpec.besov(2, 2, NormalizedVolume(2))
         assert dilation_contraction_gap(sp, f, r) >= 0
+
+
+def test_weight_caches_are_bounded():
+    caches = [spaces._weight, spaces._sphere_factor, certify._falling_sq_in_shifted_basis,
+              embeddings.tkd_monomial_norm_sq, embeddings._central_binomial, embeddings._sum_sq_term_sum]
+    assert all(c.cache_info().maxsize == spaces.CACHE_MAXSIZE for c in caches)
+    # every quadrature space is a new cache key that holds its own arrays;
+    # more (space, degree) keys than the cache keeps must evict, not pile up
+    nodes = np.linspace(0.5, 1.0, 8)
+    for k in range(spaces.CACHE_MAXSIZE // 64 + 2):
+        space = SpaceSpec.besov(2, 1, GeneralQuadrature(nodes, np.full(8, 1.0 + k)))
+        for n in range(64):
+            space.weight(n)
+    info = spaces._weight.cache_info()
+    assert 0 < info.currsize <= info.maxsize
