@@ -14,20 +14,21 @@ One routine, ``_gram_columns``, computes the nonzero entries of G for both
 ``assemble_gram`` and ``finite_section_mult_bound``: it picks the exact or
 float path once per call, then runs one loop over pairs of terms of f.
 
-Three solver paths: exact rational LDL* (default for small exact systems),
-scaled float Cholesky (large sweeps), and an mpmath retry that kicks in
-when the float pivots collapse below 1e-13 of the largest one.
-
-Profile functions assemble a single Gram matrix at the top degree and sweep
-its nested leading blocks, which the graded order makes exactly the
-lower-degree systems.
+Each call factors its top block once: exact rational LDL* (the default for
+small exact systems) or Jacobi-prescaled float Cholesky, with L y = c in
+the same pass.  The graded order makes the leading blocks exactly the
+lower-degree systems, so a profile reads every degree from one
+factorization: dist^2 = ||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading
+k-block.  A float block whose own pivots collapse below 1e-13 of the
+largest is solved again by 60-digit mpmath LU.  ``ProfilePoint.runtime_ms``
+is the time since the previous point; the first carries the factorization.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
@@ -36,7 +37,7 @@ import scipy.linalg
 
 from .poly import SparsePoly, series_invert
 from .scalars import ComplexRational, path_casts
-from .spaces import SpaceSpec, homogeneous_norms_sq, inner_product, monomial_norm_sq, norm_sq
+from .spaces import SpaceSpec, homogeneous_norms_sq, monomial_norm_sq, norm_sq
 
 BASIS_ORDER = "grlex"
 AUTO_EXACT_LIMIT = 64
@@ -77,14 +78,8 @@ class GramSystem:
 
     def block_sizes(self) -> dict[int, int]:
         """degree -> number of basis elements with |beta| <= degree."""
-        sizes = {}
-        for i, b in enumerate(self.basis):
-            sizes[sum(b)] = i + 1
-        out, run = {}, 0
-        for m in range(self.degree + 1):
-            run = sizes.get(m, run)
-            out[m] = run
-        return out
+        # graded: every degree up to self.degree occurs, and its last index ends its block
+        return {sum(b): i + 1 for i, b in enumerate(self.basis)}
 
 
 def _gram_columns(space: SpaceSpec, f: SparsePoly, basis, exact: bool):
@@ -177,58 +172,44 @@ class ApproximantResult:
         return SparsePoly(dim, dict(zip(self.basis, self.coefficients)))
 
 
-def _solve_ldl_exact(G, c):
-    """LDL* for Hermitian positive definite rational matrices.
-
-    Returns (solution, pivots); raises ArithmeticError when a pivot is not
-    real positive (the system was not positive definite).
-    """
+def _ldl_exact(G, c):
+    """LDL* of a Hermitian positive definite rational matrix with L y = c in
+    the same pass: (L, y, D, gains), the unit diagonal of L left implicit.
+    ArithmeticError when a pivot is not real positive (the system was not
+    positive definite)."""
     n = len(G)
-    L = [[ComplexRational() for _ in range(n)] for _ in range(n)]
+    L = [[ComplexRational()] * n for _ in range(n)]
     D: list[Fraction] = []
+    y = []
     for i in range(n):
-        acc = G[i][i]
-        for k in range(i):
-            acc = acc - L[i][k] * L[i][k].conjugate() * D[k]
+        # conj(L[i][k]) D[k], once for all of column i; zeros add nothing
+        ld = [(k, L[i][k].conjugate() * D[k]) for k in range(i) if L[i][k]]
+        acc, yi = G[i][i], c[i]
+        for k, v in ld:
+            acc = acc - L[i][k] * v
+            yi = yi - L[i][k] * y[k]
         if not acc.is_real or acc.re <= 0:
             raise ArithmeticError(f"pivot {i} is not real positive: {acc!r}")
         D.append(acc.re)
-        L[i][i] = ComplexRational(1)
+        y.append(yi)
         for j in range(i + 1, n):
             s = G[j][i]
-            for k in range(i):
-                s = s - L[j][k] * L[i][k].conjugate() * D[k]
+            for k, v in ld:
+                s = s - L[j][k] * v
             L[j][i] = s / D[i]
-    # L y = c
-    y = []
-    for i in range(n):
-        s = c[i]
-        for k in range(i):
-            s = s - L[i][k] * y[k]
-        y.append(s)
-    # D z = y, L* a = z
-    z = [y[i] / D[i] for i in range(n)]
-    a = [ComplexRational()] * n
-    for i in range(n - 1, -1, -1):
-        s = z[i]
-        for k in range(i + 1, n):
-            s = s - L[k][i].conjugate() * a[k]
-        a[i] = s
-    return a, D
+    return L, y, D, [yi.abs2() / di for yi, di in zip(y, D)]
 
 
-def _solve_chol_float(G: np.ndarray, c: np.ndarray):
-    """Jacobi-prescaled Cholesky; returns (a, min_pivot, max_pivot)."""
+def _chol_float(G: np.ndarray, c: np.ndarray):
+    """Jacobi-prescaled Cholesky S G S = L L* and the forward solve
+    L y = S c: (L, y, pivots, gains, S) of the scaled system."""
     dg = np.real(np.diag(G)).copy()
     if np.any(dg <= 0):
         raise np.linalg.LinAlgError("non-positive diagonal")
     s = 1.0 / np.sqrt(dg)
-    Gs = G * s[:, None] * s[None, :]
-    L = np.linalg.cholesky(Gs)
-    piv = np.diag(L).real ** 2
+    L = np.linalg.cholesky(G * s[:, None] * s[None, :])
     y = scipy.linalg.solve_triangular(L, c * s, lower=True)
-    x = scipy.linalg.solve_triangular(L.conj().T, y, lower=False)
-    return x * s, float(piv.min()), float(piv.max())
+    return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s
 
 
 def _solve_mpmath(G, c, dps=60):
@@ -241,52 +222,65 @@ def _solve_mpmath(G, c, dps=60):
         return np.array([complex(x[i]) for i in range(len(c))], dtype=complex)
 
 
-def _solve_block(system: GramSystem, size: int, method: str):
-    """Solve the leading size x size block; returns (coeffs, dist_sq, report)."""
-    if method == "auto":
-        method = "exact" if (system.exact and size <= AUTO_EXACT_LIMIT) else "float"
-    if method == "exact":
-        if not system.exact:
-            raise ValueError("exact solve requested on a float-path system")
-        G = [row[:size] for row in system.matrix[:size]]
-        c = list(system.rhs[:size])
-        a, D = _solve_ldl_exact(G, c)
-        csa = ComplexRational()
-        for ci, ai in zip(c, a):
-            csa = csa + ci.conjugate() * ai
-        if not csa.is_real:
-            raise ArithmeticError("projection norm came out non-real")
-        dist_sq = Fraction(system.g_norm_sq) - csa.re
-        report = ConditioningReport("exact", float(min(D)), float(max(D)), False)
-        return tuple(a), dist_sq, report
+class _Factored:
+    """The leading size x size block of a Gram system, factored once on one
+    path.  Its leading k-block is factored by the leading k x k part of L,
+    so has pivots[:k] and projection c_k* a_k = sum(gains[:k])."""
 
-    if system.exact:
-        Gf = np.array([[complex(system.matrix[i][j]) for j in range(size)] for i in range(size)], dtype=complex)
-        cf = np.array([complex(x) for x in system.rhs[:size]], dtype=complex)
-    else:
-        Gf = np.ascontiguousarray(system.matrix[:size, :size])
-        cf = np.ascontiguousarray(system.rhs[:size])
-    gn = float(system.g_norm_sq)
+    def __init__(self, system: GramSystem, size: int, method: str):
+        if method == "auto":
+            method = "exact" if (system.exact and size <= AUTO_EXACT_LIMIT) else "float"
+        self.method, self.g_norm_sq = method, system.g_norm_sq
+        if method == "exact":
+            if not system.exact:
+                raise ValueError("exact solve requested on a float-path system")
+            self.L, self.y, self.pivots, self.gains = _ldl_exact(system.matrix[:size], system.rhs[:size])
+            return
+        self.g_norm_sq = float(system.g_norm_sq)
+        if system.exact:
+            self.G = np.array([[complex(x) for x in row[:size]] for row in system.matrix[:size]], dtype=complex)
+            self.c = np.array([complex(x) for x in system.rhs[:size]], dtype=complex)
+        else:
+            # views: a copy of a large top block raises the peak memory
+            self.G, self.c = system.matrix[:size, :size], system.rhs[:size]
+        try:
+            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(self.G, self.c)
+        except np.linalg.LinAlgError:
+            self.L = None  # the failing index is unknown: every block takes the retry
 
-    flagged = False
-    path = "float"
-    try:
-        a, pmin, pmax = _solve_chol_float(Gf, cf)
-        if pmin < PIVOT_COLLAPSE * pmax:
-            flagged = True
-    except np.linalg.LinAlgError:
-        a, pmin, pmax = None, 0.0, 1.0
-        flagged = True
-    if method == "mpmath" or flagged:
-        a = _solve_mpmath(Gf, cf)
-        path = "mpmath"
-    dist_sq = gn - float(np.vdot(cf, a).real)
-    if dist_sq < 0:
-        if dist_sq < DIST_SQ_CLAMP:
-            raise ArithmeticError(f"dist_sq = {dist_sq} below the clamp window")
-        dist_sq = 0.0
-    report = ConditioningReport(path, pmin, pmax, flagged)
-    return tuple(a), dist_sq, report
+    def block(self, k: int):
+        """(dist_sq, report, retry solution or None) of the leading k-block; a
+        float block whose own pivots collapse is solved again by 60-digit LU."""
+        if self.L is None:
+            pmin, pmax, flagged = 0.0, 1.0, True
+        else:
+            pmin, pmax = float(min(self.pivots[:k])), float(max(self.pivots[:k]))
+            flagged = self.method != "exact" and pmin < PIVOT_COLLAPSE * pmax
+        a = None
+        if self.method == "mpmath" or flagged:
+            a = _solve_mpmath(self.G[:k, :k], self.c[:k])
+            projection = float(np.vdot(self.c[:k], a).real)
+        else:
+            projection = sum(self.gains[:k])
+        dist_sq = self.g_norm_sq - projection
+        if dist_sq < 0:
+            if dist_sq < DIST_SQ_CLAMP:
+                raise ArithmeticError(f"dist_sq = {dist_sq} below the clamp window")
+            dist_sq = 0.0
+        return dist_sq, ConditioningReport("mpmath" if a is not None else self.method, pmin, pmax, flagged), a
+
+    def coefficients(self):
+        """Solution of the whole block: L* a = D^(-1) y, or a = S L^(-*) y."""
+        if self.method != "exact":
+            return scipy.linalg.solve_triangular(self.L.conj().T, self.y, lower=False) * self.scale
+        n = len(self.y)
+        a = [ComplexRational()] * n
+        for i in range(n - 1, -1, -1):
+            s = self.y[i] / self.pivots[i]
+            for k in range(i + 1, n):
+                s = s - self.L[k][i].conjugate() * a[k]
+            a[i] = s
+        return a
 
 
 def optimal_approximant(system: GramSystem, degree: int | None = None, method: str = "auto") -> ApproximantResult:
@@ -296,10 +290,11 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     if m > system.degree:
         raise ValueError("requested degree exceeds the assembled system")
     size = system.block_sizes()[m]
-    a, dist_sq, report = _solve_block(system, size, method)
+    top = _Factored(system, size, method)
+    dist_sq, report, a = top.block(size)
     return ApproximantResult(
-        degree=m, basis=system.basis[:size], coefficients=a, dist_sq=dist_sq,
-        conditioning=report, exact=report.path == "exact",
+        degree=m, basis=system.basis[:size], coefficients=tuple(top.coefficients() if a is None else a),
+        dist_sq=dist_sq, conditioning=report, exact=report.path == "exact",
     )
 
 
@@ -308,12 +303,12 @@ class ProfilePoint:
     m: int
     dist_sq: float
     min_pivot: float
-    runtime_ms: float
+    runtime_ms: float  # since the previous point; the first carries the factorization
     path: str
 
 
 def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, method: str = "auto") -> list[ProfilePoint]:
-    """dist(g, {p f : deg p <= m})^2 for each m in degrees (one assembly)."""
+    """dist(g, {p f : deg p <= m})^2 for each m in degrees (one assembly, one factorization)."""
     degrees = sorted(set(int(m) for m in degrees))
     if not degrees:
         return []
@@ -324,12 +319,15 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     top_size = len(graded_monomials(space.d, max(degrees)))
     force_float = method == "float" or (method == "auto" and top_size > AUTO_EXACT_LIMIT)
     system = assemble_gram(space, f, g, max(degrees), force_float=force_float)
+    sizes = system.block_sizes()
+    t0 = time.perf_counter()
+    top = _Factored(system, top_size, method)
     out = []
     for m in degrees:
-        t0 = time.perf_counter()
-        res = optimal_approximant(system, degree=m, method=method)
-        dt = (time.perf_counter() - t0) * 1000.0
-        out.append(ProfilePoint(m, float(res.dist_sq), res.conditioning.min_pivot, dt, res.conditioning.path))
+        dist_sq, report, _ = top.block(sizes[m])
+        t1 = time.perf_counter()
+        out.append(ProfilePoint(m, float(dist_sq), report.min_pivot, (t1 - t0) * 1000.0, report.path))
+        t0 = t1
     return out
 
 

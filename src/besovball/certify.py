@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
+from .approx import graded_monomials
 from .poly import SparsePoly, series_from_poly
 from .scalars import ComplexRational, abs_sq, to_complex
 from .spaces import CACHE_MAXSIZE, SpaceSpec
@@ -200,7 +201,7 @@ def dual_lower_bound(space: SpaceSpec, g: SparsePoly, h: SparsePoly, j: int) -> 
 
     # each L_i with i <= j is bounded too, since alpha > 2j + 1 >= 2i + 1
     derivs = [DerivativeFunctional(i, space.alpha).apply(h) for i in range(j + 1)]
-    scale = math.fsum(math.sqrt(float(abs_sq(c))) for c in h.terms.values()) or 1.0
+    scale = _coeff_scale(h)
     for i, v in enumerate(derivs):
         if isinstance(v, ComplexRational):
             ok = not v
@@ -388,10 +389,11 @@ def _param_inv_sq_integral(m: int, n: int) -> float:
     return float(np.sum(dens / r2) * h**m)
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def param_inv_sq_integral(m: int, n_base: int = 64, rel_tol: float = ENERGY_DOUBLING_TOL):
     """(value, rel_change, n_final) for the parameter-box integral, with
-    midpoint-grid doubling until the change falls under rel_tol; ValueError,
-    before building it, for a grid past BOX_GRID_POINTS points."""
+    midpoint-grid doubling until the change falls under rel_tol; memoised.
+    ValueError, before building it, for a grid past BOX_GRID_POINTS points."""
     n, prev = n_base, None
     while True:
         if n**m > BOX_GRID_POINTS:
@@ -543,8 +545,6 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
 
     wq = measure.scale * (2.0 / n_check) ** measure.m
     pairings = {}
-    from .approx import graded_monomials
-
     pair_max = 0.0
     for beta in graded_monomials(measure.d, 6):
         mono = np.ones(Z.shape[0], dtype=complex)

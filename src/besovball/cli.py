@@ -139,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--space", required=True)
     ce.add_argument("--f", required=True)
     ce.add_argument("--cube", required=True, help='e.g. {"family":"torus","k":4,"d":4}')
-    ce.add_argument("--n-base", type=int, default=8)
-    ce.add_argument("--max-doublings", type=int, default=2)
+    ce.add_argument("--n-base", type=int)
+    ce.add_argument("--max-doublings", type=int)
     ce.add_argument("--out", help="write certificate JSON here")
 
     s = sub.add_parser("verify-lemma", help="run a registered quantitative lemma check")
@@ -253,8 +253,8 @@ def _cmd_certify(args) -> int:
         cert = dual_lower_bound(space, _load_poly(args.g), _load_poly(args.h), args.j)
     else:
         cube = cube_from_json(_load_json_arg(args.cube))
-        cert = energy_lower_bound(space, _load_poly(args.f), cube,
-                                  n_base=args.n_base, max_doublings=args.max_doublings)
+        grid = {k: v for k, v in (("n_base", args.n_base), ("max_doublings", args.max_doublings)) if v is not None}
+        cert = energy_lower_bound(space, _load_poly(args.f), cube, **grid)
     print(f"kind = {cert.kind}")
     print(f"lower_bound = {cert.lower_bound!r}")
     if args.out:

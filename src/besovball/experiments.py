@@ -83,14 +83,12 @@ class ExperimentSpec:
     space: dict | None = None
     params: dict = field(default_factory=dict)
     claim: str = ""
-    seed: int = 0
     deterministic: bool = True
 
     def to_json(self) -> dict:
         return {
             "name": self.name, "kind": self.kind, "space": self.space,
-            "params": self.params, "claim": self.claim, "seed": self.seed,
-            "deterministic": self.deterministic,
+            "params": self.params, "claim": self.claim, "deterministic": self.deterministic,
         }
 
     @staticmethod
@@ -100,7 +98,7 @@ class ExperimentSpec:
         return ExperimentSpec(
             name=obj["name"], kind=obj["kind"], space=obj.get("space"),
             params=obj.get("params", {}), claim=obj.get("claim", ""),
-            seed=int(obj.get("seed", 0)), deterministic=bool(obj.get("deterministic", True)),
+            deterministic=bool(obj.get("deterministic", True)),
         )
 
 
@@ -189,9 +187,8 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
     elif spec.kind == "energy-certify":
         space = space_from_json(spec.space)
         cube = cube_from_json(spec.params["cube"])
-        cert = energy_lower_bound(space, poly_from_literal(spec.params["f"]), cube,
-                                  n_base=int(spec.params.get("n_base", 8)),
-                                  max_doublings=int(spec.params.get("max_doublings", 2)))
+        grid = {k: int(spec.params[k]) for k in ("n_base", "max_doublings") if k in spec.params}
+        cert = energy_lower_bound(space, poly_from_literal(spec.params["f"]), cube, **grid)
         cert_path = out_dir / f"{spec.name}.cert.json"
         cert_path.write_text(json.dumps(cert.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
         outputs["certificate"] = str(cert_path)
@@ -232,10 +229,11 @@ def cube_from_json(obj) -> CubeMeasure:
     if isinstance(obj, str):
         obj = json.loads(obj)
     fam = obj.get("family")
+    shrink = {"shrink": float(obj["shrink"])} if "shrink" in obj else {}
     if fam == "torus":
-        return CubeMeasure.torus(int(obj["k"]), int(obj["d"]), shrink=float(obj.get("shrink", 0.05)))
+        return CubeMeasure.torus(int(obj["k"]), int(obj["d"]), **shrink)
     if fam == "sphere":
-        return CubeMeasure.sphere_patch(int(obj["k"]), int(obj["d"]), shrink=float(obj.get("shrink", 0.1)))
+        return CubeMeasure.sphere_patch(int(obj["k"]), int(obj["d"]), **shrink)
     raise ValueError(f"unknown cube family: {fam!r} (expected torus or sphere)")
 
 

@@ -288,20 +288,21 @@ def series_invert(f: SparsePoly, max_degree: int) -> SparsePoly:
     Uses 1/f = (1/c0) sum_j u^j with u = 1 - f/c0 (u has no constant term).
     """
     c0 = f.constant_term()
-    if (isinstance(c0, ComplexRational) and not c0) or (not isinstance(c0, ComplexRational) and c0 == 0):
+    if not c0:
         raise ValueError("series_invert requires a nonzero constant term")
+    inv_c0 = 1 / c0
     one = SparsePoly.one(f.dim)
-    u = one - f * (1 / c0 if not isinstance(c0, ComplexRational) else ComplexRational(1) / c0)
-    u = u.truncate(max_degree)
-    acc = one
+    u = (one - f * inv_c0).truncate(max_degree)
+    # the Neumann terms u^j accumulate in one dict; the polynomial is built once
+    acc = dict(one.terms)
     upow = one
     for _ in range(max_degree):
         upow = (upow * u).truncate(max_degree)
         if upow.is_zero():
             break
-        acc = acc + upow
-    inv_c0 = (1 / c0) if not isinstance(c0, ComplexRational) else ComplexRational(1) / c0
-    return (acc * inv_c0).truncate(max_degree)
+        for b, c in upow.terms.items():
+            acc[b] = acc.get(b, 0) + c
+    return (SparsePoly(f.dim, acc) * inv_c0).truncate(max_degree)
 
 
 class Series1D:

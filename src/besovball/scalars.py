@@ -6,9 +6,10 @@ Coefficient arithmetic throughout the package runs on one of two paths:
   operation and every norm computed from such coefficients is exact,
 * float: ordinary ``complex`` numbers.
 
-``ComplexRational`` is the exact scalar.  It deliberately refuses to mix
-with floats so the two paths cannot blur silently; use :func:`to_complex`
-at the boundary where a float value is wanted.
+``ComplexRational`` is the exact scalar.  Its constructor and ``coerce``
+refuse floats, but its arithmetic degrades to ``complex`` against a float
+or complex operand (``ComplexRational(1) * 0.5 == 0.5+0j``); use
+:func:`to_complex` at the boundary where a float value is wanted.
 """
 
 from __future__ import annotations

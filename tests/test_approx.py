@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from besovball import approx
 from besovball.approx import (
     ApproximantResult,
     assemble_gram,
@@ -291,8 +293,10 @@ def test_lower_degree_slice_reuses_system():
 
 
 def test_mpmath_retry_on_brutal_conditioning():
-    # heavy negative weights make the float Cholesky pivot collapse; the
-    # mpmath retry must still return a nonnegative distance
+    # heavy negative weights, yet the Jacobi-prescaled Cholesky keeps every
+    # pivot above the collapse threshold, so this stays on the float path
+    # (test_mpmath_retry_per_collapsed_block reaches the retry); the float
+    # distance must be nonnegative and agree with the exact one
     sp = SpaceSpec.alpha_scale(1, -24)
     sysm = assemble_gram(sp, ONE_MINUS_Z, SparsePoly.one(1), 12, force_float=True)
     res = optimal_approximant(sysm, method="auto")
@@ -301,6 +305,40 @@ def test_mpmath_retry_on_brutal_conditioning():
         assemble_gram(sp, ONE_MINUS_Z, SparsePoly.one(1), 12), method="exact"
     )
     assert res.dist_sq == pytest.approx(float(exact.dist_sq), rel=1e-6)
+
+
+def test_mpmath_retry_per_collapsed_block(monkeypatch):
+    # the float-rounded 14 x 14 Hilbert matrix H, rhs H 1 and ||g||^2 = 1'H1 + 1,
+    # so dist^2 = 1 on the whole block; H is indefinite once rounded
+    base = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, force_float=True)
+    H = scipy.linalg.hilbert(14).astype(complex)
+    ones = np.ones(14)
+    system = dataclasses.replace(base, matrix=H, rhs=H @ ones, g_norm_sq=float(ones @ H.real @ ones) + 1.0)
+    top = optimal_approximant(system, degree=13)
+    assert top.conditioning.path == "mpmath" and top.conditioning.flagged
+    assert top.dist_sq == pytest.approx(1.0, abs=1e-12)
+    assert optimal_approximant(system, degree=12).conditioning.path == "mpmath"
+    assert optimal_approximant(system, degree=11).conditioning.path == "float"
+    # in a profile the retry stays per block: only the collapsed top block of
+    # degree 12 retries, while a failed Cholesky at degree 13 sends every
+    # degree to the retry, since its failing index is unknown
+    monkeypatch.setattr(approx, "assemble_gram", lambda *args, **kwargs: system)
+    tol = 1e-12 * system.g_norm_sq
+    for top_degree, paths in ((12, ["float"] * 12 + ["mpmath"]), (13, ["mpmath"] * 14)):
+        pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
+        assert [p.path for p in pts] == paths
+        for p in pts:
+            assert p.dist_sq == pytest.approx(optimal_approximant(system, degree=p.m).dist_sq, abs=tol)
+
+
+def test_profile_factors_the_top_block_once(monkeypatch):
+    sizes = []
+    for name in ("_ldl_exact", "_chol_float"):
+        real = getattr(approx, name)
+        monkeypatch.setattr(approx, name, lambda G, c, real=real: sizes.append(len(G)) or real(G, c))
+    distance_profile(DA2, F22, SparsePoly.one(2), range(0, 9), method="exact")
+    distance_profile(DA2, F22, SparsePoly.one(2), [0, 3, 6], method="float")
+    assert sizes == [45, 28]
 
 
 if HAVE_HYPOTHESIS:
@@ -356,3 +394,26 @@ if HAVE_HYPOTHESIS:
         diag = np.diag(G).real
         assert np.all(np.abs(flt.matrix - G) <= 1e-15 * np.sqrt(np.outer(diag, diag)))
         assert np.all(np.abs(flt.rhs - c) <= 1e-15 * np.sqrt(diag * float(exact.g_norm_sq)))
+
+    @given(
+        st.sampled_from(EXACT_SPACES).flatmap(lambda sp: st.tuples(st.just(sp), _exact_polys(sp.d), _exact_polys(sp.d))),
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_profile_points_equal_per_degree_solves(case, m):
+        # one factorization of the top block gives every degree: the same
+        # numbers as factoring each leading block on its own
+        space, f, g = case
+        if f.is_zero():
+            return
+        exact = assemble_gram(space, f, g, m)
+        flt = assemble_gram(space, f, g, m, force_float=True)
+        tol = 1e-12 * float(exact.g_norm_sq)
+        pts = distance_profile(space, f, g, range(m + 1), method="exact")
+        fpts = distance_profile(space, f, g, range(m + 1), method="float")
+        for p, fp in zip(pts, fpts):
+            res = optimal_approximant(exact, degree=p.m, method="exact")
+            assert (p.dist_sq, p.min_pivot, p.path) == (float(res.dist_sq), res.conditioning.min_pivot, "exact")
+            fres = optimal_approximant(flt, degree=fp.m, method="float")
+            assert fp.path == fres.conditioning.path
+            assert abs(fp.dist_sq - fres.dist_sq) <= tol
