@@ -42,6 +42,8 @@ from .spaces import SpaceSpec, homogeneous_norms_sq, monomial_norm_sq, norm_sq
 BASIS_ORDER = "grlex"
 AUTO_EXACT_LIMIT = 64
 PIVOT_COLLAPSE = 1e-13
+# float dist^2 = ||g||^2 - projection rounds in units of ||g||^2: a value in
+# [DIST_SQ_CLAMP * max(1, ||g||^2), 0) is rounding and reads 0
 DIST_SQ_CLAMP = -1e-12
 
 
@@ -264,7 +266,7 @@ class _Factored:
             projection = sum(self.gains[:k])
         dist_sq = self.g_norm_sq - projection
         if dist_sq < 0:
-            if dist_sq < DIST_SQ_CLAMP:
+            if dist_sq < DIST_SQ_CLAMP * max(1.0, self.g_norm_sq):
                 raise ArithmeticError(f"dist_sq = {dist_sq} below the clamp window")
             dist_sq = 0.0
         return dist_sq, ConditioningReport("mpmath" if a is not None else self.method, pmin, pmax, flagged), a

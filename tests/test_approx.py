@@ -307,6 +307,18 @@ def test_mpmath_retry_on_brutal_conditioning():
     assert res.dist_sq == pytest.approx(float(exact.dist_sq), rel=1e-6)
 
 
+def test_float_rounding_below_zero_scales_with_g_norm():
+    # g = c f, so dist^2 = 0; with ||g||^2 = 7141/3 the float difference
+    # ||g||^2 - projection rounds to -1.36e-12 (3 ulps), and with g scaled
+    # by 1000 to about -1e-6: both are rounding and read 0
+    sp = SpaceSpec(d=1, kind="alpha", alpha=3)
+    f = SparsePoly(1, {(2,): ComplexRational(6, 3)})
+    for s in (1, 1000):
+        g = SparsePoly(1, {(2,): ComplexRational(6 * s, Fraction(65 * s, 9))})
+        assert [p.dist_sq for p in distance_profile(sp, f, g, range(3), method="float")] == [0.0] * 3
+        assert optimal_approximant(assemble_gram(sp, f, g, 0, force_float=True), method="float").dist_sq == 0.0
+
+
 def test_mpmath_retry_per_collapsed_block(monkeypatch):
     # the float-rounded 14 x 14 Hilbert matrix H, rhs H 1 and ||g||^2 = 1'H1 + 1,
     # so dist^2 = 1 on the whole block; H is indefinite once rounded
