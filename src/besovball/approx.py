@@ -20,8 +20,10 @@ the same pass.  The graded order makes the leading blocks exactly the
 lower-degree systems, so a profile reads every degree from one
 factorization: dist^2 = ||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading
 k-block.  A float block whose own pivots collapse below 1e-13 of the
-largest is solved again by 60-digit mpmath LU.  ``ProfilePoint.runtime_ms``
-is the time since the previous point; the first carries the factorization.
+largest, or that is past the longest leading block the float Cholesky
+factors, is solved again by 60-digit mpmath LU; smaller blocks keep their
+float prefix.  ``ProfilePoint.runtime_ms`` is the time since the previous
+point; the first carries the factorization.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, sub
 
 import numpy as np
@@ -80,8 +83,14 @@ class GramSystem:
 
     def block_sizes(self) -> dict[int, int]:
         """degree -> number of basis elements with |beta| <= degree."""
-        # graded: every degree up to self.degree occurs, and its last index ends its block
-        return {sum(b): i + 1 for i, b in enumerate(self.basis)}
+        sizes = {}
+        for i, b in enumerate(self.basis):
+            sizes[sum(b)] = i + 1
+        out, run = {}, 0
+        for m in range(self.degree + 1):
+            run = sizes.get(m, run)
+            out[m] = run
+        return out
 
 
 def _gram_columns(space: SpaceSpec, f: SparsePoly, basis, exact: bool):
@@ -203,25 +212,28 @@ def _ldl_exact(G, c):
 
 
 def _chol_float(G: np.ndarray, c: np.ndarray):
-    """Jacobi-prescaled Cholesky S G S = L L* and the forward solve
-    L y = S c: (L, y, pivots, gains, S) of the scaled system."""
-    dg = np.real(np.diag(G)).copy()
-    if np.any(dg <= 0):
-        raise np.linalg.LinAlgError("non-positive diagonal")
-    s = 1.0 / np.sqrt(dg)
-    L = np.linalg.cholesky(G * s[:, None] * s[None, :])
-    y = scipy.linalg.solve_triangular(L, c * s, lower=True)
-    return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s
+    """Jacobi-prescaled Cholesky S G S = L L* and the forward solve L y = S c
+    on the longest leading block that factors in float: (L, y, pivots, gains,
+    S), each of that block's size (0 when G[0][0] is not positive)."""
+    dg = np.real(np.diag(G))
+    n = int(np.argmin(np.append(dg > 0, False)))  # up to the first non-positive entry
+    s = 1.0 / np.sqrt(dg[:n])
+    Gs = G[:n, :n] * s[:, None] * s[None, :]
+    while True:
+        L, info = scipy.linalg.lapack.zpotrf(Gs[:n, :n], lower=1)
+        if info == 0:
+            break
+        n = info - 1  # the leading minor of order info is not positive definite
+    y = scipy.linalg.solve_triangular(L, c[:n] * s[:n], lower=True)
+    return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
 
 
 def _solve_mpmath(G, c, dps=60):
     import mpmath as mp
 
     with mp.workdps(dps):
-        A = mp.matrix([[mp.mpc(z) for z in row] for row in np.asarray(G, dtype=complex)])
-        b = mp.matrix([mp.mpc(z) for z in np.asarray(c, dtype=complex)])
-        x = mp.lu_solve(A, b)
-        return np.array([complex(x[i]) for i in range(len(c))], dtype=complex)
+        x = mp.lu_solve(mp.matrix(G.tolist()), mp.matrix(c.tolist()))
+        return np.array([complex(v) for v in x], dtype=complex)
 
 
 class _Factored:
@@ -245,25 +257,19 @@ class _Factored:
         else:
             # views: a copy of a large top block raises the peak memory
             self.G, self.c = system.matrix[:size, :size], system.rhs[:size]
-        try:
-            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(self.G, self.c)
-        except np.linalg.LinAlgError:
-            self.L = None  # the failing index is unknown: every block takes the retry
+        self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(self.G, self.c)
 
     def block(self, k: int):
         """(dist_sq, report, retry solution or None) of the leading k-block; a
-        float block whose own pivots collapse is solved again by 60-digit LU."""
-        if self.L is None:
+        float block whose own pivots collapse, or that does not factor, is
+        solved again by 60-digit LU."""
+        if k > len(self.pivots):
             pmin, pmax, flagged = 0.0, 1.0, True
         else:
             pmin, pmax = float(min(self.pivots[:k])), float(max(self.pivots[:k]))
             flagged = self.method != "exact" and pmin < PIVOT_COLLAPSE * pmax
-        a = None
-        if self.method == "mpmath" or flagged:
-            a = _solve_mpmath(self.G[:k, :k], self.c[:k])
-            projection = float(np.vdot(self.c[:k], a).real)
-        else:
-            projection = sum(self.gains[:k])
+        a = _solve_mpmath(self.G[:k, :k], self.c[:k]) if self.method == "mpmath" or flagged else None
+        projection = sum(self.gains[:k]) if a is None else float(np.vdot(self.c[:k], a).real)
         dist_sq = self.g_norm_sq - projection
         if dist_sq < 0:
             if dist_sq < DIST_SQ_CLAMP * max(1.0, self.g_norm_sq):
@@ -422,21 +428,12 @@ def ratio_norm_sweep(space: SpaceSpec, p: SparsePoly, s: int, k: int, r_grid, M_
         for _ in range(s):
             h = (h * inv).truncate(M_max)
         blocks = homogeneous_norms_sq(space, h.to_float())
-        acc_at = {}
-        run = 0.0
-        for n in range(M_max + 1):
-            run += float(blocks.get(n, 0.0))
-            acc_at[n] = run
-        got_accepted = False
+        acc_at = list(accumulate(float(blocks.get(n, 0.0)) for n in range(M_max + 1)))
         for M in M_grid:
             total = acc_at[M]
             last = float(blocks.get(M, 0.0))
             rel = last / total if total > 0 else 0.0
-            accepted = rel < TAIL_THRESHOLD
-            rows.append(SweepRow(float(r), M, total, rel, accepted))
-            if accepted and not got_accepted:
-                sup = max(sup, total)
-                got_accepted = True
-        if not got_accepted:
-            sup = max(sup, acc_at[M_max])
+            rows.append(SweepRow(float(r), M, total, rel, rel < TAIL_THRESHOLD))
+        # the first accepted truncation of this radius, else the deepest one
+        sup = max(sup, next((row.norm_sq for row in rows[-len(M_grid):] if row.accepted), acc_at[M_max]))
     return SweepResult(rows=tuple(rows), sup_norm_sq=sup, tail_threshold=TAIL_THRESHOLD)

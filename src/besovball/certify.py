@@ -389,11 +389,10 @@ def _param_inv_sq_integral(m: int, n: int) -> float:
     return float(np.sum(dens / r2) * h**m)
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def param_inv_sq_integral(m: int, n_base: int = 64, rel_tol: float = ENERGY_DOUBLING_TOL):
     """(value, rel_change, n_final) for the parameter-box integral, with
-    midpoint-grid doubling until the change falls under rel_tol; memoised.
-    ValueError, before building it, for a grid past BOX_GRID_POINTS points."""
+    midpoint-grid doubling until the change falls under rel_tol; ValueError,
+    before building it, for a grid past BOX_GRID_POINTS points."""
     n, prev = n_base, None
     while True:
         if n**m > BOX_GRID_POINTS:

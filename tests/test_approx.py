@@ -331,16 +331,27 @@ def test_mpmath_retry_per_collapsed_block(monkeypatch):
     assert top.dist_sq == pytest.approx(1.0, abs=1e-12)
     assert optimal_approximant(system, degree=12).conditioning.path == "mpmath"
     assert optimal_approximant(system, degree=11).conditioning.path == "float"
-    # in a profile the retry stays per block: only the collapsed top block of
-    # degree 12 retries, while a failed Cholesky at degree 13 sends every
-    # degree to the retry, since its failing index is unknown
+    # in a profile the retry stays per block: the Cholesky of the top block
+    # fails at degree 13 and collapses at degree 12, while degrees 0..11 keep
+    # their float prefix
     monkeypatch.setattr(approx, "assemble_gram", lambda *args, **kwargs: system)
     tol = 1e-12 * system.g_norm_sq
-    for top_degree, paths in ((12, ["float"] * 12 + ["mpmath"]), (13, ["mpmath"] * 14)):
+    for top_degree in (12, 13):
+        paths = ["float"] * 12 + ["mpmath"] * (top_degree - 11)
         pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
         assert [p.path for p in pts] == paths
         for p in pts:
             assert p.dist_sq == pytest.approx(optimal_approximant(system, degree=p.m).dist_sq, abs=tol)
+
+
+def test_nonpositive_diagonal_retries_from_its_index(monkeypatch):
+    # G = diag(1, 1, -1): the float Cholesky stops before index 2, so only
+    # the degree-2 block retries, and LU gives 3 - (1 + 1 - 1) = 2
+    base = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 2, force_float=True)
+    system = dataclasses.replace(base, matrix=np.diag([1.0, 1.0, -1.0]).astype(complex), rhs=np.ones(3, dtype=complex), g_norm_sq=3.0)
+    monkeypatch.setattr(approx, "assemble_gram", lambda *args, **kwargs: system)
+    pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(3), method="float")
+    assert [(p.path, p.dist_sq) for p in pts] == [("float", 2.0), ("float", 1.0), ("mpmath", 2.0)]
 
 
 def test_profile_factors_the_top_block_once(monkeypatch):

@@ -24,7 +24,7 @@ from besovball.certify import (
     param_inv_sq_integral,
 )
 from besovball.poly import SparsePoly
-from besovball.spaces import CACHE_MAXSIZE, SpaceSpec, norm_sq
+from besovball.spaces import SpaceSpec, norm_sq
 
 try:
     import mpmath as mp
@@ -327,11 +327,3 @@ def test_param_integral_grid_budget():
         tracemalloc.stop()
     assert peak < 1e6
 
-
-def test_param_integral_is_memoised():
-    param_inv_sq_integral(3, n_base=32)
-    hits = param_inv_sq_integral.cache_info().hits
-    first = param_inv_sq_integral(3, n_base=32)
-    assert param_inv_sq_integral.cache_info().hits == hits + 1
-    assert param_inv_sq_integral(3, n_base=32) is first
-    assert param_inv_sq_integral.cache_info().maxsize == CACHE_MAXSIZE
