@@ -42,7 +42,6 @@ from .poly import SparsePoly, series_invert
 from .scalars import ComplexRational, path_casts
 from .spaces import SpaceSpec, homogeneous_norms_sq, monomial_norm_sq, norm_sq
 
-BASIS_ORDER = "grlex"
 AUTO_EXACT_LIMIT = 64
 PIVOT_COLLAPSE = 1e-13
 # float dist^2 = ||g||^2 - projection rounds in units of ||g||^2: a value in
@@ -79,7 +78,6 @@ class GramSystem:
     rhs: object
     g_norm_sq: object
     exact: bool
-    order: str = BASIS_ORDER
 
     def block_sizes(self) -> dict[int, int]:
         """degree -> number of basis elements with |beta| <= degree."""
@@ -177,7 +175,6 @@ class ApproximantResult:
     dist_sq: object  # Fraction (exact) or float
     conditioning: ConditioningReport
     exact: bool
-    order: str = BASIS_ORDER
 
     def polynomial(self, dim: int) -> SparsePoly:
         return SparsePoly(dim, dict(zip(self.basis, self.coefficients)))
@@ -236,14 +233,23 @@ def _solve_mpmath(G, c, dps=60):
         return np.array([complex(v) for v in x], dtype=complex)
 
 
+def _solve_path(method: str, exact: bool, size: int) -> str:
+    """"exact" or "float" for a block of size unknowns; "auto" takes the exact
+    path for an exact system of at most AUTO_EXACT_LIMIT unknowns."""
+    if method not in ("auto", "exact", "float"):
+        raise ValueError(f"method must be 'auto', 'exact' or 'float', not {method!r}")
+    if method == "auto":
+        return "exact" if exact and size <= AUTO_EXACT_LIMIT else "float"
+    return method
+
+
 class _Factored:
     """The leading size x size block of a Gram system, factored once on one
     path.  Its leading k-block is factored by the leading k x k part of L,
     so has pivots[:k] and projection c_k* a_k = sum(gains[:k])."""
 
     def __init__(self, system: GramSystem, size: int, method: str):
-        if method == "auto":
-            method = "exact" if (system.exact and size <= AUTO_EXACT_LIMIT) else "float"
+        method = _solve_path(method, system.exact, size)
         self.method, self.g_norm_sq = method, system.g_norm_sq
         if method == "exact":
             if not system.exact:
@@ -268,7 +274,7 @@ class _Factored:
         else:
             pmin, pmax = float(min(self.pivots[:k])), float(max(self.pivots[:k]))
             flagged = self.method != "exact" and pmin < PIVOT_COLLAPSE * pmax
-        a = _solve_mpmath(self.G[:k, :k], self.c[:k]) if self.method == "mpmath" or flagged else None
+        a = _solve_mpmath(self.G[:k, :k], self.c[:k]) if flagged else None
         projection = sum(self.gains[:k]) if a is None else float(np.vdot(self.c[:k], a).real)
         dist_sq = self.g_norm_sq - projection
         if dist_sq < 0:
@@ -318,14 +324,15 @@ class ProfilePoint:
 def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, method: str = "auto") -> list[ProfilePoint]:
     """dist(g, {p f : deg p <= m})^2 for each m in degrees (one assembly, one factorization)."""
     degrees = sorted(set(int(m) for m in degrees))
-    if not degrees:
-        return []
-    if min(degrees) < 0:
+    if degrees and degrees[0] < 0:
         raise ValueError("degrees must be >= 0")
     # One storage decision for the whole sweep: float once the top block
     # outgrows the exact-solver budget, so blocks are sliced, not converted.
-    top_size = len(graded_monomials(space.d, max(degrees)))
-    force_float = method == "float" or (method == "auto" and top_size > AUTO_EXACT_LIMIT)
+    # Inexact inputs give a float system whatever the decision.
+    top_size = math.comb(space.d + max(degrees, default=0), space.d)
+    force_float = _solve_path(method, True, top_size) == "float"
+    if not degrees:
+        return []
     system = assemble_gram(space, f, g, max(degrees), force_float=force_float)
     sizes = system.block_sizes()
     t0 = time.perf_counter()

@@ -13,15 +13,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .approx import GramSystem, assemble_gram, optimal_approximant
-from .certify import dual_lower_bound, energy_lower_bound
+from .approx import assemble_gram, optimal_approximant
+from .certify import Certificate
 from .embeddings import sum_squares_compose, tau_compose
 from .experiments import (
     BUILTIN_EXPERIMENTS,
     ExperimentSpec,
-    cube_from_json,
     run_experiment,
+    run_step,
     verify_lemma,
+    write_json,
     write_profile_csv,
 )
 from .poly import SparsePoly, poly_from_literal, poly_to_literal
@@ -74,7 +75,14 @@ def _print_rows(rows):
         print(f"{row.m},{row.dist_sq!r},{row.min_pivot!r},{row.runtime_ms:.3f}")
 
 
-def _profile_common(sub):
+# flags of the step verbs that are not step params, and the params that are
+# polynomial or cube JSON (inline or path)
+_NOT_PARAMS = {"cmd", "certkind", "step_kind", "space", "csv", "out"}
+_JSON_PARAMS = {"f", "g", "h", "phi", "cube"}
+
+
+def _profile_common(sub, kind):
+    sub.set_defaults(step_kind=kind)
     sub.add_argument("--space", required=True, help="space JSON (inline or path)")
     sub.add_argument("--degrees", required=True, help="comma list or lo:hi[:step]")
     sub.add_argument("--method", default="auto", choices=["auto", "exact", "float"])
@@ -107,18 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("profile", help="distance profile dist(g, {p f : deg p <= m})")
     s.add_argument("--f", required=True)
     s.add_argument("--g", default=None)
-    _profile_common(s)
+    _profile_common(s, "profile")
 
     s = sub.add_parser("hc", help="hierarchy step profile dist(phi^n, {p phi^(n+1)})")
     s.add_argument("--phi", required=True)
     s.add_argument("--n", required=True, type=int)
-    _profile_common(s)
+    _profile_common(s, "hc")
 
     s = sub.add_parser("member", help="membership profile dist(h, {p f^k})")
     s.add_argument("--h", required=True)
     s.add_argument("--f", required=True)
     s.add_argument("--k", required=True, type=int)
-    _profile_common(s)
+    _profile_common(s, "member")
 
     s = sub.add_parser("embed", help="push a one-variable polynomial into d variables")
     s.add_argument("--kind", required=True, choices=["tkd", "sk"])
@@ -130,12 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("certify", help="produce a positive-distance certificate")
     csub = s.add_subparsers(dest="certkind", required=True)
     cd = csub.add_parser("dual", help="boundary-derivative dual bound on the disc scale")
+    cd.set_defaults(step_kind="dual-certify")
     cd.add_argument("--space", required=True)
     cd.add_argument("--g", required=True)
     cd.add_argument("--h", required=True)
     cd.add_argument("--j", required=True, type=int)
     cd.add_argument("--out", help="write certificate JSON here")
     ce = csub.add_parser("energy", help="Riesz-type energy bound from a cube on the zero set")
+    ce.set_defaults(step_kind="energy-certify")
     ce.add_argument("--space", required=True)
     ce.add_argument("--f", required=True)
     ce.add_argument("--cube", required=True, help='e.g. {"family":"torus","k":4,"d":4}')
@@ -151,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--name", help=f"builtin: {', '.join(sorted(BUILTIN_EXPERIMENTS))}")
     s.add_argument("--spec", help="experiment spec JSON (inline or path)")
     s.add_argument("--out", required=True)
-    s.add_argument("--threads", type=int, default=None)
 
     return ap
 
@@ -190,47 +199,34 @@ def _cmd_approx(args) -> int:
                 "flagged": res.conditioning.flagged,
             },
         }
-        Path(args.json_out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(args.json_out, payload)
         print(f"wrote {args.json_out}")
     return 0
 
 
-def _run_profile_cmd(args, rows) -> int:
-    _print_rows(rows)
-    if args.csv:
-        write_profile_csv(args.csv, rows)
-        print(f"wrote {args.csv}")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    from .approx import cyclicity_profile, distance_profile
-
-    space = _load_space(args.space)
-    f = _load_poly(args.f)
-    degrees = _parse_degrees(args.degrees)
-    if args.g:
-        rows = distance_profile(space, f, _load_poly(args.g), degrees, method=args.method)
+def _cmd_step(args) -> int:
+    """profile, hc, member, certify dual and certify energy: the flags become
+    a step spec for the shared runner."""
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
+    for k in _JSON_PARAMS & params.keys():
+        params[k] = _load_json_arg(params[k])
+    if "degrees" in params:
+        params["degrees"] = _parse_degrees(params["degrees"])
+    result = run_step(ExperimentSpec(args.cmd, args.step_kind, _load_json_arg(args.space), params))
+    if isinstance(result, Certificate):
+        print(f"kind = {result.kind}")
+        print(f"lower_bound = {result.lower_bound!r}")
+        if args.out:
+            write_json(args.out, result.to_json())
+        path = args.out
     else:
-        rows = cyclicity_profile(space, f, degrees, method=args.method)
-    return _run_profile_cmd(args, rows)
-
-
-def _cmd_hc(args) -> int:
-    from .approx import hc_profile
-
-    space = _load_space(args.space)
-    rows = hc_profile(space, _load_poly(args.phi), args.n, _parse_degrees(args.degrees), method=args.method)
-    return _run_profile_cmd(args, rows)
-
-
-def _cmd_member(args) -> int:
-    from .approx import membership_profile
-
-    space = _load_space(args.space)
-    rows = membership_profile(space, _load_poly(args.h), _load_poly(args.f), args.k,
-                              _parse_degrees(args.degrees), method=args.method)
-    return _run_profile_cmd(args, rows)
+        _print_rows(result)
+        if args.csv:
+            write_profile_csv(args.csv, result)
+        path = args.csv
+    if path:
+        print(f"wrote {path}")
+    return 0
 
 
 def _cmd_embed(args) -> int:
@@ -243,22 +239,6 @@ def _cmd_embed(args) -> int:
     print(json.dumps(lit))
     if args.out:
         Path(args.out).write_text(json.dumps(lit, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_certify(args) -> int:
-    space = _load_space(args.space)
-    if args.certkind == "dual":
-        cert = dual_lower_bound(space, _load_poly(args.g), _load_poly(args.h), args.j)
-    else:
-        cube = cube_from_json(_load_json_arg(args.cube))
-        grid = {k: v for k, v in (("n_base", args.n_base), ("max_doublings", args.max_doublings)) if v is not None}
-        cert = energy_lower_bound(space, _load_poly(args.f), cube, **grid)
-    print(f"kind = {cert.kind}")
-    print(f"lower_bound = {cert.lower_bound!r}")
-    if args.out:
-        Path(args.out).write_text(json.dumps(cert.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
 
@@ -276,7 +256,7 @@ def _cmd_run(args) -> int:
     if bool(args.name) == bool(args.spec):
         raise ValueError("pass exactly one of --name or --spec")
     spec = args.name if args.name else ExperimentSpec.from_json(_load_json_arg(args.spec))
-    report = run_experiment(spec, args.out, threads=args.threads)
+    report = run_experiment(spec, args.out)
     print(f"experiment = {report.name}")
     for key, val in report.outputs.items():
         print(f"  {key}: {val}")
@@ -288,11 +268,11 @@ _DISPATCH = {
     "norm": _cmd_norm,
     "ip": _cmd_ip,
     "approx": _cmd_approx,
-    "profile": _cmd_profile,
-    "hc": _cmd_hc,
-    "member": _cmd_member,
+    "profile": _cmd_step,
+    "hc": _cmd_step,
+    "member": _cmd_step,
     "embed": _cmd_embed,
-    "certify": _cmd_certify,
+    "certify": _cmd_step,
     "verify-lemma": _cmd_verify_lemma,
     "run": _cmd_run,
 }

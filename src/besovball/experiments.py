@@ -1,13 +1,14 @@
 """Canned experiments, lemma spot-checks and their file outputs.
 
-An ``ExperimentSpec`` is a JSON-serializable description of one run:
-profiles and certificates write a CSV (columns m, dist_sq, min_pivot,
-runtime_ms) and/or certificate JSON plus a manifest with versions,
-parameters and timings.  Bundles run their steps in a thread pool sized by
-``--threads`` or the BESOVBALL_THREADS environment variable and merge
-results in step order, so outputs are deterministic; in the default
-deterministic mode the runtime column is written as 0 and wall times go to
-the manifest only, keeping CSV bytes identical across reruns.
+An ``ExperimentSpec`` is a JSON-serializable description of one run.
+``run_step`` is the one map from a step kind to its library call, shared by
+``run_experiment`` and the CLI verbs: profile steps return profile rows,
+certificate steps a ``Certificate``.  ``run_experiment`` writes them as a CSV
+(columns m, dist_sq, min_pivot, runtime_ms) or certificate JSON, plus a
+manifest with versions, parameters and timings.  Bundles run their steps in
+order, one after the other.  In the default deterministic mode the runtime
+column is written as 0 and wall times go to the manifest only, keeping CSV
+bytes identical across reruns.
 
 ``verify_lemma`` holds the registry of quantitative lemma checks; each
 check returns a pass flag plus margins.
@@ -18,10 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -61,25 +60,13 @@ from .spaces import (
     space_from_json,
 )
 
-THREADS_ENV = "BESOVBALL_THREADS"
-
-
-def thread_budget(explicit=None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 # -- experiment specs ----------------------------------------------------------
 
 
 @dataclass
 class ExperimentSpec:
     name: str
-    kind: str  # "profile" | "hc" | "member" | "dual-certify" | "energy-certify" | "bundle"
+    kind: str  # one of STEP_KINDS, or "bundle"
     space: dict | None = None
     params: dict = field(default_factory=dict)
     claim: str = ""
@@ -102,8 +89,15 @@ class ExperimentSpec:
         )
 
 
+STEP_KINDS = ("profile", "hc", "member", "dual-certify", "energy-certify")
+
+
 def _fmt_float(x: float) -> str:
     return repr(float(x))
+
+
+def write_json(path, obj):
+    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_profile_csv(path, rows: list[ProfilePoint], deterministic: bool = True):
@@ -132,25 +126,37 @@ class ExperimentReport:
     manifest_path: str | None = None
 
 
-def _profile_rows(spec: ExperimentSpec):
-    space = space_from_json(spec.space)
-    p = spec.params
-    degrees = p["degrees"]
+def run_step(spec: ExperimentSpec) -> list[ProfilePoint] | Certificate:
+    """The library call behind one step: profile rows for the kinds profile,
+    hc and member, a Certificate for dual-certify and energy-certify."""
+    if spec.kind not in STEP_KINDS:
+        raise ValueError(f"unknown experiment kind: {spec.kind!r}")
+    space, p = space_from_json(spec.space), spec.params
+
+    def poly(key):
+        return poly_from_literal(p[key])
+
     method = p.get("method", "auto")
     if spec.kind == "profile":
-        f = poly_from_literal(p["f"])
         if "g" in p:
-            return distance_profile(space, f, poly_from_literal(p["g"]), degrees, method=method)
-        return cyclicity_profile(space, f, degrees, method=method)
+            return distance_profile(space, poly("f"), poly("g"), p["degrees"], method=method)
+        return cyclicity_profile(space, poly("f"), p["degrees"], method=method)
     if spec.kind == "hc":
-        return hc_profile(space, poly_from_literal(p["phi"]), int(p["n"]), degrees, method=method)
+        return hc_profile(space, poly("phi"), int(p["n"]), p["degrees"], method=method)
     if spec.kind == "member":
-        return membership_profile(space, poly_from_literal(p["h"]), poly_from_literal(p["f"]), int(p["k"]), degrees, method=method)
-    raise ValueError(f"not a profile kind: {spec.kind}")
+        return membership_profile(space, poly("h"), poly("f"), int(p["k"]), p["degrees"], method=method)
+    if spec.kind == "dual-certify":
+        return dual_lower_bound(space, poly("g"), poly("h"), int(p["j"]))
+    grid = {k: int(p[k]) for k in ("n_base", "max_doublings") if k in p}
+    return energy_lower_bound(space, poly("f"), cube_from_json(p["cube"]), **grid)
 
 
 def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> ExperimentReport:
-    """Run one experiment (or a registered builtin by name) into out_dir."""
+    """Run one experiment (or a registered builtin by name) into out_dir.
+
+    A bundle runs its steps in order.  ``threads`` is accepted and ignored;
+    it is kept so that existing callers passing it still work.
+    """
     if isinstance(spec, str):
         if spec in BUILTIN_EXPERIMENTS:
             spec = BUILTIN_EXPERIMENTS[spec]()
@@ -163,57 +169,35 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
     t0 = time.perf_counter()
     outputs: dict = {}
     summary: dict = {}
-    timings: dict = {}
 
-    if spec.kind in ("profile", "hc", "member"):
-        rows = _profile_rows(spec)
-        csv_path = out_dir / f"{spec.name}.csv"
-        write_profile_csv(csv_path, rows, deterministic=spec.deterministic)
-        outputs["csv"] = str(csv_path)
-        if rows:
-            summary["final_m"] = rows[-1].m
-            summary["final_dist_sq"] = rows[-1].dist_sq
-        summary["rows"] = len(rows)
-
-    elif spec.kind == "dual-certify":
-        space = space_from_json(spec.space)
-        cert = dual_lower_bound(space, poly_from_literal(spec.params["g"]),
-                                poly_from_literal(spec.params["h"]), int(spec.params["j"]))
-        cert_path = out_dir / f"{spec.name}.cert.json"
-        cert_path.write_text(json.dumps(cert.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        outputs["certificate"] = str(cert_path)
-        summary["lower_bound"] = cert.lower_bound
-
-    elif spec.kind == "energy-certify":
-        space = space_from_json(spec.space)
-        cube = cube_from_json(spec.params["cube"])
-        grid = {k: int(spec.params[k]) for k in ("n_base", "max_doublings") if k in spec.params}
-        cert = energy_lower_bound(space, poly_from_literal(spec.params["f"]), cube, **grid)
-        cert_path = out_dir / f"{spec.name}.cert.json"
-        cert_path.write_text(json.dumps(cert.to_json(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        outputs["certificate"] = str(cert_path)
-        summary["lower_bound"] = cert.lower_bound
-
-    elif spec.kind == "bundle":
-        steps = [ExperimentSpec.from_json(s) for s in spec.params["steps"]]
-        budget = thread_budget(threads)
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            futures = [pool.submit(run_experiment, s, out_dir, 1) for s in steps]
-            reports = [f.result() for f in futures]
-        for s, rep in zip(steps, reports):
-            outputs[s.name] = rep.outputs
-            summary[s.name] = rep.summary
+    if spec.kind == "bundle":
+        for step in spec.params["steps"]:
+            rep = run_experiment(step, out_dir)
+            outputs[rep.name] = rep.outputs
+            summary[rep.name] = rep.summary
     else:
-        raise ValueError(f"unknown experiment kind: {spec.kind!r}")
+        result = run_step(spec)
+        if isinstance(result, Certificate):
+            path = out_dir / f"{spec.name}.cert.json"
+            write_json(path, result.to_json())
+            outputs["certificate"] = str(path)
+            summary["lower_bound"] = result.lower_bound
+        else:
+            path = out_dir / f"{spec.name}.csv"
+            write_profile_csv(path, result, deterministic=spec.deterministic)
+            outputs["csv"] = str(path)
+            if result:
+                summary["final_m"] = result[-1].m
+                summary["final_dist_sq"] = result[-1].dist_sq
+            summary["rows"] = len(result)
 
-    timings["total_ms"] = (time.perf_counter() - t0) * 1000.0
     manifest = {
         "name": spec.name,
         "claim": spec.claim,
         "spec": spec.to_json(),
         "outputs": outputs,
         "summary": summary,
-        "timings_ms": timings,
+        "timings_ms": {"total_ms": (time.perf_counter() - t0) * 1000.0},
         "versions": {
             "besovball": _pkg_version,
             "numpy": np.__version__,
@@ -221,7 +205,7 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
         },
     }
     manifest_path = out_dir / f"{spec.name}.manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(manifest_path, manifest)
     return ExperimentReport(name=spec.name, outputs=outputs, summary=summary, manifest_path=str(manifest_path))
 
 

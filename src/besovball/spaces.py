@@ -123,11 +123,13 @@ class GeneralQuadrature:
     largest positively weighted node sits below 0.99.
     """
 
-    __slots__ = ("nodes", "weights")
+    __slots__ = ("nodes", "weights", "_hash")
 
     def __init__(self, nodes, weights):
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        # read-only copies, so the hash taken below stays the hash of the contents
+        nodes = np.array(nodes, dtype=float)
+        weights = np.array(weights, dtype=float)
+        nodes.flags.writeable = weights.flags.writeable = False
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("nodes and weights must be matching 1-d arrays")
         if nodes.min() < 0 or nodes.max() > 1:
@@ -138,6 +140,8 @@ class GeneralQuadrature:
             raise ValueError("measure has no mass near r = 1 (inadmissible)")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        # hashed once: the weight cache hashes the space on every lookup
+        object.__setattr__(self, "_hash", hash((nodes.tobytes(), weights.tobytes())))
 
     @staticmethod
     def from_density(u, n_nodes: int = 256):
@@ -160,7 +164,7 @@ class GeneralQuadrature:
         return np.array_equal(self.nodes, other.nodes) and np.array_equal(self.weights, other.weights)
 
     def __hash__(self):
-        return hash((self.nodes.tobytes(), self.weights.tobytes()))
+        return self._hash
 
     def to_json(self):
         return {"type": "quadrature", "nodes": self.nodes.tolist(), "weights": self.weights.tolist()}

@@ -283,6 +283,16 @@ def test_gram_rejects_zero_f():
         assemble_gram(H1, SparsePoly(1, {}), SparsePoly.one(1), 2)
 
 
+@pytest.mark.parametrize("method", ["flaot", "exakt", "mpmath", "AUTO"])
+def test_unknown_method_raises(method):
+    with pytest.raises(ValueError, match="'auto', 'exact' or 'float'"):
+        distance_profile(DA2, F22, SparsePoly.one(2), [0, 2], method=method)
+    with pytest.raises(ValueError, match="'auto', 'exact' or 'float'"):
+        distance_profile(DA2, F22, SparsePoly.one(2), [], method=method)
+    with pytest.raises(ValueError, match="'auto', 'exact' or 'float'"):
+        optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), 2), method=method)
+
+
 def test_lower_degree_slice_reuses_system():
     sysm = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 6)
     full = optimal_approximant(sysm, method="exact")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from besovball.cli import main
+from besovball.experiments import run_experiment
 
 DA2 = '{"d":2,"kind":"alpha","alpha":0}'
 D4 = '{"d":1,"kind":"alpha","alpha":4}'
@@ -71,6 +72,11 @@ def test_profile_verb_csv(tmp_path):
     run("profile", "--space", DA2, "--f", F22, "--degrees", "0:4:2",
         "--method", "exact", "--csv", str(csv_path2))
     assert csv_path.read_bytes() == csv_path2.read_bytes()
+    # the verb and run_experiment share one runner: the same CSV bytes
+    spec = {"name": "step", "kind": "profile", "space": json.loads(DA2),
+            "params": {"f": json.loads(F22), "degrees": [0, 2, 4], "method": "exact"}}
+    rep = run_experiment(spec, tmp_path)
+    assert csv_path.read_bytes() == Path(rep.outputs["csv"]).read_bytes()
 
 
 def test_profile_empty_degree_list(tmp_path):
@@ -132,6 +138,11 @@ def test_certify_dual_verb(tmp_path):
     cert = json.loads(out_path.read_text())
     assert cert["kind"] == "dual"
     assert cert["audit"]["j"] == 1
+    # the same JSON as the dual-certify step of run_experiment
+    spec = {"name": "step", "kind": "dual-certify", "space": json.loads(D4),
+            "params": {"g": json.loads(ONE_MINUS_Z), "h": json.loads(h2), "j": 1}}
+    rep = run_experiment(spec, tmp_path)
+    assert out_path.read_bytes() == Path(rep.outputs["certificate"]).read_bytes()
 
 
 def test_certify_energy_verb(tmp_path):

@@ -14,7 +14,6 @@ from besovball.experiments import (
     ExperimentSpec,
     read_profile_csv,
     run_experiment,
-    thread_budget,
     verify_lemma,
     write_profile_csv,
 )
@@ -82,15 +81,16 @@ def test_bundle_run_merges_outputs(tmp_path):
     assert rep.summary["hc-dirichlet4-n2"]["final_dist_sq"] < dual
 
 
-def test_bundle_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("BESOVBALL_THREADS", "1")
-    assert thread_budget() == 1
-    rep = run_experiment("da-noncyclic-d4", tmp_path)
+def test_bundle_equals_its_steps_run_in_order(tmp_path):
+    rep = run_experiment("da-noncyclic-d4", tmp_path / "bundle")
     assert rep.summary["da-noncyclic-d4-cert"]["lower_bound"] > 0
-    # nonsensical requests clamp to a single worker rather than wedging
-    monkeypatch.setenv("BESOVBALL_THREADS", "0")
-    assert thread_budget() == 1
-    assert thread_budget(explicit=7) == 7
+    # each step on its own, the way the benchmark runs them, writes the same
+    # files and summaries as the bundle
+    for step in BUILTIN_EXPERIMENTS["da-noncyclic-d4"]().params["steps"]:
+        alone = run_experiment(step, tmp_path / "alone")
+        assert alone.summary == rep.summary[alone.name]
+        for key, path in alone.outputs.items():
+            assert Path(path).read_bytes() == Path(rep.outputs[alone.name][key]).read_bytes()
 
 
 def test_run_rejects_unknown_name(tmp_path):
@@ -115,6 +115,10 @@ def test_custom_spec_from_dict(tmp_path):
     rows = read_profile_csv(Path(rep.outputs["csv"]))
     assert rows[0]["dist_sq"] == pytest.approx(2.0 / 3.0)
     assert rows[1]["dist_sq"] == pytest.approx(8.0 / 15.0)
+    # the spec's method is checked, not passed through as a solve path
+    spec["params"]["method"] = "flaot"
+    with pytest.raises(ValueError, match="'auto', 'exact' or 'float'"):
+        run_experiment(spec, tmp_path)
 
 
 def test_all_lemma_checks_pass_default_params():
@@ -133,9 +137,3 @@ def test_lemma_check_forced_failure():
 def test_lemma_unknown_name():
     with pytest.raises(ValueError):
         verify_lemma("no-such-lemma")
-
-
-def test_explicit_zero_threads_clamp_instead_of_reading_env(monkeypatch):
-    monkeypatch.setenv("BESOVBALL_THREADS", "3")
-    assert thread_budget(0) == 1
-    assert thread_budget() == 3
