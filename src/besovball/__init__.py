@@ -8,9 +8,7 @@ from .scalars import ComplexRational, abs_sq, conj, is_exact_scalar, to_complex
 from .poly import (
     Series1D,
     SparsePoly,
-    dump_poly,
     is_outer_1d,
-    load_poly,
     poly_from_literal,
     poly_to_literal,
     roots_1d,
@@ -78,7 +76,7 @@ from .experiments import (
 __all__ = [
     "__version__",
     "ComplexRational", "abs_sq", "conj", "is_exact_scalar", "to_complex",
-    "Series1D", "SparsePoly", "dump_poly", "is_outer_1d", "load_poly",
+    "Series1D", "SparsePoly", "is_outer_1d",
     "poly_from_literal", "poly_to_literal", "roots_1d", "series_invert",
     "BetaDensity", "ConstantDensity", "GeneralQuadrature", "NormalizedVolume",
     "PointMassAtOne", "SpaceSpec", "besov_da_ratio", "dilation_contraction_gap",

@@ -10,20 +10,38 @@ over the graded lexicographic monomial basis, and
 
     dist^2 = ||g||^2 - c* a.
 
-One routine, ``_gram_columns``, computes the nonzero entries of G for both
-``assemble_gram`` and ``finite_section_mult_bound``: it picks the exact or
-float path once per call, then runs one loop over pairs of terms of f.
+Orthogonal monomials make G[i][j] vanish unless beta_i - beta_j is a
+difference of two exponents of f, and c[i] vanish unless beta_i + delta is
+an exponent of g for some exponent delta of f.  So G is block diagonal over
+the connected components of that difference graph, and only the components
+that meet the right-hand side carry a nonzero solution.  ``_reachable``
+walks those components from the exponents alone; ``distance_profile``
+assembles and factors only them, and ``optimal_approximant`` factors only
+the reachable rows and columns of the full system it is given and fills the
+other coefficients with zeros.  Both are exact: the dropped unknowns are 0
+in the full solution.  ``assemble_gram`` and ``finite_section_mult_bound``
+keep the full basis.
 
-Each call factors its top block once: exact rational LDL* (the default for
-small exact systems) or Jacobi-prescaled float Cholesky, with L y = c in
-the same pass.  The graded order makes the leading blocks exactly the
-lower-degree systems, so a profile reads every degree from one
-factorization: dist^2 = ||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading
-k-block.  A float block whose own pivots collapse below 1e-13 of the
-largest, or that is past the longest leading block the float Cholesky
-factors, is solved again by 60-digit mpmath LU; smaller blocks keep their
-float prefix.  ``ProfilePoint.runtime_ms`` is the time since the previous
-point; the first carries the factorization.
+One routine, ``_gram_columns``, computes the nonzero entries of G for both
+assembly and ``finite_section_mult_bound``: it picks the exact or float
+path once per call, then runs one loop over pairs of terms of f.
+
+Each call factors its top block once: exact rational LDL* or
+Jacobi-prescaled float Cholesky, with L y = c in the same pass.  ``auto``
+takes the exact path when the inputs are exact and the *reachable* block
+has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse generators
+come out exact at degrees whose full basis is far larger.  The graded order
+makes the leading blocks the lower-degree systems: every degree-k prefix of
+the reachable basis holds whole degree-k components, every reachable one
+among them, so a profile reads every degree from one factorization:
+dist^2 = ||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading k-block.  A
+float block whose own pivots collapse below 1e-13 of the largest, or that
+is past the longest leading block the float Cholesky factors, is solved
+again by 60-digit mpmath LU; smaller blocks keep their float prefix.
+Pivots are those of the reduced system; a block with no unknowns reports
+min_pivot = inf and max_pivot = 0 (the empty minimum and maximum).
+``ProfilePoint.runtime_ms`` is the time since the previous point; the
+first carries the factorization.
 """
 
 from __future__ import annotations
@@ -42,7 +60,9 @@ from .poly import SparsePoly, series_invert
 from .scalars import ComplexRational, path_casts
 from .spaces import SpaceSpec, homogeneous_norms_sq, monomial_norm_sq, norm_sq
 
-AUTO_EXACT_LIMIT = 64
+# exact LDL* takes about 0.4 s on the 101 reachable unknowns of the banded
+# DA_4 system at m = 400, and 2.5 s on 120 dense unknowns
+AUTO_EXACT_LIMIT = 128
 PIVOT_COLLAPSE = 1e-13
 # float dist^2 = ||g||^2 - projection rounds in units of ||g||^2: a value in
 # [DIST_SQ_CLAMP * max(1, ||g||^2), 0) is rounding and reads 0
@@ -118,6 +138,34 @@ def _gram_columns(space: SpaceSpec, f: SparsePoly, basis, exact: bool):
         yield j, col
 
 
+def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
+    """Exponents beta with |beta| <= degree in the components of the Gram
+    difference graph that meet the right-hand side, in graded lex order.
+
+    The walk starts from the seeds gamma - delta (gamma in supp g, delta in
+    supp f) and follows the shifts delta - eps between exponents of f.  It
+    never lists the full basis: its cost is the number of reachable
+    exponents times the number of shifts.
+    """
+    d = f.dim
+    F = np.array(list(f.terms), dtype=np.int64).reshape(-1, d)
+    Gx = np.array(list(g.terms), dtype=np.int64).reshape(-1, d)
+    shifts = {tuple(map(sub, delta, eps)) for delta in f.terms for eps in f.terms if delta != eps}
+    S = np.array(sorted(shifts), dtype=np.int64).reshape(-1, d)
+
+    def inside(B):
+        # candidate exponents on the basis, deduplicated by the caller's set
+        return map(tuple, B[(B.min(axis=1) >= 0) & (B.sum(axis=1) <= degree)].tolist())
+
+    seen: set = set()
+    new = set(inside((Gx[:, None, :] - F[None, :, :]).reshape(-1, d)))
+    while new:
+        seen |= new
+        frontier = np.array(list(new), dtype=np.int64).reshape(-1, d)
+        new = set(inside((frontier[:, None, :] + S[None, :, :]).reshape(-1, d))) - seen
+    return sorted(seen, key=lambda b: (sum(b), [-e for e in b]))
+
+
 def _dense(columns, n: int, exact: bool):
     """Scatter Gram columns into nested lists (exact) or a numpy array."""
     if exact:
@@ -132,14 +180,20 @@ def _dense(columns, n: int, exact: bool):
     return G
 
 
-def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int, force_float: bool = False) -> GramSystem:
-    """Build the Gram system of {z^beta f} against target g."""
+def _check_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> None:
     if f.dim != space.d or g.dim != space.d:
         raise ValueError("dimension mismatch between space and polynomials")
     if f.is_zero():
         raise ValueError("the generator must be nonzero")
-    basis = graded_monomials(space.d, max_degree)
-    exact = space.is_exact and f.is_exact() and g.is_exact() and not force_float
+
+
+def _exact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> bool:
+    return space.is_exact and f.is_exact() and g.is_exact()
+
+
+def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool) -> GramSystem:
+    """The Gram system of {z^beta f : beta in basis} against g; basis lists
+    exponents with |beta| <= degree in graded order."""
     G = _dense(_gram_columns(space, f, basis, exact), len(basis), exact)
 
     cast, weight = path_casts(exact)
@@ -154,9 +208,17 @@ def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: in
                 c[i] = c[i] + cg * cd * weight(monomial_norm_sq(space, prod))
 
     return GramSystem(
-        space=space, f=f, g=g, degree=max_degree, basis=tuple(basis),
+        space=space, f=f, g=g, degree=degree, basis=tuple(basis),
         matrix=G, rhs=c if exact else np.array(c, dtype=complex), g_norm_sq=norm_sq(space, g), exact=exact,
     )
+
+
+def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int, force_float: bool = False) -> GramSystem:
+    """Build the Gram system of {z^beta f : |beta| <= max_degree} against
+    target g, over the full graded basis."""
+    _check_inputs(space, f, g)
+    exact = _exact_inputs(space, f, g) and not force_float
+    return _gram_system(space, f, g, max_degree, graded_monomials(space.d, max_degree), exact)
 
 
 @dataclass(frozen=True)
@@ -165,6 +227,8 @@ class ConditioningReport:
     min_pivot: float
     max_pivot: float
     flagged: bool = False
+    unknowns: int = 0  # reachable unknowns, the ones factored
+    full_unknowns: int = 0  # unknowns of the full basis |beta| <= degree
 
 
 @dataclass(frozen=True)
@@ -243,36 +307,48 @@ def _solve_path(method: str, exact: bool, size: int) -> str:
     return method
 
 
+def _restrict(system: GramSystem, rows):
+    """(G, c) of the system on the increasing indices rows.  A leading range
+    is sliced, so a fully reachable float block is a view, not a copy."""
+    n = len(rows)
+    if n == 0 or rows[-1] == n - 1:
+        return (system.matrix[:n] if system.exact else system.matrix[:n, :n]), system.rhs[:n]
+    if system.exact:
+        return [[system.matrix[i][j] for j in rows] for i in rows], [system.rhs[i] for i in rows]
+    ix = np.array(rows)
+    return system.matrix[np.ix_(ix, ix)], system.rhs[ix]
+
+
 class _Factored:
-    """The leading size x size block of a Gram system, factored once on one
-    path.  Its leading k-block is factored by the leading k x k part of L,
-    so has pivots[:k] and projection c_k* a_k = sum(gains[:k])."""
+    """A Hermitian system G a = c of n unknowns, factored once on one path.
+    Its leading k-block is factored by the leading k x k part of L, so has
+    pivots[:k] and projection c_k* a_k = sum(gains[:k]).  G may be nested
+    lists (an exact system) with rows longer than n."""
 
-    def __init__(self, system: GramSystem, size: int, method: str):
-        method = _solve_path(method, system.exact, size)
-        self.method, self.g_norm_sq = method, system.g_norm_sq
+    def __init__(self, G, c, g_norm_sq, exact: bool, method: str):
+        n = len(c)
+        method = _solve_path(method, exact, n)
+        self.method, self.g_norm_sq = method, g_norm_sq
         if method == "exact":
-            if not system.exact:
+            if not exact:
                 raise ValueError("exact solve requested on a float-path system")
-            self.L, self.y, self.pivots, self.gains = _ldl_exact(system.matrix[:size], system.rhs[:size])
+            self.L, self.y, self.pivots, self.gains = _ldl_exact(G, c)
             return
-        self.g_norm_sq = float(system.g_norm_sq)
-        if system.exact:
-            self.G = np.array([[complex(x) for x in row[:size]] for row in system.matrix[:size]], dtype=complex)
-            self.c = np.array([complex(x) for x in system.rhs[:size]], dtype=complex)
-        else:
-            # views: a copy of a large top block raises the peak memory
-            self.G, self.c = system.matrix[:size, :size], system.rhs[:size]
-        self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(self.G, self.c)
+        self.g_norm_sq = float(g_norm_sq)
+        if exact:
+            G = np.array([[complex(x) for x in row[:n]] for row in G], dtype=complex).reshape(n, n)
+            c = np.array([complex(x) for x in c], dtype=complex)
+        self.G, self.c = G, c
+        self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c)
 
-    def block(self, k: int):
+    def block(self, k: int, full_unknowns: int):
         """(dist_sq, report, retry solution or None) of the leading k-block; a
         float block whose own pivots collapse, or that does not factor, is
         solved again by 60-digit LU."""
         if k > len(self.pivots):
             pmin, pmax, flagged = 0.0, 1.0, True
         else:
-            pmin, pmax = float(min(self.pivots[:k])), float(max(self.pivots[:k]))
+            pmin, pmax = float(min(self.pivots[:k], default=math.inf)), float(max(self.pivots[:k], default=0.0))
             flagged = self.method != "exact" and pmin < PIVOT_COLLAPSE * pmax
         a = _solve_mpmath(self.G[:k, :k], self.c[:k]) if flagged else None
         projection = sum(self.gains[:k]) if a is None else float(np.vdot(self.c[:k], a).real)
@@ -281,7 +357,8 @@ class _Factored:
             if dist_sq < DIST_SQ_CLAMP * max(1.0, self.g_norm_sq):
                 raise ArithmeticError(f"dist_sq = {dist_sq} below the clamp window")
             dist_sq = 0.0
-        return dist_sq, ConditioningReport("mpmath" if a is not None else self.method, pmin, pmax, flagged), a
+        path = "mpmath" if a is not None else self.method
+        return dist_sq, ConditioningReport(path, pmin, pmax, flagged, k, full_unknowns), a
 
     def coefficients(self):
         """Solution of the whole block: L* a = D^(-1) y, or a = S L^(-*) y."""
@@ -299,15 +376,30 @@ class _Factored:
 
 def optimal_approximant(system: GramSystem, degree: int | None = None, method: str = "auto") -> ApproximantResult:
     """Best approximation of g from {p f : deg p <= degree} (degree defaults
-    to the system degree)."""
+    to the system degree).
+
+    Only the rows and columns the right-hand side reaches at the system
+    degree are factored, so the pivots are those of a profile to that
+    degree; the other coefficients are 0 and ``basis`` is the full one.
+    """
     m = system.degree if degree is None else degree
     if m > system.degree:
         raise ValueError("requested degree exceeds the assembled system")
     size = system.block_sizes()[m]
-    top = _Factored(system, size, method)
-    dist_sq, report, a = top.block(size)
+    index = {b: i for i, b in enumerate(system.basis[:size])}
+    rows = [i for i in map(index.get, _reachable(system.f, system.g, system.degree)) if i is not None]
+    top = _Factored(*_restrict(system, rows), system.g_norm_sq, system.exact, method)
+    dist_sq, report, a = top.block(len(rows), size)
+    solution = top.coefficients() if a is None else a
+    if report.path == "exact":
+        coefficients = [ComplexRational()] * size
+        for i, v in zip(rows, solution):
+            coefficients[i] = v
+    else:
+        coefficients = np.zeros(size, dtype=complex)
+        coefficients[rows] = solution
     return ApproximantResult(
-        degree=m, basis=system.basis[:size], coefficients=tuple(top.coefficients() if a is None else a),
+        degree=m, basis=system.basis[:size], coefficients=tuple(coefficients),
         dist_sq=dist_sq, conditioning=report, exact=report.path == "exact",
     )
 
@@ -319,29 +411,35 @@ class ProfilePoint:
     min_pivot: float
     runtime_ms: float  # since the previous point; the first carries the factorization
     path: str
+    unknowns: int = 0  # reachable unknowns, the ones factored
+    full_unknowns: int = 0  # unknowns of the full basis |beta| <= m
 
 
 def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, method: str = "auto") -> list[ProfilePoint]:
-    """dist(g, {p f : deg p <= m})^2 for each m in degrees (one assembly, one factorization)."""
+    """dist(g, {p f : deg p <= m})^2 for each m in degrees: one walk of the
+    reachable basis, one assembly of it, one factorization."""
     degrees = sorted(set(int(m) for m in degrees))
     if degrees and degrees[0] < 0:
         raise ValueError("degrees must be >= 0")
-    # One storage decision for the whole sweep: float once the top block
-    # outgrows the exact-solver budget, so blocks are sliced, not converted.
-    # Inexact inputs give a float system whatever the decision.
-    top_size = math.comb(space.d + max(degrees, default=0), space.d)
-    force_float = _solve_path(method, True, top_size) == "float"
+    _solve_path(method, True, 0)  # rejects an unknown method, also on an empty schedule
     if not degrees:
         return []
-    system = assemble_gram(space, f, g, max(degrees), force_float=force_float)
+    _check_inputs(space, f, g)
+    top = degrees[-1]
+    basis = _reachable(f, g, top)
+    # one storage decision for the whole sweep, from the reachable size, so
+    # blocks are sliced, not converted; inexact inputs give a float system
+    exact = _exact_inputs(space, f, g) and _solve_path(method, True, len(basis)) == "exact"
+    system = _gram_system(space, f, g, top, basis, exact)
     sizes = system.block_sizes()
     t0 = time.perf_counter()
-    top = _Factored(system, top_size, method)
+    factored = _Factored(*_restrict(system, range(sizes[top])), system.g_norm_sq, system.exact, method)
     out = []
     for m in degrees:
-        dist_sq, report, _ = top.block(sizes[m])
+        dist_sq, report, _ = factored.block(sizes[m], math.comb(space.d + m, space.d))
         t1 = time.perf_counter()
-        out.append(ProfilePoint(m, float(dist_sq), report.min_pivot, (t1 - t0) * 1000.0, report.path))
+        out.append(ProfilePoint(m, float(dist_sq), report.min_pivot, (t1 - t0) * 1000.0, report.path,
+                                report.unknowns, report.full_unknowns))
         t0 = t1
     return out
 

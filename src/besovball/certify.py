@@ -23,6 +23,7 @@ constant for comparison.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ SUPPORT_TOL = 1e-10
 ENERGY_DOUBLING_TOL = 0.02
 LATTICE_CHECK_TOL = 1e-12
 BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; one float64 column is 32 MB
+NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 
 
 # -- derivative functionals on the D_alpha scale ------------------------------
@@ -91,7 +93,9 @@ def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
     Finite iff alpha > 2j + 1 (ValueError otherwise).  A partial sum to an
     adaptive cutoff plus signed integral bounds on the tail brackets the
     value; the bracket narrows like cutoff^(2j - alpha) and the cutoff grows
-    until the relative width drops under rel_tol.
+    until the relative width drops under rel_tol, up to 2^24.  The partial
+    sum is formed NORM_CHUNK terms at a time and summed by one exactly
+    rounded fsum, so memory stays bounded by one chunk at every cutoff.
     """
     alpha = float(alpha)
     if alpha <= 2 * j + 1:
@@ -116,14 +120,17 @@ def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
                 up += qi * t_lo
         return max(lo, 0.0), max(up, 0.0)
 
+    def terms(lo: int, hi: int) -> list:
+        ns = np.arange(lo, hi, dtype=float)
+        out = np.ones_like(ns)
+        for i in range(j):
+            out *= ns - i
+        return (out**2 / (ns + 1.0) ** alpha).tolist()
+
     K = 1 << 14
     while True:
-        ns = np.arange(j, K + 1, dtype=float)
-        terms = np.ones_like(ns)
-        for i in range(j):
-            terms *= ns - i
-        terms = terms**2 / (ns + 1.0) ** alpha
-        partial = float(math.fsum(terms.tolist()))
+        chunks = range(j, K + 1, NORM_CHUNK)
+        partial = math.fsum(itertools.chain.from_iterable(terms(lo, min(lo + NORM_CHUNK, K + 1)) for lo in chunks))
         t_lo, t_up = tail_bracket(K + 2)
         # fsum is exact to ~1 ulp but not directionally rounded; pad the
         # bracket by a few ulps so it stays a true enclosure
@@ -383,10 +390,16 @@ def _param_inv_sq_integral(m: int, n: int) -> float:
     """Quadrature for the box-pair integral of |t-s|^(-2) via the difference
     substitution: integral over (-2,2)^m of prod_j (2-|u_j|) / |u|^2."""
     h = 4.0 / n
-    U = _tensor(-2.0 + (np.arange(n) + 0.5) * h, m)
-    dens = np.prod(2.0 - np.abs(U), axis=1)
-    r2 = np.sum(U**2, axis=1)
-    return float(np.sum(dens / r2) * h**m)
+    x = -2.0 + (np.arange(n) + 0.5) * h
+    # the grid's density and |u|^2 by broadcasting the per-axis factors, in
+    # the order a row-wise product and sum over the tensor grid takes them:
+    # two n^m arrays instead of the (n^m, m) grid
+    w, x2 = 2.0 - np.abs(x), x**2
+    dens, r2 = w, x2
+    for _ in range(m - 1):
+        dens, r2 = dens[..., None] * w, r2[..., None] + x2
+    dens /= r2
+    return float(np.sum(dens) * h**m)
 
 
 def param_inv_sq_integral(m: int, n_base: int = 64, rel_tol: float = ENERGY_DOUBLING_TOL):

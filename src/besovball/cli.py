@@ -186,7 +186,7 @@ def _cmd_approx(args) -> int:
     system = assemble_gram(space, f, g, args.deg)
     res = optimal_approximant(system, method=args.method)
     print(f"dist_sq = {_fmt_scalar(res.dist_sq)}")
-    print(f"basis size = {len(res.basis)}, solve path = {res.conditioning.path}")
+    print(f"basis size = {len(res.basis)}, factored = {res.conditioning.unknowns}, solve path = {res.conditioning.path}")
     if args.json_out:
         payload = {
             "degree": res.degree,
@@ -197,6 +197,8 @@ def _cmd_approx(args) -> int:
                 "min_pivot": res.conditioning.min_pivot,
                 "max_pivot": res.conditioning.max_pivot,
                 "flagged": res.conditioning.flagged,
+                "unknowns": res.conditioning.unknowns,
+                "full_unknowns": res.conditioning.full_unknowns,
             },
         }
         write_json(args.json_out, payload)

@@ -189,6 +189,8 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
             if result:
                 summary["final_m"] = result[-1].m
                 summary["final_dist_sq"] = result[-1].dist_sq
+                # unknowns factored (reachable) of the full basis at the top degree
+                summary["final_unknowns"] = [result[-1].unknowns, result[-1].full_unknowns]
             summary["rows"] = len(result)
 
     manifest = {

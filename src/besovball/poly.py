@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import ComplexRational, abs_sq, conj, is_exact_scalar, to_complex
+from .scalars import ComplexRational, is_exact_scalar, to_complex
 
 
 def multi_factorial(beta) -> int:
@@ -222,9 +222,6 @@ class SparsePoly:
             r = Fraction(r) if not isinstance(r, ComplexRational) else r
         return SparsePoly(self.dim, {b: c * r ** sum(b) for b, c in self.terms.items()})
 
-    def conjugate_coeffs(self):
-        return SparsePoly(self.dim, {b: conj(c) for b, c in self.terms.items()})
-
     def evaluate(self, point) -> complex:
         point = [complex(p) for p in point]
         if len(point) != self.dim:
@@ -377,13 +374,6 @@ class Series1D:
     def to_poly(self) -> SparsePoly:
         return SparsePoly(1, {(n,): a for n, a in enumerate(self.coeffs)})
 
-    def hardy_norm_sq(self):
-        """sum |a_n|^2, the squared Hardy norm of the truncated series."""
-        vals = [abs_sq(a) for a in self.coeffs]
-        if all(isinstance(v, (int, Fraction)) for v in vals):
-            return sum(vals, Fraction(0))
-        return math.fsum(float(v) for v in vals)
-
     def __repr__(self):
         return f"Series1D({list(self.coeffs)!r})"
 
@@ -431,17 +421,6 @@ def poly_from_literal(lit, dim=None) -> SparsePoly:
     if dim is None:
         raise ValueError("cannot infer dimension from an empty literal")
     return SparsePoly(dim, terms)
-
-
-def load_poly(path, dim=None) -> SparsePoly:
-    with open(path, "r", encoding="utf-8") as fh:
-        return poly_from_literal(json.load(fh), dim=dim)
-
-
-def dump_poly(f: SparsePoly, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poly_to_literal(f), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # -- one-variable roots ------------------------------------------------------

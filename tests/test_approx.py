@@ -5,13 +5,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from besovball import approx
+from besovball import approx, embeddings
 from besovball.approx import (
     ApproximantResult,
     assemble_gram,
@@ -344,7 +345,7 @@ def test_mpmath_retry_per_collapsed_block(monkeypatch):
     # in a profile the retry stays per block: the Cholesky of the top block
     # fails at degree 13 and collapses at degree 12, while degrees 0..11 keep
     # their float prefix
-    monkeypatch.setattr(approx, "assemble_gram", lambda *args, **kwargs: system)
+    monkeypatch.setattr(approx, "_gram_system", lambda *args, **kwargs: system)
     tol = 1e-12 * system.g_norm_sq
     for top_degree in (12, 13):
         paths = ["float"] * 12 + ["mpmath"] * (top_degree - 11)
@@ -359,7 +360,7 @@ def test_nonpositive_diagonal_retries_from_its_index(monkeypatch):
     # the degree-2 block retries, and LU gives 3 - (1 + 1 - 1) = 2
     base = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 2, force_float=True)
     system = dataclasses.replace(base, matrix=np.diag([1.0, 1.0, -1.0]).astype(complex), rhs=np.ones(3, dtype=complex), g_norm_sq=3.0)
-    monkeypatch.setattr(approx, "assemble_gram", lambda *args, **kwargs: system)
+    monkeypatch.setattr(approx, "_gram_system", lambda *args, **kwargs: system)
     pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(3), method="float")
     assert [(p.path, p.dist_sq) for p in pts] == [("float", 2.0), ("float", 1.0), ("mpmath", 2.0)]
 
@@ -371,7 +372,84 @@ def test_profile_factors_the_top_block_once(monkeypatch):
         monkeypatch.setattr(approx, name, lambda G, c, real=real: sizes.append(len(G)) or real(G, c))
     distance_profile(DA2, F22, SparsePoly.one(2), range(0, 9), method="exact")
     distance_profile(DA2, F22, SparsePoly.one(2), [0, 3, 6], method="float")
-    assert sizes == [45, 28]
+    assert sizes == [5, 4]
+
+
+DA4 = SpaceSpec.drury_arveson(4)
+F4 = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
+
+
+def _onevar_da4_dist_sq(m):
+    """dist(1, {p (1 - 16 w) : deg p <= m})^2 in DA_4, w = z1 z2 z3 z4, from
+    the one-variable model: the powers w^n are orthogonal with
+    ||w^n||^2 = (n!)^4 / (4n)!, the tau image norm without its 4^(4n)
+    scale, so only w^j f with 4j <= m meet the target, and the Gram matrix
+    of those is tridiagonal with c = e_0.  dist^2 = 1 - (G^-1)_00, read
+    from the continued fraction of G."""
+    J = m // 4
+    N = [embeddings.tkd_monomial_norm_sq(4, n) / 4 ** (4 * n) for n in range(J + 2)]
+    s = N[J] + 256 * N[J + 1]
+    for j in range(J - 1, -1, -1):
+        s = N[j] + 256 * N[j + 1] - (16 * N[j + 1]) ** 2 / s
+    return 1 - 1 / s
+
+
+def test_reduced_da4_profile_equals_the_onevar_oracle():
+    pts = cyclicity_profile(DA4, F4, [12, 100], method="exact")
+    assert [p.dist_sq for p in pts] == [float(_onevar_da4_dist_sq(m)) for m in (12, 100)]
+    assert [(p.unknowns, p.full_unknowns) for p in pts] == [(4, 1820), (26, math.comb(104, 4))]
+    # auto chooses from the reachable size: 4 unknowns come out exact
+    auto = cyclicity_profile(DA4, F4, range(0, 13, 2))
+    assert {p.path for p in auto} == {"exact"}
+    assert auto[-1].dist_sq == float(_onevar_da4_dist_sq(12))
+    assert math.sqrt(auto[-1].dist_sq) == 0.9249292837973018
+
+
+def test_paper_scale_da4_profile_never_lists_the_full_basis(monkeypatch):
+    # the degree-400 basis would have C(404, 4) ~ 1.1e9 exponents
+    def refuse(*args):
+        raise AssertionError("the full basis was built")
+
+    monkeypatch.setattr(approx, "graded_monomials", refuse)
+    t0 = time.perf_counter()
+    (pt,) = cyclicity_profile(DA4, F4, [400])
+    assert time.perf_counter() - t0 < 2.0
+    assert (pt.path, pt.unknowns, pt.full_unknowns) == ("exact", 101, math.comb(404, 4))
+    assert pt.dist_sq == float(_onevar_da4_dist_sq(400))
+    assert math.sqrt(pt.dist_sq) == 0.890665365512072
+
+
+def test_target_orthogonal_to_every_multiple_has_no_unknowns():
+    # <z2, z^beta z1> = 0 for every beta: nothing is reachable, the distance
+    # is ||g||^2 at every degree, and the empty block reports the empty
+    # minimum and maximum as its pivots
+    f, g = SparsePoly(2, {(1, 0): 1}), SparsePoly(2, {(0, 1): 3})
+    gn = norm_sq(DA2, g)
+    for method in ("auto", "exact", "float"):
+        pts = distance_profile(DA2, f, g, range(4), method=method)
+        assert [(p.dist_sq, p.min_pivot, p.unknowns) for p in pts] == [(float(gn), math.inf, 0)] * 4
+    res = optimal_approximant(assemble_gram(DA2, f, g, 3))
+    assert res.dist_sq == gn and res.exact
+    assert len(res.basis) == 10 and not any(res.coefficients)
+    assert (res.conditioning.min_pivot, res.conditioning.max_pivot) == (math.inf, 0.0)
+    assert (res.conditioning.unknowns, res.conditioning.full_unknowns) == (0, 10)
+
+
+def test_zero_filled_residual_is_orthogonal_to_the_full_basis():
+    # f and g touch only part of the DA_3 difference graph; the coefficients
+    # outside it are 0, yet the residual is exactly orthogonal to z^beta f
+    # for every beta of the full basis, and its norm is the distance
+    space = SpaceSpec.drury_arveson(3)
+    f = SparsePoly(3, {(0, 0, 0): 1, (1, 1, 0): Fraction(-3, 2), (0, 0, 2): ComplexRational(0, 1)})
+    g = SparsePoly(3, {(0, 0, 0): 2, (1, 0, 0): Fraction(1, 3)})
+    system = assemble_gram(space, f, g, 4)
+    for m in (2, 4):
+        res = optimal_approximant(system, degree=m, method="exact")
+        assert res.conditioning.unknowns < res.conditioning.full_unknowns == len(res.basis) == math.comb(3 + m, 3)
+        r = g - res.polynomial(3) * f
+        assert norm_sq(space, r) == res.dist_sq
+        for beta in graded_monomials(3, m):
+            assert inner_product(space, r, SparsePoly.monomial(3, beta) * f) == 0
 
 
 if HAVE_HYPOTHESIS:
@@ -450,3 +528,38 @@ if HAVE_HYPOTHESIS:
             fres = optimal_approximant(flt, degree=fp.m, method="float")
             assert fp.path == fres.conditioning.path
             assert abs(fp.dist_sq - fres.dist_sq) <= tol
+
+    @given(
+        st.sampled_from(EXACT_SPACES).flatmap(lambda sp: st.tuples(st.just(sp), _exact_polys(sp.d), _exact_polys(sp.d))),
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_solves_equal_the_full_solve(case, m):
+        # the full system, assembled over the whole graded basis by the one
+        # Gram-entry routine and factored whole, against the reduced
+        # profile and the zero-filled approximant
+        space, f, g = case
+        if f.is_zero():
+            return
+        basis = graded_monomials(space.d, m)
+        exact = assemble_gram(space, f, g, m)
+        G = approx._dense(approx._gram_columns(space, f, basis, True), len(basis), True)
+        assert G == exact.matrix
+        _, _, _, gains = approx._ldl_exact(G, exact.rhs)
+        sizes = exact.block_sizes()
+        pts = distance_profile(space, f, g, range(m + 1), method="exact")
+        assert [p.dist_sq for p in pts] == [float(exact.g_norm_sq - sum(gains[:sizes[k]])) for k in range(m + 1)]
+        full = approx._Factored(G, exact.rhs, exact.g_norm_sq, True, "exact")
+        res = optimal_approximant(exact, method="exact")
+        assert res.dist_sq == exact.g_norm_sq - sum(gains)
+        assert res.coefficients == tuple(full.coefficients())
+        # the float path: same full matrix rounded, one float Cholesky
+        flt = assemble_gram(space, f, g, m, force_float=True)
+        Gf = approx._dense(approx._gram_columns(space, f, basis, False), len(basis), False)
+        assert np.array_equal(Gf, flt.matrix)
+        ffull = approx._Factored(Gf, flt.rhs, flt.g_norm_sq, False, "float")
+        tol = 1e-12 * float(exact.g_norm_sq)
+        fpts = distance_profile(space, f, g, range(m + 1), method="float")
+        for k, fp in enumerate(fpts):
+            assert abs(fp.dist_sq - ffull.block(sizes[k], sizes[k])[0]) <= tol
+        assert abs(optimal_approximant(flt, method="float").dist_sq - ffull.block(sizes[m], sizes[m])[0]) <= tol

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from besovball import certify
 from besovball.certify import (
     Certificate,
     CubeMeasure,
@@ -69,6 +74,31 @@ def test_functional_norm_committed_value():
     br = functional_norm(1, 4)
     inv = 1.0 / br.norm_upper
     assert inv == pytest.approx(1.7591476450870798, rel=1e-9)
+
+
+def test_functional_norm_brackets_are_frozen_and_memory_bounded():
+    # the chunked partial sum feeds the same terms to one exactly rounded
+    # fsum as the whole-array sum it replaced, so the brackets are bitwise
+    # those of the array version
+    frozen = {
+        (1, 4): (0.3231434937745062, 0.32314349470583653, 32768),
+        (1, 3.1): (8.647399024110689, 8.647399076001273, 4194304),
+        (2, 5.2): (3.1059984918678616, 3.105998517812956, 2097152),
+    }
+    for (j, alpha), bracket in frozen.items():
+        br = functional_norm(j, alpha)
+        assert (br.lower, br.upper, br.cutoff) == bracket
+    # a cutoff of 4M terms holds one chunk at a time: the peak RSS of the
+    # call above the import, in a fresh process, where the array version
+    # rose about 225 MB.  tracemalloc would trace each of the 8.4M floats
+    # fsum consumes and take about 15 s.
+    code = ("import resource; from besovball.certify import functional_norm; "
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; functional_norm(1, 3.1); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)")
+    src = str(Path(certify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert int(run.stdout) < 32 * 1024  # kB on Linux
 
 
 def test_derivative_functional_apply():
