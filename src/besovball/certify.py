@@ -44,6 +44,7 @@ ENERGY_DOUBLING_TOL = 0.02
 LATTICE_CHECK_TOL = 1e-12
 BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; one float64 column is 32 MB
 NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
+ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
 
 
 # -- derivative functionals on the D_alpha scale ------------------------------
@@ -456,6 +457,28 @@ def _check_lattice_sum(measure: CubeMeasure, n: int, lattice_sum: float) -> floa
     return rel
 
 
+def _level_cost(measure: CubeMeasure, n: int) -> int:
+    """Kernel evaluations of one energy level with n nodes per axis."""
+    m = measure.m
+    return (2 * n - 1) ** m if measure.shift_invariant else n ** (2 * m)
+
+
+def _check_energy_budget(measure: CubeMeasure, n_base: int, max_doublings: int) -> None:
+    """ValueError if the last level of ``energy`` (n_base 2^max_doublings nodes
+    per axis) or the lattice path's base-grid check needs more than
+    ENERGY_PAIR_BUDGET kernel evaluations; the levels grow with n, so the
+    last one is the largest."""
+    n_last = n_base * 2**max_doublings
+    path = "lattice" if measure.shift_invariant else "pair"
+    needs = {f"the {path} sum at n = {n_last}": _level_cost(measure, n_last)}
+    if measure.shift_invariant:
+        needs[f"the pair-sum check at n = {n_base}"] = n_base ** (2 * measure.m)
+    for what, count in needs.items():
+        if count > ENERGY_PAIR_BUDGET:
+            raise ValueError(f"energy of {measure.label}: {what} needs {count} kernel evaluations, "
+                             f"over the budget of {ENERGY_PAIR_BUDGET}")
+
+
 def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
            rel_tol: float = ENERGY_DOUBLING_TOL) -> EnergyResult:
     """Quadrature value and analytic upper bound for E(mu).
@@ -466,23 +489,23 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     until the energy moves by less than rel_tol.  A shift-invariant cube is
     summed over the difference lattice, (2n - 1)^m kernel evaluations per
     level instead of n^(2m), once the lattice sum has matched the pair sum
-    on the base grid.
+    on the base grid.  Every level, and the base-grid check, is held to
+    ENERGY_PAIR_BUDGET kernel evaluations: past it, ValueError before any
+    quadrature.
     """
     if measure.m < 3:
         raise ValueError(f"energy requires a cube of dimension >= 3, got m = {measure.m}")
     m = measure.m
-    # first, so a box integral past its grid budget fails before any quadrature
+    _check_energy_budget(measure, n_base, max_doublings)
+    # before the quadrature, so a box integral past its grid budget fails at once
     integral, _, _ = param_inv_sq_integral(m)
     lattice = measure.shift_invariant
     evaluations = 0
 
     def node_sum(n: int) -> float:
         nonlocal evaluations
-        if lattice:
-            evaluations += (2 * n - 1) ** m
-            return _lattice_sum(measure, n)
-        evaluations += n ** (2 * m)
-        return _pair_sum(measure, n)
+        evaluations += _level_cost(measure, n)
+        return _lattice_sum(measure, n) if lattice else _pair_sum(measure, n)
 
     n = n_base
     mass_sq = measure.scale**2
@@ -542,6 +565,7 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
         raise ValueError("dimension mismatch between space, polynomial and measure")
     if measure.m < 3:
         raise ValueError(f"energy certificates need a cube of dimension >= 3, got m = {measure.m}")
+    _check_energy_budget(measure, n_base, max_doublings)  # before the support grid
 
     n_check = max(n_base, 8)
     T, Z = measure.grid(n_check, offset=0.0)

@@ -2,10 +2,23 @@
 
 The Riesz-type energy of a parametrized surface measure needs a sum over all
 pairs of quadrature nodes (n^m x n^m pairs for an m-cube), and the
-reverse-Lipschitz estimate a minimum over the same kind of pair grid.  Both
-kernels scan the first point set in blocks of rows against the whole second
-set, so the pair matrix is never held at once; the blocks are summed in a
-fixed order, so results are reproducible.
+reverse-Lipschitz estimate a minimum over the same kind of pair grid.
+
+``energy_pair_sum`` works in real arithmetic.  For z = a + ib and w = c + id
+the rows [a, b, 1] of one real matrix give 1 - Re<z, w> against the column
+[-c, -d, 1] and Im<z, w> against [-d, c, 0], so each tile of pairs is two
+small real matrix products followed by |1 - <z, w>| = sqrt(x^2 + y^2), a
+reciprocal and a sum: the ``1 -`` costs nothing and no complex modulus is
+taken.  Tiles are TILE_ROWS x TILE_COLS pairs, so a worker's two float64
+tile buffers (512 KB each) stay in cache.
+
+The rows of Z are split into fixed chunks of CHUNK_ROWS, which run on one
+thread per available CPU (numpy releases the interpreter lock in matrix
+products and ufuncs).  Besides the real copies of Z and W (2d + 1 floats
+per point, twice over for W), scratch memory is one pair of tile buffers per
+worker, whatever the number of pairs.  Each chunk sums its tiles in a fixed
+order, and ``math.fsum`` sums the chunk totals in chunk order, so the result
+does not depend on the number of workers, bit for bit.
 
 Shift-invariant cubes (the torus) never reach ``energy_pair_sum`` at full
 size: ``certify.energy`` sums them over the difference lattice and calls the
@@ -15,10 +28,14 @@ pair sum only once, at the base grid, to check that sum.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-PAIR_BLOCK_ROWS = 128  # scratch of 128 * |W| * 24 bytes: 100 MB at |W| = 32^3
+TILE_ROWS = 16
+TILE_COLS = 4096  # two float64 tiles of 16 x 4096: 1 MB of scratch per worker
+CHUNK_ROWS = 512  # rows per unit of work handed to a worker
 
 
 def backend() -> str:
@@ -26,28 +43,56 @@ def backend() -> str:
     return "numpy"
 
 
+def _workers() -> int:
+    """Threads for the pair sum: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def energy_pair_sum(Z: np.ndarray, W: np.ndarray) -> float:
     """Sum over all pairs (i, j) of 1 / |1 - <z_i, w_j>| for rows of Z, W on
     the unit sphere of C^d.
 
-    Each block of rows works in two preallocated buffers (one complex, one
-    real), so no temporary of the full block size is allocated per step.
+    Works tile by tile on real operands (see the module docstring); the value
+    is the same, bit for bit, for every number of CPUs.
     """
-    Z = np.ascontiguousarray(Z, dtype=complex)
-    Wh = np.ascontiguousarray(np.asarray(W, dtype=complex).conj().T)
-    rows = min(PAIR_BLOCK_ROWS, Z.shape[0])
-    inner = np.empty((rows, Wh.shape[1]), dtype=complex)
-    recip = np.empty((rows, Wh.shape[1]), dtype=float)
-    total = 0.0
-    for start in range(0, Z.shape[0], PAIR_BLOCK_ROWS):
-        zb = Z[start : start + PAIR_BLOCK_ROWS]
-        b, r = inner[: zb.shape[0]], recip[: zb.shape[0]]
-        np.matmul(zb, Wh, out=b)
-        np.subtract(1.0, b, out=b)
-        np.abs(b, out=r)
-        np.reciprocal(r, out=r)
-        total += float(r.sum())
-    return total
+    Z = np.asarray(Z, dtype=complex)
+    W = np.asarray(W, dtype=complex)
+    A = np.hstack([Z.real, Z.imag, np.ones((Z.shape[0], 1))])
+
+    def w_columns(w):  # A @ these gives 1 - Re<z, w> and Im<z, w>
+        ones = np.ones((w.shape[0], 1))
+        # C order: on the transposed layout two workers ran the products 3x slower
+        return (np.hstack([-w.real, -w.imag, ones]).T.copy(),
+                np.hstack([-w.imag, w.real, 0.0 * ones]).T.copy())
+
+    col_tiles = [w_columns(W[c : c + TILE_COLS]) for c in range(0, W.shape[0], TILE_COLS)]
+
+    def chunk_sum(start: int) -> float:
+        x_buf = np.empty(TILE_ROWS * TILE_COLS)
+        y_buf = np.empty(TILE_ROWS * TILE_COLS)
+        total = 0.0
+        for bx, by in col_tiles:
+            for r in range(start, min(start + CHUNK_ROWS, A.shape[0]), TILE_ROWS):
+                a = A[r : r + TILE_ROWS]
+                # contiguous prefixes: strided views halved the speed of partial tiles
+                shape = (a.shape[0], bx.shape[1])
+                x = x_buf[: shape[0] * shape[1]].reshape(shape)
+                y = y_buf[: shape[0] * shape[1]].reshape(shape)
+                np.matmul(a, bx, out=x)
+                np.matmul(a, by, out=y)
+                np.multiply(x, x, out=x)
+                np.multiply(y, y, out=y)
+                np.add(x, y, out=x)
+                np.sqrt(x, out=x)
+                np.reciprocal(x, out=x)
+                total += float(x.sum())
+        return total
+
+    starts = range(0, Z.shape[0], CHUNK_ROWS)
+    with ThreadPoolExecutor(max_workers=max(1, min(_workers(), len(starts)))) as pool:
+        return math.fsum(pool.map(chunk_sum, starts))
 
 
 def min_chord_ratio(Z: np.ndarray, W: np.ndarray, T: np.ndarray, S: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +30,15 @@ def multi_factorial(beta) -> int:
     return out
 
 
-def factorial_ratio(beta) -> Fraction:
-    """beta!/|beta|! , the squared monomial norm in the d-variable Drury-Arveson space."""
+# every exponent of degree <= 20 in 4 variables (C(24, 4) = 10626) fits
+FACTORIAL_RATIO_CACHE = 1 << 14
+
+
+@lru_cache(maxsize=FACTORIAL_RATIO_CACHE)
+def factorial_ratio(beta: tuple) -> Fraction:
+    """beta!/|beta|! , the squared monomial norm in the d-variable Drury-Arveson space.
+
+    Cached on the exponent tuple, up to FACTORIAL_RATIO_CACHE exponents."""
     return Fraction(multi_factorial(beta), math.factorial(sum(beta)))
 
 

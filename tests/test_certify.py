@@ -246,6 +246,31 @@ def test_rotated_torus_takes_pair_path():
     assert b.kernel_evaluations == 8**6 + 16**6
 
 
+def test_energy_grid_budget(monkeypatch):
+    torus, patch = CubeMeasure.torus(4, 4), CubeMeasure.sphere_patch(4, 4)
+    tracemalloc.start()
+    try:
+        # the lattice path's base-grid check would take 128^6 pair evaluations
+        with pytest.raises(ValueError, match=r"pair-sum check at n = 128 needs 4398046511104 .* budget of 1073741824"):
+            energy(torus, n_base=128)
+        # the certificate checks the budget before its support grid
+        f4 = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
+        with pytest.raises(ValueError, match=r"pair-sum check at n = 128"):
+            energy_lower_bound(SpaceSpec.drury_arveson(4), f4, torus, n_base=128)
+        # the pair path's last level is past the budget, its first is not
+        with pytest.raises(ValueError, match=r"pair sum at n = 64 needs 68719476736"):
+            energy(patch, n_base=8, max_doublings=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # 32^6 is exactly the budget: every level runs
+    seen = []
+    monkeypatch.setattr(certify, "_pair_sum", lambda measure, n: seen.append(n) or 1.0)
+    energy(patch, n_base=8, max_doublings=2, rel_tol=0.0)
+    assert seen == [8, 16, 32]
+
+
 def test_false_shift_invariance_claim_is_caught():
     mu = replace(CubeMeasure.sphere_patch(4, 4), shift_invariant=True)
     with pytest.raises(ValueError, match="shift invariance"):

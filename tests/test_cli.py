@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,23 @@ def test_certify_energy_verb(tmp_path):
     cert = json.loads(out_path.read_text())
     assert cert["kind"] == "energy"
     assert cert["lower_bound"] > 0.05
+
+
+def test_certify_energy_past_the_grid_budget_fails_at_once():
+    f4 = '{"0,0,0,0":[1,1,0,1],"1,1,1,1":[-16,1,0,1]}'
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            "certify", "energy", "--space", '{"d":4,"kind":"alpha","alpha":0}',
+            "--f", f4, "--cube", '{"family":"torus","k":4,"d":4}', "--n-base", "128",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # no grid was built
+    assert code == 2 and out == ""
+    assert err.startswith("error: energy of torus(k=4, d=4): the pair-sum check at n = 128")
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_verify_lemma_verb_pass_and_fail():

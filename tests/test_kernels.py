@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from besovball.kernels import PAIR_BLOCK_ROWS, energy_pair_sum, min_chord_ratio
+from besovball.kernels import CHUNK_ROWS, TILE_COLS, TILE_ROWS, energy_pair_sum, min_chord_ratio
 
 
 def _random_sphere_points(rng, n, d):
@@ -26,10 +27,26 @@ def _pair_sum_reference(Z, W):
 def test_energy_pair_sum_vs_direct_loop():
     rng = np.random.default_rng(7)
     W = _random_sphere_points(rng, 53, 3) * 0.7
-    # one partial block, then several full blocks and a partial last one
-    for rows in (37, 2 * PAIR_BLOCK_ROWS + 44):
+    # one partial row tile, then several full chunks and a partial last chunk
+    # that ends in a partial row tile
+    for rows in (37, 2 * CHUNK_ROWS + TILE_ROWS + 5):
         Z = _random_sphere_points(rng, rows, 3) * 0.7
         assert energy_pair_sum(Z, W) == pytest.approx(_pair_sum_reference(Z, W), rel=1e-12)
+    # a full column tile and a partial one
+    Z = _random_sphere_points(rng, 3, 3) * 0.7
+    W = _random_sphere_points(rng, TILE_COLS + 53, 3) * 0.7
+    assert energy_pair_sum(Z, W) == pytest.approx(_pair_sum_reference(Z, W), rel=1e-12)
+
+
+def test_energy_pair_sum_is_bitwise_independent_of_the_cpu_count(monkeypatch):
+    rng = np.random.default_rng(11)
+    Z = _random_sphere_points(rng, 5 * CHUNK_ROWS + 7, 4)
+    W = _random_sphere_points(rng, TILE_COLS + 300, 4) * 0.9
+    default = energy_pair_sum(Z, W)
+    # one worker, then more workers than chunks and than this machine's CPUs
+    for cpus in (1, 7):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        assert energy_pair_sum(Z, W) == default
 
 
 def test_min_chord_ratio_small_case():

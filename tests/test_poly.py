@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from besovball.poly import (
+    FACTORIAL_RATIO_CACHE,
     Series1D,
     SparsePoly,
     factorial_ratio,
@@ -41,6 +42,16 @@ def test_factorial_ratio_anchors():
     assert factorial_ratio((2, 0)) == 1
     assert factorial_ratio((3, 2)) == Fraction(6 * 2, math.factorial(5))
     assert multi_factorial((3, 2, 1)) == 12
+
+
+def test_factorial_ratio_cache_is_bounded_and_exact():
+    assert factorial_ratio.cache_info().maxsize == FACTORIAL_RATIO_CACHE
+    # more exponents than the cache keeps: it evicts, and every value stays
+    # the exact ratio
+    for k in range(FACTORIAL_RATIO_CACHE + 8):
+        beta = (k % 32, k // 32 % 32, k // 1024)
+        assert factorial_ratio(beta) == Fraction(multi_factorial(beta), math.factorial(sum(beta)))
+    assert factorial_ratio.cache_info().currsize <= FACTORIAL_RATIO_CACHE
 
 
 def test_ring_op_anchors():
