@@ -43,7 +43,7 @@ def test_energy_pair_sum_is_bitwise_independent_of_the_cpu_count(monkeypatch):
     Z = _random_sphere_points(rng, 5 * CHUNK_ROWS + 7, 4)
     W = _random_sphere_points(rng, TILE_COLS + 300, 4) * 0.9
     default = energy_pair_sum(Z, W)
-    # one worker, then more workers than chunks and than this machine's CPUs
+    # one worker, then one per chunk (six workers)
     for cpus in (1, 7):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
         assert energy_pair_sum(Z, W) == default
