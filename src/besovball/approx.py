@@ -22,9 +22,13 @@ other coefficients with zeros.  Both are exact: the dropped unknowns are 0
 in the full solution.  ``assemble_gram`` and ``finite_section_mult_bound``
 keep the full basis.
 
-One routine, ``_gram_columns``, computes the nonzero entries of G for both
-assembly and ``finite_section_mult_bound``: it picks the exact or float
-path once per call, then runs one loop over pairs of terms of f.
+One routine, ``_gram_matrix``, builds G for both assembly and
+``finite_section_mult_bound``.  It finds the row of every candidate term
+from integer codes of the exponents with numpy, in blocks of at most
+GRAM_BLOCK_ENTRIES candidates, and computes each monomial weight once.  The
+float path adds the terms with np.bincount and the exact path as Fractions,
+both in the order of the pairs of terms of f, so the float matrix is
+bitwise that of the per-column loop it replaced.
 
 Each call factors its top block once: exact rational LDL* or
 Jacobi-prescaled float Cholesky, with L y = c in the same pass.  ``auto``
@@ -67,6 +71,10 @@ PIVOT_COLLAPSE = 1e-13
 # float dist^2 = ||g||^2 - projection rounds in units of ||g||^2: a value in
 # [DIST_SQ_CLAMP * max(1, ||g||^2), 0) is rounding and reads 0
 DIST_SQ_CLAMP = -1e-12
+# Gram columns per assembly block are capped so that both the candidate
+# entries (columns x pairs of terms of f) and the block of G they fill
+# (columns x rows) stay within this count: a few MB of index arrays
+GRAM_BLOCK_ENTRIES = 1 << 16
 
 
 def graded_monomials(d: int, max_degree: int) -> list[tuple]:
@@ -111,31 +119,76 @@ class GramSystem:
         return out
 
 
-def _gram_columns(space: SpaceSpec, f: SparsePoly, basis, exact: bool):
-    """Yield (j, {i: <z^(beta_j) f, z^(beta_i) f>}) over basis, nonzero entries only.
+def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool):
+    """G[i][j] = <z^(beta_j) f, z^(beta_i) f> over basis: nested lists of
+    ComplexRational (exact) or a complex numpy array (float).
 
-    Orthogonality of monomials collapses each entry to a sum over pairs of
-    terms of f whose exponents differ by beta_i - beta_j, so assembly costs
-    O(len(basis) * len(f.terms)^2) dictionary operations; each product
-    c_delta conj(c_eps) is formed once per pair.  Column by column, so no
-    more than one column of entries is held as Python objects at a time.
+    Orthogonality of monomials collapses each entry to the sum, over the
+    pairs (delta, eps) of exponents of f with beta_j + delta - eps = beta_i,
+    of c_delta conj(c_eps) ||z^(beta_j + delta)||^2.  Exponents are coded as
+    integers in a mixed radix whose digits never carry on that range, so the
+    code is linear: the row of beta_j + delta - eps is a search for
+    code(beta_j) + code(delta - eps) in the sorted basis codes, and exponents
+    off the basis (negative or past the degree) find no row.  Each weight is
+    computed once per distinct beta_j + delta.  Columns go in blocks of at
+    most GRAM_BLOCK_ENTRIES candidates (columns x pairs) and block entries
+    (columns x rows); each entry is summed in (delta, eps) order, by
+    np.bincount on the float path and as Fractions on the exact path.
     """
+    n, d = len(basis), space.d
     cast, weight = path_casts(exact)
-    zero = cast(0)
-    fitems = [(delta, cast(c)) for delta, c in f.terms.items()]
-    pairs = [(delta, [(tuple(map(sub, delta, eps)), cd * ce.conjugate()) for eps, ce in fitems])
-             for delta, cd in fitems]
-    index = {b: i for i, b in enumerate(basis)}
-    for j, bj in enumerate(basis):
-        col = {}
-        for delta, row in pairs:
-            w = weight(monomial_norm_sq(space, tuple(map(add, bj, delta))))
-            for shift, p in row:
-                # exponents off the basis (negative or past the degree) miss the index
-                i = index.get(tuple(map(add, bj, shift)))
-                if i is not None:
-                    col[i] = col.get(i, zero) + p * w
-        yield j, col
+    G = [[ComplexRational()] * n for _ in range(n)] if exact else np.zeros((n, n), dtype=complex)
+    if not (n and f.terms):
+        return G
+    coeffs = [cast(c) for c in f.terms.values()]
+    prods = [cd * ce.conjugate() for cd in coeffs for ce in coeffs]  # pair p = (delta, eps), delta slowest
+    nt = len(coeffs)
+    B = np.array(basis, dtype=np.int64).reshape(n, d)
+    F = np.array(list(f.terms), dtype=np.int64).reshape(nt, d)
+    # digit k of every exponent coded here lies in [-max F_k, max B_k + max F_k],
+    # so two that are compared differ by less than radix_k in each digit, and
+    # equal codes mean equal exponents
+    radix = (B.max(axis=0) + F.max(axis=0) + 1).tolist()
+    dtype = np.int64 if math.prod(radix) < 1 << 62 else object  # Python ints past int64
+    place = np.array([math.prod(radix[k + 1:]) for k in range(d)], dtype=dtype)
+
+    def code(E):
+        return E.astype(dtype) @ place
+
+    basis_codes = code(B)
+    order = np.argsort(basis_codes)
+    sorted_codes = basis_codes[order]
+    shift_codes = code((F[:, None, :] - F[None, :, :]).reshape(-1, d))
+    shifted = (B[:, None, :] + F[None, :, :]).reshape(-1, d)  # beta_j + delta, column j slowest
+    _, first, weight_of = np.unique(code(shifted), return_index=True, return_inverse=True)
+    weights = [weight(monomial_norm_sq(space, e)) for e in shifted[first].tolist()]
+    if exact:
+        parts = [(p.re, p.im) for p in prods]  # weights are real: two Fraction products per term
+    else:
+        weights = np.array(weights, dtype=float)
+        re, im = np.array([(p.real, p.imag) for p in prods]).T
+
+    step = max(1, min(GRAM_BLOCK_ENTRIES // len(prods), GRAM_BLOCK_ENTRIES // n))
+    for j0 in range(0, n, step):
+        j1 = min(j0 + step, n)
+        cand = basis_codes[j0:j1, None] + shift_codes[None, :]
+        pos = np.minimum(np.searchsorted(sorted_codes, cand), n - 1)
+        cols, pairs = np.nonzero(sorted_codes[pos] == cand)  # column, then pair order
+        rows = order[pos[cols, pairs]]
+        wk = weight_of[(cols + j0) * nt + pairs // nt]  # the weight of beta_j + delta
+        if exact:
+            for i, j, p, k in zip(rows.tolist(), (cols + j0).tolist(), pairs.tolist(), wk.tolist()):
+                pr, pi = parts[p]
+                w = weights[k]
+                G[i][j] = G[i][j] + ComplexRational(pr * w, pi * w)
+            continue
+        # bincount adds in input order from 0.0, so each entry is the sum of
+        # its terms in (delta, eps) order
+        target = cols * n + rows
+        w = weights[wk]
+        for part, out in ((re, G.real), (im, G.imag)):
+            out[:, j0:j1] = np.bincount(target, part[pairs] * w, minlength=(j1 - j0) * n).reshape(j1 - j0, n).T
+    return G
 
 
 def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
@@ -166,20 +219,6 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
     return sorted(seen, key=lambda b: (sum(b), [-e for e in b]))
 
 
-def _dense(columns, n: int, exact: bool):
-    """Scatter Gram columns into nested lists (exact) or a numpy array."""
-    if exact:
-        G = [[ComplexRational()] * n for _ in range(n)]
-        for j, col in columns:
-            for i, v in col.items():
-                G[i][j] = v
-        return G
-    G = np.zeros((n, n), dtype=complex)
-    for j, col in columns:
-        G[list(col), j] = list(col.values())
-    return G
-
-
 def _check_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> None:
     if f.dim != space.d or g.dim != space.d:
         raise ValueError("dimension mismatch between space and polynomials")
@@ -194,7 +233,7 @@ def _exact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> bool:
 def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool) -> GramSystem:
     """The Gram system of {z^beta f : beta in basis} against g; basis lists
     exponents with |beta| <= degree in graded order."""
-    G = _dense(_gram_columns(space, f, basis, exact), len(basis), exact)
+    G = _gram_matrix(space, f, basis, exact)
 
     cast, weight = path_casts(exact)
     fconj = [(delta, cast(c).conjugate()) for delta, c in f.terms.items()]
@@ -478,7 +517,7 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
     M_phi* M_phi against the diagonal of monomial norms.
     """
     basis = graded_monomials(space.d, max_degree)
-    A = _dense(_gram_columns(space, phi, basis, exact=False), len(basis), exact=False)
+    A = _gram_matrix(space, phi, basis, exact=False)
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
     vals = scipy.linalg.eigh(A, D, eigvals_only=True)
     top = float(vals[-1])

@@ -23,7 +23,6 @@ constant for comparison.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -45,6 +44,8 @@ LATTICE_CHECK_TOL = 1e-12
 BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; one float64 column is 32 MB
 NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
+LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time: about 8 MB of scratch
+CHORD_GRID_NODES = 12  # nodes per axis, at most, of the reverse-Lipschitz grid
 
 
 # -- derivative functionals on the D_alpha scale ------------------------------
@@ -94,9 +95,11 @@ def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
     Finite iff alpha > 2j + 1 (ValueError otherwise).  A partial sum to an
     adaptive cutoff plus signed integral bounds on the tail brackets the
     value; the bracket narrows like cutoff^(2j - alpha) and the cutoff grows
-    until the relative width drops under rel_tol, up to 2^24.  The partial
-    sum is formed NORM_CHUNK terms at a time and summed by one exactly
-    rounded fsum, so memory stays bounded by one chunk at every cutoff.
+    until the relative width drops under rel_tol, up to 2^24.  Each doubling
+    forms only the new terms, NORM_CHUNK at a time, and keeps each chunk as
+    a few floats with the same exact sum (``_exact_parts``); one fsum of all
+    of them is the exactly rounded partial sum, so memory stays bounded by
+    one chunk and the bracket does not depend on the chunking.
     """
     alpha = float(alpha)
     if alpha <= 2 * j + 1:
@@ -121,17 +124,19 @@ def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
                 up += qi * t_lo
         return max(lo, 0.0), max(up, 0.0)
 
-    def terms(lo: int, hi: int) -> list:
+    def terms(lo: int, hi: int) -> np.ndarray:
         ns = np.arange(lo, hi, dtype=float)
         out = np.ones_like(ns)
         for i in range(j):
             out *= ns - i
-        return (out**2 / (ns + 1.0) ** alpha).tolist()
+        return out**2 / (ns + 1.0) ** alpha
 
-    K = 1 << 14
+    K, done, parts = 1 << 14, j, []
     while True:
-        chunks = range(j, K + 1, NORM_CHUNK)
-        partial = math.fsum(itertools.chain.from_iterable(terms(lo, min(lo + NORM_CHUNK, K + 1)) for lo in chunks))
+        for lo in range(done, K + 1, NORM_CHUNK):
+            parts += _exact_parts(terms(lo, min(lo + NORM_CHUNK, K + 1)))
+        done = max(done, K + 1)
+        partial = math.fsum(parts)
         t_lo, t_up = tail_bracket(K + 2)
         # fsum is exact to ~1 ulp but not directionally rounded; pad the
         # bracket by a few ulps so it stays a true enclosure
@@ -141,6 +146,27 @@ def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
         if upper - lower <= rel_tol * lower or K >= (1 << 24):
             return NormBracket(lower=lower, upper=upper, cutoff=K)
         K <<= 1
+
+
+def _exact_parts(x: np.ndarray) -> list:
+    """A few floats whose exact sum is the exact sum of the entries of x.
+
+    With sigma = 2^k at least 2 len(x) max|x|, (x + sigma) - sigma rounds
+    each entry to a multiple q of sigma 2^-53 with no other error, and the
+    remainder x - q is exact.  The partial sums of the q stay multiples of
+    that unit below sigma / 2, so numpy sums them exactly in any order; the
+    remainders, at least 52 - log2(len(x)) bits smaller, go round again
+    until none is left.
+    """
+    parts = []
+    while x.any():
+        if not np.isfinite(x).all():
+            return parts + [float(np.sum(x))]  # inf or nan, as a plain sum gives
+        sigma = math.ldexp(1.0, math.frexp(float(np.abs(x).max()))[1] + len(x).bit_length() + 1)
+        q = (x + sigma) - sigma
+        parts.append(float(np.sum(q)))
+        x = x - q
+    return parts
 
 
 @dataclass(frozen=True)
@@ -436,13 +462,21 @@ def _lattice_sum(measure: CubeMeasure, n: int) -> float:
     Per axis t_i - s_j = (i - j - 1/2) h, and i - j = u occurs n - |u| times,
     so the n^m x n^m pairs collapse to (2n - 1)^m difference points u with
     weight prod_j (n - |u_j|) and kernel 1/|1 - <phi((u - 1/2) h), phi(0)>|.
+    The points go LATTICE_CHUNK at a time, in the order of ``_tensor``, and
+    math.fsum adds the chunk totals in that order.
     """
     h = 2.0 / n
-    U = _tensor(np.arange(1 - n, n, dtype=float), measure.m)
-    weight = np.prod(n - np.abs(U), axis=1)
-    Z = measure.points((U - 0.5) * h)
+    shape = (2 * n - 1,) * measure.m
+    count = math.prod(shape)
     z0 = measure.points(np.zeros((1, measure.m)))[0]
-    return float(np.sum(weight / np.abs(1.0 - Z @ z0.conj())))
+    totals = []
+    for start in range(0, count, LATTICE_CHUNK):
+        idx = np.arange(start, min(start + LATTICE_CHUNK, count))
+        U = np.stack(np.unravel_index(idx, shape), axis=1).astype(float) + (1 - n)
+        weight = np.prod(n - np.abs(U), axis=1)
+        Z = measure.points((U - 0.5) * h)
+        totals.append(float(np.sum(weight / np.abs(1.0 - Z @ z0.conj()))))
+    return math.fsum(totals)
 
 
 def _check_lattice_sum(measure: CubeMeasure, n: int, lattice_sum: float) -> float:
@@ -465,14 +499,17 @@ def _level_cost(measure: CubeMeasure, n: int) -> int:
 
 def _check_energy_budget(measure: CubeMeasure, n_base: int, max_doublings: int) -> None:
     """ValueError if the last level of ``energy`` (n_base 2^max_doublings nodes
-    per axis) or the lattice path's base-grid check needs more than
-    ENERGY_PAIR_BUDGET kernel evaluations; the levels grow with n, so the
-    last one is the largest."""
+    per axis), the lattice path's base-grid check or the reverse-Lipschitz
+    grid needs more than ENERGY_PAIR_BUDGET kernel evaluations; the levels
+    grow with n, so the last one is the largest, and the chord grid is
+    counted at its largest size."""
     n_last = n_base * 2**max_doublings
     path = "lattice" if measure.shift_invariant else "pair"
     needs = {f"the {path} sum at n = {n_last}": _level_cost(measure, n_last)}
     if measure.shift_invariant:
         needs[f"the pair-sum check at n = {n_base}"] = n_base ** (2 * measure.m)
+    nc = min(n_last, CHORD_GRID_NODES)
+    needs[f"the chord-ratio grid at n = {nc}"] = nc ** (2 * measure.m)
     for what, count in needs.items():
         if count > ENERGY_PAIR_BUDGET:
             raise ValueError(f"energy of {measure.label}: {what} needs {count} kernel evaluations, "
@@ -489,9 +526,9 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     until the energy moves by less than rel_tol.  A shift-invariant cube is
     summed over the difference lattice, (2n - 1)^m kernel evaluations per
     level instead of n^(2m), once the lattice sum has matched the pair sum
-    on the base grid.  Every level, and the base-grid check, is held to
-    ENERGY_PAIR_BUDGET kernel evaluations: past it, ValueError before any
-    quadrature.
+    on the base grid.  Every level, the base-grid check and the chord-ratio
+    grid are held to ENERGY_PAIR_BUDGET kernel evaluations: past it,
+    ValueError before any quadrature.
     """
     if measure.m < 3:
         raise ValueError(f"energy requires a cube of dimension >= 3, got m = {measure.m}")
@@ -530,7 +567,7 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     value = prev
 
     # reverse-Lipschitz estimate on a moderate offset grid
-    nc = min(n, 12)
+    nc = min(n, CHORD_GRID_NODES)
     Tc1, Zc1 = measure.grid(nc, offset=0.0)
     Tc2, Zc2 = measure.grid(nc, offset=0.5)
     c_est = kernels.min_chord_ratio(Zc1, Zc2, Tc1, Tc2)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import SparsePoly, factorial_ratio
-from .scalars import abs_sq, path_casts, to_complex
+from .scalars import ComplexRational, abs_sq, path_casts, to_complex
 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
@@ -317,17 +317,18 @@ def inner_product(space: SpaceSpec, f: SparsePoly, g: SparsePoly):
     return total
 
 
-def _weighted_abs_sq_sum(f: SparsePoly, norm_sq_of, exact: bool):
-    """sum over the terms of f of |c_beta|^2 norm_sq_of(beta), on one path."""
+def _weighted_abs_sq_sum(terms, norm_sq_of, exact: bool):
+    """sum over (beta, c_beta) in terms of |c_beta|^2 norm_sq_of(beta), on one path."""
     _, weight = path_casts(exact)
     total = Fraction(0) if exact else 0.0
-    for beta, c in f.terms.items():
+    for beta, c in terms:
         total = total + abs_sq(c) * weight(norm_sq_of(beta))
     return total
 
 
 def norm_sq(space: SpaceSpec, f: SparsePoly):
-    return _weighted_abs_sq_sum(f, lambda beta: monomial_norm_sq(space, beta), space.is_exact and f.is_exact())
+    return _weighted_abs_sq_sum(f.terms.items(), lambda beta: monomial_norm_sq(space, beta),
+                                space.is_exact and f.is_exact())
 
 
 def hardy_sphere_norm_sq(f: SparsePoly):
@@ -340,12 +341,23 @@ def hardy_sphere_norm_sq(f: SparsePoly):
     """
     if not f.is_homogeneous():
         raise ValueError("hardy_sphere_norm_sq needs a homogeneous polynomial")
-    return _weighted_abs_sq_sum(f, lambda beta: _sphere_factor(f.dim, sum(beta)) * factorial_ratio(beta), f.is_exact())
+    return _weighted_abs_sq_sum(f.terms.items(), lambda beta: _sphere_factor(f.dim, sum(beta)) * factorial_ratio(beta),
+                                f.is_exact())
 
 
 def homogeneous_norms_sq(space: SpaceSpec, f: SparsePoly):
-    """dict degree -> squared norm of the homogeneous component."""
-    return {n: norm_sq(space, part) for n, part in f.homogeneous_parts().items()}
+    """dict degree -> squared norm of the homogeneous component, in increasing
+    degree; each degree sums its terms in the order of f and takes the exact
+    path when the space and that component are exact, as ``norm_sq`` would."""
+    parts: dict = {}
+    for beta, c in f.terms.items():
+        parts.setdefault(sum(beta), []).append((beta, c))
+
+    def norm_of(beta):
+        return monomial_norm_sq(space, beta)
+
+    return {n: _weighted_abs_sq_sum(terms, norm_of, space.is_exact and all(isinstance(c, ComplexRational) for _, c in terms))
+            for n, terms in sorted(parts.items())}
 
 
 def besov_da_ratio(d: int, max_degree: int) -> list[Fraction]:

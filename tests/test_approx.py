@@ -6,7 +6,9 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from besovball.approx import (
     ratio_norm_sweep,
 )
 from besovball.poly import SparsePoly
-from besovball.scalars import ComplexRational
+from besovball.scalars import ComplexRational, path_casts
 from besovball.spaces import NormalizedVolume, PointMassAtOne, SpaceSpec, inner_product, monomial_norm_sq, norm_sq
 
 try:
@@ -452,6 +454,117 @@ def test_zero_filled_residual_is_orthogonal_to_the_full_basis():
             assert inner_product(space, r, SparsePoly.monomial(3, beta) * f) == 0
 
 
+def _gram_by_dictionary(space, f, basis, exact):
+    """Oracle: the Gram matrix by the per-column dictionary loop that the
+    numpy index replaced.  Each entry is summed from 0 in (delta, eps) order,
+    so the float matrix is bitwise the one the library must produce."""
+    cast, weight = path_casts(exact)
+    zero = cast(0)
+    fitems = [(delta, cast(c)) for delta, c in f.terms.items()]
+    pairs = [(delta, [(tuple(map(sub, delta, eps)), cd * ce.conjugate()) for eps, ce in fitems])
+             for delta, cd in fitems]
+    index = {b: i for i, b in enumerate(basis)}
+    n = len(basis)
+    G = [[ComplexRational()] * n for _ in range(n)] if exact else np.zeros((n, n), dtype=complex)
+    for j, bj in enumerate(basis):
+        col = {}
+        for delta, row in pairs:
+            w = weight(monomial_norm_sq(space, tuple(map(add, bj, delta))))
+            for shift, p in row:
+                # exponents off the basis (negative or past the degree) miss the index
+                i = index.get(tuple(map(add, bj, shift)))
+                if i is not None:
+                    col[i] = col.get(i, zero) + p * w
+        for i, v in col.items():
+            G[i][j] = v
+    return G
+
+
+def _assert_gram_equals_oracle(space, f, basis):
+    exact = space.is_exact and f.is_exact()
+    if exact:
+        assert approx._gram_matrix(space, f, basis, True) == _gram_by_dictionary(space, f, basis, True)
+    G = approx._gram_matrix(space, f, basis, False)
+    assert G.dtype == complex and G.flags.c_contiguous
+    assert np.array_equal(G, _gram_by_dictionary(space, f, basis, False))
+
+
+GRAM_CASES = [
+    # integer alpha, d = 1 to 4
+    (SpaceSpec.alpha_scale(1, 3), ONE_MINUS_Z ** 3, 6),
+    (DA2, SparsePoly(2, {(0, 0): 1, (2, 1): Fraction(-3, 2), (1, 0): ComplexRational(1, -2)}), 4),
+    (SpaceSpec.drury_arveson(3), SparsePoly(3, {(0, 0, 0): 2, (1, 1, 0): ComplexRational(0, 1), (0, 0, 2): -1}), 3),
+    (SpaceSpec.drury_arveson(4), SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16, (0, 2, 0, 1): Fraction(1, 3)}), 3),
+    # negative alpha, exact and float
+    (SpaceSpec.alpha_scale(2, -1), SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 1): ComplexRational(1, 3), (2, 0): 1}), 4),
+    (SpaceSpec.alpha_scale(3, -1.5), SparsePoly(3, {(0, 0, 0): 1, (0, 1, 2): -0.75j}), 3),
+    # fractional alpha: the float path only
+    (SpaceSpec.alpha_scale(2, Fraction(1, 2)), SparsePoly(2, {(0, 0): 1, (1, 1): -2, (0, 3): 0.5}), 5),
+    (SpaceSpec.alpha_scale(1, 2.5), SparsePoly(1, {(0,): 1.5 - 0.5j, (2,): -1, (3,): 0.125}), 7),
+    # Besov spaces
+    (SpaceSpec.besov(2, 1, NormalizedVolume(2)), SparsePoly(2, {(0, 0): 1, (1, 2): Fraction(-5, 7)}), 4),
+    (SpaceSpec.besov(3, 1, PointMassAtOne()), SparsePoly(3, {(1, 0, 0): 1, (0, 1, 1): ComplexRational(2, 1)}), 3),
+    # one-term f: every shift is 0
+    (DA2, SparsePoly(2, {(1, 2): ComplexRational(3, -1)}), 4),
+    (SpaceSpec.alpha_scale(1, 0.5), SparsePoly(1, {(2,): -0.25}), 5),
+]
+
+
+@pytest.mark.parametrize("space, f, m", GRAM_CASES)
+def test_gram_matrix_equals_the_dictionary_loop(space, f, m, monkeypatch):
+    # with two or more terms, shifts delta - eps lead from the basis below 0
+    # and past degree m, where no row is found; the budgets put the blocks
+    # at one column (a budget under one column's pairs), at three columns
+    # with a partial last block, and at the default
+    basis = graded_monomials(space.d, m)
+    reach = approx._reachable(f, SparsePoly.one(space.d), m)
+    npairs = len(f.terms) ** 2
+    for budget in (1, 3 * max(npairs, len(basis)), approx.GRAM_BLOCK_ENTRIES):
+        monkeypatch.setattr(approx, "GRAM_BLOCK_ENTRIES", budget)
+        _assert_gram_equals_oracle(space, f, basis)
+        _assert_gram_equals_oracle(space, f, reach)
+    assert approx._gram_matrix(space, f, [], True) == []
+    assert approx._gram_matrix(space, SparsePoly.zero(space.d), basis, False).shape == (len(basis), len(basis))
+
+
+def test_gram_matrix_codes_past_int64():
+    # radix 1 + 6 + 1 = 8 in each of 23 variables: the place value of z_1 is
+    # 8^22 = 2^66, so the codes take Python integers
+    d = 23
+    f = SparsePoly(d, {(0,) * d: 1, **{tuple(6 * (k == i) for k in range(d)): Fraction(-1, i + 2) for i in range(d)}})
+    _assert_gram_equals_oracle(SpaceSpec.drury_arveson(d), f, graded_monomials(d, 1))
+
+
+def _rotated_da4_generator():
+    """1 - 16 w1 w2 w3 w4 with w = z U, U the rational Householder reflection
+    I - v v^T / 15, v = (1, 2, 3, 4): 36 terms, a dense generator."""
+    v = (1, 2, 3, 4)
+    f = SparsePoly.one(4) * -16
+    for k in range(4):
+        col = {tuple(int(i == j) for j in range(4)): Fraction(int(i == k) * 15 - v[i] * v[k], 15) for i in range(4)}
+        f = f * SparsePoly(4, col)
+    return SparsePoly.one(4) + f
+
+
+def test_gram_assembly_memory_is_bounded():
+    # the rotated DA_4 system at m = 12: 656 reachable columns, 1296 pairs
+    # of terms each; G itself is 6.9 MB, and blocks of GRAM_BLOCK_ENTRIES
+    # candidates keep the index arrays to a few MB on top of it
+    f = _rotated_da4_generator()
+    assert len(f.terms) == 36
+    basis = approx._reachable(f, SparsePoly.one(4), 12)
+    n = len(basis)
+    assert n == 656
+    tracemalloc.start()
+    try:
+        G = approx._gram_matrix(DA4, f, basis, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.nbytes == 16 * n * n
+    assert peak < G.nbytes + 8e6
+
+
 if HAVE_HYPOTHESIS:
 
     @given(
@@ -543,8 +656,8 @@ if HAVE_HYPOTHESIS:
             return
         basis = graded_monomials(space.d, m)
         exact = assemble_gram(space, f, g, m)
-        G = approx._dense(approx._gram_columns(space, f, basis, True), len(basis), True)
-        assert G == exact.matrix
+        G = approx._gram_matrix(space, f, basis, True)
+        assert G == exact.matrix == _gram_by_dictionary(space, f, basis, True)
         _, _, _, gains = approx._ldl_exact(G, exact.rhs)
         sizes = exact.block_sizes()
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
@@ -555,8 +668,8 @@ if HAVE_HYPOTHESIS:
         assert res.coefficients == tuple(full.coefficients())
         # the float path: same full matrix rounded, one float Cholesky
         flt = assemble_gram(space, f, g, m, force_float=True)
-        Gf = approx._dense(approx._gram_columns(space, f, basis, False), len(basis), False)
-        assert np.array_equal(Gf, flt.matrix)
+        Gf = approx._gram_matrix(space, f, basis, False)
+        assert np.array_equal(Gf, flt.matrix) and np.array_equal(Gf, _gram_by_dictionary(space, f, basis, False))
         ffull = approx._Factored(Gf, flt.rhs, flt.g_norm_sq, False, "float")
         tol = 1e-12 * float(exact.g_norm_sq)
         fpts = distance_profile(space, f, g, range(m + 1), method="float")

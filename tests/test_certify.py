@@ -101,6 +101,27 @@ def test_functional_norm_brackets_are_frozen_and_memory_bounded():
     assert int(run.stdout) < 32 * 1024  # kB on Linux
 
 
+def test_functional_norm_brackets_contain_the_closed_form():
+    # ||L_j||^2 = sum_i q_i zeta(alpha - i), evaluated with mpmath at 40
+    # digits, lies inside each bracket
+    closed = {(1, 4): 0.32314349424017606, (1, 3.1): 8.6473990500559834, (2, 5.2): 3.1059985048404105}
+    for (j, alpha), value in closed.items():
+        br = functional_norm(j, alpha)
+        assert br.lower <= value <= br.upper, (j, alpha)
+
+
+def test_exact_parts_sum_exactly():
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 1000, 1 << 16):
+        x = rng.standard_normal(n) * np.exp2(rng.integers(-200, 200, size=n))
+        x[::3] = 0.0
+        parts = certify._exact_parts(x.copy())
+        assert len(parts) < 30
+        assert sum(map(Fraction, parts)) == sum(map(Fraction, x.tolist()))
+    assert certify._exact_parts(np.zeros(4)) == []
+    assert certify._exact_parts(np.array([1.0, math.inf]))[-1] == math.inf
+
+
 def test_derivative_functional_apply():
     fn = DerivativeFunctional(2, 6)
     # (1 - z)^3 has vanishing second derivative at z = 1
@@ -229,6 +250,27 @@ def test_lattice_energy_sum_matches_pair_sum(k, n):
     assert _lattice_sum(mu, n) == pytest.approx(_pair_sum(mu, n), rel=1e-12)
 
 
+def test_lattice_sum_in_chunks_matches_pair_sum(monkeypatch):
+    # 15^3 = 3375 difference points in chunks of 1000: three whole chunks
+    # and a partial one
+    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1000)
+    mu = CubeMeasure.torus(4, 4)
+    assert _lattice_sum(mu, 8) == pytest.approx(_pair_sum(mu, 8), rel=1e-12)
+
+
+def test_lattice_sum_memory_is_bounded():
+    # 31^4 = 923521 difference points; held at once they took about 200 MB
+    mu = CubeMeasure.torus(5, 5)
+    tracemalloc.start()
+    try:
+        total = _lattice_sum(mu, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert total == pytest.approx(4829688392.858561, rel=1e-12)
+
+
 def test_rotated_torus_takes_pair_path():
     # Householder reflection I - v v^T / 15 with v = (1, 2, 3, 4): rational,
     # orthogonal and dense, so the rotated cube keeps the energy but is not
@@ -260,6 +302,13 @@ def test_energy_grid_budget(monkeypatch):
         # the pair path's last level is past the budget, its first is not
         with pytest.raises(ValueError, match=r"pair sum at n = 64 needs 68719476736"):
             energy(patch, n_base=8, max_doublings=3)
+        # m = 5: the lattice levels and the base-grid check (8^10) are within
+        # the budget, but the 12-node chord-ratio grid has 12^10 pairs
+        with pytest.raises(ValueError, match=r"chord-ratio grid at n = 12 needs 61917364224 .* budget of 1073741824"):
+            energy(CubeMeasure.torus(6, 6))
+        f6 = SparsePoly(6, {(0,) * 6: 1, (1,) * 6: -216})
+        with pytest.raises(ValueError, match=r"chord-ratio grid at n = 12"):
+            energy_lower_bound(SpaceSpec.drury_arveson(6), f6, CubeMeasure.torus(6, 6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

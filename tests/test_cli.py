@@ -178,6 +178,25 @@ def test_certify_energy_past_the_grid_budget_fails_at_once():
     assert "budget" in err and "Traceback" not in err
 
 
+def test_certify_energy_past_the_chord_grid_budget_fails_at_once():
+    # torus(6, 6) on the defaults: its lattice levels fit the budget, its
+    # 12-node chord-ratio grid (12^10 pairs) does not
+    f6 = '{"0,0,0,0,0,0":[1,1,0,1],"1,1,1,1,1,1":[-216,1,0,1]}'
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            "certify", "energy", "--space", '{"d":6,"kind":"alpha","alpha":0}',
+            "--f", f6, "--cube", '{"family":"torus","k":6,"d":6}',
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # no grid was built
+    assert code == 2 and out == ""
+    assert err.startswith("error: energy of torus(k=6, d=6): the chord-ratio grid at n = 12 needs 61917364224")
+    assert "budget" in err and "Traceback" not in err
+
+
 def test_verify_lemma_verb_pass_and_fail():
     code, out, _ = run("verify-lemma", "slice-bound")
     assert code == 0

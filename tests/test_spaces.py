@@ -164,6 +164,26 @@ def test_homogeneous_norms_decompose():
     assert blocks[0] == 1 and blocks[1] == 4 and blocks[2] == Fraction(9, 2)
 
 
+def test_homogeneous_norms_equal_the_norms_of_the_parts():
+    # one pass over the terms gives the values, types and key order of
+    # norm_sq on each homogeneous part, also when only some parts are exact
+    rng = np.random.default_rng(3)
+    spaces_ = [SpaceSpec.drury_arveson(3), SpaceSpec.alpha_scale(2, -1), SpaceSpec.alpha_scale(2, 0.5),
+               SpaceSpec.besov(2, 1, NormalizedVolume(2)), SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0, 32))]
+    for space in spaces_:
+        terms = {}
+        for _ in range(20):
+            beta = tuple(int(b) for b in rng.integers(0, 5, size=space.d))
+            terms[beta] = ComplexRational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))), int(rng.integers(-3, 4)))
+        f = _p(space.d, terms)
+        mixed = SparsePoly(space.d, {b: complex(c) if sum(b) % 2 else c for b, c in f.terms.items()})
+        for g in (f, f.to_float(), mixed):
+            want = {n: norm_sq(space, part) for n, part in g.homogeneous_parts().items()}
+            got = homogeneous_norms_sq(space, g)
+            assert list(got) == list(want)
+            assert [(type(v), v) for v in got.values()] == [(type(v), v) for v in want.values()]
+
+
 def test_dilation_contraction_exact_anchor():
     # degree-1 polynomials give exact equality, higher degrees a positive gap
     sp = SpaceSpec.besov(2, 1, PointMassAtOne())
