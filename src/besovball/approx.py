@@ -22,13 +22,18 @@ other coefficients with zeros.  Both are exact: the dropped unknowns are 0
 in the full solution.  ``assemble_gram`` and ``finite_section_mult_bound``
 keep the full basis.
 
-One routine, ``_gram_matrix``, builds G for both assembly and
-``finite_section_mult_bound``.  It finds the row of every candidate term
-from integer codes of the exponents with numpy, in blocks of at most
+Exponents have one index, the mixed-radix integer codes of ``_coder``.
+One routine, ``_gram_matrix``, pairs two polynomials over a column and a
+row basis, M[i][j] = <z^(beta_j) u, z^(rho_i) v>: it builds G (u = v = f),
+c as the conjugate of the one-row pairing <z^(beta_i) f, g>, and the
+section of ``finite_section_mult_bound``.  It finds the row of every
+candidate term from the codes with numpy, in blocks of at most
 GRAM_BLOCK_ENTRIES candidates, and computes each monomial weight once.  The
 float path adds the terms with np.bincount and the exact path as Fractions,
-both in the order of the pairs of terms of f, so the float matrix is
-bitwise that of the per-column loop it replaced.
+both in the order of the pairs of terms, so G and c are bitwise those of
+the per-entry dictionary loops they replaced.  ``_reachable`` deduplicates
+and sorts its walk on the same codes, and ``optimal_approximant`` finds the
+reachable rows of its basis by them.
 
 Each call factors its top block once: exact rational LDL* or
 Jacobi-prescaled float Cholesky, with L y = c in the same pass.  ``auto``
@@ -51,11 +56,11 @@ first carries the factorization.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, sub
 
 import numpy as np
 import scipy.linalg
@@ -95,6 +100,32 @@ def graded_monomials(d: int, max_degree: int) -> list[tuple]:
     return out
 
 
+def _degree(m) -> int:
+    """m as an int degree; ValueError unless m is an integer >= 0 (an
+    integral float such as 4.0 passes)."""
+    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m == int(m) >= 0):
+        raise ValueError(f"a degree must be an integer >= 0, not {m!r}")
+    return int(m)
+
+
+def _exponents(exps, d: int) -> np.ndarray:
+    """The exponent tuples exps (a basis, or the keys of a term dict) as the
+    rows of an int64 array."""
+    return np.array(list(exps), dtype=np.int64).reshape(-1, d)
+
+
+def _coder(radix):
+    """code(E) = E @ place, place[k] = prod(radix[k + 1:]), the mixed-radix
+    code of the rows of an integer array E: int64 while every code is below
+    2^62, Python ints past that.  The code is linear, and two rows whose
+    digits differ by less than radix[k] in every k have equal codes only if
+    they are equal."""
+    radix = [int(r) for r in radix]
+    dtype = np.int64 if math.prod(radix) < 1 << 62 else object
+    place = np.array([math.prod(radix[k + 1:]) for k in range(len(radix))], dtype=dtype)
+    return lambda E: E.astype(dtype, copy=False) @ place
+
+
 @dataclass(frozen=True)
 class GramSystem:
     space: SpaceSpec
@@ -109,57 +140,48 @@ class GramSystem:
 
     def block_sizes(self) -> dict[int, int]:
         """degree -> number of basis elements with |beta| <= degree."""
-        sizes = {}
-        for i, b in enumerate(self.basis):
-            sizes[sum(b)] = i + 1
-        out, run = {}, 0
-        for m in range(self.degree + 1):
-            run = sizes.get(m, run)
-            out[m] = run
-        return out
+        degrees = _exponents(self.basis, self.space.d).sum(axis=1)
+        return dict(enumerate(np.searchsorted(degrees, np.arange(self.degree + 1), side="right").tolist()))
 
 
-def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool):
-    """G[i][j] = <z^(beta_j) f, z^(beta_i) f> over basis: nested lists of
-    ComplexRational (exact) or a complex numpy array (float).
+def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparsePoly | None = None, rows=None):
+    """M[i][j] = <z^(beta_j) f, z^(rho_i) g> over the columns beta_j of basis
+    and the rows rho_i of rows (g = f and rows = basis by default, the Gram
+    matrix of {z^beta f}): nested lists of ComplexRational (exact) or a
+    complex numpy array (float).
 
     Orthogonality of monomials collapses each entry to the sum, over the
-    pairs (delta, eps) of exponents of f with beta_j + delta - eps = beta_i,
-    of c_delta conj(c_eps) ||z^(beta_j + delta)||^2.  Exponents are coded as
-    integers in a mixed radix whose digits never carry on that range, so the
-    code is linear: the row of beta_j + delta - eps is a search for
-    code(beta_j) + code(delta - eps) in the sorted basis codes, and exponents
-    off the basis (negative or past the degree) find no row.  Each weight is
-    computed once per distinct beta_j + delta.  Columns go in blocks of at
-    most GRAM_BLOCK_ENTRIES candidates (columns x pairs) and block entries
+    pairs (delta, eps) of exponents of f and g with beta_j + delta - eps =
+    rho_i, of c_delta conj(d_eps) ||z^(beta_j + delta)||^2.  Exponents are
+    coded by ``_coder`` in a radix whose digits never carry on that range,
+    so the row of beta_j + delta - eps is a search for code(beta_j) +
+    code(delta - eps) in the sorted row codes, and exponents off the rows
+    (negative or past the degree) find none.  Each weight is computed once
+    per distinct rho_i + eps, so the one-row pairing against g computes
+    only the weights of the exponents of g.  Columns go in blocks of at most
+    GRAM_BLOCK_ENTRIES candidates (columns x pairs) and block entries
     (columns x rows); each entry is summed in (delta, eps) order, by
     np.bincount on the float path and as Fractions on the exact path.
     """
-    n, d = len(basis), space.d
+    g = f if g is None else g
+    rows = basis if rows is None else rows
+    n, nr, d = len(basis), len(rows), space.d
     cast, weight = path_casts(exact)
-    G = [[ComplexRational()] * n for _ in range(n)] if exact else np.zeros((n, n), dtype=complex)
-    if not (n and f.terms):
+    G = [[ComplexRational()] * n for _ in range(nr)] if exact else np.zeros((nr, n), dtype=complex)
+    if not (n and nr and f.terms and g.terms):
         return G
-    coeffs = [cast(c) for c in f.terms.values()]
-    prods = [cd * ce.conjugate() for cd in coeffs for ce in coeffs]  # pair p = (delta, eps), delta slowest
-    nt = len(coeffs)
-    B = np.array(basis, dtype=np.int64).reshape(n, d)
-    F = np.array(list(f.terms), dtype=np.int64).reshape(nt, d)
-    # digit k of every exponent coded here lies in [-max F_k, max B_k + max F_k],
-    # so two that are compared differ by less than radix_k in each digit, and
-    # equal codes mean equal exponents
-    radix = (B.max(axis=0) + F.max(axis=0) + 1).tolist()
-    dtype = np.int64 if math.prod(radix) < 1 << 62 else object  # Python ints past int64
-    place = np.array([math.prod(radix[k + 1:]) for k in range(d)], dtype=dtype)
-
-    def code(E):
-        return E.astype(dtype) @ place
-
-    basis_codes = code(B)
-    order = np.argsort(basis_codes)
-    sorted_codes = basis_codes[order]
-    shift_codes = code((F[:, None, :] - F[None, :, :]).reshape(-1, d))
-    shifted = (B[:, None, :] + F[None, :, :]).reshape(-1, d)  # beta_j + delta, column j slowest
+    prods = [cd * ce.conjugate() for cd in map(cast, f.terms.values()) for ce in map(cast, g.terms.values())]
+    ng = len(g.terms)  # pair p = (delta, eps) = (p // ng, p % ng), delta slowest
+    B, R = _exponents(basis, d), _exponents(rows, d)
+    F, Fg = _exponents(f.terms, d), _exponents(g.terms, d)
+    # digit k of a candidate beta_j + delta - eps lies in [-max Fg_k,
+    # max B_k + max F_k] and that of a row in [0, max R_k], so the two
+    # differ by less than radix_k, and equal codes mean equal exponents
+    code = _coder(np.maximum(B.max(axis=0) + F.max(axis=0), R.max(axis=0) + Fg.max(axis=0)) + 1)
+    sorted_codes, order = np.unique(code(R), return_index=True)  # the rows are distinct
+    col_codes = code(B)
+    shift_codes = code((F[:, None, :] - Fg[None, :, :]).reshape(-1, d))
+    shifted = (R[:, None, :] + Fg[None, :, :]).reshape(-1, d)  # rho_i + eps, row i slowest
     _, first, weight_of = np.unique(code(shifted), return_index=True, return_inverse=True)
     weights = [weight(monomial_norm_sq(space, e)) for e in shifted[first].tolist()]
     if exact:
@@ -168,26 +190,26 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool):
         weights = np.array(weights, dtype=float)
         re, im = np.array([(p.real, p.imag) for p in prods]).T
 
-    step = max(1, min(GRAM_BLOCK_ENTRIES // len(prods), GRAM_BLOCK_ENTRIES // n))
+    step = max(1, min(GRAM_BLOCK_ENTRIES // len(prods), GRAM_BLOCK_ENTRIES // nr))
     for j0 in range(0, n, step):
         j1 = min(j0 + step, n)
-        cand = basis_codes[j0:j1, None] + shift_codes[None, :]
-        pos = np.minimum(np.searchsorted(sorted_codes, cand), n - 1)
+        cand = col_codes[j0:j1, None] + shift_codes[None, :]
+        pos = np.minimum(np.searchsorted(sorted_codes, cand), nr - 1)
         cols, pairs = np.nonzero(sorted_codes[pos] == cand)  # column, then pair order
-        rows = order[pos[cols, pairs]]
-        wk = weight_of[(cols + j0) * nt + pairs // nt]  # the weight of beta_j + delta
+        found = order[pos[cols, pairs]]
+        wk = weight_of[found * ng + pairs % ng]  # the weight of rho_i + eps = beta_j + delta
         if exact:
-            for i, j, p, k in zip(rows.tolist(), (cols + j0).tolist(), pairs.tolist(), wk.tolist()):
+            for i, j, p, k in zip(found.tolist(), (cols + j0).tolist(), pairs.tolist(), wk.tolist()):
                 pr, pi = parts[p]
                 w = weights[k]
                 G[i][j] = G[i][j] + ComplexRational(pr * w, pi * w)
             continue
         # bincount adds in input order from 0.0, so each entry is the sum of
         # its terms in (delta, eps) order
-        target = cols * n + rows
+        target = cols * nr + found
         w = weights[wk]
         for part, out in ((re, G.real), (im, G.imag)):
-            out[:, j0:j1] = np.bincount(target, part[pairs] * w, minlength=(j1 - j0) * n).reshape(j1 - j0, n).T
+            out[:, j0:j1] = np.bincount(target, part[pairs] * w, minlength=(j1 - j0) * nr).reshape(j1 - j0, nr).T
     return G
 
 
@@ -196,27 +218,36 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
     difference graph that meet the right-hand side, in graded lex order.
 
     The walk starts from the seeds gamma - delta (gamma in supp g, delta in
-    supp f) and follows the shifts delta - eps between exponents of f.  It
-    never lists the full basis: its cost is the number of reachable
-    exponents times the number of shifts.
+    supp f) and follows the shifts delta - eps between exponents of f, layer
+    by layer.  It never lists the full basis: its cost is the number of
+    reachable exponents times the number of shifts.  Each exponent carries
+    its slack degree - |beta| as a leading digit, so it is on the basis
+    when no digit is negative, and ``_coder`` codes its digits in [0,
+    degree] one to one; the codes deduplicate the walk, and their
+    decreasing order is the graded order.
     """
     d = f.dim
-    F = np.array(list(f.terms), dtype=np.int64).reshape(-1, d)
-    Gx = np.array(list(g.terms), dtype=np.int64).reshape(-1, d)
-    shifts = {tuple(map(sub, delta, eps)) for delta in f.terms for eps in f.terms if delta != eps}
-    S = np.array(sorted(shifts), dtype=np.int64).reshape(-1, d)
-
-    def inside(B):
-        # candidate exponents on the basis, deduplicated by the caller's set
-        return map(tuple, B[(B.min(axis=1) >= 0) & (B.sum(axis=1) <= degree)].tolist())
-
-    seen: set = set()
-    new = set(inside((Gx[:, None, :] - F[None, :, :]).reshape(-1, d)))
-    while new:
-        seen |= new
-        frontier = np.array(list(new), dtype=np.int64).reshape(-1, d)
-        new = set(inside((frontier[:, None, :] + S[None, :, :]).reshape(-1, d))) - seen
-    return sorted(seen, key=lambda b: (sum(b), [-e for e in b]))
+    F, Gx = _exponents(f.terms, d), _exponents(g.terms, d)
+    F1 = np.column_stack((-F.sum(axis=1), F))
+    seeds = np.column_stack((degree - Gx.sum(axis=1), Gx))[:, None, :] - F1[None, :, :]
+    diffs = (F1[:, None, :] - F1[None, :, :]).reshape(-1, d + 1)
+    _, first = np.unique(_coder(2 * np.abs(diffs).max(axis=0) + 1)(diffs), return_index=True)
+    S = diffs[first]  # with the zero shift, which leads back into the layer
+    code = _coder([degree + 1] * (d + 1))
+    # breadth first from all seeds: the shifts come in pairs +-s, so the
+    # neighbours of a layer lie in it, in the layer before or in the next
+    cand = seeds.reshape(-1, d + 1)
+    layers, codes = [cand[:0]], [code(cand[:0])]  # an empty first layer: nothing concatenated is empty
+    while len(cand):
+        cand = cand[cand.min(axis=1) >= 0]  # on the basis
+        known = np.concatenate(codes[-2:])
+        c, first = np.unique(np.concatenate((known, code(cand))), return_index=True)
+        new = first >= len(known)
+        layers.append(cand[first[new] - len(known)])
+        codes.append(c[new])
+        cand = (layers[-1][:, None, :] + S[None, :, :]).reshape(-1, d + 1)
+    order = np.argsort(np.concatenate(codes))[::-1]
+    return list(map(tuple, np.concatenate(layers)[order, 1:].tolist()))
 
 
 def _check_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> None:
@@ -232,23 +263,14 @@ def _exact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> bool:
 
 def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool) -> GramSystem:
     """The Gram system of {z^beta f : beta in basis} against g; basis lists
-    exponents with |beta| <= degree in graded order."""
-    G = _gram_matrix(space, f, basis, exact)
-
-    cast, weight = path_casts(exact)
-    fconj = [(delta, cast(c).conjugate()) for delta, c in f.terms.items()]
-    gterms = {b: cast(c) for b, c in g.terms.items()}
-    c = [cast(0)] * len(basis)
-    for i, bi in enumerate(basis):
-        for delta, cd in fconj:
-            prod = tuple(map(add, bi, delta))
-            cg = gterms.get(prod)
-            if cg is not None:
-                c[i] = c[i] + cg * cd * weight(monomial_norm_sq(space, prod))
-
+    exponents with |beta| <= degree in graded order.  c[i] = <g, z^(beta_i) f>
+    is the conjugate of the one-row pairing <z^(beta_i) f, g>."""
+    row = _gram_matrix(space, f, basis, exact, g, [(0,) * space.d])[0]
+    # conj turns +0.0 imaginary parts into -0.0, and + 0.0 turns them back
+    rhs = [x.conjugate() for x in row] if exact else row.conj() + 0.0
     return GramSystem(
-        space=space, f=f, g=g, degree=degree, basis=tuple(basis),
-        matrix=G, rhs=c if exact else np.array(c, dtype=complex), g_norm_sq=norm_sq(space, g), exact=exact,
+        space=space, f=f, g=g, degree=degree, basis=tuple(basis), matrix=_gram_matrix(space, f, basis, exact),
+        rhs=rhs, g_norm_sq=norm_sq(space, g), exact=exact,
     )
 
 
@@ -256,6 +278,7 @@ def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: in
     """Build the Gram system of {z^beta f : |beta| <= max_degree} against
     target g, over the full graded basis."""
     _check_inputs(space, f, g)
+    max_degree = _degree(max_degree)
     exact = _exact_inputs(space, f, g) and not force_float
     return _gram_system(space, f, g, max_degree, graded_monomials(space.d, max_degree), exact)
 
@@ -421,12 +444,13 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     degree are factored, so the pivots are those of a profile to that
     degree; the other coefficients are 0 and ``basis`` is the full one.
     """
-    m = system.degree if degree is None else degree
+    m = system.degree if degree is None else _degree(degree)
     if m > system.degree:
         raise ValueError("requested degree exceeds the assembled system")
     size = system.block_sizes()[m]
-    index = {b: i for i, b in enumerate(system.basis[:size])}
-    rows = [i for i in map(index.get, _reachable(system.f, system.g, system.degree)) if i is not None]
+    code = _coder([system.degree + 1] * system.space.d)
+    reach = code(_exponents(_reachable(system.f, system.g, system.degree), system.space.d))
+    rows = np.flatnonzero(np.isin(code(_exponents(system.basis[:size], system.space.d)), reach)).tolist()
     top = _Factored(*_restrict(system, rows), system.g_norm_sq, system.exact, method)
     dist_sq, report, a = top.block(len(rows), size)
     solution = top.coefficients() if a is None else a
@@ -457,9 +481,7 @@ class ProfilePoint:
 def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, method: str = "auto") -> list[ProfilePoint]:
     """dist(g, {p f : deg p <= m})^2 for each m in degrees: one walk of the
     reachable basis, one assembly of it, one factorization."""
-    degrees = sorted(set(int(m) for m in degrees))
-    if degrees and degrees[0] < 0:
-        raise ValueError("degrees must be >= 0")
+    degrees = sorted(set(map(_degree, degrees)))
     _solve_path(method, True, 0)  # rejects an unknown method, also on an empty schedule
     if not degrees:
         return []
@@ -472,7 +494,7 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     system = _gram_system(space, f, g, top, basis, exact)
     sizes = system.block_sizes()
     t0 = time.perf_counter()
-    factored = _Factored(*_restrict(system, range(sizes[top])), system.g_norm_sq, system.exact, method)
+    factored = _Factored(system.matrix, system.rhs, system.g_norm_sq, system.exact, method)
     out = []
     for m in degrees:
         dist_sq, report, _ = factored.block(sizes[m], math.comb(space.d + m, space.d))
@@ -516,7 +538,7 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
     degree; computed as the top generalized eigenvalue of the section of
     M_phi* M_phi against the diagonal of monomial norms.
     """
-    basis = graded_monomials(space.d, max_degree)
+    basis = graded_monomials(space.d, _degree(max_degree))
     A = _gram_matrix(space, phi, basis, exact=False)
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
     vals = scipy.linalg.eigh(A, D, eigvals_only=True)

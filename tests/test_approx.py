@@ -13,6 +13,8 @@ from operator import add, sub
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from besovball import approx, embeddings
 from besovball.approx import (
@@ -480,13 +482,38 @@ def _gram_by_dictionary(space, f, basis, exact):
     return G
 
 
+def _rhs_by_dictionary(space, f, g, basis, exact):
+    """Oracle: c[i] = <g, z^(beta_i) f> by the per-row dictionary loop that
+    the one-row Gram pairing replaced, summed from 0 in the order of the
+    terms of f."""
+    cast, weight = path_casts(exact)
+    fconj = [(delta, cast(c).conjugate()) for delta, c in f.terms.items()]
+    gterms = {b: cast(c) for b, c in g.terms.items()}
+    c = [cast(0)] * len(basis)
+    for i, bi in enumerate(basis):
+        for delta, cd in fconj:
+            prod = tuple(map(add, bi, delta))
+            cg = gterms.get(prod)
+            if cg is not None:
+                c[i] = c[i] + cg * cd * weight(monomial_norm_sq(space, prod))
+    return c if exact else np.array(c, dtype=complex)
+
+
 def _assert_gram_equals_oracle(space, f, basis):
+    # g = 1 + f^2 puts several terms of f on the rows beta = eps of the
+    # right-hand side, so its summation order shows
+    g = SparsePoly.one(space.d) + f * f
+    degree = max((sum(b) for b in basis), default=0)
     exact = space.is_exact and f.is_exact()
     if exact:
         assert approx._gram_matrix(space, f, basis, True) == _gram_by_dictionary(space, f, basis, True)
+        assert approx._gram_system(space, f, g, degree, basis, True).rhs == _rhs_by_dictionary(space, f, g, basis, True)
     G = approx._gram_matrix(space, f, basis, False)
     assert G.dtype == complex and G.flags.c_contiguous
     assert np.array_equal(G, _gram_by_dictionary(space, f, basis, False))
+    # bitwise, once signed zeros are normalised
+    c = approx._gram_system(space, f, g, degree, basis, False).rhs
+    assert (c + 0.0).tobytes() == (_rhs_by_dictionary(space, f, g, basis, False) + 0.0).tobytes()
 
 
 GRAM_CASES = [
@@ -527,12 +554,98 @@ def test_gram_matrix_equals_the_dictionary_loop(space, f, m, monkeypatch):
     assert approx._gram_matrix(space, SparsePoly.zero(space.d), basis, False).shape == (len(basis), len(basis))
 
 
+def _past_int64_generator():
+    d = 23
+    return SparsePoly(d, {(0,) * d: 1, **{tuple(6 * (k == i) for k in range(d)): Fraction(-1, i + 2) for i in range(d)}})
+
+
 def test_gram_matrix_codes_past_int64():
     # radix 1 + 6 + 1 = 8 in each of 23 variables: the place value of z_1 is
     # 8^22 = 2^66, so the codes take Python integers
-    d = 23
-    f = SparsePoly(d, {(0,) * d: 1, **{tuple(6 * (k == i) for k in range(d)): Fraction(-1, i + 2) for i in range(d)}})
-    _assert_gram_equals_oracle(SpaceSpec.drury_arveson(d), f, graded_monomials(d, 1))
+    f = _past_int64_generator()
+    _assert_gram_equals_oracle(SpaceSpec.drury_arveson(f.dim), f, graded_monomials(f.dim, 1))
+
+
+def _reachable_by_sets(f, g, degree):
+    """Oracle: the walk on Python sets of exponent tuples that the coded
+    walk replaced, sorted into graded lex order by a Python key."""
+    d = f.dim
+    F = np.array(list(f.terms), dtype=np.int64).reshape(-1, d)
+    Gx = np.array(list(g.terms), dtype=np.int64).reshape(-1, d)
+    shifts = {tuple(map(sub, delta, eps)) for delta in f.terms for eps in f.terms if delta != eps}
+    S = np.array(sorted(shifts), dtype=np.int64).reshape(-1, d)
+
+    def inside(B):
+        return map(tuple, B[(B.min(axis=1) >= 0) & (B.sum(axis=1) <= degree)].tolist())
+
+    seen: set = set()
+    new = set(inside((Gx[:, None, :] - F[None, :, :]).reshape(-1, d)))
+    while new:
+        seen |= new
+        frontier = np.array(list(new), dtype=np.int64).reshape(-1, d)
+        new = set(inside((frontier[:, None, :] + S[None, :, :]).reshape(-1, d))) - seen
+    return sorted(seen, key=lambda b: (sum(b), [-e for e in b]))
+
+
+def _reachable_by_components(f, g, degree):
+    """Brute force: the connected components of the Gram pattern over the
+    full basis (beta_i - beta_j a difference of two exponents of f) that
+    meet the right-hand side (beta + delta an exponent of g), in basis
+    order."""
+    basis = graded_monomials(f.dim, degree)
+    shifts = {tuple(map(sub, delta, eps)) for delta in f.terms for eps in f.terms}
+    edges = [(i, j) for i, bi in enumerate(basis) for j, bj in enumerate(basis) if tuple(map(sub, bi, bj)) in shifts]
+    rows, cols = zip(*edges)
+    pattern = scipy.sparse.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(len(basis), len(basis)))
+    _, labels = connected_components(pattern, directed=False)
+    met = {labels[i] for i, b in enumerate(basis) if any(tuple(map(add, b, delta)) in g.terms for delta in f.terms)}
+    return [b for b, label in zip(basis, labels) if label in met]
+
+
+@pytest.mark.parametrize("space, f, m", GRAM_CASES)
+def test_reachable_equals_the_set_walk_and_the_components(space, f, m):
+    for g in (SparsePoly.one(space.d), SparsePoly.one(space.d) + f * f):
+        reach = approx._reachable(f, g, m)
+        assert reach == _reachable_by_sets(f, g, m) == _reachable_by_components(f, g, m)
+
+
+def test_reachable_equals_the_set_walk_at_scale():
+    # the rotated DA_4 walk (656 exponents), the paper-scale DA_4 walk, the
+    # long thin D_4 hierarchy walks, and a walk whose codes pass int64:
+    # radix 13 in 24 digits (the slack and 23 variables), 13^24 > 2^62
+    one4 = SparsePoly.one(4)
+    big = _past_int64_generator()
+    assert 13 ** 24 >= 1 << 62
+    cases = [
+        (_rotated_da4_generator(), one4, 12),
+        (_rotated_da4_generator(), one4 + SparsePoly(4, {(1, 0, 2, 0): 3}), 8),
+        (F4, one4, 400),
+        (ONE_MINUS_Z ** 2, ONE_MINUS_Z, 200),
+        (ONE_MINUS_Z ** 3, ONE_MINUS_Z ** 2, 200),
+        (big, SparsePoly.one(big.dim), 12),
+    ]
+    for f, g, m in cases:
+        assert approx._reachable(f, g, m) == _reachable_by_sets(f, g, m)
+    assert len(approx._reachable(big, SparsePoly.one(big.dim), 12)) == 1 + 23 + 23 * 24 // 2
+
+
+def test_bad_degrees_raise_value_error():
+    one = SparsePoly.one(2)
+    system = assemble_gram(DA2, F22, one, 2)
+    for bad in (-1, 2.5, math.inf, math.nan, "2"):
+        with pytest.raises(ValueError, match="degree"):
+            optimal_approximant(system, degree=bad)
+        with pytest.raises(ValueError, match="degree"):
+            assemble_gram(DA2, F22, one, bad)
+        with pytest.raises(ValueError, match="degree"):
+            finite_section_mult_bound(DA2, F22, bad)
+        with pytest.raises(ValueError, match="degree"):
+            distance_profile(DA2, F22, one, [0, bad])
+    with pytest.raises(ValueError, match="exceeds"):
+        optimal_approximant(system, degree=3)
+    # integral values of other types are degrees
+    assert [p.m for p in distance_profile(DA2, F22, one, [2.0, np.int64(0)])] == [0, 2]
+    assert optimal_approximant(system, degree=Fraction(2)).dist_sq == Fraction(8, 15)
 
 
 def _rotated_da4_generator():

@@ -232,6 +232,9 @@ def test_bad_inputs_exit_2():
     assert code == 2  # dimension mismatch
     code, _, err = run("verify-lemma", "no-such-check")
     assert code == 2
+    code, _, err = run("approx", "--space", DA2, "--f", F22, "--deg", "-1")
+    assert code == 2
+    assert "degree must be an integer >= 0" in err
 
 
 def test_usage_error_exit_code():
