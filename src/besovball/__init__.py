@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .scalars import ComplexRational, abs_sq, conj, is_exact_scalar, to_complex
 from .poly import (
-    Series1D,
     SparsePoly,
     is_outer_1d,
     poly_from_literal,
@@ -76,7 +75,7 @@ from .experiments import (
 __all__ = [
     "__version__",
     "ComplexRational", "abs_sq", "conj", "is_exact_scalar", "to_complex",
-    "Series1D", "SparsePoly", "is_outer_1d",
+    "SparsePoly", "is_outer_1d",
     "poly_from_literal", "poly_to_literal", "roots_1d", "series_invert",
     "BetaDensity", "ConstantDensity", "GeneralQuadrature", "NormalizedVolume",
     "PointMassAtOne", "SpaceSpec", "besov_da_ratio", "dilation_contraction_gap",

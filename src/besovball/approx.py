@@ -538,6 +538,8 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
     degree; computed as the top generalized eigenvalue of the section of
     M_phi* M_phi against the diagonal of monomial norms.
     """
+    if phi.dim != space.d:
+        raise ValueError("dimension mismatch between space and polynomials")
     basis = graded_monomials(space.d, _degree(max_degree))
     A = _gram_matrix(space, phi, basis, exact=False)
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])

@@ -26,14 +26,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
 from .approx import graded_monomials
-from .poly import SparsePoly, series_from_poly
+from .poly import SparsePoly, onevar_terms
 from .scalars import ComplexRational, abs_sq, to_complex
 from .spaces import CACHE_MAXSIZE, SpaceSpec
 
@@ -51,21 +50,14 @@ CHORD_GRID_NODES = 12  # nodes per axis, at most, of the reverse-Lipschitz grid
 # -- derivative functionals on the D_alpha scale ------------------------------
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _falling_sq_in_shifted_basis(j: int) -> tuple:
-    """Coefficients q_i with (n(n-1)...(n-j+1))^2 = sum_i q_i (n+1)^i."""
-    poly = [Fraction(1)]
+    """Fractions q_i with (n(n-1)...(n-j+1))^2 = sum_i q_i (n+1)^i."""
+    falling = SparsePoly.one(1)
     for i in range(j):
-        poly = _poly_mul(poly, [Fraction(-(i + 1)), Fraction(1)])  # (x - (i+1)) with x = n+1
-    return tuple(_poly_mul(poly, poly))
+        falling = falling * SparsePoly(1, {(0,): -(i + 1), (1,): 1})  # (x - (i+1)) with x = n+1
+    sq = falling * falling
+    return tuple(sq.coefficient((i,)).re for i in range(2 * j + 1))
 
 
 @dataclass(frozen=True)
@@ -75,10 +67,6 @@ class NormBracket:
     lower: float
     upper: float
     cutoff: int
-
-    @property
-    def norm_lower(self) -> float:
-        return math.sqrt(self.lower)
 
     @property
     def norm_upper(self) -> float:
@@ -187,14 +175,10 @@ class DerivativeFunctional:
 
     def apply(self, g: SparsePoly):
         """g^(j)(1); exact on the exact path."""
-        s = series_from_poly(g)
-        exact = g.is_exact()
-        total = ComplexRational() if exact else 0j
-        for n, a in enumerate(s.coeffs):
-            if n < self.j:
-                continue
-            w = math.factorial(n) // math.factorial(n - self.j)
-            total = total + a * w
+        total = ComplexRational() if g.is_exact() else 0j
+        for n, a in onevar_terms(g):
+            if n >= self.j:
+                total = total + a * math.perm(n, self.j)
         return total
 
 

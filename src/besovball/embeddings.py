@@ -1,6 +1,7 @@
 """Embeddings of one-variable function spaces into ball spaces.
 
-Two substitution operators carry one-variable polynomials into d variables:
+Two substitution operators carry one-variable polynomials (``SparsePoly``
+with dim 1; more variables raise ValueError) into d variables:
 
 * ``tau_compose``: lambda -> k^(k/2) z_1 ... z_k, so lambda^n maps to
   k^(nk/2) (z_1...z_k)^n.  The image of the disc space D_{(k-1)/2} sits in
@@ -19,17 +20,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Series1D, SparsePoly, series_from_poly
-from .scalars import ComplexRational, to_complex
+from .poly import SparsePoly, onevar_terms
+from .scalars import to_complex
 from .spaces import CACHE_MAXSIZE
-
-
-def _as_series(f) -> Series1D:
-    if isinstance(f, Series1D):
-        return f
-    if isinstance(f, SparsePoly):
-        return series_from_poly(f)
-    raise TypeError("expected a 1-variable polynomial or series")
 
 
 def _tau_scale(k: int, n: int):
@@ -57,13 +50,8 @@ def tau_compose(f, k: int, d: int) -> SparsePoly:
     """
     if k < 1 or d < k:
         raise ValueError("need 1 <= k <= d")
-    s = _as_series(f)
     terms = {}
-    for n, a in enumerate(s.coeffs):
-        if isinstance(a, ComplexRational) and not a:
-            continue
-        if not isinstance(a, ComplexRational) and a == 0:
-            continue
+    for n, a in onevar_terms(f):
         scale = _tau_scale(k, n)
         beta = tuple([n] * k + [0] * (d - k))
         terms[beta] = a * scale if not isinstance(scale, float) else to_complex(a) * scale
@@ -95,12 +83,12 @@ def sum_squares_compose(f, k: int, d: int) -> SparsePoly:
     """Compose a 1-variable polynomial with z_1^2 + ... + z_k^2 inside C^d (exact)."""
     if k < 1 or d < k:
         raise ValueError("need 1 <= k <= d")
-    s = _as_series(f)
+    coeffs = dict(onevar_terms(f))
     base = SparsePoly(d, {tuple(2 if i == j else 0 for i in range(d)): 1 for j in range(k)})
     # Horner in the substitution variable
     acc = SparsePoly.zero(d)
-    for a in reversed(s.coeffs):
-        acc = acc * base + a
+    for n in range(max(coeffs, default=0), -1, -1):
+        acc = acc * base + coeffs.get(n, 0)
     return acc
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from . import __version__ as _pkg_version
 from . import kernels
@@ -40,12 +41,12 @@ from .approx import (
 from .certify import Certificate, CubeMeasure, dual_lower_bound, energy_lower_bound
 from .embeddings import tau_compose
 from .poly import (
-    Series1D,
     SparsePoly,
+    dense_coeffs,
     is_outer_1d,
     poly_from_literal,
     poly_to_literal,
-    series_from_poly,
+    roots_1d,
     series_invert,
 )
 from .scalars import ComplexRational
@@ -398,10 +399,7 @@ def _check_slice_outer(params: dict) -> LemmaReport:
     for _ in range(points):
         z = rng.normal(size=d) + 1j * rng.normal(size=d)
         z = z / np.linalg.norm(z)
-        s = img.slice(tuple(z), k)
-        from .poly import roots_1d
-
-        roots = roots_1d(s)
+        roots = roots_1d(img.slice(tuple(z), k))
         for r, _mult in roots:
             min_mod = min(min_mod, abs(r))
             if abs(r) < 1 - margin:
@@ -436,13 +434,12 @@ def _check_onevar_derivative_bound(params: dict) -> LemmaReport:
         pr = p.dilate(r)
         inv = series_invert(pr, M)
         h = ((p ** n) * inv).truncate(M)
-        s = series_from_poly(h.to_float())
+        s = dense_coeffs(h)
         for k in range(1, n):
-            dk = s.derivative(k)
-            vals = np.polynomial.polynomial.polyval(circle_r * angles, np.array(dk.coeffs, dtype=complex))
+            vals = npp.polyval(circle_r * angles, npp.polyder(s, k))
             max_sup = max(max_sup, float(np.abs(vals).max()))
-        dn = s.derivative(n)
-        area = math.fsum(abs(c) ** 2 / (i + 1) for i, c in enumerate(dn.coeffs))
+        dn = npp.polyder(s, n)
+        area = math.fsum(abs(c) ** 2 / (i + 1) for i, c in enumerate(dn))
         max_area = max(max_area, area)
     passed = max_sup <= sup_bound and max_area <= area_bound
     return LemmaReport("onevar-derivative-bound", passed,

@@ -1,4 +1,4 @@
-"""Sparse polynomials in d complex variables and truncated 1-variable series.
+"""Sparse polynomials in d complex variables.
 
 A polynomial is a dict mapping exponent multi-indices (tuples of
 non-negative ints, one entry per variable) to nonzero coefficients.
@@ -8,6 +8,11 @@ or the float path (complex); see ``scalars``.
 The JSON literal for a polynomial maps the comma-joined exponent string
 to a coefficient list: ``[re_num, re_den, im_num, im_den]`` on the exact
 path, or ``[re, im]`` floats.
+
+One-variable objects (slices f(lambda z), the disc-side inputs of the
+embeddings, the arguments of boundary functionals) are ``SparsePoly(1, ...)``;
+``onevar_terms`` walks their coefficients by ascending degree and
+``dense_coeffs`` lays them out as a numpy array.
 """
 
 from __future__ import annotations
@@ -92,12 +97,6 @@ class SparsePoly:
         return SparsePoly(dim, {(0,) * dim: 1})
 
     @staticmethod
-    def variable(dim, j):
-        e = [0] * dim
-        e[j] = 1
-        return SparsePoly(dim, {tuple(e): 1})
-
-    @staticmethod
     def monomial(dim, beta, coeff=1):
         return SparsePoly(dim, {tuple(beta): coeff})
 
@@ -128,9 +127,6 @@ class SparsePoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(b) for b in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, n):
-        return SparsePoly(self.dim, {b: c for b, c in self.terms.items() if sum(b) == n})
 
     def homogeneous_parts(self):
         """dict degree -> homogeneous component, skipping zero components."""
@@ -256,18 +252,16 @@ class SparsePoly:
         return total
 
     def slice(self, z, max_degree):
-        """Slice series f(lambda z) = sum_n f_n(z) lambda^n for a boundary point z.
+        """Slice f(lambda z) = sum_n f_n(z) lambda^n for a boundary point z, as a
+        one-variable polynomial truncated at degree max_degree.
 
         Requires |z| = 1 within 1e-12.
         """
         nrm = math.sqrt(sum(abs(complex(p)) ** 2 for p in z))
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"slice point must lie on the unit sphere, |z| = {nrm}")
-        coeffs = [0j] * (max_degree + 1)
-        for n, part in self.homogeneous_parts().items():
-            if n <= max_degree:
-                coeffs[n] = part.evaluate(z)
-        return Series1D(coeffs)
+        parts = self.homogeneous_parts().items()
+        return SparsePoly(1, {(n,): part.evaluate(z) for n, part in parts if n <= max_degree})
 
     def to_float(self):
         return SparsePoly(self.dim, {b: to_complex(c) for b, c in self.terms.items()})
@@ -310,90 +304,6 @@ def series_invert(f: SparsePoly, max_degree: int) -> SparsePoly:
     return (SparsePoly(f.dim, acc) * inv_c0).truncate(max_degree)
 
 
-class Series1D:
-    """Truncated power series sum_{n<=M} a_n lambda^n in one variable."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        if not self.coeffs:
-            raise ValueError("need at least the constant coefficient")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series1D is immutable")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n):
-        return self.coeffs[n] if 0 <= n <= self.truncation else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Series1D):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def pad(self, m):
-        if m <= self.truncation:
-            return Series1D(self.coeffs[: m + 1])
-        return Series1D(self.coeffs + (0,) * (m - self.truncation))
-
-    def __add__(self, other):
-        m = max(self.truncation, other.truncation)
-        a, b = self.pad(m), other.pad(m)
-        return Series1D([x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __sub__(self, other):
-        m = max(self.truncation, other.truncation)
-        a, b = self.pad(m), other.pad(m)
-        return Series1D([x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def mul(self, other, max_degree=None):
-        if max_degree is None:
-            max_degree = self.truncation + other.truncation
-        out = [0] * (max_degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if i > max_degree:
-                break
-            for j, b in enumerate(other.coeffs):
-                if i + j > max_degree:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return Series1D(out)
-
-    def derivative(self, order=1):
-        c = self.coeffs
-        for _ in range(order):
-            c = tuple((n + 1) * c[n + 1] for n in range(len(c) - 1)) or (0,)
-        return Series1D(c)
-
-    def evaluate(self, lam) -> complex:
-        lam = complex(lam)
-        total = 0j
-        for a in reversed(self.coeffs):
-            total = total * lam + to_complex(a)
-        return total
-
-    def to_poly(self) -> SparsePoly:
-        return SparsePoly(1, {(n,): a for n, a in enumerate(self.coeffs)})
-
-    def __repr__(self):
-        return f"Series1D({list(self.coeffs)!r})"
-
-
-def series_from_poly(f: SparsePoly) -> Series1D:
-    if f.dim != 1:
-        raise ValueError("series_from_poly requires a 1-variable polynomial")
-    m = max(0, f.degree())
-    coeffs = [f.coefficient((n,)) for n in range(m + 1)]
-    return Series1D(coeffs)
-
-
 # -- JSON literals ----------------------------------------------------------
 
 
@@ -431,23 +341,40 @@ def poly_from_literal(lit, dim=None) -> SparsePoly:
     return SparsePoly(dim, terms)
 
 
-# -- one-variable roots ------------------------------------------------------
+# -- one-variable polynomials -----------------------------------------------
+
+
+def onevar_terms(f: SparsePoly) -> list:
+    """[(n, a_n)] for the nonzero coefficients of a one-variable polynomial,
+    by ascending n; ValueError for more variables."""
+    if f.dim != 1:
+        raise ValueError(f"expected a one-variable polynomial, got {f.dim} variables")
+    return sorted((b[0], c) for b, c in f.terms.items())
+
+
+def dense_coeffs(f: SparsePoly) -> np.ndarray:
+    """Complex array a_0, ..., a_deg of a one-variable polynomial, zeros
+    filled in; [0] for the zero polynomial."""
+    terms = onevar_terms(f)
+    arr = np.zeros(max(1, f.degree() + 1), dtype=complex)
+    for n, c in terms:
+        arr[n] = to_complex(c)
+    return arr
 
 
 def roots_1d(q, residual_tol=1e-9, cluster_tol=1e-7):
-    """Roots of a 1-variable polynomial (float path, companion matrix).
+    """Roots of a one-variable polynomial (float path, companion matrix).
 
-    Returns a list of (root, multiplicity).  Each root is checked by
-    back-substitution: |q(root)| < residual_tol * l2-norm of the
-    coefficients.  Roots closer than cluster_tol are merged.
+    q is a ``SparsePoly`` in one variable or a sequence of coefficients
+    a_0, a_1, ... by ascending degree.  Returns a list of (root,
+    multiplicity).  Each root is checked by back-substitution: |q(root)| <
+    residual_tol * l2-norm of the coefficients.  Roots closer than
+    cluster_tol are merged.
     """
-    if isinstance(q, Series1D):
-        coeffs = [to_complex(a) for a in q.coeffs]
-    elif isinstance(q, SparsePoly):
-        coeffs = [to_complex(a) for a in series_from_poly(q).coeffs]
+    if isinstance(q, SparsePoly):
+        arr = dense_coeffs(q)
     else:
-        coeffs = [complex(a) for a in q]
-    arr = np.asarray(coeffs, dtype=complex)
+        arr = np.asarray([complex(a) for a in q], dtype=complex)
     while arr.size > 1 and arr[-1] == 0:
         arr = arr[:-1]
     if arr.size <= 1:
@@ -472,7 +399,7 @@ def roots_1d(q, residual_tol=1e-9, cluster_tol=1e-7):
 
 
 def is_outer_1d(q, margin=1e-9) -> bool:
-    """True when the 1-variable polynomial has no zeros of modulus < 1 - margin.
+    """True when the one-variable polynomial has no zeros of modulus < 1 - margin.
 
     A polynomial with no zeros in the open disc is outer in the Hardy space
     of the disc; constants count as outer.

@@ -396,6 +396,6 @@ def slice_norm_gap(f: SparsePoly, z) -> float:
     """||f||^2_{H2_d} - sum_n |f_n(z)|^2 for |z| = 1; non-negative by
     Cauchy-Schwarz against the degree-n kernel component."""
     s = f.slice(z, max(0, f.degree()))
-    total = math.fsum(abs(to_complex(a)) ** 2 for a in s.coeffs)
+    total = math.fsum(abs(to_complex(a)) ** 2 for a in s.terms.values())
     da = SpaceSpec.drury_arveson(f.dim)
     return float(norm_sq(da, f.to_float())) - total

@@ -256,6 +256,13 @@ def test_finite_section_of_zero_is_zero():
     assert finite_section_mult_bound(DA2, SparsePoly.zero(2), 3) == 0.0
 
 
+def test_finite_section_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        finite_section_mult_bound(SpaceSpec.alpha_scale(4, 0), SparsePoly(2, {(1, 0): 1}), 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        finite_section_mult_bound(DA2, ONE_MINUS_Z, 3)
+
+
 def test_ratio_sweep_against_series_oracle():
     # p = 1 - z = (1-z), s = 1: h_r has coefficients 1, r-2, then
     # r^(n-2) (1-r)^2; sum the Besov weights directly

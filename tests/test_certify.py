@@ -122,6 +122,26 @@ def test_exact_parts_sum_exactly():
     assert certify._exact_parts(np.array([1.0, math.inf]))[-1] == math.inf
 
 
+def _dense_mul(p, q):
+    """Dense product of two Fraction coefficient lists (ascending degree)."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_falling_sq_matches_dense_expansion(j):
+    falling = [Fraction(1)]
+    for i in range(j):
+        falling = _dense_mul(falling, [Fraction(-(i + 1)), Fraction(1)])
+    want = tuple(_dense_mul(falling, falling))
+    got = certify._falling_sq_in_shifted_basis(j)
+    assert got == want
+    assert all(type(q) is Fraction for q in got)
+
+
 def test_derivative_functional_apply():
     fn = DerivativeFunctional(2, 6)
     # (1 - z)^3 has vanishing second derivative at z = 1
@@ -129,6 +149,11 @@ def test_derivative_functional_apply():
     assert fn.apply(cube) == 0
     sq = ONE_MINUS_Z * ONE_MINUS_Z
     assert fn.apply(sq) == 2
+    # sparse input: g = 3 z^5 - z^2 gives g''(1) = 60 - 2
+    assert fn.apply(SparsePoly(1, {(5,): 3, (2,): -1})) == 58
+    assert DerivativeFunctional(0, 2).apply(SparsePoly(1, {(4,): 0.5, (0,): 0.25j})) == 0.5 + 0.25j
+    with pytest.raises(ValueError):
+        fn.apply(SparsePoly(2, {(1, 1): 1}))
     with pytest.raises(ValueError):
         DerivativeFunctional(2, 4)  # needs alpha > 5
 

@@ -235,6 +235,9 @@ def test_bad_inputs_exit_2():
     code, _, err = run("approx", "--space", DA2, "--f", F22, "--deg", "-1")
     assert code == 2
     assert "degree must be an integer >= 0" in err
+    code, _, err = run("verify-lemma", "radial-mult-section", "--params", '{"space": {"d": 4, "kind": "alpha", "alpha": 0}}')
+    assert code == 2
+    assert "dimension mismatch" in err
 
 
 def test_usage_error_exit_code():

@@ -79,6 +79,20 @@ def test_sum_squares_anchors():
         2, {(4, 0): 1, (2, 2): 2, (0, 4): 1}
     )
     assert sum_squares_compose(SparsePoly.one(1), 2, 3) == SparsePoly.one(3)
+    assert sum_squares_compose(SparsePoly.zero(1), 2, 2) == SparsePoly.zero(2)
+
+
+def test_compose_sparse_inputs_and_rejects_more_variables():
+    # a gap in the degrees: 2 - lambda^3
+    f = SparsePoly(1, {(3,): -1, (0,): 2})
+    assert tau_compose(f, 2, 3) == SparsePoly(3, {(0, 0, 0): 2, (3, 3, 0): -8})
+    base = SparsePoly(2, {(2, 0): 1, (0, 2): 1})
+    assert sum_squares_compose(f, 2, 2) == 2 - base**3
+    # terms of the image come in ascending degree
+    assert list(tau_compose(f, 2, 2).terms) == [(0, 0), (3, 3)]
+    for compose in (tau_compose, sum_squares_compose):
+        with pytest.raises(ValueError, match="one-variable"):
+            compose(SparsePoly(2, {(1, 0): 1}), 2, 2)
 
 
 def _sk_enumeration_oracle(d, n):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from besovball.approx import ProfilePoint
 from besovball.experiments import (
@@ -17,6 +19,7 @@ from besovball.experiments import (
     verify_lemma,
     write_profile_csv,
 )
+from besovball.poly import SparsePoly, dense_coeffs, series_invert
 
 
 def test_spec_round_trip():
@@ -132,6 +135,28 @@ def test_lemma_check_forced_failure():
     rep = verify_lemma("onevar-derivative-bound", {"sup_bound": 0.1})
     assert not rep.passed
     assert rep.margins["max_sup_below_order"] > 0.1
+
+
+def _derivative_by_rule(coeffs, order):
+    """The coefficient rule c'[n] = (n + 1) c[n + 1], order times."""
+    c = tuple(coeffs)
+    for _ in range(order):
+        c = tuple((n + 1) * c[n + 1] for n in range(len(c) - 1)) or (0,)
+    return c
+
+
+def test_onevar_derivative_polyder_matches_coefficient_rule():
+    # the onevar-derivative-bound check differentiates with polyder; on its
+    # own inputs that equals the coefficient rule, zero signs included
+    p = SparsePoly(1, {(0,): 1, (1,): -1})
+    for r in (0.5, 0.9, 0.99):
+        h = ((p**2) * series_invert(p.dilate(r), 120)).truncate(120)
+        s = dense_coeffs(h)
+        for k in (1, 2, 3):
+            want = _derivative_by_rule([complex(a) for a in s], k)
+            got = npp.polyder(s, k)
+            assert got.tolist() == list(want)
+            assert got.tobytes() == np.array(want, dtype=complex).tobytes()
 
 
 def test_lemma_unknown_name():

@@ -1,4 +1,4 @@
-"""Exact polynomial algebra, truncated series, and one-variable root tools."""
+"""Exact polynomial algebra, slices, and one-variable root tools."""
 
 from __future__ import annotations
 
@@ -10,15 +10,15 @@ import pytest
 
 from besovball.poly import (
     FACTORIAL_RATIO_CACHE,
-    Series1D,
     SparsePoly,
+    dense_coeffs,
     factorial_ratio,
     is_outer_1d,
     multi_factorial,
+    onevar_terms,
     poly_from_literal,
     poly_to_literal,
     roots_1d,
-    series_from_poly,
     series_invert,
 )
 from besovball.scalars import ComplexRational
@@ -117,14 +117,18 @@ def test_slice_anchors():
     f = _p(2, {(0, 0): 1, (1, 1): -2})
     z = (1 / math.sqrt(2), 1 / math.sqrt(2))
     s = f.slice(z, 4)
-    assert abs(s[0] - 1) < 1e-12
-    assert abs(s[1]) < 1e-12
-    assert abs(s[2] + 1) < 1e-12  # -2 * (1/sqrt2)^2 = -1
+    assert s.dim == 1
+    assert abs(s.coefficient((0,)) - 1) < 1e-12
+    assert abs(s.coefficient((1,))) < 1e-12
+    assert abs(s.coefficient((2,)) + 1) < 1e-12  # -2 * (1/sqrt2)^2 = -1
     one = SparsePoly.one(2).slice(z, 2)
-    assert one.coeffs == (1, 0, 0)
+    assert one.terms == {(0,): 1}
     g = _p(2, {(0, 0): 1, (1, 0): -1})
     sg = g.slice((1.0, 0.0), 3)
-    assert abs(sg[0] - 1) < 1e-15 and abs(sg[1] + 1) < 1e-15
+    assert abs(sg.coefficient((0,)) - 1) < 1e-15 and abs(sg.coefficient((1,)) + 1) < 1e-15
+    # degrees above the truncation are dropped; the truncation degree is kept
+    assert f.slice(z, 1).terms == {(0,): 1}
+    assert f.slice(z, 2) == s
 
 
 def test_slice_rejects_off_sphere():
@@ -138,9 +142,9 @@ def test_slice_commutes_with_dilation():
     z = (0.6, 0.8)
     r = 0.5
     left = f.dilate(r).slice(z, 4)
-    right = series_from_poly(f.slice(z, 4).to_poly().dilate(r))
+    right = f.slice(z, 4).dilate(r)
     for n in range(5):
-        assert abs(complex(left[n]) - complex(right[n])) < 1e-12
+        assert abs(complex(left.coefficient((n,))) - complex(right.coefficient((n,)))) < 1e-12
 
 
 def test_series_invert_identities():
@@ -165,32 +169,33 @@ def test_series_invert_exact_rationals():
     assert (inv * f).truncate(5) == SparsePoly.one(2)
 
 
-def test_series1d_ops():
-    s = Series1D((1, -2, 3))
-    t = Series1D((0, 1))
-    assert (s + t).coeffs == (1, -1, 3)
-    assert s.mul(t, 3).coeffs == (0, 1, -2, 3)
-    assert s.derivative().coeffs == (-2, 6)
-    assert s.derivative(2).coeffs == (6,)
-    assert abs(s.evaluate(0.5) - (1 - 1 + 0.75)) < 1e-15
-    assert s.to_poly() == _p(1, {(0,): 1, (1,): -2, (2,): 3})
-    assert series_from_poly(s.to_poly()) == s
+def test_onevar_terms_and_dense_coeffs():
+    f = _p(1, {(3,): 2, (0,): 1, (1,): -0.5})
+    assert onevar_terms(f) == [(0, 1), (1, -0.5), (3, 2)]
+    arr = dense_coeffs(f)
+    assert arr.dtype == complex and arr.tolist() == [1, -0.5, 0, 2]
+    assert dense_coeffs(SparsePoly.zero(1)).tolist() == [0]
+    for bad in (onevar_terms, dense_coeffs, roots_1d):
+        with pytest.raises(ValueError):
+            bad(_p(2, {(1, 0): 1}))
 
 
 def test_roots_anchors():
-    s = Series1D((1, -0.5))  # 1 - lambda/2, root at 2
+    s = _p(1, {(0,): 1, (1,): -0.5})  # 1 - lambda/2, root at 2
     roots = roots_1d(s)
     assert len(roots) == 1
     root, mult = roots[0]
     assert mult == 1 and abs(root - 2.0) < 1e-9
     assert is_outer_1d(s)
+    assert roots_1d([1, -0.5]) == roots
 
-    lam = Series1D((0, 1))
+    lam = _p(1, {(1,): 1})
     roots = roots_1d(lam)
     assert len(roots) == 1 and abs(roots[0][0]) < 1e-12
     assert not is_outer_1d(lam)
+    assert not is_outer_1d([0, 1])
 
-    both = Series1D((1, 0, -1))  # roots at 1 and -1, on the boundary
+    both = _p(1, {(0,): 1, (2,): -1})  # roots at 1 and -1, on the boundary
     roots = sorted(roots_1d(both), key=lambda t: t[0].real)
     assert abs(roots[0][0] + 1) < 1e-9 and abs(roots[1][0] - 1) < 1e-9
     assert is_outer_1d(both)
@@ -198,16 +203,18 @@ def test_roots_anchors():
 
 def test_roots_multiplicity_clustering():
     # (1 - lambda)^3: triple root at 1
-    s = Series1D((1, -3, 3, -1))
-    roots = roots_1d(s)
-    assert sum(m for _, m in roots) == 3
-    assert all(abs(r - 1) < 1e-4 for r, _ in roots)
+    for s in ([1, -3, 3, -1], _p(1, {(0,): 1, (1,): -1}) ** 3):
+        roots = roots_1d(s)
+        assert sum(m for _, m in roots) == 3
+        assert all(abs(r - 1) < 1e-4 for r, _ in roots)
 
 
 def test_outer_constant_and_margin():
-    assert is_outer_1d(Series1D((5,)))
-    inner_root = Series1D((0.5, -1))  # root at 0.5, inside
+    assert is_outer_1d(_p(1, {(0,): 5}))
+    assert is_outer_1d([5])
+    inner_root = _p(1, {(0,): 0.5, (1,): -1})  # root at 0.5, inside
     assert not is_outer_1d(inner_root)
+    assert not is_outer_1d([0.5, -1])
 
 
 def test_literal_round_trip_exact():
