@@ -29,9 +29,11 @@ c as the conjugate of the one-row pairing <z^(beta_i) f, g>, and the
 section of ``finite_section_mult_bound``.  It finds the row of every
 candidate term from the codes with numpy, in blocks of at most
 GRAM_BLOCK_ENTRIES candidates, and computes each monomial weight once.  The
-float path adds the terms with np.bincount and the exact path as Fractions,
-both in the order of the pairs of terms, so G and c are bitwise those of
-the per-entry dictionary loops they replaced.  ``_reachable`` deduplicates
+float path adds the terms with np.bincount and the exact path as
+ComplexRational, both in the order of the pairs of terms, so G and c are
+those of the per-entry dictionary loops they replaced (bitwise on the float
+path, ``==`` on the exact one).  The float path refuses a system whose
+weights leave the normal float range.  ``_reachable`` deduplicates
 and sorts its walk on the same codes, and ``optimal_approximant`` finds the
 reachable rows of its basis by them.
 
@@ -57,8 +59,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 
@@ -69,8 +73,9 @@ from .poly import SparsePoly, series_invert
 from .scalars import ComplexRational, path_casts
 from .spaces import SpaceSpec, homogeneous_norms_sq, monomial_norm_sq, norm_sq
 
-# exact LDL* takes about 0.4 s on the 101 reachable unknowns of the banded
-# DA_4 system at m = 400, and 2.5 s on 120 dense unknowns
+# exact LDL* takes about 0.03 s on the 101 reachable unknowns of the banded
+# DA_4 system at m = 400, and 3.6 s on 120 dense unknowns (DA_3, m = 7, f and
+# g with every coefficient of degree <= 2 nonzero)
 AUTO_EXACT_LIMIT = 128
 PIVOT_COLLAPSE = 1e-13
 # float dist^2 = ||g||^2 - projection rounds in units of ||g||^2: a value in
@@ -161,7 +166,10 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
     only the weights of the exponents of g.  Columns go in blocks of at most
     GRAM_BLOCK_ENTRIES candidates (columns x pairs) and block entries
     (columns x rows); each entry is summed in (delta, eps) order, by
-    np.bincount on the float path and as Fractions on the exact path.
+    np.bincount on the float path and as ComplexRational on the exact path,
+    where each term is its product c_delta conj(d_eps) scaled by the real
+    weight in one step.  ArithmeticError on the float path when a weight is
+    below the normal float range (``_check_float_weights``).
     """
     g = f if g is None else g
     rows = basis if rows is None else rows
@@ -184,10 +192,9 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
     shifted = (R[:, None, :] + Fg[None, :, :]).reshape(-1, d)  # rho_i + eps, row i slowest
     _, first, weight_of = np.unique(code(shifted), return_index=True, return_inverse=True)
     weights = [weight(monomial_norm_sq(space, e)) for e in shifted[first].tolist()]
-    if exact:
-        parts = [(p.re, p.im) for p in prods]  # weights are real: two Fraction products per term
-    else:
+    if not exact:
         weights = np.array(weights, dtype=float)
+        _check_float_weights(space, shifted[first], weights, int(B.sum(axis=1).max()))
         re, im = np.array([(p.real, p.imag) for p in prods]).T
 
     step = max(1, min(GRAM_BLOCK_ENTRIES // len(prods), GRAM_BLOCK_ENTRIES // nr))
@@ -200,9 +207,7 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
         wk = weight_of[found * ng + pairs % ng]  # the weight of rho_i + eps = beta_j + delta
         if exact:
             for i, j, p, k in zip(found.tolist(), (cols + j0).tolist(), pairs.tolist(), wk.tolist()):
-                pr, pi = parts[p]
-                w = weights[k]
-                G[i][j] = G[i][j] + ComplexRational(pr * w, pi * w)
+                G[i][j] = G[i][j] + prods[p] * weights[k]  # a real weight scales in one step
             continue
         # bincount adds in input order from 0.0, so each entry is the sum of
         # its terms in (delta, eps) order
@@ -211,6 +216,21 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
         for part, out in ((re, G.real), (im, G.imag)):
             out[:, j0:j1] = np.bincount(target, part[pairs] * w, minlength=(j1 - j0) * nr).reshape(j1 - j0, nr).T
     return G
+
+
+def _check_float_weights(space: SpaceSpec, exps: np.ndarray, weights: np.ndarray, degree: int) -> None:
+    """ArithmeticError when a monomial weight rounds below the normal float
+    range: a subnormal weight keeps only some of its digits and an underflowed
+    one none, so the float system would be wrong without a sign of it."""
+    low = np.flatnonzero(weights < sys.float_info.min)
+    if not len(low):
+        return
+    e = exps[low[np.argmin(exps[low].sum(axis=1))]].tolist()  # the one of least degree
+    w = Fraction(monomial_norm_sq(space, e))
+    raise ArithmeticError(
+        f"the monomial weight ||z^{tuple(e)}||^2 = {Decimal(w.numerator) / Decimal(w.denominator):.4e} "
+        f"(degree {sum(e)}) is below the normal float range, so the float Gram system to degree {degree} "
+        'would lose its digits; use method="exact"')
 
 
 def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:

@@ -43,7 +43,6 @@ from .embeddings import tau_compose
 from .poly import (
     SparsePoly,
     dense_coeffs,
-    is_outer_1d,
     poly_from_literal,
     poly_to_literal,
     roots_1d,

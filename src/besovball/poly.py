@@ -86,6 +86,9 @@ class SparsePoly:
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
 
+    def __reduce__(self):
+        return SparsePoly, (self.dim, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

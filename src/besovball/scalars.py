@@ -2,107 +2,170 @@
 
 Coefficient arithmetic throughout the package runs on one of two paths:
 
-* exact: real and imaginary parts are ``fractions.Fraction``; every ring
-  operation and every norm computed from such coefficients is exact,
+* exact: ``ComplexRational``, a Gaussian rational; every ring operation and
+  every norm computed from such coefficients is exact,
 * float: ordinary ``complex`` numbers.
 
-``ComplexRational`` is the exact scalar.  Its constructor and ``coerce``
-refuse floats, but its arithmetic degrades to ``complex`` against a float
-or complex operand (``ComplexRational(1) * 0.5 == 0.5+0j``); use
-:func:`to_complex` at the boundary where a float value is wanted.
+``ComplexRational`` holds ``(a + b*i) / d`` as three Python integers with
+``d > 0`` and ``gcd(a, b, d) = 1``, so equal values have equal fields and
+each operation is a few integer products and one three-way ``math.gcd``.
+Its parts ``re`` and ``im`` read as ``fractions.Fraction``:
+
+>>> x = ComplexRational(Fraction(1, 2), Fraction(1, 3))
+>>> x
+ComplexRational(1/2, 1/3)
+>>> x.re, x.im
+(Fraction(1, 2), Fraction(1, 3))
+>>> x * x.conjugate() == x.abs2() == Fraction(13, 36)
+True
+>>> (x / x, (x - x).is_real, x ** 2)
+(ComplexRational(1), True, ComplexRational(5/36, 1/3))
+
+The normal form: zero is ``0 / 1``, and a common factor of the three
+integers is divided out.
+
+>>> y = ComplexRational(Fraction(2, 4), Fraction(4, 8))
+>>> y._a, y._b, y._d
+(1, 1, 2)
+>>> z = y - y
+>>> z._a, z._b, z._d
+(0, 0, 1)
+
+A real value equals, and hashes like, the same int or ``Fraction``:
+
+>>> ComplexRational(3) == 3, hash(ComplexRational(Fraction(1, 3))) == hash(Fraction(1, 3))
+(True, True)
+
+The constructor and ``coerce`` refuse floats, but arithmetic degrades to
+``complex`` against a float or complex operand; use :func:`to_complex` at
+the boundary where a float value is wanted.
+
+>>> ComplexRational(1) * 0.5
+(0.5+0j)
+>>> ComplexRational(1, 2) + 1j
+(1+3j)
+>>> ComplexRational(0.5)
+Traceback (most recent call last):
+    ...
+TypeError: not an exact rational: 0.5
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, Rational)):
-        return Fraction(x)
+    if isinstance(x, Rational):  # int, bool, numpy integers, other rationals
+        return Fraction(int(x.numerator), int(x.denominator))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _exact_parts(x):
+    """(a, b, d) of an exact scalar x = (a + b*i) / d in normal form, or None
+    when x is not exact (a float, a complex or anything else)."""
+    t = type(x)
+    if t is ComplexRational:
+        return x._a, x._b, x._d
+    if t is int:
+        return x, 0, 1
+    if t is Fraction:
+        return x.numerator, 0, x.denominator
+    if isinstance(x, Rational):
+        x = _as_fraction(x)
+        return x.numerator, 0, x.denominator
+    return None
+
+
 class ComplexRational:
-    """A Gaussian rational a + b*i with Fraction components."""
+    """A Gaussian rational (a + b*i) / d: integers a, b, d with d > 0 and
+    gcd(a, b, d) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+    def __new__(cls, re=0, im=0):
+        re, im = _as_fraction(re), _as_fraction(im)
+        return _normal(re.numerator * im.denominator, im.numerator * re.denominator, re.denominator * im.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ComplexRational is immutable")
+
+    def __reduce__(self):
+        return ComplexRational, (self.re, self.im)
 
     @staticmethod
     def coerce(x):
         """Coerce an int/Fraction/ComplexRational; reject floats."""
         if isinstance(x, ComplexRational):
             return x
-        return ComplexRational(_as_fraction(x))
+        if type(x) is int:
+            return _raw(x, 0, 1)
+        x = _as_fraction(x)
+        return _raw(x.numerator, 0, x.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # Binary ops stay exact against exact operands and degrade to complex
     # against float/complex ones, so mixed-path expressions do the obvious
     # thing while is_exact() still reports the truth.
 
     def __add__(self, other):
-        try:
-            o = ComplexRational.coerce(other)
-        except TypeError:
+        o = _exact_parts(other)
+        if o is None:
             return complex(self) + other
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        return _sum(self._a, self._b, self._d, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            o = ComplexRational.coerce(other)
-        except TypeError:
+        o = _exact_parts(other)
+        if o is None:
             return complex(self) - other
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        return _sum(self._a, self._b, self._d, -a, -b, d)
 
     def __rsub__(self, other):
-        try:
-            o = ComplexRational.coerce(other)
-        except TypeError:
+        o = _exact_parts(other)
+        if o is None:
             return other - complex(self)
-        return o - self
+        return _sum(*o, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        try:
-            o = ComplexRational.coerce(other)
-        except TypeError:
+        o = _exact_parts(other)
+        if o is None:
             return complex(self) * other
-        return ComplexRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o
+        if e == 0:  # a real factor: weights, pivots, integers
+            return _scale(a, b, d, c, f)
+        return _normal(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = ComplexRational.coerce(other)
-        except TypeError:
+        o = _exact_parts(other)
+        if o is None:
             return complex(self) / other
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / den,
-            (self.im * o.re - self.re * o.im) / den,
-        )
+        return _quotient(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
-        try:
-            o = ComplexRational.coerce(other)
-        except TypeError:
+        o = _exact_parts(other)
+        if o is None:
             return other / complex(self)
-        return o / self
+        return _quotient(*o, self._a, self._b, self._d)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -117,44 +180,104 @@ class ComplexRational:
         return out
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def conjugate(self):
-        return ComplexRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|x|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def __eq__(self, other):
-        try:
-            o = ComplexRational.coerce(other)
-        except TypeError:
+        o = _exact_parts(other)
+        if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._a, self._b, self._d) == o
 
     def __hash__(self):
-        if self.im == 0:
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __repr__(self):
-        if self.im == 0:
+        if self._b == 0:
             return f"ComplexRational({self.re})"
         return f"ComplexRational({self.re}, {self.im})"
+
+
+_set_a, _set_b, _set_d = ComplexRational._a.__set__, ComplexRational._b.__set__, ComplexRational._d.__set__
+_new = object.__new__
+
+
+def _raw(a, b, d):
+    """The ComplexRational with fields (a, b, d), already in normal form."""
+    x = _new(ComplexRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _normal(a, b, d):
+    """(a + b*i) / d for d > 0, with the common factor divided out."""
+    g = gcd(d, a, b)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
+
+
+def _scale(a, b, d, c, f):
+    """(a + b*i)/d * c/f for normal forms with f > 0.  No prime of d divides
+    both a and b, and none of f divides c, so only gcd(c, d) and gcd(f, a, b)
+    can divide out, and they are taken on the factors, before multiplying."""
+    g = gcd(c, d)
+    if g != 1:
+        c, d = c // g, d // g
+    g = gcd(f, a, b)
+    if g != 1:
+        a, b, f = a // g, b // g, f // g
+    return _raw(a * c, b * c, d * f)
+
+
+def _sum(a, b, d, c, e, f):
+    """(a + b*i)/d + (c + e*i)/f, both in normal form, over the lcm of the
+    denominators.  With d = s*g and f = t*g, g = gcd(d, f), the numerator
+    shares no prime with s or t (a prime of s divides d but not t, and not
+    both of a, b), so only gcd(numerator, g) can divide out."""
+    g = gcd(d, f)
+    if g == 1:
+        return _raw(a * f + c * d, b * f + e * d, d * f)
+    s, t = d // g, f // g
+    a, b = a * t + c * s, b * t + e * s
+    h = gcd(g, a, b)
+    if h != 1:
+        a, b, f = a // h, b // h, f // h
+    return _raw(a, b, s * f)
+
+
+def _quotient(a, b, d, c, e, f):
+    """((a + b*i)/d) / ((c + e*i)/f) = (a + b*i)(c - e*i) f / (d (c^2 + e^2))."""
+    if e == 0:
+        if c == 0:
+            raise ZeroDivisionError("division by zero ComplexRational")
+        return _scale(a, b, d, f, c) if c > 0 else _scale(a, b, d, -f, -c)
+    return _normal((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
 
 def is_exact_scalar(x) -> bool:

@@ -28,10 +28,9 @@ from besovball.certify import CubeMeasure, dual_lower_bound, energy_lower_bound
 from besovball.embeddings import sk_coefficient, sk_coefficient_ratios, tau_compose
 from besovball.experiments import (
     dilation_contraction_gap,
-    is_outer_1d,
     slice_norm_gap,
 )
-from besovball.poly import SparsePoly, multi_factorial
+from besovball.poly import SparsePoly, is_outer_1d, multi_factorial
 from besovball.scalars import ComplexRational, abs_sq
 from besovball.spaces import (
     BetaDensity,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -428,6 +430,110 @@ def test_paper_scale_da4_profile_never_lists_the_full_basis(monkeypatch):
     assert (pt.path, pt.unknowns, pt.full_unknowns) == ("exact", 101, math.comb(404, 4))
     assert pt.dist_sq == float(_onevar_da4_dist_sq(400))
     assert math.sqrt(pt.dist_sq) == 0.890665365512072
+
+
+def test_float_path_refuses_subnormal_weights():
+    # ||(z1 z2 z3 z4)^n||^2 = (n!)^4/(4n)! leaves the normal float range at
+    # n = 130 (9.9e-310), which the float system of 1 - 16 z1z2z3z4 needs from
+    # m = 516 on; at m = 540 it read 0.7911240707354159, 1.5e-5 relative
+    # off, and at m = 544 it raised a clamp error.  auto takes the float path
+    # there (more than 128 reachable unknowns), and the exact path serves
+    for m in (540, 544):
+        for method in ("float", "auto"):
+            with pytest.raises(ArithmeticError, match=rf"z\^\(130, 130, 130, 130\)\|\|\^2 = 9\.9312e-310 \(degree 520\)"
+                                                      rf".* to degree {m} .*method=\"exact\""):
+                cyclicity_profile(DA4, F4, [m], method=method)
+    (ex,) = cyclicity_profile(DA4, F4, [540], method="exact")
+    assert ex.dist_sq == float(_onevar_da4_dist_sq(540)) == 0.7911123925458918
+    # the last weights in range still give the exact value to rounding
+    (flt,) = cyclicity_profile(DA4, F4, [508], method="float")
+    (ex,) = cyclicity_profile(DA4, F4, [508], method="exact")
+    assert (flt.path, ex.path, flt.unknowns) == ("float", "exact", 128)
+    assert flt.dist_sq == pytest.approx(ex.dist_sq, rel=0, abs=1e-12)
+
+
+def test_exact_results_survive_pickle_and_deepcopy():
+    res = optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), 4), method="exact")
+    flt = optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), 4, force_float=True))
+    assert res.exact and any(res.coefficients) and not flt.exact
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        again = clone(res)
+        assert again == res and type(again.dist_sq) is Fraction
+        assert all(type(c) is ComplexRational for c in again.coefficients)
+        assert clone(res.polynomial(2)) == res.polynomial(2) == again.polynomial(2)
+        assert clone(F22).terms == F22.terms and clone(F22.to_float()).terms == F22.to_float().terms
+        assert clone(flt).dist_sq == flt.dist_sq and np.array_equal(clone(flt).coefficients, flt.coefficients)
+
+
+def _ldl_pairs(G, c):
+    """LDL* with L y = c on (re, im) pairs of Fractions, the textbook loop:
+    the oracle of _ldl_exact.  Returns (L, y, D, gains) as pairs."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def sub(x, y):
+        return x[0] - y[0], x[1] - y[1]
+
+    def conj(x):
+        return x[0], -x[1]
+
+    zero = (Fraction(0), Fraction(0))
+    n = len(c)
+    L = [[zero] * n for _ in range(n)]
+    D, y = [], []
+    for i in range(n):
+        acc, yi = G[i][i], c[i]
+        for k in range(i):
+            if L[i][k] != zero:
+                acc = sub(acc, mul(mul(L[i][k], conj(L[i][k])), (D[k], 0)))
+                yi = sub(yi, mul(L[i][k], y[k]))
+        assert acc[1] == 0 and acc[0] > 0
+        D.append(acc[0])
+        y.append(yi)
+        for j in range(i + 1, n):
+            s = G[j][i]
+            for k in range(i):
+                if L[i][k] != zero:
+                    s = sub(s, mul(mul(L[j][k], conj(L[i][k])), (D[k], 0)))
+            L[j][i] = (s[0] / D[i], s[1] / D[i])
+    return L, y, D, [(v[0] ** 2 + v[1] ** 2) / d for v, d in zip(y, D)]
+
+
+def _assert_ldl_equals_the_pair_oracle(G, c):
+    def pair(x):
+        return x.re, x.im
+
+    L, y, D, gains = approx._ldl_exact(G, c)
+    L0, y0, D0, gains0 = _ldl_pairs([[pair(x) for x in row] for row in G], [pair(x) for x in c])
+    assert D == D0 and gains == gains0
+    assert all(type(v) is Fraction for v in D + gains)
+    assert [pair(v) for v in y] == y0
+    n = len(c)
+    assert [[pair(L[j][i]) for i in range(j)] for j in range(n)] == [L0[j][:j] for j in range(n)]
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (4, 2), (7, 3), (12, 4)])
+def test_ldl_exact_equals_the_fraction_pair_oracle_on_dense_systems(n, seed):
+    # G = B B* + I: Hermitian positive definite, every entry nonzero
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    B = [[ComplexRational(rational(), rational()) for _ in range(n)] for _ in range(n)]
+    G = [[sum((B[i][k] * B[j][k].conjugate() for k in range(n)), ComplexRational(int(i == j))) for j in range(n)]
+         for i in range(n)]
+    c = [ComplexRational(rational(), rational()) for _ in range(n)]
+    _assert_ldl_equals_the_pair_oracle(G, c)
+
+
+def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_da4_system():
+    # 101 banded unknowns at m = 400 whose weights run down to 1e-236: pivots
+    # of hundreds of digits
+    one = SparsePoly.one(4)
+    system = approx._gram_system(DA4, F4, one, 400, approx._reachable(F4, one, 400), True)
+    assert len(system.basis) == 101
+    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs)
 
 
 def test_target_orthogonal_to_every_multiple_has_no_unknowns():
