@@ -34,7 +34,7 @@ from . import kernels
 from .approx import graded_monomials
 from .poly import SparsePoly, onevar_terms
 from .scalars import ComplexRational, abs_sq, to_complex
-from .spaces import CACHE_MAXSIZE, SpaceSpec
+from .spaces import CACHE_MAXSIZE, SpaceSpec, check_int
 
 SPHERE_TOL = 1e-12
 SUPPORT_TOL = 1e-10
@@ -77,6 +77,13 @@ class NormBracket:
         return (self.upper - self.lower) / self.lower if self.lower > 0 else math.inf
 
 
+def _check_bounded(j: int, alpha) -> None:
+    """ValueError unless j is an integer >= 0 and alpha > 2j + 1 (L_j bounded)."""
+    check_int("the order j", j, 0)
+    if not float(alpha) > 2 * j + 1:
+        raise ValueError(f"the order-{j} boundary derivative is unbounded for alpha = {alpha} <= {2 * j + 1}")
+
+
 def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
     """Bracket ||L_j||^2 = sum_{n>=j} (n!/(n-j)!)^2 (n+1)^(-alpha).
 
@@ -89,9 +96,8 @@ def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
     of them is the exactly rounded partial sum, so memory stays bounded by
     one chunk and the bracket does not depend on the chunking.
     """
+    _check_bounded(j, alpha)
     alpha = float(alpha)
-    if alpha <= 2 * j + 1:
-        raise ValueError(f"functional of order {j} is unbounded for alpha = {alpha}")
     q = _falling_sq_in_shifted_basis(j)
 
     def tail_bracket(M: int):
@@ -165,13 +171,7 @@ class DerivativeFunctional:
     alpha: object
 
     def __post_init__(self):
-        if self.j < 0:
-            raise ValueError("j must be >= 0")
-        if float(self.alpha) <= 2 * self.j + 1:
-            raise ValueError(f"order-{self.j} boundary derivative is unbounded for alpha = {self.alpha}")
-
-    def norm_sq_bracket(self, rel_tol: float = 1e-8) -> NormBracket:
-        return functional_norm(self.j, self.alpha, rel_tol=rel_tol)
+        _check_bounded(self.j, self.alpha)
 
     def apply(self, g: SparsePoly):
         """g^(j)(1); exact on the exact path."""
@@ -232,7 +232,7 @@ def dual_lower_bound(space: SpaceSpec, g: SparsePoly, h: SparsePoly, j: int) -> 
     Lg_abs = math.sqrt(float(abs_sq(Lg)))
     if Lg_abs == 0:
         raise ValueError("L_j(g) = 0: the dual certificate is vacuous")
-    bracket = func.norm_sq_bracket()
+    bracket = functional_norm(j, space.alpha)
     lower = Lg_abs / bracket.norm_upper
     audit = {
         "j": j,
@@ -292,10 +292,7 @@ class CubeMeasure:
         """Parametrizes the sphere part of the zero set of 1 - k^(k/2) z_1...z_k:
         points k^(-1/2)(e^(i a_1), ..., e^(i a_(k-1)), e^(-i(a_1+...+a_(k-1)))).
         """
-        if k < 2 or d < k:
-            raise ValueError("need 2 <= k <= d")
-        if not (0 < shrink < 1):
-            raise ValueError("shrink must be in (0,1)")
+        _check_chart(k, d, shrink)
         m = k - 1
         ang_scale = math.pi * (1.0 - shrink)
         inv_sqrt_k = 1.0 / math.sqrt(k)
@@ -316,10 +313,7 @@ class CubeMeasure:
     def sphere_patch(k: int, d: int, shrink: float = 0.1) -> "CubeMeasure":
         """Parametrizes a patch of the real unit sphere of R^k inside the zero
         set of 1 - (z_1^2 + ... + z_k^2); m = k - 1 parameters."""
-        if k < 2 or d < k:
-            raise ValueError("need 2 <= k <= d")
-        if not (0 < shrink < 1):
-            raise ValueError("shrink must be in (0,1)")
+        _check_chart(k, d, shrink)
         m = k - 1
         polar_half = (math.pi / 2.0) * (1.0 - shrink)
         azim = math.pi * (1.0 - shrink)
@@ -361,6 +355,14 @@ class CubeMeasure:
         h = 2.0 / n
         T = _tensor(-1.0 + (np.arange(n) + 0.5 + offset) * h, self.m)
         return T, self.points(T)
+
+
+def _check_chart(k: int, d: int, shrink: float) -> None:
+    """The arguments of the named cube families: 2 <= k <= d, 0 < shrink < 1."""
+    if k < 2 or d < k:
+        raise ValueError("need 2 <= k <= d")
+    if not (0 < shrink < 1):
+        raise ValueError("shrink must be in (0,1)")
 
 
 def _tensor(axis: np.ndarray, m: int) -> np.ndarray:
@@ -416,7 +418,9 @@ def _param_inv_sq_integral(m: int, n: int) -> float:
 def param_inv_sq_integral(m: int, n_base: int = 64, rel_tol: float = ENERGY_DOUBLING_TOL):
     """(value, rel_change, n_final) for the parameter-box integral, with
     midpoint-grid doubling until the change falls under rel_tol; ValueError,
-    before building it, for a grid past BOX_GRID_POINTS points."""
+    before building it, for a grid past BOX_GRID_POINTS points or an n_base
+    that is not an integer >= 1."""
+    check_int("n_base", n_base, 1)
     n, prev = n_base, None
     while True:
         if n**m > BOX_GRID_POINTS:
@@ -482,11 +486,16 @@ def _level_cost(measure: CubeMeasure, n: int) -> int:
 
 
 def _check_energy_budget(measure: CubeMeasure, n_base: int, max_doublings: int) -> None:
-    """ValueError if the last level of ``energy`` (n_base 2^max_doublings nodes
-    per axis), the lattice path's base-grid check or the reverse-Lipschitz
-    grid needs more than ENERGY_PAIR_BUDGET kernel evaluations; the levels
-    grow with n, so the last one is the largest, and the chord grid is
-    counted at its largest size."""
+    """ValueError unless m >= 3 (the energy diverges below), n_base is an
+    integer >= 1 and max_doublings one >= 0; and if the last level of
+    ``energy`` (n_base 2^max_doublings nodes per axis), the lattice path's
+    base-grid check or the reverse-Lipschitz grid needs more than
+    ENERGY_PAIR_BUDGET kernel evaluations; the levels grow with n, so the
+    last one is the largest, and the chord grid is counted at its largest size."""
+    if measure.m < 3:
+        raise ValueError(f"energy of {measure.label}: the cube needs dimension m >= 3, got m = {measure.m}")
+    check_int("n_base", n_base, 1)
+    check_int("max_doublings", max_doublings, 0)
     n_last = n_base * 2**max_doublings
     path = "lattice" if measure.shift_invariant else "pair"
     needs = {f"the {path} sum at n = {n_last}": _level_cost(measure, n_last)}
@@ -514,10 +523,8 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     grid are held to ENERGY_PAIR_BUDGET kernel evaluations: past it,
     ValueError before any quadrature.
     """
-    if measure.m < 3:
-        raise ValueError(f"energy requires a cube of dimension >= 3, got m = {measure.m}")
-    m = measure.m
     _check_energy_budget(measure, n_base, max_doublings)
+    m = measure.m
     # before the quadrature, so a box integral past its grid budget fails at once
     integral, _, _ = param_inv_sq_integral(m)
     lattice = measure.shift_invariant
@@ -580,13 +587,11 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
     records the vanishing of the monomial pairings integral z^beta f dmu up
     to degree 6, the quadrature energy, and the bound provenance.
     """
+    _check_energy_budget(measure, n_base, max_doublings)  # before the support grid
     if space.kind != "alpha" or float(space.alpha) != 0.0:
         raise ValueError("energy certificates require the Drury-Arveson space (alpha = 0)")
     if space.d != measure.d or f.dim != measure.d:
         raise ValueError("dimension mismatch between space, polynomial and measure")
-    if measure.m < 3:
-        raise ValueError(f"energy certificates need a cube of dimension >= 3, got m = {measure.m}")
-    _check_energy_budget(measure, n_base, max_doublings)  # before the support grid
 
     n_check = max(n_base, 8)
     T, Z = measure.grid(n_check, offset=0.0)
@@ -601,16 +606,10 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
     lower = mu_total / math.sqrt(res.analytic_upper)
 
     wq = measure.scale * (2.0 / n_check) ** measure.m
-    pairings = {}
     pair_max = 0.0
     for beta in graded_monomials(measure.d, 6):
-        mono = np.ones(Z.shape[0], dtype=complex)
-        for i, e in enumerate(beta):
-            if e:
-                mono *= Z[:, i] ** e
-        val = abs(complex(np.sum(mono * fvals) * wq))
-        pair_max = max(pair_max, val)
-    pairings["max_abs_monomial_pairing_deg6"] = pair_max
+        mono = evaluate_on_points(SparsePoly.monomial(measure.d, beta), Z)
+        pair_max = max(pair_max, abs(complex(np.sum(mono * fvals) * wq)))
 
     audit = {
         "mu_total": mu_total,
@@ -625,7 +624,7 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
         "bound_constant_form": "2/c^2 via |1-<z,w>| >= |z-w|^2/2 >= (c^2/2)|t-s|^2",
         "alt_constant_2_over_c_value": (2.0 / res.c_estimate) * res.param_integral * measure.scale**2,
         "support_max_abs_f": support_dev,
-        **pairings,
+        "max_abs_monomial_pairing_deg6": pair_max,
     }
     grid = {
         "family": measure.label,

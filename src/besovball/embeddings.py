@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import SparsePoly, onevar_terms
+from .poly import SparsePoly, factorial_ratio, onevar_terms
 from .scalars import to_complex
 from .spaces import CACHE_MAXSIZE
 
@@ -62,7 +62,7 @@ def tau_compose(f, k: int, d: int) -> SparsePoly:
 def tkd_monomial_norm_sq(k: int, n: int) -> Fraction:
     """Exact ||tau image of lambda^n||^2 in the Drury-Arveson space:
     k^(nk) (n!)^k / (nk)! (independent of the ambient d >= k)."""
-    return Fraction(tau_scale_sq(k, n) * math.factorial(n) ** k, math.factorial(n * k))
+    return tau_scale_sq(k, n) * factorial_ratio((n,) * k)
 
 
 def tkd_norm_ratios(k: int, max_degree: int) -> list[float]:

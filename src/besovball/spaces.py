@@ -14,7 +14,15 @@ and monomials are pairwise orthogonal.
 The D_alpha scale uses W_n = (n+1)^alpha directly: alpha = 0 is the
 d-variable Drury-Arveson space, alpha = -(d-1) is norm-equal to the Hardy
 space of the sphere only when d = 1 or d = 2 (it is norm-equivalent in
-general, which is why the exact sphere norm has its own function here).
+general).  The exact sphere norm is the order-0 space over the point mass
+at r = 1.  A space is exact (Fraction weights) when its measure is, or when
+its alpha is an integer, int or Fraction:
+
+>>> z1z2 = SparsePoly.monomial(2, (1, 1))
+>>> hardy_sphere_norm_sq(z1z2) == Fraction(1, 6) == norm_sq(SpaceSpec.besov(2, 0, PointMassAtOne()), z1z2)
+True
+>>> SpaceSpec.alpha_scale(1, Fraction(4)).is_exact, SpaceSpec.alpha_scale(1, 0.5).is_exact
+(True, False)
 
 Admissibility requires mu((r,1]) > 0 for every r < 1; the named measures
 satisfy it structurally, quadrature measures are checked at construction.
@@ -31,11 +39,23 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import SparsePoly, factorial_ratio
-from .scalars import ComplexRational, abs_sq, path_casts, to_complex
+from .scalars import abs_sq, path_casts, to_complex
 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
 CACHE_MAXSIZE = 4096
+
+
+def check_int(name: str, value, least: int) -> None:
+    """ValueError, naming the argument, unless value is an int >= least."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _json_int(x):
+    """A whole JSON number as an int; anything else is left to check_int."""
+    return int(x) if isinstance(x, float) and x.is_integer() else x
+
 
 # -- radial measures ---------------------------------------------------------
 
@@ -62,8 +82,7 @@ class NormalizedVolume:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        check_int("dim", self.dim, 1)
 
     def moment(self, n: int) -> Fraction:
         # V(rB) = r^(2 dim)  =>  dmu = 2 dim r^(2 dim - 1) dr
@@ -101,8 +120,7 @@ class BetaDensity:
     beta: int
 
     def __post_init__(self):
-        if not isinstance(self.beta, int) or self.beta < 0:
-            raise ValueError("beta must be an integer >= 0")
+        check_int("beta", self.beta, 0)
 
     def moment(self, n: int) -> Fraction:
         # 2 * B(2n+2, beta+1), exact
@@ -132,11 +150,11 @@ class GeneralQuadrature:
         nodes.flags.writeable = weights.flags.writeable = False
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("nodes and weights must be matching 1-d arrays")
-        if nodes.min() < 0 or nodes.max() > 1:
+        if not (nodes.min() >= 0 and nodes.max() <= 1):
             raise ValueError("nodes must lie in [0,1]")
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):
             raise ValueError("weights must be non-negative")
-        if nodes[weights > 0].max() < 0.99:
+        if not np.any(nodes[weights > 0] >= 0.99):
             raise ValueError("measure has no mass near r = 1 (inadmissible)")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -177,12 +195,12 @@ def measure_from_json(obj):
     if kind == "point_mass_one":
         return PointMassAtOne()
     if kind == "volume":
-        return NormalizedVolume(int(obj["dim"]))
+        return NormalizedVolume(_json_int(obj["dim"]))
     if kind == "constant_density":
         c = obj.get("c", [1, 1])
         return ConstantDensity(Fraction(int(c[0]), int(c[1])))
     if kind == "beta_density":
-        return BetaDensity(int(obj["beta"]))
+        return BetaDensity(_json_int(obj["beta"]))
     if kind == "quadrature":
         return GeneralQuadrature(obj["nodes"], obj["weights"])
     raise ValueError(f"unknown measure type: {kind!r}")
@@ -202,16 +220,14 @@ class SpaceSpec:
     alpha: object | None = None  # int/Fraction (exact) or float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        check_int("d", self.d, 1)
         if self.kind == "besov":
-            if self.N is None or self.N < 0 or not isinstance(self.N, int):
-                raise ValueError("besov spaces need an integer order N >= 0")
+            check_int("the order N", self.N, 0)
             if self.measure is None:
                 raise ValueError("besov spaces need a radial measure")
         elif self.kind == "alpha":
-            if self.alpha is None:
-                raise ValueError("alpha-scale spaces need alpha")
+            if self.alpha is None or not math.isfinite(self.alpha):
+                raise ValueError(f"alpha-scale spaces need a finite alpha, got {self.alpha!r}")
         else:
             raise ValueError(f"unknown space kind: {self.kind!r}")
 
@@ -245,8 +261,7 @@ class SpaceSpec:
             out["N"] = self.N
             out["measure"] = self.measure.to_json()
         else:
-            a = self.alpha
-            out["alpha"] = int(a) if isinstance(a, (int, Fraction)) and Fraction(a).denominator == 1 else float(a)
+            out["alpha"] = int(self.alpha) if self.is_exact else float(self.alpha)
         return out
 
     def describe(self) -> str:
@@ -258,10 +273,10 @@ class SpaceSpec:
 def space_from_json(obj) -> SpaceSpec:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    d = int(obj["d"])
+    d = _json_int(obj["d"])
     kind = obj["kind"]
     if kind == "besov":
-        return SpaceSpec(d=d, kind="besov", N=int(obj["N"]), measure=measure_from_json(obj["measure"]))
+        return SpaceSpec(d=d, kind="besov", N=_json_int(obj["N"]), measure=measure_from_json(obj["measure"]))
     if kind == "alpha":
         a = obj["alpha"]
         a = int(a) if float(a).is_integer() else float(a)
@@ -280,12 +295,9 @@ def _weight(space: SpaceSpec, n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
     if space.kind == "alpha":
-        a = space.alpha
-        if isinstance(a, int):
-            return Fraction(n + 1) ** a
-        if isinstance(a, Fraction) and a.denominator == 1:
-            return Fraction(n + 1) ** int(a)
-        return float(n + 1) ** float(a)
+        if space.is_exact:
+            return Fraction(n + 1) ** int(space.alpha)
+        return float(n + 1) ** float(space.alpha)
     if n == 0:
         return space.measure.moment(0)
     omega_n = _sphere_factor(space.d, n) * space.measure.moment(n)
@@ -317,22 +329,20 @@ def inner_product(space: SpaceSpec, f: SparsePoly, g: SparsePoly):
     return total
 
 
-def _weighted_abs_sq_sum(terms, norm_sq_of, exact: bool):
-    """sum over (beta, c_beta) in terms of |c_beta|^2 norm_sq_of(beta), on one path."""
+def norm_sq(space: SpaceSpec, f: SparsePoly):
+    """sum of |c_beta|^2 ||z^beta||^2 over the terms of f, in their order;
+    exact iff space and f are exact."""
+    exact = space.is_exact and f.is_exact()
     _, weight = path_casts(exact)
     total = Fraction(0) if exact else 0.0
-    for beta, c in terms:
-        total = total + abs_sq(c) * weight(norm_sq_of(beta))
+    for beta, c in f.terms.items():
+        total = total + abs_sq(c) * weight(monomial_norm_sq(space, beta))
     return total
 
 
-def norm_sq(space: SpaceSpec, f: SparsePoly):
-    return _weighted_abs_sq_sum(f.terms.items(), lambda beta: monomial_norm_sq(space, beta),
-                                space.is_exact and f.is_exact())
-
-
 def hardy_sphere_norm_sq(f: SparsePoly):
-    """Exact squared Hardy-space-of-the-sphere norm of a polynomial.
+    """Exact squared Hardy-space-of-the-sphere norm of a polynomial: the
+    norm of the order-0 space over the point mass at r = 1.
 
     In degree n the sphere square equals n!(d-1)!/(n+d-1)! times the
     Drury-Arveson square; for a monomial that is (d-1)! beta! / (|beta|+d-1)!.
@@ -341,23 +351,13 @@ def hardy_sphere_norm_sq(f: SparsePoly):
     """
     if not f.is_homogeneous():
         raise ValueError("hardy_sphere_norm_sq needs a homogeneous polynomial")
-    return _weighted_abs_sq_sum(f.terms.items(), lambda beta: _sphere_factor(f.dim, sum(beta)) * factorial_ratio(beta),
-                                f.is_exact())
+    return norm_sq(SpaceSpec.besov(f.dim, 0, PointMassAtOne()), f)
 
 
 def homogeneous_norms_sq(space: SpaceSpec, f: SparsePoly):
-    """dict degree -> squared norm of the homogeneous component, in increasing
-    degree; each degree sums its terms in the order of f and takes the exact
-    path when the space and that component are exact, as ``norm_sq`` would."""
-    parts: dict = {}
-    for beta, c in f.terms.items():
-        parts.setdefault(sum(beta), []).append((beta, c))
-
-    def norm_of(beta):
-        return monomial_norm_sq(space, beta)
-
-    return {n: _weighted_abs_sq_sum(terms, norm_of, space.is_exact and all(isinstance(c, ComplexRational) for _, c in terms))
-            for n, terms in sorted(parts.items())}
+    """dict degree -> ``norm_sq`` of the homogeneous component, in increasing
+    degree; each component takes the exact path when it and the space are."""
+    return {n: norm_sq(space, part) for n, part in f.homogeneous_parts().items()}
 
 
 def besov_da_ratio(d: int, max_degree: int) -> list[Fraction]:

@@ -25,9 +25,11 @@ from besovball.certify import (
     dual_lower_bound,
     energy,
     energy_lower_bound,
+    evaluate_on_points,
     functional_norm,
     param_inv_sq_integral,
 )
+from besovball.approx import graded_monomials
 from besovball.poly import SparsePoly
 from besovball.spaces import SpaceSpec, norm_sq
 
@@ -456,3 +458,79 @@ def test_param_integral_grid_budget():
         tracemalloc.stop()
     assert peak < 1e6
 
+
+
+# -- one copy of each check and of monomial evaluation --------------------------
+
+
+def _oracle_pairing_max(measure, f, n_check):
+    """The deg-6 monomial pairing of ``energy_lower_bound``, with the
+    monomials built by hand as they were before ``evaluate_on_points``."""
+    _, Z = measure.grid(n_check, offset=0.0)
+    fvals = evaluate_on_points(f.to_float(), Z)
+    wq = measure.scale * (2.0 / n_check) ** measure.m
+    pair_max = 0.0
+    for beta in graded_monomials(measure.d, 6):
+        mono = np.ones(Z.shape[0], dtype=complex)
+        for i, e in enumerate(beta):
+            if e:
+                mono *= Z[:, i] ** e
+        pair_max = max(pair_max, abs(complex(np.sum(mono * fvals) * wq)))
+    return pair_max
+
+
+def test_monomial_pairings_equal_the_hand_built_loop():
+    f4 = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
+    sum_sq = SparsePoly(4, {(0, 0, 0, 0): 1, (2, 0, 0, 0): -1, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1})
+    for f, mu in [(f4, CubeMeasure.torus(4, 4)), (f4, CubeMeasure.torus(4, 4).scaled(3.0)),
+                  (sum_sq, CubeMeasure.sphere_patch(4, 4))]:
+        cert = energy_lower_bound(SpaceSpec.drury_arveson(4), f, mu, n_base=6, max_doublings=0)
+        got = cert.audit["max_abs_monomial_pairing_deg6"]
+        assert got.hex() == _oracle_pairing_max(mu, f, 8).hex()
+        assert list(cert.audit)[-1] == "max_abs_monomial_pairing_deg6"
+
+
+def test_functional_norm_refuses_orders_it_cannot_bound():
+    for j in (-1, 1.5, "1"):
+        with pytest.raises(ValueError, match="the order j must be an integer >= 0"):
+            functional_norm(j, 6)
+        with pytest.raises(ValueError, match="the order j must be an integer >= 0"):
+            DerivativeFunctional(j, 6)
+    for alpha in (math.nan, 3, -math.inf):
+        with pytest.raises(ValueError, match="unbounded"):
+            functional_norm(1, alpha)
+        with pytest.raises(ValueError, match="unbounded"):
+            DerivativeFunctional(1, alpha)
+
+
+def test_energy_grid_arguments_are_checked():
+    mu = CubeMeasure.torus(4, 4)
+    f4 = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
+    da4 = SpaceSpec.drury_arveson(4)
+    for kw, match in [({"n_base": 0}, "n_base must be an integer >= 1, got 0"),
+                      ({"n_base": -3}, "n_base must be an integer >= 1, got -3"),
+                      ({"n_base": 6.0}, "n_base must be an integer >= 1, got 6.0"),
+                      ({"max_doublings": -1}, "max_doublings must be an integer >= 0, got -1"),
+                      ({"max_doublings": 1.5}, "max_doublings must be an integer >= 0, got 1.5")]:
+        with pytest.raises(ValueError, match=match):
+            energy(mu, **kw)
+        with pytest.raises(ValueError, match=match):
+            energy_lower_bound(da4, f4, mu, **kw)
+    for n_base in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_base must be an integer >= 1"):
+            param_inv_sq_integral(3, n_base=n_base)
+    # one m >= 3 check serves both, with one message
+    for run in (lambda mu: energy(mu), lambda mu: energy_lower_bound(SpaceSpec.drury_arveson(3), f4, mu)):
+        with pytest.raises(ValueError, match=r"torus\(k=3, d=3\): the cube needs dimension m >= 3, got m = 2"):
+            run(CubeMeasure.torus(3, 3))
+
+
+def test_named_cubes_share_one_argument_check():
+    for family in (CubeMeasure.torus, CubeMeasure.sphere_patch):
+        with pytest.raises(ValueError, match="need 2 <= k <= d"):
+            family(1, 4)
+        with pytest.raises(ValueError, match="need 2 <= k <= d"):
+            family(4, 3)
+        for shrink in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"shrink must be in \(0,1\)"):
+                family(4, 4, shrink)

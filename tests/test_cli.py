@@ -245,3 +245,28 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _, _ = run()
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-base", "0", "error: n_base must be an integer >= 1, got 0"),
+    ("--n-base", "-3", "error: n_base must be an integer >= 1, got -3"),
+    ("--max-doublings", "-1", "error: max_doublings must be an integer >= 0, got -1"),
+])
+def test_certify_energy_refuses_bad_grid_arguments(flag, value, message):
+    f4 = '{"0,0,0,0":[1,1,0,1],"1,1,1,1":[-16,1,0,1]}'
+    code, out, err = run(
+        "certify", "energy", "--space", '{"d":4,"kind":"alpha","alpha":0}',
+        "--f", f4, "--cube", '{"family":"torus","k":4,"d":4}', flag, value,
+    )
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize("space, message", [
+    ('{"d":1,"kind":"alpha","alpha":NaN}', "error: alpha-scale spaces need a finite alpha, got nan"),
+    ('{"d":2.5,"kind":"alpha","alpha":0}', "error: d must be an integer >= 1, got 2.5"),
+])
+def test_profile_refuses_bad_spaces(space, message):
+    code, out, err = run("profile", "--space", space, "--f", ONE_MINUS_Z, "--degrees", "0:4:2")
+    assert code == 2 and out == ""
+    assert err == message + "\n"

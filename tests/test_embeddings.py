@@ -186,3 +186,12 @@ def test_orthogonality_transport_float():
     pq = diagonal_projection(q, 3)
     val = inner_product(sp, (q - pq) * Th, pq * Th)
     assert abs(complex(val)) < 1e-10
+
+
+def test_tkd_monomial_norm_equals_the_factorial_formula():
+    # the earlier closed form k^(nk) (n!)^k / (nk)!, value and type
+    for k in range(1, 7):
+        for n in range(41):
+            want = Fraction(k ** (n * k) * math.factorial(n) ** k, math.factorial(n * k))
+            got = tkd_monomial_norm_sq(k, n)
+            assert type(got) is Fraction and got == want, (k, n)

@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from besovball.poly import SparsePoly
-from besovball.scalars import ComplexRational
+from besovball.poly import SparsePoly, factorial_ratio
+from besovball.scalars import ComplexRational, abs_sq
 from besovball.spaces import (
     BetaDensity,
     ConstantDensity,
@@ -279,3 +279,112 @@ def test_weight_caches_are_bounded():
             space.weight(n)
     info = spaces._weight.cache_info()
     assert 0 < info.currsize <= info.maxsize
+
+
+# -- one norm formula: the earlier formulas as oracles -------------------------
+
+
+def _oracle_weighted_abs_sq_sum(terms, norm_sq_of, exact):
+    total = Fraction(0) if exact else 0.0
+    for beta, c in terms:
+        w = norm_sq_of(beta)
+        total = total + abs_sq(c) * (w if exact else float(w))
+    return total
+
+
+def _oracle_norm_sq(space, f):
+    return _oracle_weighted_abs_sq_sum(f.terms.items(), lambda beta: monomial_norm_sq(space, beta),
+                                       space.is_exact and f.is_exact())
+
+
+def _oracle_hardy_sphere_norm_sq(f):
+    sphere = lambda beta: spaces._sphere_factor(f.dim, sum(beta)) * factorial_ratio(beta)  # noqa: E731
+    return _oracle_weighted_abs_sq_sum(f.terms.items(), sphere, f.is_exact())
+
+
+def _oracle_homogeneous_norms_sq(space, f):
+    parts: dict = {}
+    for beta, c in f.terms.items():
+        parts.setdefault(sum(beta), []).append((beta, c))
+    return {n: _oracle_weighted_abs_sq_sum(terms, lambda beta: monomial_norm_sq(space, beta),
+                                           space.is_exact and all(isinstance(c, ComplexRational) for _, c in terms))
+            for n, terms in sorted(parts.items())}
+
+
+def _same(got, want):
+    """== and the same type for Fractions; the same bits for floats."""
+    if type(got) is not type(want):
+        return False
+    return got == want if isinstance(got, Fraction) else got.hex() == want.hex()
+
+
+ORACLE_SPACES = (
+    [SpaceSpec.drury_arveson(d) for d in (1, 2, 3)]
+    + [SpaceSpec.alpha_scale(2, a) for a in (-1, 2, Fraction(3), Fraction(1, 2), 0.5, 2.0)]
+    + [SpaceSpec.besov(2, N, mu) for N in (0, 1, 2)
+       for mu in (PointMassAtOne(), NormalizedVolume(2), ConstantDensity(Fraction(1, 3)), BetaDensity(2))]
+    + [SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0 - r, 32))]
+)
+
+
+def test_to_json_of_alpha_is_unchanged():
+    for a, want in [(4, 4), (Fraction(4), 4), (Fraction(1, 2), 0.5), (0.5, 0.5)]:
+        got = SpaceSpec.alpha_scale(1, a).to_json()
+        # the earlier rule, written out
+        old = int(a) if isinstance(a, (int, Fraction)) and Fraction(a).denominator == 1 else float(a)
+        assert got == {"d": 1, "kind": "alpha", "alpha": want}
+        assert type(got["alpha"]) is type(old) is type(want) and got["alpha"] == old
+
+
+if HAVE_HYPOTHESIS:
+    mixed_coeff_st = st.one_of(
+        coeff_st,
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_norms_equal_the_earlier_formulas(data):
+        space = data.draw(st.sampled_from(ORACLE_SPACES))
+        exps = st.tuples(*[st.integers(0, 4)] * space.d)
+        f = SparsePoly(space.d, data.draw(st.dictionaries(exps, mixed_coeff_st, max_size=6)))
+        exact_part = SparsePoly(space.d, {b: c for b, c in f.terms.items() if isinstance(c, ComplexRational)})
+        for g in (f, exact_part, f.to_float()):
+            assert _same(norm_sq(space, g), _oracle_norm_sq(space, g))
+            got, want = homogeneous_norms_sq(space, g), _oracle_homogeneous_norms_sq(space, g)
+            assert list(got) == list(want)
+            assert all(_same(got[n], want[n]) for n in want)
+            if space.is_exact and g.is_exact():
+                assert sum(got.values()) == norm_sq(space, g)
+            for part in g.homogeneous_parts().values():
+                assert _same(hardy_sphere_norm_sq(part), _oracle_hardy_sphere_norm_sq(part))
+
+
+# -- input checks ----------------------------------------------------------------
+
+
+def test_space_spec_refuses_non_integral_d_and_non_finite_alpha():
+    with pytest.raises(ValueError, match="d must be an integer >= 1, got 2.5"):
+        SpaceSpec.drury_arveson(2.5)
+    with pytest.raises(ValueError, match="got 2.5"):
+        space_from_json({"d": 2.5, "kind": "alpha", "alpha": 0})
+    with pytest.raises(ValueError, match="got 0"):
+        space_from_json({"d": 0, "kind": "alpha", "alpha": 0})
+    with pytest.raises(ValueError, match="the order N must be an integer >= 0, got 1.5"):
+        space_from_json({"d": 2, "kind": "besov", "N": 1.5, "measure": {"type": "point_mass_one"}})
+    # a whole JSON number is read as the integer it is
+    assert space_from_json({"d": 2.0, "kind": "alpha", "alpha": 0}) == SpaceSpec.drury_arveson(2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite alpha"):
+            SpaceSpec.alpha_scale(1, bad)
+    with pytest.raises(ValueError, match="finite alpha"):
+        space_from_json('{"d": 1, "kind": "alpha", "alpha": NaN}')
+
+
+def test_quadrature_without_positive_weights_is_inadmissible():
+    with pytest.raises(ValueError, match="no mass near r = 1"):
+        GeneralQuadrature([0.5, 1], [0, 0])
+    with pytest.raises(ValueError, match="weights must be non-negative"):
+        GeneralQuadrature([0.5, 1], [0, math.nan])
+    with pytest.raises(ValueError, match=r"nodes must lie in \[0,1\]"):
+        GeneralQuadrature([math.nan, 1], [1, 1])
