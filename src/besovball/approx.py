@@ -168,7 +168,8 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
     (columns x rows); each entry is summed in (delta, eps) order, by
     np.bincount on the float path and as ComplexRational on the exact path,
     where each term is its product c_delta conj(d_eps) scaled by the real
-    weight in one step.  ArithmeticError on the float path when a weight is
+    weight in one step, and only the products of pairs that some entry uses
+    are formed.  ArithmeticError on the float path when a weight is
     below the normal float range (``_check_float_weights``).
     """
     g = f if g is None else g
@@ -178,8 +179,8 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
     G = [[ComplexRational()] * n for _ in range(nr)] if exact else np.zeros((nr, n), dtype=complex)
     if not (n and nr and f.terms and g.terms):
         return G
-    prods = [cd * ce.conjugate() for cd in map(cast, f.terms.values()) for ce in map(cast, g.terms.values())]
-    ng = len(g.terms)  # pair p = (delta, eps) = (p // ng, p % ng), delta slowest
+    fc, gc = list(map(cast, f.terms.values())), list(map(cast, g.terms.values()))
+    ng = len(gc)  # pair p = (delta, eps) = (p // ng, p % ng), delta slowest
     B, R = _exponents(basis, d), _exponents(rows, d)
     F, Fg = _exponents(f.terms, d), _exponents(g.terms, d)
     # digit k of a candidate beta_j + delta - eps lies in [-max Fg_k,
@@ -195,9 +196,11 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
     if not exact:
         weights = np.array(weights, dtype=float)
         _check_float_weights(space, shifted[first], weights, int(B.sum(axis=1).max()))
-        re, im = np.array([(p.real, p.imag) for p in prods]).T
+        re, im = np.array([(p.real, p.imag) for p in (cd * ce.conjugate() for cd in fc for ce in gc)]).T
+    else:
+        prods = {}  # exact products of the pairs some entry uses, formed on first use
 
-    step = max(1, min(GRAM_BLOCK_ENTRIES // len(prods), GRAM_BLOCK_ENTRIES // nr))
+    step = max(1, min(GRAM_BLOCK_ENTRIES // (len(fc) * ng), GRAM_BLOCK_ENTRIES // nr))
     for j0 in range(0, n, step):
         j1 = min(j0 + step, n)
         cand = col_codes[j0:j1, None] + shift_codes[None, :]
@@ -206,7 +209,10 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
         found = order[pos[cols, pairs]]
         wk = weight_of[found * ng + pairs % ng]  # the weight of rho_i + eps = beta_j + delta
         if exact:
-            for i, j, p, k in zip(found.tolist(), (cols + j0).tolist(), pairs.tolist(), wk.tolist()):
+            pl = pairs.tolist()
+            for p in set(pl).difference(prods):
+                prods[p] = fc[p // ng] * gc[p % ng].conjugate()
+            for i, j, p, k in zip(found.tolist(), (cols + j0).tolist(), pl, wk.tolist()):
                 G[i][j] = G[i][j] + prods[p] * weights[k]  # a real weight scales in one step
             continue
         # bincount adds in input order from 0.0, so each entry is the sum of
@@ -612,7 +618,9 @@ def ratio_norm_sweep(space: SpaceSpec, p: SparsePoly, s: int, k: int, r_grid, M_
     for r in r_grid:
         pr = p.dilate(float(r))
         inv = series_invert(pr, M_max)
-        h = num.truncate(M_max)
+        # ComplexRational * complex is complex(x) * complex, so a float copy
+        # of the numerator gives the same bits without the mixed products
+        h = num.truncate(M_max).to_float()
         for _ in range(s):
             h = (h * inv).truncate(M_max)
         blocks = homogeneous_norms_sq(space, h.to_float())

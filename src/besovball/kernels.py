@@ -36,6 +36,7 @@ import numpy as np
 TILE_ROWS = 16
 TILE_COLS = 4096  # two float64 tiles of 16 x 4096: 1 MB of scratch per worker
 CHUNK_ROWS = 512  # rows per unit of work handed to a worker
+CHORD_ROWS = 64  # rows per block of the chord-ratio scan: its temporaries stay in cache
 
 
 def backend() -> str:
@@ -106,16 +107,24 @@ def min_chord_ratio(Z: np.ndarray, W: np.ndarray, T: np.ndarray, S: np.ndarray) 
     # |z - w|^2 = |z|^2 + |w|^2 - 2 Re<z, w> keeps the pair scan at matmul cost
     nw2 = np.sum(np.abs(W) ** 2, axis=1)
     ns2 = np.sum(S**2, axis=1)
-    Wc = W.conj()
+    Wc = W.conj().T
     best = math.inf
-    block = 512
-    for start in range(0, Z.shape[0], block):
-        zb = Z[start : start + block]
-        tb = T[start : start + block]
+    for start in range(0, Z.shape[0], CHORD_ROWS):
+        zb = Z[start : start + CHORD_ROWS]
+        tb = T[start : start + CHORD_ROWS]
         nz2 = np.sum(np.abs(zb) ** 2, axis=1)
         nt2 = np.sum(tb**2, axis=1)
-        chord2 = nz2[:, None] + nw2[None, :] - 2.0 * np.real(zb @ Wc.T)
-        param2 = nt2[:, None] + ns2[None, :] - 2.0 * (tb @ S.T)
-        ratio2 = np.maximum(chord2, 0.0) / np.maximum(param2, 1e-300)
-        best = min(best, float(ratio2.min()))
+        # the per-pair expressions of (nz2 + nw2) - 2 Re<z, w>, formed in place
+        g = (zb @ Wc).real
+        g *= 2.0
+        chord2 = np.add.outer(nz2, nw2)
+        chord2 -= g
+        tp = tb @ S.T
+        tp *= 2.0
+        param2 = np.add.outer(nt2, ns2)
+        param2 -= tp
+        np.maximum(chord2, 0.0, out=chord2)
+        np.maximum(param2, 1e-300, out=param2)
+        chord2 /= param2
+        best = min(best, float(chord2.min()))
     return math.sqrt(best)

@@ -21,6 +21,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -66,7 +67,15 @@ def _norm_coeff(c):
 
 
 class SparsePoly:
-    """Immutable sparse polynomial in ``dim`` variables."""
+    """Immutable sparse polynomial in ``dim`` variables.
+
+    The constructor checks every exponent and canonicalizes every
+    coefficient.  Ring operations between two polynomials (sum, difference,
+    negation, product), ``truncate``, ``homogeneous_parts`` and ``to_float``
+    build their results with ``_valid``, which only drops zeros: sums of
+    valid exponents are valid, and ComplexRational with ComplexRational
+    stays ComplexRational, while a complex operand gives complex.
+    """
 
     __slots__ = ("dim", "terms")
 
@@ -82,6 +91,15 @@ class SparsePoly:
                 clean[beta] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _valid(cls, dim, terms):
+        """The polynomial of terms whose exponents and coefficients are
+        already valid (results of ring operations); zeros are dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", {b: c for b, c in terms.items() if c})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -136,7 +154,7 @@ class SparsePoly:
         parts = {}
         for b, c in self.terms.items():
             parts.setdefault(sum(b), {})[b] = c
-        return {n: SparsePoly(self.dim, t) for n, t in sorted(parts.items())}
+        return {n: SparsePoly._valid(self.dim, t) for n, t in sorted(parts.items())}
 
     # -- ring operations ---------------------------------------------------
 
@@ -147,7 +165,7 @@ class SparsePoly:
             out = dict(self.terms)
             for b, c in other.terms.items():
                 out[b] = out.get(b, 0) + sign * c
-            return SparsePoly(self.dim, out)
+            return SparsePoly._valid(self.dim, out)
         # scalar
         out = dict(self.terms)
         z = (0,) * self.dim
@@ -166,7 +184,7 @@ class SparsePoly:
         return (-self)._binop(other, 1)
 
     def __neg__(self):
-        return SparsePoly(self.dim, {b: -c for b, c in self.terms.items()})
+        return SparsePoly._valid(self.dim, {b: -c for b, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SparsePoly):
@@ -175,9 +193,9 @@ class SparsePoly:
             out = {}
             for b1, c1 in self.terms.items():
                 for b2, c2 in other.terms.items():
-                    b = tuple(x + y for x, y in zip(b1, b2))
+                    b = tuple(map(add, b1, b2))
                     out[b] = out.get(b, 0) + c1 * c2
-            return SparsePoly(self.dim, out)
+            return SparsePoly._valid(self.dim, out)
         return SparsePoly(self.dim, {b: c * other for b, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -206,7 +224,7 @@ class SparsePoly:
 
     def truncate(self, max_degree):
         """Drop all terms of total degree > max_degree."""
-        return SparsePoly(self.dim, {b: c for b, c in self.terms.items() if sum(b) <= max_degree})
+        return SparsePoly._valid(self.dim, {b: c for b, c in self.terms.items() if sum(b) <= max_degree})
 
     def radial_derivative(self, order=1):
         """R^order with R z^beta = |beta| z^beta (Euler operator); order 0
@@ -267,7 +285,7 @@ class SparsePoly:
         return SparsePoly(1, {(n,): part.evaluate(z) for n, part in parts if n <= max_degree})
 
     def to_float(self):
-        return SparsePoly(self.dim, {b: to_complex(c) for b, c in self.terms.items()})
+        return SparsePoly._valid(self.dim, {b: to_complex(c) for b, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -286,25 +304,48 @@ class SparsePoly:
 def series_invert(f: SparsePoly, max_degree: int) -> SparsePoly:
     """Truncated multiplicative inverse: (1/f) mod total degree > max_degree.
 
-    Requires f(0) != 0.  Exact on the exact path.
-    Uses 1/f = (1/c0) sum_j u^j with u = 1 - f/c0 (u has no constant term).
+    Requires f(0) != 0.  Exact on the exact path.  With c0 = f(0) and
+    u = 1 - f/c0 (no constant term), 1/f = s/c0 for s = sum_j u^j = 1 + u s,
+    so s is built degree by degree:
+
+        s_0 = 1,   s_n = sum over the terms u_delta z^delta of u with
+                   |delta| <= n of s_(n - |delta|) u_delta z^delta.
+
+    That is one product per pair (term of u, term of s) that lands at degree
+    <= max_degree, in one pass over the output terms, instead of max_degree
+    truncated polynomial products u^j.  When f has two terms (1 - r z, say),
+    each coefficient is one product chain in the order the Neumann sum
+    sum_j u^j forms it, so the float result equals that sum bit for bit
+    (when c0 * (1/c0) rounds to 1); otherwise the float sums are regrouped.
+
+    >>> one_minus_z = SparsePoly(1, {(0,): 1, (1,): -1})
+    >>> [str(c.re) for _, c in onevar_terms(series_invert(one_minus_z, 3))]
+    ['1', '1', '1', '1']
+    >>> [str(c.re) for _, c in onevar_terms(series_invert(one_minus_z + 1, 3))]
+    ['1/2', '1/4', '1/8', '1/16']
     """
     c0 = f.constant_term()
     if not c0:
         raise ValueError("series_invert requires a nonzero constant term")
     inv_c0 = 1 / c0
     one = SparsePoly.one(f.dim)
-    u = (one - f * inv_c0).truncate(max_degree)
-    # the Neumann terms u^j accumulate in one dict; the polynomial is built once
-    acc = dict(one.terms)
-    upow = one
-    for _ in range(max_degree):
-        upow = (upow * u).truncate(max_degree)
-        if upow.is_zero():
-            break
-        for b, c in upow.terms.items():
-            acc[b] = acc.get(b, 0) + c
-    return (SparsePoly(f.dim, acc) * inv_c0).truncate(max_degree)
+    u = []  # (delta, |delta|, u_delta) over the terms of u that can land
+    for b, c in f.terms.items():
+        k, ud = sum(b), -(c * inv_c0)
+        if 0 < k <= max_degree and ud:
+            u.append((b, k, ud))
+    parts = [one.terms]  # parts[n] = s_n, exponent -> coefficient
+    for n in range(1, max_degree + 1):
+        out = {}
+        for delta, k, ud in u:
+            if k > n:
+                continue
+            for b, c in parts[n - k].items():
+                e = tuple(map(add, b, delta))
+                out[e] = out.get(e, 0) + c * ud
+        parts.append(out)
+    s = SparsePoly._valid(f.dim, {b: c for part in parts for b, c in part.items()})
+    return (s * inv_c0).truncate(max_degree)
 
 
 # -- JSON literals ----------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -101,6 +101,10 @@ class ConstantDensity:
     """dmu = c * 2r dr on [0,1]."""
 
     c: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        if not self.c > 0:
+            raise ValueError(f"the density constant c must be > 0, got {self.c!r}")
 
     def moment(self, n: int) -> Fraction:
         return Fraction(self.c) / (n + 1)
@@ -198,7 +202,12 @@ def measure_from_json(obj):
         return NormalizedVolume(_json_int(obj["dim"]))
     if kind == "constant_density":
         c = obj.get("c", [1, 1])
-        return ConstantDensity(Fraction(int(c[0]), int(c[1])))
+        if not (isinstance(c, list) and len(c) == 2):
+            raise ValueError(f"c must be a [numerator, denominator] pair, got {c!r}")
+        num, den = (_json_int(x) for x in c)
+        check_int("the numerator of c", num, 1)
+        check_int("the denominator of c", den, 1)
+        return ConstantDensity(Fraction(num, den))
     if kind == "beta_density":
         return BetaDensity(_json_int(obj["beta"]))
     if kind == "quadrature":
@@ -211,13 +220,19 @@ def measure_from_json(obj):
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Either an order-N Besov space over a radial measure or a D_alpha space."""
+    """Either an order-N Besov space over a radial measure or a D_alpha space.
+
+    ``is_exact`` (Fraction weights) is worked out at construction and takes
+    part in == and the hash, so the weight caches never hand the float
+    weights of alpha = 2.0 to the exact space alpha = 2.
+    """
 
     d: int
     kind: str
     N: int | None = None
     measure: object | None = None
     alpha: object | None = None  # int/Fraction (exact) or float
+    is_exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         check_int("d", self.d, 1)
@@ -230,6 +245,11 @@ class SpaceSpec:
                 raise ValueError(f"alpha-scale spaces need a finite alpha, got {self.alpha!r}")
         else:
             raise ValueError(f"unknown space kind: {self.kind!r}")
+        if self.kind == "besov":
+            exact = self.measure.is_exact
+        else:
+            exact = isinstance(self.alpha, int) or isinstance(self.alpha, Fraction) and self.alpha.denominator == 1
+        object.__setattr__(self, "is_exact", exact)
 
     # named constructors
 
@@ -244,12 +264,6 @@ class SpaceSpec:
     @staticmethod
     def besov(d: int, N: int, measure) -> "SpaceSpec":
         return SpaceSpec(d=d, kind="besov", N=N, measure=measure)
-
-    @property
-    def is_exact(self) -> bool:
-        if self.kind == "besov":
-            return self.measure.is_exact
-        return isinstance(self.alpha, int) or isinstance(self.alpha, Fraction) and self.alpha.denominator == 1
 
     def weight(self, n: int):
         """W_n; Fraction on the exact path, float otherwise."""
@@ -308,10 +322,18 @@ def _weight(space: SpaceSpec, n: int):
 
 
 def monomial_norm_sq(space: SpaceSpec, beta):
-    """||z^beta||^2 = W_{|beta|} * beta!/|beta|!"""
+    """||z^beta||^2 = W_{|beta|} * beta!/|beta|!
+
+    Formed once per (space, exponent) and kept in a cache of at most
+    CACHE_MAXSIZE entries, the least recently used evicted first."""
     beta = tuple(beta)
     if len(beta) != space.d:
         raise ValueError("exponent length must equal the space dimension")
+    return _monomial_norm_sq(space, beta)
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _monomial_norm_sq(space: SpaceSpec, beta: tuple):
     return space.weight(sum(beta)) * factorial_ratio(beta)
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from besovball import certify
 from besovball.kernels import CHUNK_ROWS, TILE_COLS, TILE_ROWS, energy_pair_sum, min_chord_ratio
 
 
@@ -60,3 +62,43 @@ def test_min_chord_ratio_small_case():
     T1 = np.array([[0.0]])
     S2 = np.array([[0.5]])
     assert min_chord_ratio(Z1, W, T1, S2) == pytest.approx(math.sqrt(2.0) / 0.5)
+
+
+def _chord_ratio_512_rows(Z, W, T, S):
+    """min_chord_ratio as it was formed in 512-row blocks of full temporaries."""
+    nw2 = np.sum(np.abs(W) ** 2, axis=1)
+    ns2 = np.sum(S**2, axis=1)
+    Wc = W.conj()
+    best = math.inf
+    for start in range(0, Z.shape[0], 512):
+        zb, tb = Z[start : start + 512], T[start : start + 512]
+        nz2 = np.sum(np.abs(zb) ** 2, axis=1)
+        nt2 = np.sum(tb**2, axis=1)
+        chord2 = nz2[:, None] + nw2[None, :] - 2.0 * np.real(zb @ Wc.T)
+        param2 = nt2[:, None] + ns2[None, :] - 2.0 * (tb @ S.T)
+        best = min(best, float((np.maximum(chord2, 0.0) / np.maximum(param2, 1e-300)).min()))
+    return math.sqrt(best)
+
+
+# a seeded rational rotation of C^4 (a Cayley transform), as the rotated torus uses
+_U4 = [[Fraction(x, 109) for x in row] for row in
+       ([8, 96, 24, 45], [12, 35, 36, -96], [-108, 12, 3, -8], [3, 36, -100, -24])]
+
+
+@pytest.mark.parametrize("name, frozen", [
+    ("torus", 0.1719090952697469),
+    ("sphere_patch", 0.06528351294424922),
+    ("rotated torus", 0.17190909526974657),
+])
+def test_min_chord_ratio_is_frozen_on_the_certificate_cubes(name, frozen):
+    # c_estimate feeds the frozen energy lower bound, so the 12-node scan
+    # must give the same float as the 512-row blocks it replaced
+    torus = certify.CubeMeasure.torus(4, 4)
+    U = np.array(_U4, dtype=float)
+    cube = {"torus": torus, "sphere_patch": certify.CubeMeasure.sphere_patch(4, 4),
+            "rotated torus": certify.CubeMeasure.from_callable(3, 4, lambda T: torus.phi(T) @ U)}[name]
+    T1, Z1 = cube.grid(12, offset=0.0)
+    T2, Z2 = cube.grid(12, offset=0.5)
+    got = min_chord_ratio(Z1, Z2, T1, T2)
+    assert got == _chord_ratio_512_rows(Z1, Z2, T1, T2)
+    assert got == frozen

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from besovball.poly import (
 from besovball.scalars import ComplexRational
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import assume, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -169,6 +170,34 @@ def test_series_invert_exact_rationals():
     assert (inv * f).truncate(5) == SparsePoly.one(2)
 
 
+def _neumann_oracle(f, max_degree):
+    """(1/c0) sum_j u^j with u = 1 - f/c0, one truncated power u^j at a time."""
+    c0 = f.constant_term()
+    inv_c0 = 1 / c0
+    one = SparsePoly.one(f.dim)
+    u = (one - f * inv_c0).truncate(max_degree)
+    acc = dict(one.terms)
+    upow = one
+    for _ in range(max_degree):
+        upow = (upow * u).truncate(max_degree)
+        if upow.is_zero():
+            break
+        for b, c in upow.terms.items():
+            acc[b] = acc.get(b, 0) + c
+    return (SparsePoly(f.dim, acc) * inv_c0).truncate(max_degree)
+
+
+def _bits(f):
+    return {b: struct.pack("<dd", c.real, c.imag) for b, c in f.terms.items()}
+
+
+def test_series_invert_of_the_sweep_input_is_the_neumann_sum_bit_for_bit():
+    p = _p(3, {(0, 0, 0): 1, (1, 0, 0): -1})
+    for r in (0.9, 0.99, 0.999):
+        pr = p.dilate(r)
+        assert _bits(series_invert(pr, 1024)) == _bits(_neumann_oracle(pr, 1024))
+
+
 def test_onevar_terms_and_dense_coeffs():
     f = _p(1, {(3,): 2, (0,): 1, (1,): -0.5})
     assert onevar_terms(f) == [(0, 1), (1, -0.5), (3, 2)]
@@ -281,3 +310,47 @@ if HAVE_HYPOTHESIS:
                 assert rf.coefficient(beta) == 0
             else:
                 assert rf.coefficient(beta) == c * (n**order)
+
+    nonzero_coeff_st = coeff_st.filter(bool)
+
+    @st.composite
+    def exact_poly_with_constant(draw):
+        d = draw(st.integers(1, 3))
+        exps = st.tuples(*[st.integers(0, 2)] * d)
+        terms = draw(st.dictionaries(exps, coeff_st, max_size=4))
+        terms[(0,) * d] = draw(nonzero_coeff_st)
+        return SparsePoly(d, terms)
+
+    @given(exact_poly_with_constant(), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_series_invert_equals_the_neumann_sum_exactly(f, max_degree):
+        inv = series_invert(f, max_degree)
+        assert inv == _neumann_oracle(f, max_degree)
+        assert inv.is_exact()
+
+    float_st = st.floats(-2, 2, allow_nan=False)
+
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.tuples(*[st.integers(0, 3)] * d))),
+           st.floats(0.25, 2), float_st, float_st, float_st, st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_series_invert_of_two_float_terms_is_the_neumann_sum_bit_for_bit(shape, a, b, x, y, max_degree):
+        d, delta = shape
+        assume(sum(delta) > 0)
+        c0 = complex(a, b)
+        assume(c0 * (1 / c0) == 1)
+        f = SparsePoly(d, {(0,) * d: c0, delta: complex(x, y)})
+        assert _bits(series_invert(f, max_degree)) == _bits(_neumann_oracle(f, max_degree))
+
+    float_poly_st = st.builds(
+        lambda terms: SparsePoly(2, terms),
+        st.dictionaries(exponent_st, st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False), max_size=5),
+    )
+
+    @given(st.one_of(poly_st, float_poly_st), st.one_of(poly_st, float_poly_st), st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_ring_results_are_valid_polynomials(f, g, k):
+        results = [f + g, f - g, -f, f * g, f.truncate(k), f.to_float(), *f.homogeneous_parts().values()]
+        for p in results:
+            assert SparsePoly(p.dim, p.terms) == p
+            assert all(isinstance(c, (ComplexRational, complex)) and c for c in p.terms.values())
+        assert f.to_float().terms == {b: complex(c) for b, c in f.terms.items()}

@@ -237,6 +237,15 @@ def test_alpha_weights_exact_for_int():
     assert spm.is_exact
 
 
+def test_integral_float_alpha_shares_no_cached_weight_with_the_exact_space():
+    # alpha = 2.0 runs on the float path, alpha = 2 on the exact one
+    floaty, exact = SpaceSpec.alpha_scale(2, 2.0), SpaceSpec.alpha_scale(2, 2)
+    assert floaty != exact
+    for space in (floaty, exact, floaty):
+        assert type(space.weight(7)) is (Fraction if space.is_exact else float)
+        assert type(monomial_norm_sq(space, (3, 4))) is (Fraction if space.is_exact else float)
+
+
 if HAVE_HYPOTHESIS:
     coeff_st = st.builds(
         ComplexRational,
@@ -267,7 +276,7 @@ if HAVE_HYPOTHESIS:
 
 
 def test_weight_caches_are_bounded():
-    caches = [spaces._weight, spaces._sphere_factor, certify._falling_sq_in_shifted_basis,
+    caches = [spaces._weight, spaces._sphere_factor, spaces._monomial_norm_sq, certify._falling_sq_in_shifted_basis,
               embeddings.tkd_monomial_norm_sq, embeddings._central_binomial, embeddings._sum_sq_term_sum]
     assert all(c.cache_info().maxsize == spaces.CACHE_MAXSIZE for c in caches)
     # every quadrature space is a new cache key that holds its own arrays;
@@ -388,3 +397,27 @@ def test_quadrature_without_positive_weights_is_inadmissible():
         GeneralQuadrature([0.5, 1], [0, math.nan])
     with pytest.raises(ValueError, match=r"nodes must lie in \[0,1\]"):
         GeneralQuadrature([math.nan, 1], [1, 1])
+
+
+def test_constant_density_refuses_non_positive_c():
+    for bad in (-1, 0, Fraction(-1, 2), math.nan):
+        with pytest.raises(ValueError, match="c must be > 0"):
+            ConstantDensity(bad)
+    assert SpaceSpec.besov(2, 1, ConstantDensity(Fraction(1, 2))).weight(1) == Fraction(1, 8)
+
+
+def test_constant_density_json_reads_c_as_two_integers():
+    def read(c):
+        return measure_from_json({"type": "constant_density", "c": c})
+
+    assert read([3, 2]) == ConstantDensity(Fraction(3, 2))
+    assert read([3.0, 2.0]) == ConstantDensity(Fraction(3, 2))  # whole JSON numbers
+    assert measure_from_json({"type": "constant_density"}) == ConstantDensity(Fraction(1))
+    with pytest.raises(ValueError, match="numerator of c must be an integer >= 1, got 1.5"):
+        read([1.5, 1])
+    with pytest.raises(ValueError, match="denominator of c must be an integer >= 1, got 0"):
+        read([1, 0])
+    with pytest.raises(ValueError, match="numerator of c must be an integer >= 1, got -1"):
+        read([-1, 1])
+    with pytest.raises(ValueError, match="numerator, denominator"):
+        read([1, 2, 3])
