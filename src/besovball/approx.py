@@ -367,9 +367,13 @@ def _chol_float(G: np.ndarray, c: np.ndarray):
     dg = np.real(np.diag(G))
     n = int(np.argmin(np.append(dg > 0, False)))  # up to the first non-positive entry
     s = 1.0 / np.sqrt(dg[:n])
-    Gs = G[:n, :n] * s[:, None] * s[None, :]
     while True:
-        L, info = scipy.linalg.lapack.zpotrf(Gs[:n, :n], lower=1)
+        # S G S in one Fortran-ordered buffer that zpotrf factors in place; a
+        # failed attempt leaves a partial factor there, so each one scales afresh
+        L = np.empty((n, n), dtype=complex, order="F")
+        np.multiply(G[:n, :n], s[:n, None], out=L)
+        L *= s[None, :n]
+        L, info = scipy.linalg.lapack.zpotrf(L, lower=1, overwrite_a=1)
         if info == 0:
             break
         n = info - 1  # the leading minor of order info is not positive definite

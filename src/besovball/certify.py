@@ -40,7 +40,8 @@ SPHERE_TOL = 1e-12
 SUPPORT_TOL = 1e-10
 ENERGY_DOUBLING_TOL = 0.02
 LATTICE_CHECK_TOL = 1e-12
-BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; one float64 column is 32 MB
+BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; bounds time only, as the sum holds no grid
+BOX_LEAF_POINTS = 1 << 14  # box-integral points summed at a time: 128 kB per float64 array
 NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
 LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time: about 8 MB of scratch
@@ -401,26 +402,59 @@ class EnergyResult:
 
 def _param_inv_sq_integral(m: int, n: int) -> float:
     """Quadrature for the box-pair integral of |t-s|^(-2) via the difference
-    substitution: integral over (-2,2)^m of prod_j (2-|u_j|) / |u|^2."""
+    substitution: integral over (-2,2)^m of prod_j (2-|u_j|) / |u|^2.
+
+    The value is ``np.sum`` over the flattened n^m midpoint grid, bit for
+    bit, without holding that grid. On one contiguous array np.sum splits a
+    range in halves, the left one rounded down to a multiple of 8, and sums
+    each half the same way; this follows that tree down to leaves of at most
+    BOX_LEAF_POINTS points, and np.sum of a leaf is its subtree's value.
+    """
     h = 4.0 / n
     x = -2.0 + (np.arange(n) + 0.5) * h
-    # the grid's density and |u|^2 by broadcasting the per-axis factors, in
-    # the order a row-wise product and sum over the tensor grid takes them:
-    # two n^m arrays instead of the (n^m, m) grid
     w, x2 = 2.0 - np.abs(x), x**2
-    dens, r2 = w, x2
-    for _ in range(m - 1):
-        dens, r2 = dens[..., None] * w, r2[..., None] + x2
-    dens /= r2
-    return float(np.sum(dens) * h**m)
+
+    def leaf(lo: int, hi: int) -> float:
+        # the grid points lo..hi-1 as whole rows along the last axis: each
+        # row's density and |u|^2 from its leading digits, in the order a
+        # row-wise product and sum over the tensor grid takes them (1 * a and
+        # 0 + a are exact), then broadcast against the last axis
+        r0, r1 = lo // n, (hi - 1) // n
+        rows = np.arange(r0, r1 + 1)
+        digits = []
+        for _ in range(m - 1):
+            rows, d = np.divmod(rows, n)
+            digits.append(d)
+        dens, r2 = np.ones(r1 - r0 + 1), np.zeros(r1 - r0 + 1)
+        for d in reversed(digits):
+            dens, r2 = dens * w[d], r2 + x2[d]
+        start, wl, x2l = lo - r0 * n, w, x2
+        if r0 == r1:  # inside one row (m = 1 has only one): just its columns
+            wl, x2l, start = w[start:start + hi - lo], x2[start:start + hi - lo], 0
+        dens, r2 = dens[:, None] * wl, r2[:, None] + x2l
+        dens /= r2
+        return np.sum(dens.ravel()[start:start + hi - lo])
+
+    def tree(lo: int, count: int) -> float:
+        if count <= BOX_LEAF_POINTS:
+            return leaf(lo, lo + count)
+        half = count // 2
+        half -= half % 8
+        return tree(lo, half) + tree(lo + half, count - half)
+
+    return float(tree(0, n**m) * h**m)
 
 
 def param_inv_sq_integral(m: int, n_base: int = 64, rel_tol: float = ENERGY_DOUBLING_TOL):
     """(value, rel_change, n_final) for the parameter-box integral, with
     midpoint-grid doubling until the change falls under rel_tol; ValueError,
     before building it, for a grid past BOX_GRID_POINTS points or an n_base
-    that is not an integer >= 1."""
+    that is not an even integer >= 2 (an odd n puts a node on the singular
+    point u = 0)."""
     check_int("n_base", n_base, 1)
+    if n_base % 2:
+        raise ValueError(f"n_base must be even: an odd n puts a midpoint node on the singular point u = 0, "
+                         f"got {n_base}")
     n, prev = n_base, None
     while True:
         if n**m > BOX_GRID_POINTS:

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import SparsePoly, factorial_ratio
-from .scalars import abs_sq, path_casts, to_complex
+from .scalars import ComplexRational, abs_sq, path_casts, to_complex
 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
@@ -351,15 +351,21 @@ def inner_product(space: SpaceSpec, f: SparsePoly, g: SparsePoly):
     return total
 
 
+def _weighted_abs_sq_sum(space: SpaceSpec, terms):
+    """sum of |c_beta|^2 ||z^beta||^2 over the (beta, c) pairs, in their
+    order; exact iff the space and every c are exact."""
+    exact = space.is_exact and all(isinstance(c, ComplexRational) for _, c in terms)
+    _, weight = path_casts(exact)
+    total = Fraction(0) if exact else 0.0
+    for beta, c in terms:
+        total = total + abs_sq(c) * weight(monomial_norm_sq(space, beta))
+    return total
+
+
 def norm_sq(space: SpaceSpec, f: SparsePoly):
     """sum of |c_beta|^2 ||z^beta||^2 over the terms of f, in their order;
     exact iff space and f are exact."""
-    exact = space.is_exact and f.is_exact()
-    _, weight = path_casts(exact)
-    total = Fraction(0) if exact else 0.0
-    for beta, c in f.terms.items():
-        total = total + abs_sq(c) * weight(monomial_norm_sq(space, beta))
-    return total
+    return _weighted_abs_sq_sum(space, f.terms.items())
 
 
 def hardy_sphere_norm_sq(f: SparsePoly):
@@ -378,8 +384,13 @@ def hardy_sphere_norm_sq(f: SparsePoly):
 
 def homogeneous_norms_sq(space: SpaceSpec, f: SparsePoly):
     """dict degree -> ``norm_sq`` of the homogeneous component, in increasing
-    degree; each component takes the exact path when it and the space are."""
-    return {n: norm_sq(space, part) for n, part in f.homogeneous_parts().items()}
+    degree; each component takes the exact path when it and the space are.
+    One pass over the terms buckets them by degree, in term order, so each
+    value is the ``norm_sq`` of its component."""
+    parts: dict = {}
+    for beta, c in f.terms.items():
+        parts.setdefault(sum(beta), []).append((beta, c))
+    return {n: _weighted_abs_sq_sum(space, parts[n]) for n in sorted(parts)}
 
 
 def besov_da_ratio(d: int, max_degree: int) -> list[Fraction]:

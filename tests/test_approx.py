@@ -378,6 +378,40 @@ def test_nonpositive_diagonal_retries_from_its_index(monkeypatch):
     assert [(p.path, p.dist_sq) for p in pts] == [("float", 2.0), ("float", 1.0), ("mpmath", 2.0)]
 
 
+def _chol_float_by_copies(G, c):
+    """The float Cholesky with its scaled block and LAPACK input as copies."""
+    dg = np.real(np.diag(G))
+    n = int(np.argmin(np.append(dg > 0, False)))
+    s = 1.0 / np.sqrt(dg[:n])
+    Gs = G[:n, :n] * s[:, None] * s[None, :]
+    while True:
+        L, info = scipy.linalg.lapack.zpotrf(Gs[:n, :n], lower=1)
+        if info == 0:
+            break
+        n = info - 1
+    y = scipy.linalg.solve_triangular(L, c[:n] * s[:n], lower=True)
+    return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
+
+
+def test_chol_float_in_place_equals_the_copying_formula():
+    rng = np.random.default_rng(7)
+    n = 40
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    G = A @ A.conj().T + 1e-3 * np.eye(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # the leading minor of order 21 fails: row and column 20 shrunk, so its
+    # Schur complement is negative while its diagonal entry stays positive
+    bad = G.copy()
+    bad[20, :] *= 1e-3
+    bad[:, 20] *= 1e-3
+    bad[20, 20] = 1e-12
+    for M, size in [(G, n), (bad, 20), (np.diag([1.0, 1.0, -1.0]).astype(complex), 2)]:
+        got, want = approx._chol_float(M, c[:len(M)]), _chol_float_by_copies(M, c[:len(M)])
+        assert len(got[2]) == size
+        for a, b in zip(got, want):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
 def test_profile_factors_the_top_block_once(monkeypatch):
     sizes = []
     for name in ("_ldl_exact", "_chol_float"):

@@ -20,6 +20,7 @@ from besovball.certify import (
     CubeMeasure,
     _lattice_sum,
     _pair_sum,
+    _param_inv_sq_integral,
     DerivativeFunctional,
     domination_constant,
     dual_lower_bound,
@@ -503,6 +504,41 @@ def test_functional_norm_refuses_orders_it_cannot_bound():
             DerivativeFunctional(1, alpha)
 
 
+def _broadcast_param_inv_sq_integral(m, n):
+    """The box-integral quadrature as one n^m broadcast array and one np.sum."""
+    h = 4.0 / n
+    x = -2.0 + (np.arange(n) + 0.5) * h
+    w, x2 = 2.0 - np.abs(x), x**2
+    dens, r2 = w, x2
+    for _ in range(m - 1):
+        dens, r2 = dens[..., None] * w, r2[..., None] + x2
+    dens /= r2
+    return float(np.sum(dens) * h**m)
+
+
+def test_box_integral_follows_the_pairwise_tree_of_one_sum():
+    # leaves of 2^14 points, rows that straddle leaves (n not a power of two),
+    # leaves inside one row (m = 1) and grids below one leaf all give the
+    # one-array value, bit for bit
+    cases = [(1, 10), (1, 100_000), (2, 100), (2, 2048), (2, 334), (3, 6), (3, 8), (3, 48), (3, 64),
+             (3, 100), (3, 128), (4, 20), (4, 36), (5, 10), (5, 14)]
+    for m, n in cases:
+        assert _param_inv_sq_integral(m, n) == _broadcast_param_inv_sq_integral(m, n), (m, n)
+
+
+def test_box_integral_holds_no_grid():
+    # 2^21 points, 16 MB as one float64 array; and one row of 2^20 points,
+    # where the three per-axis arrays (x, w, x^2) alone take 8n bytes each
+    for m, n in [(3, 128), (1, 1 << 20)]:
+        tracemalloc.start()
+        try:
+            _param_inv_sq_integral(m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6 + (3 * 8 * n if m == 1 else 0), (m, n)
+
+
 def test_energy_grid_arguments_are_checked():
     mu = CubeMeasure.torus(4, 4)
     f4 = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
@@ -518,6 +554,10 @@ def test_energy_grid_arguments_are_checked():
             energy_lower_bound(da4, f4, mu, **kw)
     for n_base in (0, -3, 2.5):
         with pytest.raises(ValueError, match="n_base must be an integer >= 1"):
+            param_inv_sq_integral(3, n_base=n_base)
+    # an odd grid puts a node on the singular point u = 0
+    for n_base in (1, 7, 63):
+        with pytest.raises(ValueError, match=f"n_base must be even: .* u = 0, got {n_base}$"):
             param_inv_sq_integral(3, n_base=n_base)
     # one m >= 3 check serves both, with one message
     for run in (lambda mu: energy(mu), lambda mu: energy_lower_bound(SpaceSpec.drury_arveson(3), f4, mu)):

@@ -184,6 +184,26 @@ def test_homogeneous_norms_equal_the_norms_of_the_parts():
             assert [(type(v), v) for v in got.values()] == [(type(v), v) for v in want.values()]
 
 
+def test_homogeneous_norms_of_a_long_float_series_keep_their_bits():
+    # terms of one degree far apart in term order, with magnitudes that make
+    # each degree's float sum depend on its order
+    rng = np.random.default_rng(11)
+    space = SpaceSpec.besov(3, 1, PointMassAtOne())
+    terms = {}
+    for k in rng.permutation(40 * 25):
+        a, b = divmod(int(k), 25)
+        terms[(a, b, int(k) % 3)] = complex(*rng.standard_normal(2)) * 10.0 ** int(rng.integers(-8, 9))
+    f = _p(3, terms)
+    # every fifth coefficient made exact: most components mix exact and float terms
+    mixed = _p(3, {b: ComplexRational(Fraction(c.real), Fraction(c.imag)) if i % 5 == 0 else c
+                   for i, (b, c) in enumerate(terms.items())})
+    for g in (f, mixed):
+        want = {n: norm_sq(space, part) for n, part in g.homogeneous_parts().items()}
+        got = homogeneous_norms_sq(space, g)
+        assert list(got) == list(want)
+        assert all(_same(got[n], want[n]) for n in want)
+
+
 def test_dilation_contraction_exact_anchor():
     # degree-1 polynomials give exact equality, higher degrees a positive gap
     sp = SpaceSpec.besov(2, 1, PointMassAtOne())
