@@ -4,7 +4,7 @@ lower bounds for cyclicity questions."""
 
 __version__ = "0.1.0"
 
-from .scalars import ComplexRational, abs_sq, conj, is_exact_scalar, to_complex
+from .scalars import ComplexRational, abs_sq, is_exact_scalar
 from .poly import (
     SparsePoly,
     is_outer_1d,
@@ -74,7 +74,7 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "ComplexRational", "abs_sq", "conj", "is_exact_scalar", "to_complex",
+    "ComplexRational", "abs_sq", "is_exact_scalar",
     "SparsePoly", "is_outer_1d",
     "poly_from_literal", "poly_to_literal", "roots_1d", "series_invert",
     "BetaDensity", "ConstantDensity", "GeneralQuadrature", "NormalizedVolume",

@@ -20,7 +20,8 @@ assembles and factors only them, and ``optimal_approximant`` factors only
 the reachable rows and columns of the full system it is given and fills the
 other coefficients with zeros.  Both are exact: the dropped unknowns are 0
 in the full solution.  ``assemble_gram`` and ``finite_section_mult_bound``
-keep the full basis.
+keep the full basis; ``assemble_gram`` refuses a system past
+GRAM_ENTRY_BUDGET entries.
 
 Exponents have one index, the mixed-radix integer codes of ``_coder``.
 One routine, ``_gram_matrix``, pairs two polynomials over a column and a
@@ -70,7 +71,7 @@ import numpy as np
 import scipy.linalg
 
 from .poly import SparsePoly, series_invert
-from .scalars import ComplexRational, path_casts
+from .scalars import ComplexRational, check_int, path_casts
 from .spaces import SpaceSpec, homogeneous_norms_sq, monomial_norm_sq, norm_sq
 
 # exact LDL* takes about 0.03 s on the 101 reachable unknowns of the banded
@@ -85,6 +86,9 @@ DIST_SQ_CLAMP = -1e-12
 # entries (columns x pairs of terms of f) and the block of G they fill
 # (columns x rows) stay within this count: a few MB of index arrays
 GRAM_BLOCK_ENTRIES = 1 << 16
+# entries of the full system assemble_gram builds: 512 MB of complex entries,
+# which DA_4 to degree 16 (4845 unknowns) fits and degree 20 (10626) does not
+GRAM_ENTRY_BUDGET = 1 << 25
 
 
 def graded_monomials(d: int, max_degree: int) -> list[tuple]:
@@ -302,9 +306,16 @@ def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, ba
 
 def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int, force_float: bool = False) -> GramSystem:
     """Build the Gram system of {z^beta f : |beta| <= max_degree} against
-    target g, over the full graded basis."""
+    target g, over the full graded basis of C(d + max_degree, d) unknowns;
+    ValueError, before building anything, when its matrix has more than
+    GRAM_ENTRY_BUDGET entries."""
     _check_inputs(space, f, g)
     max_degree = _degree(max_degree)
+    n = math.comb(space.d + max_degree, space.d)
+    if n * n > GRAM_ENTRY_BUDGET:
+        raise ValueError(f"the full Gram system to degree {max_degree} in {space.d} variables has {n} unknowns, "
+                         f"{n * n} entries, over the budget of {GRAM_ENTRY_BUDGET}; a profile (distance_profile, "
+                         f"the profile command) solves only the part the target reaches")
     exact = _exact_inputs(space, f, g) and not force_float
     return _gram_system(space, f, g, max_degree, graded_monomials(space.d, max_degree), exact)
 
@@ -548,16 +559,14 @@ def hc_profile(space: SpaceSpec, phi: SparsePoly, n: int, degrees, method: str =
     Decay to 0 witnesses [phi^n] = [phi^(n+1)], the degree-n to degree-(n+1)
     step of the cyclicity-hierarchy membership of phi.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_int("n", n, 0)
     return distance_profile(space, phi ** (n + 1), phi ** n, degrees, method=method)
 
 
 def membership_profile(space: SpaceSpec, h: SparsePoly, f: SparsePoly, k: int, degrees, method: str = "auto") -> list[ProfilePoint]:
     """Distances dist(h, {p f^k : deg p <= m}); upper bounds on the distance
     from h to the closed polynomial-multiple subspace of f^k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_int("k", k, 0)
     return distance_profile(space, f ** k, h, degrees, method=method)
 
 

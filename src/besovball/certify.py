@@ -19,6 +19,14 @@ over a reverse-Lipschitz parametrization, giving E <= (2/c^2) * the
 parameter-box integral of |t-s|^(-2); c is estimated as a grid minimum and
 recorded as such in the audit, together with the looser 2/c variant of the
 constant for comparison.
+
+Tolerances and grid sizes are module constants, read at each call:
+ENERGY_DOUBLING_TOL ends the grid doubling of the energy and of the
+parameter-box integral, BOX_GRID_BASE is the box integral's first grid,
+NORM_REL_TOL is the relative width at which a functional-norm bracket stops
+growing its cutoff, and DOMINATION_SPHERE_POINTS and DOMINATION_SEED fix the
+directions of the domination grid.  The cube measures carry unit density:
+the bound mu_total / sqrt(E) is the same for c mu as for mu.
 """
 
 from __future__ import annotations
@@ -33,19 +41,23 @@ import numpy as np
 from . import kernels
 from .approx import graded_monomials
 from .poly import SparsePoly, onevar_terms
-from .scalars import ComplexRational, abs_sq, to_complex
+from .scalars import ComplexRational, abs_sq, check_int
 from .spaces import CACHE_MAXSIZE, SpaceSpec, check_int
 
 SPHERE_TOL = 1e-12
 SUPPORT_TOL = 1e-10
-ENERGY_DOUBLING_TOL = 0.02
+ENERGY_DOUBLING_TOL = 0.02  # relative change that ends the doubling of the energy and box-integral grids
+NORM_REL_TOL = 1e-8  # relative width that ends the cutoff doubling of a functional-norm bracket
 LATTICE_CHECK_TOL = 1e-12
+BOX_GRID_BASE = 64  # nodes per axis of the first box-integral grid; even, so no node sits on u = 0
 BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; bounds time only, as the sum holds no grid
 BOX_LEAF_POINTS = 1 << 14  # box-integral points summed at a time: 128 kB per float64 array
 NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
 LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time: about 8 MB of scratch
 CHORD_GRID_NODES = 12  # nodes per axis, at most, of the reverse-Lipschitz grid
+DOMINATION_SPHERE_POINTS = 64  # sphere directions per radius of the domination grid
+DOMINATION_SEED = 0  # seed of those directions, so the estimate is reproducible
 
 
 # -- derivative functionals on the D_alpha scale ------------------------------
@@ -85,13 +97,13 @@ def _check_bounded(j: int, alpha) -> None:
         raise ValueError(f"the order-{j} boundary derivative is unbounded for alpha = {alpha} <= {2 * j + 1}")
 
 
-def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
+def functional_norm(j: int, alpha) -> NormBracket:
     """Bracket ||L_j||^2 = sum_{n>=j} (n!/(n-j)!)^2 (n+1)^(-alpha).
 
     Finite iff alpha > 2j + 1 (ValueError otherwise).  A partial sum to an
     adaptive cutoff plus signed integral bounds on the tail brackets the
     value; the bracket narrows like cutoff^(2j - alpha) and the cutoff grows
-    until the relative width drops under rel_tol, up to 2^24.  Each doubling
+    until the relative width drops under NORM_REL_TOL, up to 2^24.  Each doubling
     forms only the new terms, NORM_CHUNK at a time, and keeps each chunk as
     a few floats with the same exact sum (``_exact_parts``); one fsum of all
     of them is the exactly rounded partial sum, so memory stays bounded by
@@ -138,7 +150,7 @@ def functional_norm(j: int, alpha, rel_tol: float = 1e-8) -> NormBracket:
         guard = 1e-13
         lower = (partial + t_lo) * (1.0 - guard)
         upper = (partial + t_up) * (1.0 + guard)
-        if upper - lower <= rel_tol * lower or K >= (1 << 24):
+        if upper - lower <= NORM_REL_TOL * lower or K >= (1 << 24):
             return NormBracket(lower=lower, upper=upper, cutoff=K)
         K <<= 1
 
@@ -272,21 +284,11 @@ class CubeMeasure:
     phi: object
     label: str
     shrink: float = 0.0
-    scale: float = 1.0  # density multiplier; mass and energy scale as c and c^2
     shift_invariant: bool = False
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
 
     @property
     def total_mass(self) -> float:
-        return self.scale * 2.0**self.m
-
-    def scaled(self, c) -> "CubeMeasure":
-        from dataclasses import replace
-
-        return replace(self, scale=self.scale * float(c))
+        return 2.0**self.m
 
     @staticmethod
     def torus(k: int, d: int, shrink: float = 0.05) -> "CubeMeasure":
@@ -359,9 +361,9 @@ class CubeMeasure:
 
 
 def _check_chart(k: int, d: int, shrink: float) -> None:
-    """The arguments of the named cube families: 2 <= k <= d, 0 < shrink < 1."""
-    if k < 2 or d < k:
-        raise ValueError("need 2 <= k <= d")
+    """The arguments of the named cube families: integers 2 <= k <= d, 0 < shrink < 1."""
+    if not (isinstance(k, int) and isinstance(d, int) and 2 <= k <= d):
+        raise ValueError(f"need 2 <= k <= d, both integers; got k = {k!r}, d = {d!r}")
     if not (0 < shrink < 1):
         raise ValueError("shrink must be in (0,1)")
 
@@ -376,7 +378,7 @@ def evaluate_on_points(f: SparsePoly, Z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of f on rows of Z."""
     vals = np.zeros(Z.shape[0], dtype=complex)
     for beta, c in f.terms.items():
-        term = np.full(Z.shape[0], to_complex(c), dtype=complex)
+        term = np.full(Z.shape[0], complex(c), dtype=complex)
         for i, e in enumerate(beta):
             if e:
                 term *= Z[:, i] ** e
@@ -445,26 +447,22 @@ def _param_inv_sq_integral(m: int, n: int) -> float:
     return float(tree(0, n**m) * h**m)
 
 
-def param_inv_sq_integral(m: int, n_base: int = 64, rel_tol: float = ENERGY_DOUBLING_TOL):
+def param_inv_sq_integral(m: int):
     """(value, rel_change, n_final) for the parameter-box integral, with
-    midpoint-grid doubling until the change falls under rel_tol; ValueError,
-    before building it, for a grid past BOX_GRID_POINTS points or an n_base
-    that is not an even integer >= 2 (an odd n puts a node on the singular
-    point u = 0)."""
-    check_int("n_base", n_base, 1)
-    if n_base % 2:
-        raise ValueError(f"n_base must be even: an odd n puts a midpoint node on the singular point u = 0, "
-                         f"got {n_base}")
-    n, prev = n_base, None
+    midpoint-grid doubling from BOX_GRID_BASE nodes per axis until the change
+    falls under ENERGY_DOUBLING_TOL; ValueError, before building it, for a
+    grid past BOX_GRID_POINTS points."""
+    n, prev = BOX_GRID_BASE, None
     while True:
         if n**m > BOX_GRID_POINTS:
-            state = "" if prev is None else f", unconverged at relative change {rel:.3g} (tolerance {rel_tol})"
+            state = ("" if prev is None
+                     else f", unconverged at relative change {rel:.3g} (tolerance {ENERGY_DOUBLING_TOL})")
             raise ValueError(f"box integral for m = {m}: the n = {n} grid needs {n**m} points, "
                              f"over the budget of {BOX_GRID_POINTS}{state}")
         cur = _param_inv_sq_integral(m, n)
         if prev is not None:
             rel = abs(cur - prev) / cur
-            if rel < rel_tol:
+            if rel < ENERGY_DOUBLING_TOL:
                 return cur, rel, n
         prev = cur
         n *= 2
@@ -543,14 +541,13 @@ def _check_energy_budget(measure: CubeMeasure, n_base: int, max_doublings: int) 
                              f"over the budget of {ENERGY_PAIR_BUDGET}")
 
 
-def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
-           rel_tol: float = ENERGY_DOUBLING_TOL) -> EnergyResult:
+def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2) -> EnergyResult:
     """Quadrature value and analytic upper bound for E(mu).
 
     Convergence of the box-pair integral needs m >= 3 (ValueError below
     that).  The two grid copies are midpoint grids offset by half a cell,
     so the singular diagonal t = s is never sampled; the node count doubles
-    until the energy moves by less than rel_tol.  A shift-invariant cube is
+    until the energy moves by less than ENERGY_DOUBLING_TOL.  A shift-invariant cube is
     summed over the difference lattice, (2n - 1)^m kernel evaluations per
     level instead of n^(2m), once the lattice sum has matched the pair sum
     on the base grid.  Every level, the base-grid check and the chord-ratio
@@ -570,23 +567,22 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
         return _lattice_sum(measure, n) if lattice else _pair_sum(measure, n)
 
     n = n_base
-    mass_sq = measure.scale**2
     total = node_sum(n)
     check_rel = None
     if lattice:
         check_rel = _check_lattice_sum(measure, n, total)
         evaluations += n ** (2 * m)
     w = (2.0 / n) ** m
-    prev = total * w * w * mass_sq
+    prev = total * w * w
     rel = math.inf
     converged = False
     for _ in range(max_doublings):
         n *= 2
         w = (2.0 / n) ** m
-        cur = node_sum(n) * w * w * mass_sq
+        cur = node_sum(n) * w * w
         rel = abs(cur - prev) / cur
         prev = cur
-        if rel < rel_tol:
+        if rel < ENERGY_DOUBLING_TOL:
             converged = True
             break
     value = prev
@@ -596,7 +592,7 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2,
     Tc1, Zc1 = measure.grid(nc, offset=0.0)
     Tc2, Zc2 = measure.grid(nc, offset=0.5)
     c_est = kernels.min_chord_ratio(Zc1, Zc2, Tc1, Tc2)
-    analytic_upper = (2.0 / c_est**2) * integral * mass_sq
+    analytic_upper = (2.0 / c_est**2) * integral
     return EnergyResult(
         value=value, rel_change=rel, nodes_per_axis=n, converged=converged,
         c_estimate=c_est, param_integral=integral, analytic_upper=analytic_upper,
@@ -639,7 +635,7 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
     mu_total = measure.total_mass
     lower = mu_total / math.sqrt(res.analytic_upper)
 
-    wq = measure.scale * (2.0 / n_check) ** measure.m
+    wq = (2.0 / n_check) ** measure.m
     pair_max = 0.0
     for beta in graded_monomials(measure.d, 6):
         mono = evaluate_on_points(SparsePoly.monomial(measure.d, beta), Z)
@@ -656,7 +652,7 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
         "param_box_inv_sq_integral": res.param_integral,
         "energy_upper_analytic": res.analytic_upper,
         "bound_constant_form": "2/c^2 via |1-<z,w>| >= |z-w|^2/2 >= (c^2/2)|t-s|^2",
-        "alt_constant_2_over_c_value": (2.0 / res.c_estimate) * res.param_integral * measure.scale**2,
+        "alt_constant_2_over_c_value": (2.0 / res.c_estimate) * res.param_integral,
         "support_max_abs_f": support_dev,
         "max_abs_monomial_pairing_deg6": pair_max,
     }
@@ -671,12 +667,12 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
     return Certificate(kind="energy", lower_bound=lower, audit=audit, grid=grid)
 
 
-def domination_constant(f: SparsePoly, g: SparsePoly, j: int, radii=None,
-                        n_sphere: int = 64, seed: int = 0) -> float:
+def domination_constant(f: SparsePoly, g: SparsePoly, j: int, radii=None) -> float:
     """Grid estimate of sup over the ball of |g|^j / |f| (may be inf).
 
     The grid is a radial-spherical product: each radius (default up to
-    0.9999) times n_sphere pseudo-random points of the unit sphere of C^d.
+    0.9999) times DOMINATION_SPHERE_POINTS pseudo-random points of the unit
+    sphere of C^d, drawn with seed DOMINATION_SEED.
     """
     if f.dim != g.dim:
         raise ValueError("f and g must share a dimension")
@@ -684,8 +680,8 @@ def domination_constant(f: SparsePoly, g: SparsePoly, j: int, radii=None,
         raise ValueError("j must be >= 0")
     d = f.dim
     radii = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999] if radii is None else list(radii)
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=(n_sphere, d)) + 1j * rng.normal(size=(n_sphere, d))
+    rng = np.random.default_rng(DOMINATION_SEED)
+    w = rng.normal(size=(DOMINATION_SPHERE_POINTS, d)) + 1j * rng.normal(size=(DOMINATION_SPHERE_POINTS, d))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     best = 0.0
     ff = f.to_float()

@@ -26,7 +26,7 @@ from .experiments import (
     write_profile_csv,
 )
 from .poly import SparsePoly, poly_from_literal, poly_to_literal
-from .scalars import ComplexRational, to_complex
+from .scalars import ComplexRational
 from .spaces import inner_product, norm_sq, space_from_json
 
 
@@ -65,7 +65,7 @@ def _fmt_scalar(x) -> str:
     if isinstance(x, ComplexRational):
         if x.is_real:
             return _fmt_scalar(x.re)
-        return f"{x} (= {to_complex(x)!r})"
+        return f"{x} (= {complex(x)!r})"
     return repr(x)
 
 
@@ -190,7 +190,7 @@ def _cmd_approx(args) -> int:
     if args.json_out:
         payload = {
             "degree": res.degree,
-            "dist_sq": float(to_complex(res.dist_sq).real) if not isinstance(res.dist_sq, float) else res.dist_sq,
+            "dist_sq": float(complex(res.dist_sq).real) if not isinstance(res.dist_sq, float) else res.dist_sq,
             "approximant": poly_to_literal(res.polynomial(space.d)),
             "conditioning": {
                 "path": res.conditioning.path,

@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import SparsePoly, factorial_ratio, onevar_terms
-from .scalars import to_complex
 from .spaces import CACHE_MAXSIZE
 
 
@@ -54,7 +53,7 @@ def tau_compose(f, k: int, d: int) -> SparsePoly:
     for n, a in onevar_terms(f):
         scale = _tau_scale(k, n)
         beta = tuple([n] * k + [0] * (d - k))
-        terms[beta] = a * scale if not isinstance(scale, float) else to_complex(a) * scale
+        terms[beta] = a * scale if not isinstance(scale, float) else complex(a) * scale
     return SparsePoly(d, terms)
 
 

@@ -48,7 +48,7 @@ from .poly import (
     roots_1d,
     series_invert,
 )
-from .scalars import ComplexRational
+from .scalars import ComplexRational, json_int
 from .spaces import (
     BetaDensity,
     ConstantDensity,
@@ -142,12 +142,12 @@ def run_step(spec: ExperimentSpec) -> list[ProfilePoint] | Certificate:
             return distance_profile(space, poly("f"), poly("g"), p["degrees"], method=method)
         return cyclicity_profile(space, poly("f"), p["degrees"], method=method)
     if spec.kind == "hc":
-        return hc_profile(space, poly("phi"), int(p["n"]), p["degrees"], method=method)
+        return hc_profile(space, poly("phi"), json_int(p["n"]), p["degrees"], method=method)
     if spec.kind == "member":
-        return membership_profile(space, poly("h"), poly("f"), int(p["k"]), p["degrees"], method=method)
+        return membership_profile(space, poly("h"), poly("f"), json_int(p["k"]), p["degrees"], method=method)
     if spec.kind == "dual-certify":
-        return dual_lower_bound(space, poly("g"), poly("h"), int(p["j"]))
-    grid = {k: int(p[k]) for k in ("n_base", "max_doublings") if k in p}
+        return dual_lower_bound(space, poly("g"), poly("h"), json_int(p["j"]))
+    grid = {k: json_int(p[k]) for k in ("n_base", "max_doublings") if k in p}
     return energy_lower_bound(space, poly("f"), cube_from_json(p["cube"]), **grid)
 
 
@@ -217,9 +217,9 @@ def cube_from_json(obj) -> CubeMeasure:
     fam = obj.get("family")
     shrink = {"shrink": float(obj["shrink"])} if "shrink" in obj else {}
     if fam == "torus":
-        return CubeMeasure.torus(int(obj["k"]), int(obj["d"]), **shrink)
+        return CubeMeasure.torus(json_int(obj["k"]), json_int(obj["d"]), **shrink)
     if fam == "sphere":
-        return CubeMeasure.sphere_patch(int(obj["k"]), int(obj["d"]), **shrink)
+        return CubeMeasure.sphere_patch(json_int(obj["k"]), json_int(obj["d"]), **shrink)
     raise ValueError(f"unknown cube family: {fam!r} (expected torus or sphere)")
 
 

@@ -6,8 +6,9 @@ Coefficients live on the exact path (ComplexRational / Fraction / int)
 or the float path (complex); see ``scalars``.
 
 The JSON literal for a polynomial maps the comma-joined exponent string
-to a coefficient list: ``[re_num, re_den, im_num, im_den]`` on the exact
-path, or ``[re, im]`` floats.
+to a coefficient list: ``[re_num, re_den, im_num, im_den]`` integers on the
+exact path (a whole float such as 2.0 counts, 1.5 is refused), or
+``[re, im]`` floats.
 
 One-variable objects (slices f(lambda z), the disc-side inputs of the
 embeddings, the arguments of boundary functionals) are ``SparsePoly(1, ...)``;
@@ -25,7 +26,7 @@ from operator import add
 
 import numpy as np
 
-from .scalars import ComplexRational, is_exact_scalar, to_complex
+from .scalars import ComplexRational, is_exact_scalar, json_int
 
 
 def multi_factorial(beta) -> int:
@@ -253,23 +254,11 @@ class SparsePoly:
             raise ValueError("point dimension mismatch")
         total = 0j
         for b, c in self.terms.items():
-            v = to_complex(c)
+            v = complex(c)
             for p, e in zip(point, b):
                 if e:
                     v *= p ** e
             total += v
-        return total
-
-    def evaluate_exact(self, point):
-        """Exact evaluation at a rational point (components int/Fraction/ComplexRational)."""
-        pt = [ComplexRational.coerce(p) for p in point]
-        total = ComplexRational()
-        for b, c in self.terms.items():
-            v = ComplexRational.coerce(c)
-            for p, e in zip(pt, b):
-                for _ in range(e):
-                    v = v * p
-            total = total + v
         return total
 
     def slice(self, z, max_degree):
@@ -285,7 +274,7 @@ class SparsePoly:
         return SparsePoly(1, {(n,): part.evaluate(z) for n, part in parts if n <= max_degree})
 
     def to_float(self):
-        return SparsePoly._valid(self.dim, {b: to_complex(c) for b, c in self.terms.items()})
+        return SparsePoly._valid(self.dim, {b: complex(c) for b, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -374,7 +363,10 @@ def poly_from_literal(lit, dim=None) -> SparsePoly:
         if dim is None:
             dim = len(beta)
         if len(val) == 4:
-            c = ComplexRational(Fraction(int(val[0]), int(val[1])), Fraction(int(val[2]), int(val[3])))
+            parts = [json_int(x) for x in val]
+            if not all(isinstance(x, int) for x in parts):
+                raise ValueError(f"exact coefficient for {key} must have integer parts, got {val!r}")
+            c = ComplexRational(Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3]))
         elif len(val) == 2:
             c = complex(float(val[0]), float(val[1]))
         else:
@@ -386,6 +378,10 @@ def poly_from_literal(lit, dim=None) -> SparsePoly:
 
 
 # -- one-variable polynomials -----------------------------------------------
+
+ROOT_RESIDUAL_TOL = 1e-9  # |q(root)| per unit coefficient norm, scaled by |root|^deg past the disc
+ROOT_CLUSTER_TOL = 1e-7  # roots closer than this count as one, with multiplicity
+OUTER_MARGIN = 1e-9  # a root this close inside the circle counts as on it
 
 
 def onevar_terms(f: SparsePoly) -> list:
@@ -402,18 +398,18 @@ def dense_coeffs(f: SparsePoly) -> np.ndarray:
     terms = onevar_terms(f)
     arr = np.zeros(max(1, f.degree() + 1), dtype=complex)
     for n, c in terms:
-        arr[n] = to_complex(c)
+        arr[n] = complex(c)
     return arr
 
 
-def roots_1d(q, residual_tol=1e-9, cluster_tol=1e-7):
+def roots_1d(q):
     """Roots of a one-variable polynomial (float path, companion matrix).
 
     q is a ``SparsePoly`` in one variable or a sequence of coefficients
     a_0, a_1, ... by ascending degree.  Returns a list of (root,
     multiplicity).  Each root is checked by back-substitution: |q(root)| <
-    residual_tol * l2-norm of the coefficients.  Roots closer than
-    cluster_tol are merged.
+    ROOT_RESIDUAL_TOL * l2-norm of the coefficients.  Roots closer than
+    ROOT_CLUSTER_TOL are merged.
     """
     if isinstance(q, SparsePoly):
         arr = dense_coeffs(q)
@@ -429,12 +425,12 @@ def roots_1d(q, residual_tol=1e-9, cluster_tol=1e-7):
         val = abs(np.polynomial.polynomial.polyval(r, arr))
         # evaluation can overflow far outside the disc; rescale by the root size
         denom = scale * max(1.0, abs(r)) ** (arr.size - 1)
-        if val / denom > residual_tol:
+        if val / denom > ROOT_RESIDUAL_TOL:
             raise ArithmeticError(f"root {r} fails the residual check ({val / denom:.2e})")
     clusters: list[list[complex]] = []
     for r in sorted(raw, key=lambda z: (z.real, z.imag)):
         for cl in clusters:
-            if abs(r - cl[0]) < cluster_tol:
+            if abs(r - cl[0]) < ROOT_CLUSTER_TOL:
                 cl.append(r)
                 break
         else:
@@ -442,8 +438,8 @@ def roots_1d(q, residual_tol=1e-9, cluster_tol=1e-7):
     return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
 
 
-def is_outer_1d(q, margin=1e-9) -> bool:
-    """True when the one-variable polynomial has no zeros of modulus < 1 - margin.
+def is_outer_1d(q) -> bool:
+    """True when the one-variable polynomial has no zeros of modulus < 1 - OUTER_MARGIN.
 
     A polynomial with no zeros in the open disc is outer in the Hardy space
     of the disc; constants count as outer.
@@ -452,4 +448,4 @@ def is_outer_1d(q, margin=1e-9) -> bool:
         roots = roots_1d(q)
     except ArithmeticError:
         return False
-    return all(abs(r) >= 1 - margin for r, _ in roots)
+    return all(abs(r) >= 1 - OUTER_MARGIN for r, _ in roots)

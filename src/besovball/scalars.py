@@ -1,4 +1,4 @@
-"""Exact Gaussian-rational scalars.
+"""Exact Gaussian-rational scalars, and the integer checks of arguments.
 
 Coefficient arithmetic throughout the package runs on one of two paths:
 
@@ -37,8 +37,8 @@ A real value equals, and hashes like, the same int or ``Fraction``:
 (True, True)
 
 The constructor and ``coerce`` refuse floats, but arithmetic degrades to
-``complex`` against a float or complex operand; use :func:`to_complex` at
-the boundary where a float value is wanted.
+``complex`` against a float or complex operand; ``complex(x)`` is the
+float value of an exact x.
 
 >>> ComplexRational(1) * 0.5
 (0.5+0j)
@@ -48,6 +48,18 @@ the boundary where a float value is wanted.
 Traceback (most recent call last):
     ...
 TypeError: not an exact rational: 0.5
+
+The module also holds the integer checks that the parsers and constructors
+share: ``check_int`` refuses anything but an int past a least value, naming
+the argument, and ``json_int`` reads a whole JSON float such as 2.0 as an int
+and leaves 2.5 for that check to refuse.
+
+>>> json_int(2.0), json_int(2.5)
+(2, 2.5)
+>>> check_int("n", json_int(2.5), 0)
+Traceback (most recent call last):
+    ...
+ValueError: n must be an integer >= 0, got 2.5
 """
 
 from __future__ import annotations
@@ -284,15 +296,6 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, ComplexRational))
 
 
-def conj(x):
-    """Conjugate on either scalar path."""
-    if isinstance(x, ComplexRational):
-        return x.conjugate()
-    if isinstance(x, (int, Fraction)):
-        return x
-    return x.conjugate() if isinstance(x, complex) else complex(x).conjugate()
-
-
 def abs_sq(x):
     """|x|^2; exact (Fraction) on the exact path, float otherwise."""
     if isinstance(x, ComplexRational):
@@ -303,14 +306,22 @@ def abs_sq(x):
     return z.real * z.real + z.imag * z.imag
 
 
-def to_complex(x) -> complex:
-    return complex(x)
-
-
 def path_casts(exact: bool):
     """(coefficient cast, weight cast) of one arithmetic path, picked once
     per sum so its loop needs no branch: ComplexRational and weights as
     they are (exact), or complex and float."""
     if exact:
         return ComplexRational.coerce, lambda w: w
-    return to_complex, float
+    return complex, float
+
+
+def check_int(name: str, value, least: int) -> None:
+    """ValueError, naming the argument, unless value is an int >= least."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def json_int(x):
+    """A whole JSON number as an int; anything else is left to the caller's
+    check, so a fractional value is refused rather than truncated."""
+    return int(x) if isinstance(x, float) and x.is_integer() else x

@@ -39,22 +39,11 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import SparsePoly, factorial_ratio
-from .scalars import ComplexRational, abs_sq, path_casts, to_complex
+from .scalars import ComplexRational, abs_sq, check_int, json_int, path_casts
 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
 CACHE_MAXSIZE = 4096
-
-
-def check_int(name: str, value, least: int) -> None:
-    """ValueError, naming the argument, unless value is an int >= least."""
-    if not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _json_int(x):
-    """A whole JSON number as an int; anything else is left to check_int."""
-    return int(x) if isinstance(x, float) and x.is_integer() else x
 
 
 # -- radial measures ---------------------------------------------------------
@@ -199,17 +188,17 @@ def measure_from_json(obj):
     if kind == "point_mass_one":
         return PointMassAtOne()
     if kind == "volume":
-        return NormalizedVolume(_json_int(obj["dim"]))
+        return NormalizedVolume(json_int(obj["dim"]))
     if kind == "constant_density":
         c = obj.get("c", [1, 1])
         if not (isinstance(c, list) and len(c) == 2):
             raise ValueError(f"c must be a [numerator, denominator] pair, got {c!r}")
-        num, den = (_json_int(x) for x in c)
+        num, den = (json_int(x) for x in c)
         check_int("the numerator of c", num, 1)
         check_int("the denominator of c", den, 1)
         return ConstantDensity(Fraction(num, den))
     if kind == "beta_density":
-        return BetaDensity(_json_int(obj["beta"]))
+        return BetaDensity(json_int(obj["beta"]))
     if kind == "quadrature":
         return GeneralQuadrature(obj["nodes"], obj["weights"])
     raise ValueError(f"unknown measure type: {kind!r}")
@@ -278,19 +267,14 @@ class SpaceSpec:
             out["alpha"] = int(self.alpha) if self.is_exact else float(self.alpha)
         return out
 
-    def describe(self) -> str:
-        if self.kind == "alpha":
-            return f"D_{self.alpha}(B_{self.d})"
-        return f"B^{self.N}_omega(B_{self.d}), omega = {self.measure.to_json()['type']}"
-
 
 def space_from_json(obj) -> SpaceSpec:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    d = _json_int(obj["d"])
+    d = json_int(obj["d"])
     kind = obj["kind"]
     if kind == "besov":
-        return SpaceSpec(d=d, kind="besov", N=_json_int(obj["N"]), measure=measure_from_json(obj["measure"]))
+        return SpaceSpec(d=d, kind="besov", N=json_int(obj["N"]), measure=measure_from_json(obj["measure"]))
     if kind == "alpha":
         a = obj["alpha"]
         a = int(a) if float(a).is_integer() else float(a)
@@ -429,6 +413,6 @@ def slice_norm_gap(f: SparsePoly, z) -> float:
     """||f||^2_{H2_d} - sum_n |f_n(z)|^2 for |z| = 1; non-negative by
     Cauchy-Schwarz against the degree-n kernel component."""
     s = f.slice(z, max(0, f.degree()))
-    total = math.fsum(abs(to_complex(a)) ** 2 for a in s.terms.values())
+    total = math.fsum(abs(complex(a)) ** 2 for a in s.terms.values())
     da = SpaceSpec.drury_arveson(f.dim)
     return float(norm_sq(da, f.to_float())) - total

@@ -146,7 +146,7 @@ def test_projection_oracle_random_systems():
         oracle = _projection_oracle(space, f, g, m)
         res = optimal_approximant(assemble_gram(space, f, g, m), method="exact")
         assert res.exact
-        assert res.dist_sq == oracle, (space.describe(), f.terms, g.terms, m)
+        assert res.dist_sq == oracle, (space, f.terms, g.terms, m)
         resf = optimal_approximant(
             assemble_gram(space, f, g, m, force_float=True), method="float"
         )
@@ -936,3 +936,15 @@ if HAVE_HYPOTHESIS:
         for k, fp in enumerate(fpts):
             assert abs(fp.dist_sq - ffull.block(sizes[k], sizes[k])[0]) <= tol
         assert abs(optimal_approximant(flt, method="float").dist_sq - ffull.block(sizes[m], sizes[m])[0]) <= tol
+
+
+def test_assemble_gram_entry_budget(monkeypatch):
+    # DA_2 to degree 4: 15 unknowns, 225 entries
+    da2, f = SpaceSpec.drury_arveson(2), SparsePoly(2, {(0, 0): 1, (1, 1): -2})
+    monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 225)
+    assert len(assemble_gram(da2, f, SparsePoly.one(2), 4).basis) == 15
+    monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 224)
+    with pytest.raises(ValueError, match="15 unknowns, 225 entries, over the budget of 224"):
+        assemble_gram(da2, f, SparsePoly.one(2), 4)
+    # a profile never builds the full system, so the budget does not bind it
+    assert cyclicity_profile(da2, f, [4])[0].full_unknowns == 15

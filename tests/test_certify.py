@@ -231,11 +231,6 @@ def test_cube_measure_grid_invariants():
 
 
 def test_cube_measure_scaling():
-    mu = CubeMeasure.torus(4, 4)
-    half = mu.scaled(0.5)
-    assert half.total_mass == pytest.approx(0.5 * mu.total_mass)
-    with pytest.raises(ValueError):
-        mu.scaled(-1.0)
     with pytest.raises(ValueError):
         CubeMeasure.torus(5, 4)  # k > d
     with pytest.raises(ValueError):
@@ -260,16 +255,6 @@ def test_energy_requires_enough_legs():
     mu3 = CubeMeasure.torus(3, 3)  # m = 2
     with pytest.raises(ValueError):
         energy(mu3)
-
-
-def test_energy_scaling_quadratic():
-    mu = CubeMeasure.torus(4, 4)
-    e1 = energy(mu, n_base=6, max_doublings=0)
-    e2 = energy(mu.scaled(2.0), n_base=6, max_doublings=0)
-    assert e2.value == pytest.approx(4.0 * e1.value, rel=1e-12)
-    assert e2.analytic_upper == pytest.approx(4.0 * e1.analytic_upper, rel=1e-12)
-    assert e1.value > 0
-    assert e1.c_estimate > 0
 
 
 @pytest.mark.parametrize("k, n", [(4, 8), (4, 16), (5, 8)])
@@ -341,10 +326,11 @@ def test_energy_grid_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    # 32^6 is exactly the budget: every level runs
+    # 32^6 is exactly the budget: every level runs (a constant pair sum
+    # changes by a factor 64 per doubling, so no level converges)
     seen = []
     monkeypatch.setattr(certify, "_pair_sum", lambda measure, n: seen.append(n) or 1.0)
-    energy(patch, n_base=8, max_doublings=2, rel_tol=0.0)
+    energy(patch, n_base=8, max_doublings=2)
     assert seen == [8, 16, 32]
 
 
@@ -354,10 +340,11 @@ def test_false_shift_invariance_claim_is_caught():
         energy(mu, max_doublings=0)
 
 
-def test_param_integral_cross_check():
+def test_param_integral_cross_check(monkeypatch):
     # the difference-substitution quadrature against a direct double-grid
     # midpoint rule (offset copies, so the diagonal is never hit)
-    val, rel, n_final = param_inv_sq_integral(3, n_base=32)
+    monkeypatch.setattr(certify, "BOX_GRID_BASE", 32)
+    val, rel, n_final = param_inv_sq_integral(3)
     assert n_final >= 64
     n = 16
     h = 2.0 / n
@@ -400,15 +387,6 @@ def test_energy_certificate_pipeline():
     assert back.grid["family"] == cert.grid["family"]
 
 
-def test_energy_certificate_scale_invariance():
-    sp = SpaceSpec.drury_arveson(4)
-    f = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
-    mu = CubeMeasure.torus(4, 4)
-    a = energy_lower_bound(sp, f, mu, n_base=6, max_doublings=0)
-    b = energy_lower_bound(sp, f, mu.scaled(3.0), n_base=6, max_doublings=0)
-    assert b.lower_bound == pytest.approx(a.lower_bound, rel=1e-9)
-
-
 def test_energy_certificate_preconditions():
     f = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
     mu = CubeMeasure.torus(4, 4)
@@ -439,13 +417,15 @@ def test_domination_anchors():
     assert nearer >= near > 1.0
 
 
-def test_param_integral_grid_budget():
+def test_param_integral_grid_budget(monkeypatch):
     # m = 3 converges on the 128^3 grid, inside the budget
     val, _, n_final = param_inv_sq_integral(3)
     assert (val, n_final) == (88.74771025858979, 128)
     # unconverged at n = 128: the next grid is past the budget
-    with pytest.raises(ValueError, match="unconverged"):
-        param_inv_sq_integral(3, rel_tol=1e-4)
+    with monkeypatch.context() as mp:
+        mp.setattr(certify, "ENERGY_DOUBLING_TOL", 1e-4)
+        with pytest.raises(ValueError, match=r"unconverged .*\(tolerance 0\.0001\)"):
+            param_inv_sq_integral(3)
     tracemalloc.start()
     try:
         # m = 4: the first grid, 64^4 points, is past the budget
@@ -469,7 +449,7 @@ def _oracle_pairing_max(measure, f, n_check):
     monomials built by hand as they were before ``evaluate_on_points``."""
     _, Z = measure.grid(n_check, offset=0.0)
     fvals = evaluate_on_points(f.to_float(), Z)
-    wq = measure.scale * (2.0 / n_check) ** measure.m
+    wq = (2.0 / n_check) ** measure.m
     pair_max = 0.0
     for beta in graded_monomials(measure.d, 6):
         mono = np.ones(Z.shape[0], dtype=complex)
@@ -483,8 +463,7 @@ def _oracle_pairing_max(measure, f, n_check):
 def test_monomial_pairings_equal_the_hand_built_loop():
     f4 = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
     sum_sq = SparsePoly(4, {(0, 0, 0, 0): 1, (2, 0, 0, 0): -1, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1})
-    for f, mu in [(f4, CubeMeasure.torus(4, 4)), (f4, CubeMeasure.torus(4, 4).scaled(3.0)),
-                  (sum_sq, CubeMeasure.sphere_patch(4, 4))]:
+    for f, mu in [(f4, CubeMeasure.torus(4, 4)), (sum_sq, CubeMeasure.sphere_patch(4, 4))]:
         cert = energy_lower_bound(SpaceSpec.drury_arveson(4), f, mu, n_base=6, max_doublings=0)
         got = cert.audit["max_abs_monomial_pairing_deg6"]
         assert got.hex() == _oracle_pairing_max(mu, f, 8).hex()
@@ -552,13 +531,6 @@ def test_energy_grid_arguments_are_checked():
             energy(mu, **kw)
         with pytest.raises(ValueError, match=match):
             energy_lower_bound(da4, f4, mu, **kw)
-    for n_base in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="n_base must be an integer >= 1"):
-            param_inv_sq_integral(3, n_base=n_base)
-    # an odd grid puts a node on the singular point u = 0
-    for n_base in (1, 7, 63):
-        with pytest.raises(ValueError, match=f"n_base must be even: .* u = 0, got {n_base}$"):
-            param_inv_sq_integral(3, n_base=n_base)
     # one m >= 3 check serves both, with one message
     for run in (lambda mu: energy(mu), lambda mu: energy_lower_bound(SpaceSpec.drury_arveson(3), f4, mu)):
         with pytest.raises(ValueError, match=r"torus\(k=3, d=3\): the cube needs dimension m >= 3, got m = 2"):

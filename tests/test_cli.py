@@ -139,9 +139,10 @@ def test_certify_dual_verb(tmp_path):
     cert = json.loads(out_path.read_text())
     assert cert["kind"] == "dual"
     assert cert["audit"]["j"] == 1
-    # the same JSON as the dual-certify step of run_experiment
+    # the same JSON as the dual-certify step of run_experiment, where a
+    # whole JSON float reads as an integer
     spec = {"name": "step", "kind": "dual-certify", "space": json.loads(D4),
-            "params": {"g": json.loads(ONE_MINUS_Z), "h": json.loads(h2), "j": 1}}
+            "params": {"g": json.loads(ONE_MINUS_Z), "h": json.loads(h2), "j": 1.0}}
     rep = run_experiment(spec, tmp_path)
     assert out_path.read_bytes() == Path(rep.outputs["certificate"]).read_bytes()
 
@@ -270,3 +271,42 @@ def test_profile_refuses_bad_spaces(space, message):
     code, out, err = run("profile", "--space", space, "--f", ONE_MINUS_Z, "--degrees", "0:4:2")
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+F4 = '{"0,0,0,0":[1,1,0,1],"1,1,1,1":[-16,1,0,1]}'
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("dual-certify", {"g": json.loads(ONE_MINUS_Z), "h": {"0": [1, 1, 0, 1], "1": [-2, 1, 0, 1], "2": [1, 1, 0, 1]},
+                      "j": 1.9},
+     "error: the order j must be an integer >= 0, got 1.9"),
+    ("hc", {"phi": json.loads(ONE_MINUS_Z), "n": 2.7, "degrees": [0, 4]}, "error: n must be an integer >= 0, got 2.7"),
+    ("member", {"h": json.loads(ONE_MINUS_Z), "f": json.loads(ONE_MINUS_Z), "k": 1.5, "degrees": [0]},
+     "error: k must be an integer >= 0, got 1.5"),
+    ("energy-certify", {"f": json.loads(F4), "cube": {"family": "torus", "k": 4, "d": 4}, "n_base": 6.5},
+     "error: n_base must be an integer >= 1, got 6.5"),
+    ("energy-certify", {"f": json.loads(F4), "cube": {"family": "torus", "k": 4, "d": 4}, "max_doublings": 0.5},
+     "error: max_doublings must be an integer >= 0, got 0.5"),
+])
+def test_run_spec_refuses_fractional_step_integers(tmp_path, kind, params, message):
+    # refused, not truncated: j = 1.9 must not give the j = 1 bound
+    space = json.loads(D4) if kind in ("dual-certify", "hc", "member") else {"d": 4, "kind": "alpha", "alpha": 0}
+    spec = json.dumps({"name": "step", "kind": kind, "space": space, "params": params})
+    code, out, err = run("run", "--spec", spec, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+def test_approx_refuses_a_full_system_past_the_entry_budget():
+    # DA_4 to degree 20 has 10626 unknowns, 1.1e8 entries: refused before
+    # anything is allocated; degree 16 (4845 unknowns) is within the budget
+    tracemalloc.start()
+    try:
+        code, out, err = run("approx", "--space", '{"d":4,"kind":"alpha","alpha":0}', "--f", F4, "--deg", "20")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "10626 unknowns, 112911876 entries, over the budget of 33554432" in err
+    assert "profile" in err
+    assert peak < 1e6

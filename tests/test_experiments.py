@@ -14,6 +14,7 @@ from besovball.experiments import (
     BUILTIN_EXPERIMENTS,
     LEMMA_CHECKS,
     ExperimentSpec,
+    cube_from_json,
     read_profile_csv,
     run_experiment,
     verify_lemma,
@@ -162,3 +163,12 @@ def test_onevar_derivative_polyder_matches_coefficient_rule():
 def test_lemma_unknown_name():
     with pytest.raises(ValueError):
         verify_lemma("no-such-lemma")
+
+
+def test_cube_from_json_refuses_fractional_sizes():
+    # refused, not read as torus(k=4, d=4)
+    with pytest.raises(ValueError, match=r"need 2 <= k <= d, both integers; got k = 4\.7, d = 4\.2"):
+        cube_from_json({"family": "torus", "k": 4.7, "d": 4.2})
+    with pytest.raises(ValueError, match="both integers"):
+        cube_from_json({"family": "sphere", "k": 3, "d": 3.5})
+    assert cube_from_json({"family": "torus", "k": 4.0, "d": 4}).label == "torus(k=4, d=4)"

@@ -263,14 +263,6 @@ def test_literal_float_variant():
     assert abs(complex(g.coefficient((1, 0))) - complex(f.coefficient((1, 0)))) < 1e-15
 
 
-def test_evaluate_exact_matches_float():
-    f = _p(2, {(0, 0): 1, (2, 1): ComplexRational(Fraction(3, 4))})
-    pt = (ComplexRational(Fraction(1, 2)), ComplexRational(Fraction(1, 3)))
-    exact = f.evaluate_exact(pt)
-    assert exact == ComplexRational(Fraction(1) + Fraction(3, 4) * Fraction(1, 4) * Fraction(1, 3))
-    assert abs(complex(exact) - f.evaluate((0.5, 1 / 3))) < 1e-15
-
-
 if HAVE_HYPOTHESIS:
     coeff_st = st.builds(
         ComplexRational,
@@ -354,3 +346,13 @@ if HAVE_HYPOTHESIS:
             assert SparsePoly(p.dim, p.terms) == p
             assert all(isinstance(c, (ComplexRational, complex)) and c for c in p.terms.values())
         assert f.to_float().terms == {b: complex(c) for b, c in f.terms.items()}
+
+
+def test_literal_exact_parts_must_be_integers():
+    # refused, not truncated to 1 and 3/2
+    for val in ([1.5, 1, 0, 1], [3, 2.9, 0, 1], [1, 1, "2", 1]):
+        with pytest.raises(ValueError, match="exact coefficient for 0 must have integer parts"):
+            poly_from_literal({"0": val})
+    # a whole JSON float is an integer
+    f = poly_from_literal(json.loads('{"0": [2.0, 1, 0, 1.0], "1": [-1, 3, 1, 2]}'))
+    assert f == _p(1, {(0,): 2, (1,): ComplexRational(Fraction(-1, 3), Fraction(1, 2))}) and f.is_exact()
