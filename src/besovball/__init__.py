@@ -59,7 +59,6 @@ from .certify import (
     Certificate,
     CubeMeasure,
     DerivativeFunctional,
-    domination_constant,
     dual_lower_bound,
     energy,
     energy_lower_bound,
@@ -89,7 +88,7 @@ __all__ = [
     "cyclicity_profile", "distance_profile", "finite_section_mult_bound",
     "graded_monomials", "hc_profile", "membership_profile",
     "optimal_approximant", "ratio_norm_sweep",
-    "Certificate", "CubeMeasure", "DerivativeFunctional", "domination_constant",
+    "Certificate", "CubeMeasure", "DerivativeFunctional",
     "dual_lower_bound", "energy", "energy_lower_bound", "functional_norm",
     "BUILTIN_EXPERIMENTS", "ExperimentSpec", "run_experiment", "verify_lemma",
 ]

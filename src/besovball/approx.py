@@ -20,8 +20,8 @@ assembles and factors only them, and ``optimal_approximant`` factors only
 the reachable rows and columns of the full system it is given and fills the
 other coefficients with zeros.  Both are exact: the dropped unknowns are 0
 in the full solution.  ``assemble_gram`` and ``finite_section_mult_bound``
-keep the full basis; ``assemble_gram`` refuses a system past
-GRAM_ENTRY_BUDGET entries.
+keep the full basis; both refuse a system past GRAM_ENTRY_BUDGET
+entries.
 
 Exponents have one index, the mixed-radix integer codes of ``_coder``.
 One routine, ``_gram_matrix``, pairs two polynomials over a column and a
@@ -38,18 +38,34 @@ weights leave the normal float range.  ``_reachable`` deduplicates
 and sorts its walk on the same codes, and ``optimal_approximant`` finds the
 reachable rows of its basis by them.
 
-Each call factors its top block once: exact rational LDL* or
-Jacobi-prescaled float Cholesky, with L y = c in the same pass.  ``auto``
-takes the exact path when the inputs are exact and the *reachable* block
-has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse generators
-come out exact at degrees whose full basis is far larger.  The graded order
-makes the leading blocks the lower-degree systems: every degree-k prefix of
-the reachable basis holds whole degree-k components, every reachable one
-among them, so a profile reads every degree from one factorization:
-dist^2 = ||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading k-block.  A
-float block whose own pivots collapse below 1e-13 of the largest, or that
-is past the longest leading block the float Cholesky factors, is solved
-again by 60-digit mpmath LU; smaller blocks keep their float prefix.
+Each call factors its top block once, on one of two paths: exact rational
+LDL* or Jacobi-prescaled float Cholesky, with L y = c in the same pass.
+``auto`` takes the exact path when the inputs are exact and the *reachable*
+block has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse
+generators come out exact at degrees whose full basis is far larger.  The
+graded order makes the leading blocks the lower-degree systems: every
+degree-k prefix of the reachable basis holds whole degree-k components,
+every reachable one among them, so a profile reads every degree from one
+factorization: dist^2 = ||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading
+k-block.  The float path answers a block or refuses it with
+ArithmeticError: it refuses a block past the longest leading block the
+float Cholesky factors, and one whose own scaled pivots collapse below
+PIVOT_COLLAPSE of the largest.  The Cholesky is backward stable, so such a
+block is singular at the precision G was rounded to, and no second
+factorization of the rounded G recovers the digits the rounding lost;
+method="exact" solves it.  A profile is refused at its first refused
+degree, while a shorter profile keeps the float values of its smaller
+blocks:
+
+>>> D = SpaceSpec.alpha_scale(1, -4)
+>>> f = SparsePoly(1, {(0,): 1, (1,): -1}) ** 12
+>>> distance_profile(D, f, SparsePoly.one(1), range(61), method="float")
+Traceback (most recent call last):
+    ...
+ArithmeticError: the float Cholesky of the Gram block to degree 45 (46 unknowns) factors only 45 of them; use method="exact"
+>>> round(float(distance_profile(D, f, SparsePoly.one(1), [45, 50], method="exact")[-1].dist_sq), 4)
+0.0339
+
 Pivots are those of the reduced system; a block with no unknowns reports
 min_pivot = inf and max_pivot = 0 (the empty minimum and maximum).
 ``ProfilePoint.runtime_ms`` is the time since the previous point; the
@@ -86,8 +102,9 @@ DIST_SQ_CLAMP = -1e-12
 # entries (columns x pairs of terms of f) and the block of G they fill
 # (columns x rows) stay within this count: a few MB of index arrays
 GRAM_BLOCK_ENTRIES = 1 << 16
-# entries of the full system assemble_gram builds: 512 MB of complex entries,
-# which DA_4 to degree 16 (4845 unknowns) fits and degree 20 (10626) does not
+# entries of a full system (assemble_gram, finite_section_mult_bound): 512 MB
+# of complex entries, which DA_4 to degree 16 (4845 unknowns) fits and degree
+# 20 (10626) does not
 GRAM_ENTRY_BUDGET = 1 << 25
 
 
@@ -311,21 +328,29 @@ def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: in
     GRAM_ENTRY_BUDGET entries."""
     _check_inputs(space, f, g)
     max_degree = _degree(max_degree)
-    n = math.comb(space.d + max_degree, space.d)
-    if n * n > GRAM_ENTRY_BUDGET:
-        raise ValueError(f"the full Gram system to degree {max_degree} in {space.d} variables has {n} unknowns, "
-                         f"{n * n} entries, over the budget of {GRAM_ENTRY_BUDGET}; a profile (distance_profile, "
-                         f"the profile command) solves only the part the target reaches")
+    basis = _full_basis(space.d, max_degree, "full Gram system",
+                        "a profile (distance_profile, the profile command) solves only the part the target reaches")
     exact = _exact_inputs(space, f, g) and not force_float
-    return _gram_system(space, f, g, max_degree, graded_monomials(space.d, max_degree), exact)
+    return _gram_system(space, f, g, max_degree, basis, exact)
+
+
+def _full_basis(d: int, max_degree: int, name: str, advice: str) -> list[tuple]:
+    """The graded basis of |beta| <= max_degree that a full system is built
+    over; ValueError, before building anything, naming the system and
+    advising the caller, when that system has more than GRAM_ENTRY_BUDGET
+    entries."""
+    n = math.comb(d + max_degree, d)
+    if n * n > GRAM_ENTRY_BUDGET:
+        raise ValueError(f"the {name} to degree {max_degree} in {d} variables has {n} unknowns, {n * n} entries, "
+                         f"over the budget of {GRAM_ENTRY_BUDGET}; {advice}")
+    return graded_monomials(d, max_degree)
 
 
 @dataclass(frozen=True)
 class ConditioningReport:
-    path: str  # "exact" | "float" | "mpmath"
+    path: str  # "exact" | "float"
     min_pivot: float
     max_pivot: float
-    flagged: bool = False
     unknowns: int = 0  # reachable unknowns, the ones factored
     full_unknowns: int = 0  # unknowns of the full basis |beta| <= degree
 
@@ -392,14 +417,6 @@ def _chol_float(G: np.ndarray, c: np.ndarray):
     return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
 
 
-def _solve_mpmath(G, c, dps=60):
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        x = mp.lu_solve(mp.matrix(G.tolist()), mp.matrix(c.tolist()))
-        return np.array([complex(v) for v in x], dtype=complex)
-
-
 def _solve_path(method: str, exact: bool, size: int) -> str:
     """"exact" or "float" for a block of size unknowns; "auto" takes the exact
     path for an exact system of at most AUTO_EXACT_LIMIT unknowns."""
@@ -441,27 +458,28 @@ class _Factored:
         if exact:
             G = np.array([[complex(x) for x in row[:n]] for row in G], dtype=complex).reshape(n, n)
             c = np.array([complex(x) for x in c], dtype=complex)
-        self.G, self.c = G, c
         self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c)
 
-    def block(self, k: int, full_unknowns: int):
-        """(dist_sq, report, retry solution or None) of the leading k-block; a
-        float block whose own pivots collapse, or that does not factor, is
-        solved again by 60-digit LU."""
-        if k > len(self.pivots):
-            pmin, pmax, flagged = 0.0, 1.0, True
-        else:
-            pmin, pmax = float(min(self.pivots[:k], default=math.inf)), float(max(self.pivots[:k], default=0.0))
-            flagged = self.method != "exact" and pmin < PIVOT_COLLAPSE * pmax
-        a = _solve_mpmath(self.G[:k, :k], self.c[:k]) if flagged else None
-        projection = sum(self.gains[:k]) if a is None else float(np.vdot(self.c[:k], a).real)
-        dist_sq = self.g_norm_sq - projection
+    def block(self, k: int, m: int):
+        """(dist_sq, min_pivot, max_pivot) of the leading k-block, the system
+        to degree m.  ArithmeticError for a float block that is past the
+        longest leading block the Cholesky factors, or whose own scaled
+        pivots collapse below PIVOT_COLLAPSE of the largest."""
+        n = len(self.pivots)
+        pmin, pmax = float(min(self.pivots[:k], default=math.inf)), float(max(self.pivots[:k], default=0.0))
+        if self.method == "float" and (k > n or pmin < PIVOT_COLLAPSE * pmax):
+            raise ArithmeticError(
+                f"the float Cholesky of the Gram block to degree {m} ({k} unknowns) "
+                + (f"factors only {n} of them" if k > n else
+                   f"factors them, but its smallest scaled pivot is {pmin / pmax:.1e} of the largest, "
+                   f"below {PIVOT_COLLAPSE}")
+                + '; use method="exact"')
+        dist_sq = self.g_norm_sq - sum(self.gains[:k])
         if dist_sq < 0:
             if dist_sq < DIST_SQ_CLAMP * max(1.0, self.g_norm_sq):
                 raise ArithmeticError(f"dist_sq = {dist_sq} below the clamp window")
             dist_sq = 0.0
-        path = "mpmath" if a is not None else self.method
-        return dist_sq, ConditioningReport(path, pmin, pmax, flagged, k, full_unknowns), a
+        return dist_sq, pmin, pmax
 
     def coefficients(self):
         """Solution of the whole block: L* a = D^(-1) y, or a = S L^(-*) y."""
@@ -484,6 +502,7 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     Only the rows and columns the right-hand side reaches at the system
     degree are factored, so the pivots are those of a profile to that
     degree; the other coefficients are 0 and ``basis`` is the full one.
+    ArithmeticError when the float path refuses the block.
     """
     m = system.degree if degree is None else _degree(degree)
     if m > system.degree:
@@ -493,9 +512,9 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     reach = code(_exponents(_reachable(system.f, system.g, system.degree), system.space.d))
     rows = np.flatnonzero(np.isin(code(_exponents(system.basis[:size], system.space.d)), reach)).tolist()
     top = _Factored(*_restrict(system, rows), system.g_norm_sq, system.exact, method)
-    dist_sq, report, a = top.block(len(rows), size)
-    solution = top.coefficients() if a is None else a
-    if report.path == "exact":
+    dist_sq, pmin, pmax = top.block(len(rows), m)
+    exact, solution = top.method == "exact", top.coefficients()
+    if exact:
         coefficients = [ComplexRational()] * size
         for i, v in zip(rows, solution):
             coefficients[i] = v
@@ -503,8 +522,8 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
         coefficients = np.zeros(size, dtype=complex)
         coefficients[rows] = solution
     return ApproximantResult(
-        degree=m, basis=system.basis[:size], coefficients=tuple(coefficients),
-        dist_sq=dist_sq, conditioning=report, exact=report.path == "exact",
+        degree=m, basis=system.basis[:size], coefficients=tuple(coefficients), dist_sq=dist_sq,
+        conditioning=ConditioningReport(top.method, pmin, pmax, len(rows), size), exact=exact,
     )
 
 
@@ -521,7 +540,8 @@ class ProfilePoint:
 
 def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, method: str = "auto") -> list[ProfilePoint]:
     """dist(g, {p f : deg p <= m})^2 for each m in degrees: one walk of the
-    reachable basis, one assembly of it, one factorization."""
+    reachable basis, one assembly of it, one factorization.  ArithmeticError
+    when the float path refuses a degree (see the module docstring)."""
     degrees = sorted(set(map(_degree, degrees)))
     _solve_path(method, True, 0)  # rejects an unknown method, also on an empty schedule
     if not degrees:
@@ -538,10 +558,10 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     factored = _Factored(system.matrix, system.rhs, system.g_norm_sq, system.exact, method)
     out = []
     for m in degrees:
-        dist_sq, report, _ = factored.block(sizes[m], math.comb(space.d + m, space.d))
+        dist_sq, min_pivot, _ = factored.block(sizes[m], m)
         t1 = time.perf_counter()
-        out.append(ProfilePoint(m, float(dist_sq), report.min_pivot, (t1 - t0) * 1000.0, report.path,
-                                report.unknowns, report.full_unknowns))
+        out.append(ProfilePoint(m, float(dist_sq), min_pivot, (t1 - t0) * 1000.0, factored.method,
+                                sizes[m], math.comb(space.d + m, space.d)))
         t0 = t1
     return out
 
@@ -575,11 +595,14 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
 
     A lower bound for the multiplier norm of phi, non-decreasing in the
     degree; computed as the top generalized eigenvalue of the section of
-    M_phi* M_phi against the diagonal of monomial norms.
+    M_phi* M_phi against the diagonal of monomial norms.  ValueError, before
+    building anything, when the section has more than GRAM_ENTRY_BUDGET
+    entries.
     """
     if phi.dim != space.d:
         raise ValueError("dimension mismatch between space and polynomials")
-    basis = graded_monomials(space.d, _degree(max_degree))
+    basis = _full_basis(space.d, _degree(max_degree), "finite section",
+                        "the bound is non-decreasing in the degree, so a lower one still bounds the multiplier norm")
     A = _gram_matrix(space, phi, basis, exact=False)
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
     vals = scipy.linalg.eigh(A, D, eigvals_only=True)

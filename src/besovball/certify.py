@@ -23,10 +23,9 @@ constant for comparison.
 Tolerances and grid sizes are module constants, read at each call:
 ENERGY_DOUBLING_TOL ends the grid doubling of the energy and of the
 parameter-box integral, BOX_GRID_BASE is the box integral's first grid,
-NORM_REL_TOL is the relative width at which a functional-norm bracket stops
-growing its cutoff, and DOMINATION_SPHERE_POINTS and DOMINATION_SEED fix the
-directions of the domination grid.  The cube measures carry unit density:
-the bound mu_total / sqrt(E) is the same for c mu as for mu.
+and NORM_REL_TOL is the relative width at which a functional-norm bracket
+stops growing its cutoff.  The cube measures carry unit density: the bound
+mu_total / sqrt(E) is the same for c mu as for mu.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from . import kernels
 from .approx import graded_monomials
 from .poly import SparsePoly, onevar_terms
 from .scalars import ComplexRational, abs_sq, check_int
-from .spaces import CACHE_MAXSIZE, SpaceSpec, check_int
+from .spaces import CACHE_MAXSIZE, SpaceSpec
 
 SPHERE_TOL = 1e-12
 SUPPORT_TOL = 1e-10
@@ -56,8 +55,6 @@ NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
 LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time: about 8 MB of scratch
 CHORD_GRID_NODES = 12  # nodes per axis, at most, of the reverse-Lipschitz grid
-DOMINATION_SPHERE_POINTS = 64  # sphere directions per radius of the domination grid
-DOMINATION_SEED = 0  # seed of those directions, so the estimate is reproducible
 
 
 # -- derivative functionals on the D_alpha scale ------------------------------
@@ -665,33 +662,3 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
         "shrink": measure.shrink,
     }
     return Certificate(kind="energy", lower_bound=lower, audit=audit, grid=grid)
-
-
-def domination_constant(f: SparsePoly, g: SparsePoly, j: int, radii=None) -> float:
-    """Grid estimate of sup over the ball of |g|^j / |f| (may be inf).
-
-    The grid is a radial-spherical product: each radius (default up to
-    0.9999) times DOMINATION_SPHERE_POINTS pseudo-random points of the unit
-    sphere of C^d, drawn with seed DOMINATION_SEED.
-    """
-    if f.dim != g.dim:
-        raise ValueError("f and g must share a dimension")
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    d = f.dim
-    radii = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999] if radii is None else list(radii)
-    rng = np.random.default_rng(DOMINATION_SEED)
-    w = rng.normal(size=(DOMINATION_SPHERE_POINTS, d)) + 1j * rng.normal(size=(DOMINATION_SPHERE_POINTS, d))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    best = 0.0
-    ff = f.to_float()
-    gf = g.to_float()
-    for r in radii:
-        Z = r * w
-        fv = np.abs(evaluate_on_points(ff, Z))
-        gv = np.abs(evaluate_on_points(gf, Z)) ** j
-        with np.errstate(divide="ignore"):
-            ratio = np.where(fv > 0, gv / np.where(fv > 0, fv, 1.0), np.inf)
-        top = float(ratio.max())
-        best = max(best, top)
-    return best

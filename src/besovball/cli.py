@@ -196,7 +196,6 @@ def _cmd_approx(args) -> int:
                 "path": res.conditioning.path,
                 "min_pivot": res.conditioning.min_pivot,
                 "max_pivot": res.conditioning.max_pivot,
-                "flagged": res.conditioning.flagged,
                 "unknowns": res.conditioning.unknowns,
                 "full_unknowns": res.conditioning.full_unknowns,
             },

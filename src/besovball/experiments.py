@@ -48,7 +48,7 @@ from .poly import (
     roots_1d,
     series_invert,
 )
-from .scalars import ComplexRational, json_int
+from .scalars import ComplexRational, check_int, json_int
 from .spaces import (
     BetaDensity,
     ConstantDensity,
@@ -320,6 +320,15 @@ class LemmaReport:
     params: dict
 
 
+def _int_param(params: dict, name: str, default: int, least: int) -> int:
+    """params[name], default when absent, read as ``run_step`` reads its step
+    integers: a whole JSON number such as 2.0 is 2, and anything but an
+    integer >= least raises ValueError rather than being truncated."""
+    value = json_int(params.get(name, default))
+    check_int(name, value, least)
+    return value
+
+
 def _random_exact_poly(rng: random.Random, d: int, max_deg: int = 4, max_terms: int = 5,
                        complex_coeffs: bool = True) -> SparsePoly:
     terms = {}
@@ -336,10 +345,10 @@ def _random_exact_poly(rng: random.Random, d: int, max_deg: int = 4, max_terms: 
 
 def _check_dilation_contraction(params: dict) -> LemmaReport:
     """(1-r) ||f||_{order N} dominates ||f - f_r||_{order N-1}; exact arithmetic."""
-    trials = int(params.get("trials", 100))
-    N = int(params.get("N", 2))
-    d = int(params.get("d", 2))
-    seed = int(params.get("seed", 0))
+    trials = _int_param(params, "trials", 100, 1)
+    N = _int_param(params, "N", 2, 1)
+    d = _int_param(params, "d", 2, 1)
+    seed = _int_param(params, "seed", 0, 0)
     radii = [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)]
     measures = [PointMassAtOne(), NormalizedVolume(d), ConstantDensity(Fraction(1)), BetaDensity(2)]
     rng = random.Random(seed)
@@ -362,9 +371,9 @@ def _check_dilation_contraction(params: dict) -> LemmaReport:
 
 def _check_slice_bound(params: dict) -> LemmaReport:
     """sum_n |f_n(z)|^2 <= Drury-Arveson norm^2 on the sphere, float path."""
-    trials = int(params.get("trials", 100))
-    d = int(params.get("d", 3))
-    seed = int(params.get("seed", 0))
+    trials = _int_param(params, "trials", 100, 1)
+    d = _int_param(params, "d", 3, 1)
+    seed = _int_param(params, "seed", 0, 0)
     tol = float(params.get("tol", 1e-10))
     rng = np.random.default_rng(seed)
     worst = math.inf
@@ -386,10 +395,10 @@ def _check_slice_bound(params: dict) -> LemmaReport:
 
 def _check_slice_outer(params: dict) -> LemmaReport:
     """Slices of the diagonal image of 1-lambda have no zeros in the open disc."""
-    k = int(params.get("k", 3))
-    d = int(params.get("d", 3))
-    points = int(params.get("points", 20))
-    seed = int(params.get("seed", 0))
+    k = _int_param(params, "k", 3, 1)
+    d = _int_param(params, "d", 3, 1)
+    points = _int_param(params, "points", 20, 1)
+    seed = _int_param(params, "seed", 0, 0)
     margin = float(params.get("margin", 1e-9))
     one_minus = SparsePoly(1, {(0,): 1, (1,): -1})
     img = tau_compose(one_minus, k, d)
@@ -414,8 +423,8 @@ def _check_onevar_derivative_bound(params: dict) -> LemmaReport:
     n-th derivative stays area-integrable, with constants independent of r;
     the committed bounds below were frozen from a reference run.
     """
-    n = int(params.get("n", 2))
-    M = int(params.get("M", 400))
+    n = _int_param(params, "n", 2, 1)
+    M = _int_param(params, "M", 400, 0)
     radii = [float(r) for r in params.get("r_grid", [0.5, 0.9, 0.99])]
     # committed from a reference run over the default grid: observed
     # sup 1.7885 and area 0.8889, stable since the evaluation is
@@ -457,8 +466,8 @@ def _check_radial_mult_section(params: dict) -> LemmaReport:
     space = space_from_json(params["space"]) if "space" in params else SpaceSpec.drury_arveson(2)
     phi = poly_from_literal(params["phi"]) if "phi" in params else SparsePoly(2, {(1, 0): 1, (0, 2): 1})
     radii = [float(r) for r in params.get("r_grid", [0.5, 0.9])]
-    m = int(params.get("m", 5))
-    m_ref = int(params.get("m_ref", 9))
+    m = _int_param(params, "m", 5, 0)
+    m_ref = _int_param(params, "m_ref", 9, 0)
     slack = float(params.get("slack", 0.1))
     ref = finite_section_mult_bound(space, phi, m_ref)
     ratios = {}

@@ -254,6 +254,19 @@ def test_finite_section_is_the_gram_section_eigenvalue():
             assert finite_section_mult_bound(space, phi, m) == pytest.approx(math.sqrt(top), rel=1e-12, abs=1e-12)
 
 
+def test_finite_section_entry_budget(monkeypatch):
+    # the budget of assemble_gram, at its boundary: DA_2 to degree 4 has 15
+    # unknowns, 225 entries; past it nothing is built
+    phi = SparsePoly(2, {(1, 0): 1, (0, 2): 1})
+    monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 225)
+    assert finite_section_mult_bound(DA2, phi, 4) == finite_section_mult_bound(DA2, phi, 4.0) > 1.0
+    monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 224)
+    monkeypatch.setattr(approx, "_gram_matrix", lambda *args, **kwargs: pytest.fail("built past the budget"))
+    with pytest.raises(ValueError, match="finite section to degree 4 in 2 variables has 15 unknowns, 225 entries, "
+                                         "over the budget of 224"):
+        finite_section_mult_bound(DA2, phi, 4)
+
+
 def test_finite_section_of_zero_is_zero():
     assert finite_section_mult_bound(DA2, SparsePoly.zero(2), 3) == 0.0
 
@@ -316,11 +329,11 @@ def test_lower_degree_slice_reuses_system():
     assert part.dist_sq > full.dist_sq
 
 
-def test_mpmath_retry_on_brutal_conditioning():
+def test_float_path_holds_on_brutal_conditioning():
     # heavy negative weights, yet the Jacobi-prescaled Cholesky keeps every
     # pivot above the collapse threshold, so this stays on the float path
-    # (test_mpmath_retry_per_collapsed_block reaches the retry); the float
-    # distance must be nonnegative and agree with the exact one
+    # (test_float_path_refuses_collapsed_blocks reaches the refusal); the
+    # float distance must be nonnegative and agree with the exact one
     sp = SpaceSpec.alpha_scale(1, -24)
     sysm = assemble_gram(sp, ONE_MINUS_Z, SparsePoly.one(1), 12, force_float=True)
     res = optimal_approximant(sysm, method="auto")
@@ -343,39 +356,75 @@ def test_float_rounding_below_zero_scales_with_g_norm():
         assert optimal_approximant(assemble_gram(sp, f, g, 0, force_float=True), method="float").dist_sq == 0.0
 
 
-def test_mpmath_retry_per_collapsed_block(monkeypatch):
+def test_float_path_refuses_collapsed_blocks(monkeypatch):
     # the float-rounded 14 x 14 Hilbert matrix H, rhs H 1 and ||g||^2 = 1'H1 + 1,
-    # so dist^2 = 1 on the whole block; H is indefinite once rounded
+    # so dist^2 = 1 on the whole block; H is indefinite once rounded: its
+    # Cholesky fails at degree 13 and its scaled pivots collapse at degree
+    # 12, so both blocks are refused, while degrees 0..11 keep their float
+    # values
     base = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, force_float=True)
     H = scipy.linalg.hilbert(14).astype(complex)
     ones = np.ones(14)
     system = dataclasses.replace(base, matrix=H, rhs=H @ ones, g_norm_sq=float(ones @ H.real @ ones) + 1.0)
-    top = optimal_approximant(system, degree=13)
-    assert top.conditioning.path == "mpmath" and top.conditioning.flagged
-    assert top.dist_sq == pytest.approx(1.0, abs=1e-12)
-    assert optimal_approximant(system, degree=12).conditioning.path == "mpmath"
-    assert optimal_approximant(system, degree=11).conditioning.path == "float"
-    # in a profile the retry stays per block: the Cholesky of the top block
-    # fails at degree 13 and collapses at degree 12, while degrees 0..11 keep
-    # their float prefix
+    with pytest.raises(ArithmeticError, match=r'degree 13 \(14 unknowns\) factors only 13 of them; use method="exact"'):
+        optimal_approximant(system, degree=13)
+    with pytest.raises(ArithmeticError, match=r'degree 12 \(13 unknowns\) factors them, but .* use method="exact"'):
+        optimal_approximant(system, degree=12)
+    res = optimal_approximant(system, degree=11)
+    assert (res.conditioning.path, res.dist_sq) == ("float", float.fromhex("0x1.ffffffffff660p-1"))
     monkeypatch.setattr(approx, "_gram_system", lambda *args, **kwargs: system)
+    pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(12), method="float")
+    assert [p.path for p in pts] == ["float"] * 12
+    assert pts[-1].dist_sq == float.fromhex("0x1.0000000000460p+0")
     tol = 1e-12 * system.g_norm_sq
+    for p in pts:
+        assert p.dist_sq == pytest.approx(optimal_approximant(system, degree=p.m).dist_sq, abs=tol)
     for top_degree in (12, 13):
-        paths = ["float"] * 12 + ["mpmath"] * (top_degree - 11)
-        pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
-        assert [p.path for p in pts] == paths
-        for p in pts:
-            assert p.dist_sq == pytest.approx(optimal_approximant(system, degree=p.m).dist_sq, abs=tol)
+        with pytest.raises(ArithmeticError, match=r"degree 12 \(13 unknowns\)"):
+            distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
 
 
-def test_nonpositive_diagonal_retries_from_its_index(monkeypatch):
-    # G = diag(1, 1, -1): the float Cholesky stops before index 2, so only
-    # the degree-2 block retries, and LU gives 3 - (1 + 1 - 1) = 2
+def test_nonpositive_diagonal_refused_from_its_index(monkeypatch):
+    # G = diag(1, 1, -1): the float Cholesky stops before index 2, so the
+    # degree-2 block is refused and the smaller ones keep their values
     base = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 2, force_float=True)
     system = dataclasses.replace(base, matrix=np.diag([1.0, 1.0, -1.0]).astype(complex), rhs=np.ones(3, dtype=complex), g_norm_sq=3.0)
     monkeypatch.setattr(approx, "_gram_system", lambda *args, **kwargs: system)
-    pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(3), method="float")
-    assert [(p.path, p.dist_sq) for p in pts] == [("float", 2.0), ("float", 1.0), ("mpmath", 2.0)]
+    pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(2), method="float")
+    assert [(p.path, p.dist_sq) for p in pts] == [("float", 2.0), ("float", 1.0)]
+    with pytest.raises(ArithmeticError, match=r'degree 2 \(3 unknowns\) factors only 2 of them; use method="exact"'):
+        distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(3), method="float")
+
+
+# the float profile of (1 - z)^12 against 1 in D_-4 over degrees 0..44,
+# float.hex per degree: the Cholesky of the 61-unknown system to degree 60
+# factors only its first 45 unknowns
+D_MINUS4_FLOAT_PROFILE = (
+    "0x1.ffb1fc58e8514p-1 0x1.fe529a2ae0294p-1 0x1.fad5eb6986cf8p-1 0x1.f43ed46291e25p-1 0x1.e9e9cedfbf13bp-1 "
+    "0x1.dbae583261983p-1 0x1.c9d7682857227p-1 0x1.b502d9814c14fp-1 0x1.9df994acc18b6p-1 0x1.858ccb9dc1060p-1 "
+    "0x1.6c7dad2878e7ep-1 0x1.536fe2d912e50p-1 0x1.3ae49cf729321p-1 0x1.233b47d1a5966p-1 0x1.0cb560fe2887dp-1 "
+    "0x1.eef72f4eff228p-2 0x1.c74625a01f40ep-2 0x1.a2647f53ff242p-2 0x1.8049c8e0978b0p-2 0x1.60ded3c4fa9e6p-2 "
+    "0x1.4402d36616022p-2 0x1.298f38b1d305cp-2 0x1.115a873f1c8f0p-2 0x1.f674b5f3bff74p-3 0x1.ce099b3cf9e98p-3 "
+    "0x1.a922c43a027ccp-3 0x1.877324c0bab28p-3 0x1.68b2237240888p-3 0x1.4c9b95fed4bf8p-3 0x1.32ef2c6dc1e20p-3 "
+    "0x1.1b6f3200553e8p-3 0x1.05de885391b78p-3 0x1.e3fbaf25aa078p-4 0x1.bf103f15206f8p-4 0x1.9c5e3a042aea8p-4 "
+    "0x1.7b30beb31ddd8p-4 0x1.5ab99c7650670p-4 0x1.3a1dbd7651ba0p-4 0x1.18a411a7e0318p-4 0x1.ec6422a675650p-5 "
+    "0x1.a87fb0e3144f0p-5 0x1.6d93efbdc1890p-5 0x1.463d7adbf41a0p-5 0x1.363ac539a65c0p-5 0x1.348520ae52030p-5"
+)
+
+
+def test_float_path_refuses_a_system_it_formed_itself():
+    # no patched matrix: the package's own float Gram system of (1 - z)^12
+    # in D_-4 is refused from degree 45 on, at once, where a second
+    # factorization of the rounded blocks took seconds and returned values
+    # up to 2.6 times the exact ones; below, the float values are unchanged
+    sp, f = SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12
+    t0 = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r'degree 45 \(46 unknowns\) factors only 45 of them; use method="exact"'):
+        distance_profile(sp, f, SparsePoly.one(1), range(61), method="float")
+    assert time.perf_counter() - t0 < 0.1
+    pts = distance_profile(sp, f, SparsePoly.one(1), range(45), method="float")
+    assert [p.dist_sq.hex() for p in pts] == D_MINUS4_FLOAT_PROFILE.split()
+    assert {p.path for p in pts} == {"float"}
 
 
 def _chol_float_by_copies(G, c):

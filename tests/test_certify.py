@@ -22,7 +22,6 @@ from besovball.certify import (
     _pair_sum,
     _param_inv_sq_integral,
     DerivativeFunctional,
-    domination_constant,
     dual_lower_bound,
     energy,
     energy_lower_bound,
@@ -398,23 +397,6 @@ def test_energy_certificate_preconditions():
     bad = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -8})
     with pytest.raises(ValueError):
         energy_lower_bound(SpaceSpec.drury_arveson(4), bad, mu, max_doublings=0)
-
-
-# -- domination constants ------------------------------------------------------
-
-
-def test_domination_anchors():
-    f = ONE_MINUS_Z
-    # |f|^1 / |f| is identically one
-    assert domination_constant(f, f, 1) == pytest.approx(1.0, abs=1e-12)
-    # |1-z|^2 / |1-z| = |1-z| <= 2 on the closed disc
-    c = domination_constant(f, f, 2)
-    assert 1.5 <= c <= 2.0 + 1e-9
-    # j = 0 numerator is 1: the estimate is sup 1/|f|, which grows as the
-    # radial grid closes in on the boundary zero
-    near = domination_constant(f, f, 0, radii=[0.9])
-    nearer = domination_constant(f, f, 0, radii=[0.9, 0.9999])
-    assert nearer >= near > 1.0
 
 
 def test_param_integral_grid_budget(monkeypatch):

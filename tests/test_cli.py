@@ -12,6 +12,7 @@ import pytest
 
 from besovball.cli import main
 from besovball.experiments import run_experiment
+from besovball.poly import SparsePoly, poly_to_literal
 
 DA2 = '{"d":2,"kind":"alpha","alpha":0}'
 D4 = '{"d":1,"kind":"alpha","alpha":4}'
@@ -241,6 +242,12 @@ def test_bad_inputs_exit_2():
     assert "dimension mismatch" in err
 
 
+def test_verify_lemma_refuses_a_fractional_integer_param():
+    code, out, err = run("verify-lemma", "slice-bound", "--params", '{"trials": 2.5}')
+    assert code == 2 and out == ""
+    assert err == "error: trials must be an integer >= 1, got 2.5\n"
+
+
 def test_usage_error_exit_code():
     code, _, _ = run("approx", "--space", DA2)
     assert code == 2
@@ -271,6 +278,17 @@ def test_profile_refuses_bad_spaces(space, message):
     code, out, err = run("profile", "--space", space, "--f", ONE_MINUS_Z, "--degrees", "0:4:2")
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+def test_profile_refused_by_the_float_path_exits_2():
+    # the float Cholesky of (1 - z)^12 in D_-4 to degree 60 factors only its
+    # first 45 unknowns: one line on stderr, no traceback, no rows
+    f = json.dumps(poly_to_literal(SparsePoly(1, {(0,): 1, (1,): -1}) ** 12))
+    code, out, err = run("profile", "--space", '{"d":1,"kind":"alpha","alpha":-4}', "--f", f,
+                         "--degrees", "0:60:1", "--method", "float")
+    assert code == 2 and out == ""
+    assert err == ("error: the float Cholesky of the Gram block to degree 45 (46 unknowns) factors only 45 of them; "
+                   'use method="exact"\n')
 
 
 F4 = '{"0,0,0,0":[1,1,0,1],"1,1,1,1":[-16,1,0,1]}'

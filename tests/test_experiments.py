@@ -138,6 +138,26 @@ def test_lemma_check_forced_failure():
     assert rep.margins["max_sup_below_order"] > 0.1
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("slice-bound", {"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
+    ("dilation-contraction", {"N": 1.5}, "N must be an integer >= 1, got 1.5"),
+    ("slice-outer", {"points": "20"}, "points must be an integer >= 1, got '20'"),
+    ("radial-mult-section", {"m_ref": -1}, "m_ref must be an integer >= 0, got -1"),
+])
+def test_lemma_checks_refuse_bad_integer_params(name, params, message):
+    # refused, not truncated: trials = 2.5 must not run 2 trials, nor N = 1.5
+    # check the order-1 space
+    with pytest.raises(ValueError, match=message):
+        verify_lemma(name, params)
+
+
+def test_lemma_checks_read_whole_floats_as_integers():
+    whole = verify_lemma("slice-bound", {"trials": 2.0}).margins
+    assert whole == verify_lemma("slice-bound", {"trials": 2}).margins and whole["trials"] == 2
+    whole = verify_lemma("dilation-contraction", {"N": 2.0, "trials": 3.0}).margins
+    assert whole == verify_lemma("dilation-contraction", {"N": 2, "trials": 3}).margins
+
+
 def _derivative_by_rule(coeffs, order):
     """The coefficient rule c'[n] = (n + 1) c[n + 1], order times."""
     c = tuple(coeffs)
