@@ -20,8 +20,9 @@ assembles and factors only them, and ``optimal_approximant`` factors only
 the reachable rows and columns of the full system it is given and fills the
 other coefficients with zeros.  Both are exact: the dropped unknowns are 0
 in the full solution.  ``assemble_gram`` and ``finite_section_mult_bound``
-keep the full basis; both refuse a system past GRAM_ENTRY_BUDGET
-entries.
+keep the full basis.  Each of the three refuses a system past
+GRAM_ENTRY_BUDGET entries before building it: the full one, or the
+reachable block of the profile's top degree.
 
 Exponents have one index, the mixed-radix integer codes of ``_coder``.
 One routine, ``_gram_matrix``, pairs two polynomials over a column and a
@@ -38,8 +39,12 @@ weights leave the normal float range.  ``_reachable`` deduplicates
 and sorts its walk on the same codes, and ``optimal_approximant`` finds the
 reachable rows of its basis by them.
 
-Each call factors its top block once, on one of two paths: exact rational
-LDL* or Jacobi-prescaled float Cholesky, with L y = c in the same pass.
+Each call factors its top block once, on one of two paths: exact LDL* or
+Jacobi-prescaled float Cholesky, with L y = c in the same pass.  The exact
+LDL* eliminates the rows of [G | c] as Gaussian integers over one
+denominator per row, divides out a row's content once per update rather
+than normalising each rational entry, and skips the rows a pivot does not
+reach; LDL* is unique, so its D, y and solution are the rational ones.
 ``auto`` takes the exact path when the inputs are exact and the *reachable*
 block has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse
 generators come out exact at degrees whose full basis is far larger.  The
@@ -82,17 +87,19 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 import numpy as np
 import scipy.linalg
 
 from .poly import SparsePoly, series_invert
-from .scalars import ComplexRational, check_int, path_casts
+from .scalars import ComplexRational, check_int, exact_parts, from_parts, path_casts
 from .spaces import SpaceSpec, homogeneous_norms_sq, monomial_norm_sq, norm_sq
 
-# exact LDL* takes about 0.03 s on the 101 reachable unknowns of the banded
-# DA_4 system at m = 400, and 3.6 s on 120 dense unknowns (DA_3, m = 7, f and
-# g with every coefficient of degree <= 2 nonzero)
+# exact LDL* with its back substitution takes about 0.01 s on the 101
+# reachable unknowns of the banded DA_4 system at m = 400, and 0.7-1.0 s on
+# 120 dense unknowns (DA_3, m = 7, f and g with every coefficient of degree
+# <= 2 nonzero)
 AUTO_EXACT_LIMIT = 128
 PIVOT_COLLAPSE = 1e-13
 # float dist^2 = ||g||^2 - projection rounds in units of ||g||^2: a value in
@@ -102,9 +109,9 @@ DIST_SQ_CLAMP = -1e-12
 # entries (columns x pairs of terms of f) and the block of G they fill
 # (columns x rows) stay within this count: a few MB of index arrays
 GRAM_BLOCK_ENTRIES = 1 << 16
-# entries of a full system (assemble_gram, finite_section_mult_bound): 512 MB
-# of complex entries, which DA_4 to degree 16 (4845 unknowns) fits and degree
-# 20 (10626) does not
+# entries of a full system (assemble_gram, finite_section_mult_bound) or of a
+# profile's reachable block: 512 MB of complex entries, which DA_4 to degree
+# 16 (4845 unknowns) fits and degree 20 (10626) does not
 GRAM_ENTRY_BUDGET = 1 << 25
 
 
@@ -128,8 +135,8 @@ def graded_monomials(d: int, max_degree: int) -> list[tuple]:
 
 def _degree(m) -> int:
     """m as an int degree; ValueError unless m is an integer >= 0 (an
-    integral float such as 4.0 passes)."""
-    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m == int(m) >= 0):
+    integral float such as 4.0 passes, a bool does not)."""
+    if not (isinstance(m, numbers.Real) and not isinstance(m, bool) and math.isfinite(m) and m == int(m) >= 0):
         raise ValueError(f"a degree must be an integer >= 0, not {m!r}")
     return int(m)
 
@@ -336,14 +343,17 @@ def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: in
 
 def _full_basis(d: int, max_degree: int, name: str, advice: str) -> list[tuple]:
     """The graded basis of |beta| <= max_degree that a full system is built
-    over; ValueError, before building anything, naming the system and
-    advising the caller, when that system has more than GRAM_ENTRY_BUDGET
-    entries."""
-    n = math.comb(d + max_degree, d)
+    over, checked by ``_check_entry_budget`` before it is listed."""
+    _check_entry_budget(math.comb(d + max_degree, d), d, max_degree, name, advice)
+    return graded_monomials(d, max_degree)
+
+
+def _check_entry_budget(n: int, d: int, max_degree: int, name: str, advice: str) -> None:
+    """ValueError, naming the system and advising the caller, when a system
+    of n unknowns has more than GRAM_ENTRY_BUDGET entries."""
     if n * n > GRAM_ENTRY_BUDGET:
         raise ValueError(f"the {name} to degree {max_degree} in {d} variables has {n} unknowns, {n * n} entries, "
                          f"over the budget of {GRAM_ENTRY_BUDGET}; {advice}")
-    return graded_monomials(d, max_degree)
 
 
 @dataclass(frozen=True)
@@ -370,30 +380,60 @@ class ApproximantResult:
 
 def _ldl_exact(G, c):
     """LDL* of a Hermitian positive definite rational matrix with L y = c in
-    the same pass: (L, y, D, gains), the unit diagonal of L left implicit.
-    ArithmeticError when a pivot is not real positive (the system was not
-    positive definite)."""
-    n = len(G)
-    L = [[ComplexRational()] * n for _ in range(n)]
-    D: list[Fraction] = []
-    y = []
+    the same pass, by Gaussian elimination on the rows of [G | c]: (U, y, D,
+    gains).  L is never formed.  U = D L* comes as its rows: row i is (re,
+    im, den), the integer numerators of U[i][i:] and of y_i over one
+    positive denominator, so re[0] = D_i den and L[j][i] = conj(U[i][j]) /
+    D_i.  ArithmeticError when a pivot is not real positive (the system was
+    not positive definite).
+
+    Each row keeps its columns from the diagonal on, since the Schur
+    complement is Hermitian: the column-i entry of row j > i is
+    conj(U[i][j]).  Pivot i, numerator p > 0 over den, subtracts conj(U[i][j])
+    / D_i times its row from row j.  With g = gcd(den, den_j) that is row_j q
+    - (a + ib) row_i over den_j q, where q = p den / g and a + ib is the
+    conjugate numerator times den_j / g, all three first divided by gcd(q,
+    a, b).  One gcd then divides out the row's content, so its numbers are
+    those of its entries over their least common denominator; no gcd is
+    taken per entry, and the real pivot needs no complex division.  A zero
+    multiplier skips its row, so a banded system updates only its band.
+    """
+    n = len(c)
+    rows = []  # (re, im, den) of row i from column i on, the rhs last
     for i in range(n):
-        # conj(L[i][k]) D[k], once for all of column i; zeros add nothing
-        ld = [(k, L[i][k].conjugate() * D[k]) for k in range(i) if L[i][k]]
-        acc, yi = G[i][i], c[i]
-        for k, v in ld:
-            acc = acc - L[i][k] * v
-            yi = yi - L[i][k] * y[k]
-        if not acc.is_real or acc.re <= 0:
-            raise ArithmeticError(f"pivot {i} is not real positive: {acc!r}")
-        D.append(acc.re)
-        y.append(yi)
+        parts = [exact_parts(x) for x in G[i][i:n]] + [exact_parts(c[i])]
+        den = math.lcm(*{d for _, _, d in parts})
+        rows.append(([a * (den // d) if a else 0 for a, _, d in parts],
+                     [b * (den // d) if b else 0 for _, b, d in parts], den))
+    U, y, D, gains = rows, [], [], []
+    for i in range(n):
+        re, im, den = rows[i]
+        p = re[0]
+        if im[0] or p <= 0:
+            raise ArithmeticError(f"pivot {i} is not real positive: {from_parts(p, im[0], den)!r}")
+        D.append(Fraction(p, den))
+        y.append(from_parts(re[-1], im[-1], den))
+        gains.append(Fraction(re[-1] ** 2 + im[-1] ** 2, den * p))
         for j in range(i + 1, n):
-            s = G[j][i]
-            for k, v in ld:
-                s = s - L[j][k] * v
-            L[j][i] = s / D[i]
-    return L, y, D, [yi.abs2() / di for yi, di in zip(y, D)]
+            a, b = re[j - i], -im[j - i]
+            if not (a or b):
+                continue
+            xr, xi, dj = rows[j]
+            g = gcd(den, dj)
+            q, s = p * (den // g), dj // g
+            a, b = a * s, b * s
+            h = gcd(q, a, b)
+            if h != 1:
+                q, a, b = q // h, a // h, b // h
+            ur, ui = re[j - i:], im[j - i:]
+            xr = [x * q - a * u + b * v for x, u, v in zip(xr, ur, ui)]
+            xi = [x * q - a * v - b * u for x, u, v in zip(xi, ur, ui)]
+            dj *= q
+            h = gcd(dj, *xr, *xi)
+            if h != 1:
+                xr, xi, dj = [x // h for x in xr], [x // h for x in xi], dj // h
+            rows[j] = xr, xi, dj
+    return U, y, D, gains
 
 
 def _chol_float(G: np.ndarray, c: np.ndarray):
@@ -441,8 +481,9 @@ def _restrict(system: GramSystem, rows):
 
 class _Factored:
     """A Hermitian system G a = c of n unknowns, factored once on one path.
-    Its leading k-block is factored by the leading k x k part of L, so has
-    pivots[:k] and projection c_k* a_k = sum(gains[:k]).  G may be nested
+    Its leading k-block is factored by the leading k x k part of the factor
+    (L, or U = D L* on the exact path), so has pivots[:k] and projection
+    c_k* a_k = sum(gains[:k]).  G may be nested
     lists (an exact system) with rows longer than n."""
 
     def __init__(self, G, c, g_norm_sq, exact: bool, method: str):
@@ -452,7 +493,7 @@ class _Factored:
         if method == "exact":
             if not exact:
                 raise ValueError("exact solve requested on a float-path system")
-            self.L, self.y, self.pivots, self.gains = _ldl_exact(G, c)
+            self.U, self.y, self.pivots, self.gains = _ldl_exact(G, c)
             return
         self.g_norm_sq = float(g_norm_sq)
         if exact:
@@ -482,17 +523,33 @@ class _Factored:
         return dist_sq, pmin, pmax
 
     def coefficients(self):
-        """Solution of the whole block: L* a = D^(-1) y, or a = S L^(-*) y."""
+        """Solution of the whole block: U a = y, or a = S L^(-*) y.
+
+        Row i of U reads p a_i + sum_{k>i} u_k a_k = y_i in numerators over
+        the row's one denominator, which drops out.  The solved a_k, k > i,
+        are held as Gaussian integers over one denominator q, with no factor
+        common to all of them.  Then a_i = s / (p q), s = y_i q - sum u_k (q
+        a_k); with h = gcd(p, s), scaling the held numerators by p / h and q
+        to q p / h keeps that form without a gcd over the vector."""
         if self.method != "exact":
             return scipy.linalg.solve_triangular(self.L.conj().T, self.y, lower=False) * self.scale
-        n = len(self.y)
-        a = [ComplexRational()] * n
+        n = len(self.U)
+        ar, ai, q = [0] * n, [0] * n, 1
         for i in range(n - 1, -1, -1):
-            s = self.y[i] / self.pivots[i]
-            for k in range(i + 1, n):
-                s = s - self.L[k][i].conjugate() * a[k]
-            a[i] = s
-        return a
+            re, im, _ = self.U[i]
+            sr, si = re[-1] * q, im[-1] * q
+            for u, v, x, z in zip(re[1:-1], im[1:-1], ar[i + 1:], ai[i + 1:]):
+                sr -= u * x - v * z
+                si -= u * z + v * x
+            p = re[0]
+            h = gcd(p, sr, si)
+            t = p // h
+            if t != 1:
+                ar[i + 1:] = [x * t for x in ar[i + 1:]]
+                ai[i + 1:] = [x * t for x in ai[i + 1:]]
+                q *= t
+            ar[i], ai[i] = sr // h, si // h
+        return [from_parts(x, z, q) for x, z in zip(ar, ai)]
 
 
 def optimal_approximant(system: GramSystem, degree: int | None = None, method: str = "auto") -> ApproximantResult:
@@ -541,7 +598,9 @@ class ProfilePoint:
 def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, method: str = "auto") -> list[ProfilePoint]:
     """dist(g, {p f : deg p <= m})^2 for each m in degrees: one walk of the
     reachable basis, one assembly of it, one factorization.  ArithmeticError
-    when the float path refuses a degree (see the module docstring)."""
+    when the float path refuses a degree (see the module docstring);
+    ValueError, before assembling anything, when the reachable block of the
+    top degree has more than GRAM_ENTRY_BUDGET entries."""
     degrees = sorted(set(map(_degree, degrees)))
     _solve_path(method, True, 0)  # rejects an unknown method, also on an empty schedule
     if not degrees:
@@ -549,6 +608,8 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     _check_inputs(space, f, g)
     top = degrees[-1]
     basis = _reachable(f, g, top)
+    _check_entry_budget(len(basis), space.d, top, "reachable Gram block",
+                        "a profile factors the block of its top degree, so a lower top degree shrinks it")
     # one storage decision for the whole sweep, from the reachable size, so
     # blocks are sliced, not converted; inexact inputs give a float system
     exact = _exact_inputs(space, f, g) and _solve_path(method, True, len(basis)) == "exact"

@@ -77,9 +77,11 @@ def _as_fraction(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _exact_parts(x):
+def exact_parts(x):
     """(a, b, d) of an exact scalar x = (a + b*i) / d in normal form, or None
-    when x is not exact (a float, a complex or anything else)."""
+    when x is not exact (a float, a complex or anything else).  Integer code
+    such as the exact LDL* of ``approx`` works on these parts and rebuilds
+    its results with ``from_parts``."""
     t = type(x)
     if t is ComplexRational:
         return x._a, x._b, x._d
@@ -101,7 +103,7 @@ class ComplexRational:
 
     def __new__(cls, re=0, im=0):
         re, im = _as_fraction(re), _as_fraction(im)
-        return _normal(re.numerator * im.denominator, im.numerator * re.denominator, re.denominator * im.denominator)
+        return from_parts(re.numerator * im.denominator, im.numerator * re.denominator, re.denominator * im.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
@@ -135,7 +137,7 @@ class ComplexRational:
     # thing while is_exact() still reports the truth.
 
     def __add__(self, other):
-        o = _exact_parts(other)
+        o = exact_parts(other)
         if o is None:
             return complex(self) + other
         return _sum(self._a, self._b, self._d, *o)
@@ -143,38 +145,38 @@ class ComplexRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _exact_parts(other)
+        o = exact_parts(other)
         if o is None:
             return complex(self) - other
         a, b, d = o
         return _sum(self._a, self._b, self._d, -a, -b, d)
 
     def __rsub__(self, other):
-        o = _exact_parts(other)
+        o = exact_parts(other)
         if o is None:
             return other - complex(self)
         return _sum(*o, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = _exact_parts(other)
+        o = exact_parts(other)
         if o is None:
             return complex(self) * other
         a, b, d = self._a, self._b, self._d
         c, e, f = o
         if e == 0:  # a real factor: weights, pivots, integers
             return _scale(a, b, d, c, f)
-        return _normal(a * c - b * e, a * e + b * c, d * f)
+        return from_parts(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _exact_parts(other)
+        o = exact_parts(other)
         if o is None:
             return complex(self) / other
         return _quotient(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
-        o = _exact_parts(other)
+        o = exact_parts(other)
         if o is None:
             return other / complex(self)
         return _quotient(*o, self._a, self._b, self._d)
@@ -206,7 +208,7 @@ class ComplexRational:
         return Fraction(a * a + b * b, d * d)
 
     def __eq__(self, other):
-        o = _exact_parts(other)
+        o = exact_parts(other)
         if o is None:
             return NotImplemented
         return (self._a, self._b, self._d) == o
@@ -246,8 +248,9 @@ def _raw(a, b, d):
     return x
 
 
-def _normal(a, b, d):
-    """(a + b*i) / d for d > 0, with the common factor divided out."""
+def from_parts(a, b, d):
+    """The ComplexRational (a + b*i) / d of integers a, b and d > 0, with
+    the common factor divided out: the inverse of ``exact_parts``."""
     g = gcd(d, a, b)
     if g != 1:
         a, b, d = a // g, b // g, d // g
@@ -289,7 +292,7 @@ def _quotient(a, b, d, c, e, f):
         if c == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
         return _scale(a, b, d, f, c) if c > 0 else _scale(a, b, d, -f, -c)
-    return _normal((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+    return from_parts((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
 
 def is_exact_scalar(x) -> bool:
@@ -316,8 +319,9 @@ def path_casts(exact: bool):
 
 
 def check_int(name: str, value, least: int) -> None:
-    """ValueError, naming the argument, unless value is an int >= least."""
-    if not isinstance(value, int) or value < least:
+    """ValueError, naming the argument, unless value is an int >= least; a
+    bool is refused, so a JSON true does not read as 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -586,13 +586,20 @@ def _assert_ldl_equals_the_pair_oracle(G, c):
     def pair(x):
         return x.re, x.im
 
-    L, y, D, gains = approx._ldl_exact(G, c)
+    U, y, D, gains = approx._ldl_exact(G, c)
     L0, y0, D0, gains0 = _ldl_pairs([[pair(x) for x in row] for row in G], [pair(x) for x in c])
     assert D == D0 and gains == gains0
     assert all(type(v) is Fraction for v in D + gains)
     assert [pair(v) for v in y] == y0
     n = len(c)
-    assert [[pair(L[j][i]) for i in range(j)] for j in range(n)] == [L0[j][:j] for j in range(n)]
+    # row i of U = D L* holds the numerators of U[i][i:] and y_i over one
+    # denominator, so L[j][i] = conj(U[i][j]) / D[i]
+    assert [(len(re), len(im)) for re, im, _ in U] == [(n - i + 1,) * 2 for i in range(n)]
+    assert [Fraction(re[0], den) for re, _, den in U] == D
+    assert [(Fraction(re[-1], den), Fraction(im[-1], den)) for re, im, den in U] == y0
+    L = [[(Fraction(U[i][0][j - i], U[i][2]) / D[i], -Fraction(U[i][1][j - i], U[i][2]) / D[i]) for i in range(j)]
+         for j in range(n)]
+    assert L == [L0[j][:j] for j in range(n)]
 
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (4, 2), (7, 3), (12, 4)])
@@ -617,6 +624,76 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_da4_system():
     system = approx._gram_system(DA4, F4, one, 400, approx._reachable(F4, one, 400), True)
     assert len(system.basis) == 101
     _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs)
+
+
+def _dense_complex_poly(rng, d, degree):
+    """A Gaussian-rational coefficient with nonzero real and imaginary parts
+    on every monomial of degree <= degree."""
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    return SparsePoly(d, {b: ComplexRational(rational(), rational()) for b in graded_monomials(d, degree)})
+
+
+@pytest.mark.parametrize("d, m, seed", [(1, 8, 0), (2, 4, 1), (2, 6, 2), (3, 2, 3)])
+def test_ldl_exact_equals_the_fraction_pair_oracle_on_complex_gram_systems(d, m, seed):
+    rng = random.Random(seed)
+    space = SpaceSpec.drury_arveson(d)
+    f, g = _dense_complex_poly(rng, d, 2), _dense_complex_poly(rng, d, 2)
+    system = approx._gram_system(space, f, g, m, approx._reachable(f, g, m), True)
+    assert len(system.basis) == math.comb(d + m, d)
+    assert any(not x.is_real for row in system.matrix for x in row) and any(not x.is_real for x in system.rhs)
+    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs)
+
+
+@pytest.mark.parametrize("m", [12, 30, 60])
+def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_d_minus4_system(m):
+    # (1 - z)^12 in D_-4: 25 diagonals, and past m = 44 more unknowns than
+    # the float Cholesky factors
+    sp, f, one = SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12, SparsePoly.one(1)
+    system = approx._gram_system(sp, f, one, m, approx._reachable(f, one, m), True)
+    assert len(system.basis) == m + 1
+    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs)
+
+
+def _crs(*xs):
+    """ComplexRational of each (re, im) pair or real x."""
+    return [ComplexRational(*x) if isinstance(x, tuple) else ComplexRational(x) for x in xs]
+
+
+@pytest.mark.parametrize("G, c, message", [
+    ([_crs(1, 2), _crs(2, 1)], _crs(1, 0), "pivot 1 is not real positive: ComplexRational(-3)"),
+    ([_crs(2, (1, 1)), _crs((1, -1), 1)], _crs(1, 1), "pivot 1 is not real positive: ComplexRational(0)"),
+    ([_crs(1, (1, 1), 0), _crs((1, -1), 3, 1), _crs(0, 1, 0)], _crs(0, 1, 1),
+     "pivot 2 is not real positive: ComplexRational(-1)"),
+    ([_crs(4, (Fraction(1, 2), 1), 1), _crs((Fraction(1, 2), -1), Fraction(1, 3), (0, 2)), _crs(1, (0, -2), 5)],
+     _crs(1, 1, 1), "pivot 2 is not real positive: ComplexRational(-239)"),
+])
+def test_ldl_exact_refuses_an_indefinite_system_at_its_first_bad_pivot(G, c, message):
+    # Hermitian but not positive definite: the index and the value of the
+    # first pivot that is not real positive, as the rational LDL* reported
+    # them
+    with pytest.raises(ArithmeticError) as info:
+        approx._ldl_exact(G, c)
+    assert str(info.value) == message
+    with pytest.raises(AssertionError):
+        _ldl_pairs([[(x.re, x.im) for x in row] for row in G], [(x.re, x.im) for x in c])
+
+
+@pytest.mark.parametrize("d, m, seed", [(1, 10, 4), (2, 4, 5), (3, 3, 6)])
+def test_exact_coefficients_solve_the_dense_complex_system(d, m, seed):
+    # G a = c and dist^2 = ||g||^2 - c* a, both with ==, on the full system
+    rng = random.Random(seed)
+    space = SpaceSpec.drury_arveson(d)
+    f, g = _dense_complex_poly(rng, d, 2), _dense_complex_poly(rng, d, 2)
+    system = assemble_gram(space, f, g, m)
+    res = optimal_approximant(system, method="exact")
+    a = res.coefficients
+    assert res.exact and res.conditioning.unknowns == len(a) == math.comb(d + m, d)
+    assert sum(not x.is_real for x in a) > len(a) // 2
+    zero = ComplexRational()
+    assert [sum((x * y for x, y in zip(row, a)), zero) for row in system.matrix] == list(system.rhs)
+    assert system.g_norm_sq - sum((ci.conjugate() * ai for ci, ai in zip(system.rhs, a)), zero) == res.dist_sq
 
 
 def test_target_orthogonal_to_every_multiple_has_no_unknowns():
@@ -844,6 +921,19 @@ def test_bad_degrees_raise_value_error():
     assert optimal_approximant(system, degree=Fraction(2)).dist_sq == Fraction(8, 15)
 
 
+def test_bool_degrees_are_refused():
+    # True is an int, but not a degree
+    one = SparsePoly.one(2)
+    system = assemble_gram(DA2, F22, one, 2)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"a degree must be an integer >= 0, not {bad}"):
+            optimal_approximant(system, degree=bad)
+        with pytest.raises(ValueError, match="degree"):
+            assemble_gram(DA2, F22, one, bad)
+        with pytest.raises(ValueError, match="degree"):
+            distance_profile(DA2, F22, one, [0, bad])
+
+
 def _rotated_da4_generator():
     """1 - 16 w1 w2 w3 w4 with w = z U, U the rational Householder reflection
     I - v v^T / 15, v = (1, 2, 3, 4): 36 terms, a dense generator."""
@@ -997,3 +1087,25 @@ def test_assemble_gram_entry_budget(monkeypatch):
         assemble_gram(da2, f, SparsePoly.one(2), 4)
     # a profile never builds the full system, so the budget does not bind it
     assert cyclicity_profile(da2, f, [4])[0].full_unknowns == 15
+
+
+def test_profile_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
+    # a dense degree-2 generator in DA_3 reaches all C(34, 3) = 5984 unknowns
+    # at m = 31, about 3.6e7 entries: refused before anything is assembled
+    def refuse(*args):
+        raise AssertionError("the Gram system was assembled")
+
+    monkeypatch.setattr(approx, "_gram_system", refuse)
+    f = SparsePoly(3, {b: i + 1 for i, b in enumerate(graded_monomials(3, 2))})
+    da3, one = SpaceSpec.drury_arveson(3), SparsePoly.one(3)
+    with pytest.raises(ValueError, match=r"the reachable Gram block to degree 31 in 3 variables has 5984 unknowns, "
+                                         r"35808256 entries, over the budget of 33554432"):
+        distance_profile(da3, f, one, [2, 31])
+    # at the boundary: the 5 reachable unknowns of F22 to degree 8 fit a
+    # budget of 25 entries, and not one of 24
+    monkeypatch.undo()
+    monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 25)
+    assert cyclicity_profile(DA2, F22, [8])[0].unknowns == 5
+    monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 24)
+    with pytest.raises(ValueError, match="5 unknowns, 25 entries, over the budget of 24"):
+        cyclicity_profile(DA2, F22, [8])

@@ -315,6 +315,14 @@ def test_run_spec_refuses_fractional_step_integers(tmp_path, kind, params, messa
     assert err == message + "\n"
 
 
+def test_run_spec_refuses_a_bool_step_integer(tmp_path):
+    # JSON true is not the integer 1
+    spec = json.dumps({"name": "step", "kind": "hc", "space": json.loads(D4),
+                       "params": {"phi": json.loads(ONE_MINUS_Z), "n": True, "degrees": [0, 4]}})
+    code, out, err = run("run", "--spec", spec, "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: n must be an integer >= 0, got True\n")
+
+
 def test_approx_refuses_a_full_system_past_the_entry_budget():
     # DA_4 to degree 20 has 10626 unknowns, 1.1e8 entries: refused before
     # anything is allocated; degree 16 (4845 unknowns) is within the budget

@@ -158,6 +158,15 @@ def test_lemma_checks_read_whole_floats_as_integers():
     assert whole == verify_lemma("dilation-contraction", {"N": 2, "trials": 3}).margins
 
 
+def test_integer_params_refuse_bools():
+    # bool is an int subclass: a JSON true must not read as 1, so that
+    # slice-outer runs one point and passes
+    with pytest.raises(ValueError, match="points must be an integer >= 1, got True"):
+        verify_lemma("slice-outer", {"points": True})
+    with pytest.raises(ValueError, match="trials must be an integer >= 1, got False"):
+        verify_lemma("slice-bound", {"trials": False})
+
+
 def _derivative_by_rule(coeffs, order):
     """The coefficient rule c'[n] = (n + 1) c[n + 1], order times."""
     c = tuple(coeffs)

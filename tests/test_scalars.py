@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from besovball.scalars import ComplexRational
+from besovball.scalars import ComplexRational, check_int, exact_parts, from_parts
 
 try:
     from hypothesis import given, settings
@@ -217,3 +217,18 @@ if HAVE_HYPOTHESIS:
             assert repr(cx) == f"ComplexRational({x[0]})" and hash(cx) == hash(x[0])
         else:
             assert repr(cx) == f"ComplexRational({x[0]}, {x[1]})" and hash(cx) == hash(x)
+
+
+def test_check_int_refuses_bools():
+    check_int("n", 0, 0)
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"n must be an integer >= 0, got {value}"):
+            check_int("n", value, 0)
+
+
+def test_from_parts_inverts_exact_parts():
+    x = ComplexRational(Fraction(-3, 4), Fraction(5, 6))
+    assert exact_parts(x) == (-9, 10, 12) and from_parts(*exact_parts(x)) == x
+    assert exact_parts(Fraction(2, 4)) == (1, 0, 2) and exact_parts(0.5) is None
+    y = from_parts(6, -4, 8)
+    assert (y.re, y.im) == (Fraction(3, 4), Fraction(-1, 2)) and exact_parts(y) == (3, -2, 4)
