@@ -33,13 +33,11 @@ from .spaces import (
 )
 from .embeddings import (
     diagonal_projection,
-    projection_lift,
     sk_coefficient,
     sk_coefficient_ratios,
     sum_squares_compose,
     tau_compose,
     tkd_monomial_norm_sq,
-    tkd_norm_ratios,
 )
 from .approx import (
     ApproximantResult,
@@ -81,9 +79,8 @@ __all__ = [
     "hardy_sphere_norm_sq", "homogeneous_norms_sq", "inner_product",
     "measure_from_json", "monomial_norm_sq", "norm_sq",
     "slice_norm_gap", "space_from_json",
-    "diagonal_projection", "projection_lift", "sk_coefficient",
-    "sk_coefficient_ratios", "sum_squares_compose", "tau_compose",
-    "tkd_monomial_norm_sq", "tkd_norm_ratios",
+    "diagonal_projection", "sk_coefficient", "sk_coefficient_ratios",
+    "sum_squares_compose", "tau_compose", "tkd_monomial_norm_sq",
     "ApproximantResult", "GramSystem", "ProfilePoint", "assemble_gram",
     "cyclicity_profile", "distance_profile", "finite_section_mult_bound",
     "graded_monomials", "hc_profile", "membership_profile",

@@ -30,7 +30,6 @@ mu_total / sqrt(E) is the same for c mu as for mu.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,7 +39,7 @@ import numpy as np
 from . import kernels
 from .approx import graded_monomials
 from .poly import SparsePoly, onevar_terms
-from .scalars import ComplexRational, abs_sq, check_int
+from .scalars import ComplexRational, abs_sq, check_int, json_object
 from .spaces import CACHE_MAXSIZE, SpaceSpec
 
 SPHERE_TOL = 1e-12
@@ -81,10 +80,6 @@ class NormBracket:
     @property
     def norm_upper(self) -> float:
         return math.sqrt(self.upper)
-
-    @property
-    def rel_width(self) -> float:
-        return (self.upper - self.lower) / self.lower if self.lower > 0 else math.inf
 
 
 def _check_bounded(j: int, alpha) -> None:
@@ -207,8 +202,7 @@ class Certificate:
 
     @staticmethod
     def from_json(obj) -> "Certificate":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+        obj = json_object(obj, "a certificate")
         return Certificate(kind=obj["kind"], lower_bound=float(obj["lower_bound"]),
                            audit=obj.get("audit", {}), grid=obj.get("grid", {}))
 
@@ -392,8 +386,6 @@ class EnergyResult:
     c_estimate: float
     param_integral: float
     analytic_upper: float
-    m: int
-    label: str
     energy_sum: str  # "lattice" or "pairs"
     kernel_evaluations: int  # 1/|1 - <z,w>| evaluations over all levels and the lattice check
     lattice_check_rel: float | None  # lattice vs pair sum on the base grid; None on the pair path
@@ -593,7 +585,6 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2) -> Ene
     return EnergyResult(
         value=value, rel_change=rel, nodes_per_axis=n, converged=converged,
         c_estimate=c_est, param_integral=integral, analytic_upper=analytic_upper,
-        m=m, label=measure.label,
         energy_sum="lattice" if lattice else "pairs",
         kernel_evaluations=evaluations, lattice_check_rel=check_rel,
     )

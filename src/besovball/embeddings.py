@@ -9,9 +9,6 @@ with dim 1; more variables raise ValueError) into d variables:
 * ``sum_squares_compose``: lambda -> z_1^2 + ... + z_k^2.  The squared
   Drury-Arveson norm of the image of lambda^n is the combinatorial
   coefficient ``sk_coefficient(k, n)``, which grows like (n+1)^((k-1)/2).
-
-``projection_lift`` zero-pads exponents; it is an isometry degree by degree
-because the monomial norm beta!/|beta|! ignores appended zeros.
 """
 
 from __future__ import annotations
@@ -64,20 +61,6 @@ def tkd_monomial_norm_sq(k: int, n: int) -> Fraction:
     return tau_scale_sq(k, n) * factorial_ratio((n,) * k)
 
 
-def tkd_norm_ratios(k: int, max_degree: int) -> list[float]:
-    """||tau(lambda^n)||^2_{H2} / ||lambda^n||^2_{D_{(k-1)/2}} for n <= max_degree.
-
-    Bounded above and below by positive constants; the window certifies the
-    two-sided embedding bound degree by degree.
-    """
-    out = []
-    for n in range(max_degree + 1):
-        num = tkd_monomial_norm_sq(k, n)
-        den = float(n + 1) ** ((k - 1) / 2)
-        out.append(float(num) / den)
-    return out
-
-
 def sum_squares_compose(f, k: int, d: int) -> SparsePoly:
     """Compose a 1-variable polynomial with z_1^2 + ... + z_k^2 inside C^d (exact)."""
     if k < 1 or d < k:
@@ -121,14 +104,6 @@ def sk_coefficient(d: int, n: int) -> Fraction:
 def sk_coefficient_ratios(d: int, max_degree: int) -> list[float]:
     """sk_coefficient(d, n) / (n+1)^((d-1)/2); bounded above and below."""
     return [float(sk_coefficient(d, n)) / float(n + 1) ** ((d - 1) / 2) for n in range(max_degree + 1)]
-
-
-def projection_lift(f: SparsePoly, d: int) -> SparsePoly:
-    """Lift a polynomial in fewer variables by zero-padding exponents (isometric)."""
-    if d < f.dim:
-        raise ValueError("target dimension must be >= the source dimension")
-    pad = (0,) * (d - f.dim)
-    return SparsePoly(d, {b + pad: c for b, c in f.terms.items()})
 
 
 def diagonal_projection(q: SparsePoly, k: int) -> SparsePoly:

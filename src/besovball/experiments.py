@@ -6,9 +6,9 @@ An ``ExperimentSpec`` is a JSON-serializable description of one run.
 certificate steps a ``Certificate``.  ``run_experiment`` writes them as a CSV
 (columns m, dist_sq, min_pivot, runtime_ms) or certificate JSON, plus a
 manifest with versions, parameters and timings.  Bundles run their steps in
-order, one after the other.  In the default deterministic mode the runtime
-column is written as 0 and wall times go to the manifest only, keeping CSV
-bytes identical across reruns.
+order, one after the other.  The CSV runtime column is always written as 0
+and wall times go to the manifest only, keeping CSV bytes identical across
+reruns.
 
 ``verify_lemma`` holds the registry of quantitative lemma checks; each
 check returns a pass flag plus margins.
@@ -29,7 +29,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from . import __version__ as _pkg_version
-from . import kernels
 from .approx import (
     ProfilePoint,
     cyclicity_profile,
@@ -48,7 +47,7 @@ from .poly import (
     roots_1d,
     series_invert,
 )
-from .scalars import ComplexRational, check_int, json_int
+from .scalars import ComplexRational, check_int, json_int, json_object
 from .spaces import (
     BetaDensity,
     ConstantDensity,
@@ -70,22 +69,22 @@ class ExperimentSpec:
     space: dict | None = None
     params: dict = field(default_factory=dict)
     claim: str = ""
-    deterministic: bool = True
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name, "kind": self.kind, "space": self.space,
-            "params": self.params, "claim": self.claim, "deterministic": self.deterministic,
-        }
+        return {"name": self.name, "kind": self.kind, "space": self.space, "params": self.params, "claim": self.claim}
 
     @staticmethod
     def from_json(obj) -> "ExperimentSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+        """The spec of a JSON object; a ``"deterministic"`` key, written by
+        older versions, is accepted only as true, the one mode there is."""
+        obj = json_object(obj, "an experiment spec")
+        if obj.get("deterministic", True) is not True:
+            raise ValueError(f"the spec key 'deterministic' must be true if present, got "
+                             f"{json.dumps(obj['deterministic'])}: CSVs always write runtime_ms as 0")
+        name = obj["name"]
         return ExperimentSpec(
-            name=obj["name"], kind=obj["kind"], space=obj.get("space"),
-            params=obj.get("params", {}), claim=obj.get("claim", ""),
-            deterministic=bool(obj.get("deterministic", True)),
+            name=name, kind=obj["kind"], space=obj.get("space") if obj["kind"] == "bundle" else obj["space"],
+            params=json_object(obj.get("params", {}), f"the params of {name!r}"), claim=obj.get("claim", ""),
         )
 
 
@@ -100,13 +99,13 @@ def write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_profile_csv(path, rows: list[ProfilePoint], deterministic: bool = True):
+def write_profile_csv(path, rows: list[ProfilePoint]):
+    """The profile rows as CSV, runtime_ms written as 0 so reruns match byte for byte."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["m", "dist_sq", "min_pivot", "runtime_ms"])
         for row in rows:
-            rt = "0" if deterministic else _fmt_float(row.runtime_ms)
-            w.writerow([row.m, _fmt_float(row.dist_sq), _fmt_float(row.min_pivot), rt])
+            w.writerow([row.m, _fmt_float(row.dist_sq), _fmt_float(row.min_pivot), "0"])
 
 
 def read_profile_csv(path) -> list[dict]:
@@ -184,7 +183,7 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
             summary["lower_bound"] = result.lower_bound
         else:
             path = out_dir / f"{spec.name}.csv"
-            write_profile_csv(path, result, deterministic=spec.deterministic)
+            write_profile_csv(path, result)
             outputs["csv"] = str(path)
             if result:
                 summary["final_m"] = result[-1].m
@@ -203,7 +202,6 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
         "versions": {
             "besovball": _pkg_version,
             "numpy": np.__version__,
-            "kernel_backend": kernels.backend(),
         },
     }
     manifest_path = out_dir / f"{spec.name}.manifest.json"
@@ -212,8 +210,7 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
 
 
 def cube_from_json(obj) -> CubeMeasure:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = json_object(obj, "a cube")
     fam = obj.get("family")
     shrink = {"shrink": float(obj["shrink"])} if "shrink" in obj else {}
     if fam == "torus":
@@ -494,4 +491,4 @@ def verify_lemma(name: str, params: dict | None = None) -> LemmaReport:
     """Run a registered quantitative lemma check by name."""
     if name not in LEMMA_CHECKS:
         raise ValueError(f"unknown lemma check {name!r}; known: {sorted(LEMMA_CHECKS)}")
-    return LEMMA_CHECKS[name](params or {})
+    return LEMMA_CHECKS[name](json_object(params or {}, f"the params of {name}"))

@@ -40,7 +40,7 @@ CHORD_ROWS = 64  # rows per block of the chord-ratio scan: its temporaries stay 
 
 
 def backend() -> str:
-    """The kernel implementation in force, recorded in manifests: always 'numpy'."""
+    """The kernel implementation in force, always 'numpy'; only the benchmark report records it."""
     return "numpy"
 
 

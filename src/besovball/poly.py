@@ -18,7 +18,6 @@ embeddings, the arguments of boundary functionals) are ``SparsePoly(1, ...)``;
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +25,7 @@ from operator import add
 
 import numpy as np
 
-from .scalars import ComplexRational, is_exact_scalar, json_int
+from .scalars import ComplexRational, is_exact_scalar, json_int, json_object
 
 
 def multi_factorial(beta) -> int:
@@ -353,24 +352,22 @@ def poly_to_literal(f: SparsePoly) -> dict:
 
 
 def poly_from_literal(lit, dim=None) -> SparsePoly:
-    if isinstance(lit, str):
-        lit = json.loads(lit)
-    if not isinstance(lit, dict):
-        raise ValueError("polynomial literal must be a JSON object")
+    lit = json_object(lit, "a polynomial literal")
     terms = {}
     for key, val in lit.items():
         beta = tuple(int(x) for x in key.split(","))
         if dim is None:
             dim = len(beta)
-        if len(val) == 4:
+        size = len(val) if isinstance(val, list) else None
+        if size == 4:
             parts = [json_int(x) for x in val]
             if not all(isinstance(x, int) for x in parts):
                 raise ValueError(f"exact coefficient for {key} must have integer parts, got {val!r}")
             c = ComplexRational(Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3]))
-        elif len(val) == 2:
+        elif size == 2:
             c = complex(float(val[0]), float(val[1]))
         else:
-            raise ValueError(f"coefficient for {key} must be [re_num,re_den,im_num,im_den] or [re,im]")
+            raise ValueError(f"coefficient for {key} must be [re_num,re_den,im_num,im_den] or [re,im], got {val!r}")
         terms[beta] = c
     if dim is None:
         raise ValueError("cannot infer dimension from an empty literal")

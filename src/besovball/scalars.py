@@ -49,10 +49,11 @@ Traceback (most recent call last):
     ...
 TypeError: not an exact rational: 0.5
 
-The module also holds the integer checks that the parsers and constructors
+The module also holds the input checks that the parsers and constructors
 share: ``check_int`` refuses anything but an int past a least value, naming
-the argument, and ``json_int`` reads a whole JSON float such as 2.0 as an int
-and leaves 2.5 for that check to refuse.
+the argument, ``json_int`` reads a whole JSON float such as 2.0 as an int
+and leaves 2.5 for that check to refuse, and ``json_object`` refuses
+anything but a JSON object, naming it, also when a key it needs is missing.
 
 >>> json_int(2.0), json_int(2.5)
 (2, 2.5)
@@ -60,10 +61,15 @@ and leaves 2.5 for that check to refuse.
 Traceback (most recent call last):
     ...
 ValueError: n must be an integer >= 0, got 2.5
+>>> json_object('{"d": 1}', "a space")["kind"]
+Traceback (most recent call last):
+    ...
+ValueError: a space has no 'kind' key
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -329,3 +335,24 @@ def json_int(x):
     """A whole JSON number as an int; anything else is left to the caller's
     check, so a fractional value is refused rather than truncated."""
     return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
+class _JsonObject(dict):
+    """A JSON object whose missing keys raise ValueError naming it."""
+
+    def __init__(self, obj: dict, what: str):
+        super().__init__(obj)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} has no {key!r} key")
+
+
+def json_object(obj, what: str) -> dict:
+    """obj, parsed first if it is a string, as a JSON object: ValueError
+    naming what unless it is one, or when a key read from it is missing."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    return _JsonObject(obj, what)

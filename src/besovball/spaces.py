@@ -30,7 +30,6 @@ satisfy it structurally, quadrature measures are checked at construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import SparsePoly, factorial_ratio
-from .scalars import ComplexRational, abs_sq, check_int, json_int, path_casts
+from .scalars import ComplexRational, abs_sq, check_int, json_int, json_object, path_casts
 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
@@ -182,8 +181,7 @@ class GeneralQuadrature:
 
 
 def measure_from_json(obj):
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = json_object(obj, "a measure")
     kind = obj.get("type")
     if kind == "point_mass_one":
         return PointMassAtOne()
@@ -269,8 +267,7 @@ class SpaceSpec:
 
 
 def space_from_json(obj) -> SpaceSpec:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = json_object(obj, "a space")
     d = json_int(obj["d"])
     kind = obj["kind"]
     if kind == "besov":

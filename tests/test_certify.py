@@ -52,7 +52,7 @@ def test_functional_norm_zeta_anchor():
     br = functional_norm(0, 4)
     target = math.pi**4 / 90
     assert br.lower <= target <= br.upper
-    assert br.rel_width <= 1e-8
+    assert br.upper - br.lower <= 1e-8 * br.lower
 
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath unavailable")
@@ -61,7 +61,7 @@ def test_functional_norm_j1_mpmath_oracle():
     br = functional_norm(1, 4)
     target = float(mp.zeta(2) - 2 * mp.zeta(3) + mp.zeta(4))
     assert br.lower <= target <= br.upper
-    assert br.rel_width <= 1e-8
+    assert br.upper - br.lower <= 1e-8 * br.lower
 
 
 def test_functional_norm_rejects_divergent():

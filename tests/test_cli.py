@@ -19,6 +19,7 @@ D4 = '{"d":1,"kind":"alpha","alpha":4}'
 HARDY1 = '{"d":1,"kind":"alpha","alpha":0}'
 F22 = '{"0,0":[1,1,0,1],"1,1":[-2,1,0,1]}'
 ONE_MINUS_Z = '{"0":[1,1,0,1],"1":[-1,1,0,1]}'
+F4 = '{"0,0,0,0":[1,1,0,1],"1,1,1,1":[-16,1,0,1]}'
 
 
 def run(*args):
@@ -242,6 +243,29 @@ def test_bad_inputs_exit_2():
     assert "dimension mismatch" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("norm", "--space", HARDY1, "--poly", '{"0":5}'),
+     "error: coefficient for 0 must be [re_num,re_den,im_num,im_den] or [re,im], got 5"),
+    (("norm", "--space", "[1]", "--poly", ONE_MINUS_Z), "error: a space must be a JSON object, got [1]"),
+    (("norm", "--space", '{"d":1,"kind":"besov","N":1,"measure":[1]}', "--poly", ONE_MINUS_Z),
+     "error: a measure must be a JSON object, got [1]"),
+    (("certify", "energy", "--space", '{"d":4,"kind":"alpha","alpha":0}', "--f", F4, "--cube", "[1]"),
+     "error: a cube must be a JSON object, got [1]"),
+    (("run", "--spec", '{"name":"x","kind":"profile"}'), "error: an experiment spec has no 'space' key"),
+    (("run", "--spec", "[1]"), "error: an experiment spec must be a JSON object, got [1]"),
+    (("verify-lemma", "dilation-contraction", "--params", "[1]"),
+     "error: the params of dilation-contraction must be a JSON object, got [1]"),
+    (("norm", "--space", '{"d":1,"kind":"alpha"}', "--poly", ONE_MINUS_Z), "error: a space has no 'alpha' key"),
+    (("run", "--spec", '{"name":"x","kind":"bundle"}'), "error: the params of 'x' has no 'steps' key"),
+])
+def test_malformed_json_exits_2_naming_the_object(tmp_path, args, message):
+    if args[0] == "run":
+        args += ("--out", str(tmp_path))
+    code, out, err = run(*args)
+    assert (code, out) == (2, "")
+    assert err == message + "\n"
+
+
 def test_verify_lemma_refuses_a_fractional_integer_param():
     code, out, err = run("verify-lemma", "slice-bound", "--params", '{"trials": 2.5}')
     assert code == 2 and out == ""
@@ -289,9 +313,6 @@ def test_profile_refused_by_the_float_path_exits_2():
     assert code == 2 and out == ""
     assert err == ("error: the float Cholesky of the Gram block to degree 45 (46 unknowns) factors only 45 of them; "
                    'use method="exact"\n')
-
-
-F4 = '{"0,0,0,0":[1,1,0,1],"1,1,1,1":[-16,1,0,1]}'
 
 
 @pytest.mark.parametrize("kind, params, message", [

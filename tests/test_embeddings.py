@@ -11,13 +11,11 @@ import pytest
 
 from besovball.embeddings import (
     diagonal_projection,
-    projection_lift,
     sk_coefficient,
     sk_coefficient_ratios,
     sum_squares_compose,
     tau_compose,
     tkd_monomial_norm_sq,
-    tkd_norm_ratios,
 )
 from besovball.poly import SparsePoly, multi_factorial
 from besovball.scalars import ComplexRational
@@ -129,29 +127,19 @@ def test_sk_norm_identity():
         assert norm_sq(sp, img) == sk_coefficient(d, n)
 
 
+def _tkd_ratios(k, max_degree):
+    """||tau(lambda^n)||^2 in H^2 over ||lambda^n||^2 in D_{(k-1)/2}, n <= max_degree."""
+    return [tkd_monomial_norm_sq(k, n) / (n + 1) ** ((k - 1) / 2) for n in range(max_degree + 1)]
+
+
 def test_ratio_windows():
-    rats2 = tkd_norm_ratios(2, 60)
+    rats2 = _tkd_ratios(2, 60)
     assert all(1.0 - 1e-9 <= r <= 1.7615315 + 1e-6 for r in rats2)
     assert abs(rats2[-1] - math.sqrt(math.pi)) < 0.02
-    rats3 = tkd_norm_ratios(3, 60)
+    rats3 = _tkd_ratios(3, 60)
     assert all(1.0 - 1e-9 <= r <= 3.5813696 + 1e-6 for r in rats3)
     sk3 = sk_coefficient_ratios(3, 60)
     assert all(1.0 - 1e-9 <= r <= 2.0 for r in sk3)
-
-
-def test_projection_lift_isometry():
-    sp2 = SpaceSpec.drury_arveson(2)
-    sp5 = SpaceSpec.drury_arveson(5)
-    f = SparsePoly(2, {(1, 1): 1})
-    lifted = projection_lift(f, 5)
-    assert lifted == SparsePoly(5, {(1, 1, 0, 0, 0): 1})
-    assert norm_sq(sp2, f) == Fraction(1, 2) == norm_sq(sp5, lifted)
-    assert projection_lift(SparsePoly.one(2), 4) == SparsePoly.one(4)
-    rng_terms = {(2, 1): ComplexRational(Fraction(1, 3), Fraction(2, 7)), (0, 3): -2}
-    g = SparsePoly(2, rng_terms)
-    assert norm_sq(sp2, g) == norm_sq(sp5, projection_lift(g, 5))
-    with pytest.raises(ValueError):
-        projection_lift(g, 1)
 
 
 def test_diagonal_projection():
