@@ -15,14 +15,14 @@ difference of two exponents of f, and c[i] vanish unless beta_i + delta is
 an exponent of g for some exponent delta of f.  So G is block diagonal over
 the connected components of that difference graph, and only the components
 that meet the right-hand side carry a nonzero solution.  ``_reachable``
-walks those components from the exponents alone; ``distance_profile``
-assembles and factors only them, and ``optimal_approximant`` factors only
-the reachable rows and columns of the full system it is given and fills the
-other coefficients with zeros.  Both are exact: the dropped unknowns are 0
-in the full solution.  ``assemble_gram`` and ``finite_section_mult_bound``
-keep the full basis.  Each of the three refuses a system past
-GRAM_ENTRY_BUDGET entries before building it: the full one, or the
-reachable block of the profile's top degree.
+walks those components from the exponents alone, and ``_system`` builds
+every Gram system that is solved over them alone: ``distance_profile``
+factors it, and ``assemble_gram`` returns it for ``optimal_approximant``.
+Both are exact: the dropped unknowns are 0 in the full solution, so a
+result lists only the reachable basis and its coefficients.  Only
+``finite_section_mult_bound`` builds the full basis.  Both builders refuse
+a system past GRAM_ENTRY_BUDGET entries before assembling it: the
+reachable block, or the full section.
 
 Exponents have one index, the mixed-radix integer codes of ``_coder``.
 One routine, ``_gram_matrix``, pairs two polynomials over a column and a
@@ -36,8 +36,7 @@ ComplexRational, both in the order of the pairs of terms, so G and c are
 those of the per-entry dictionary loops they replaced (bitwise on the float
 path, ``==`` on the exact one).  The float path refuses a system whose
 weights leave the normal float range.  ``_reachable`` deduplicates
-and sorts its walk on the same codes, and ``optimal_approximant`` finds the
-reachable rows of its basis by them.
+and sorts its walk on the same codes.
 
 Each call factors its top block once, on one of two paths: exact LDL* or
 Jacobi-prescaled float Cholesky, with L y = c in the same pass.  The exact
@@ -109,9 +108,9 @@ DIST_SQ_CLAMP = -1e-12
 # entries (columns x pairs of terms of f) and the block of G they fill
 # (columns x rows) stay within this count: a few MB of index arrays
 GRAM_BLOCK_ENTRIES = 1 << 16
-# entries of a full system (assemble_gram, finite_section_mult_bound) or of a
-# profile's reachable block: 512 MB of complex entries, which DA_4 to degree
-# 16 (4845 unknowns) fits and degree 20 (10626) does not
+# entries of a reachable block (assemble_gram, distance_profile) or of a
+# full section (finite_section_mult_bound): 512 MB of complex entries, which
+# DA_4 to degree 16 (4845 unknowns) fits and degree 20 (10626) does not
 GRAM_ENTRY_BUDGET = 1 << 25
 
 
@@ -165,7 +164,7 @@ class GramSystem:
     f: SparsePoly
     g: SparsePoly
     degree: int
-    basis: tuple
+    basis: tuple  # the reachable exponents to degree, in graded order
     matrix: object  # nested lists (exact) or numpy array (float)
     rhs: object
     g_norm_sq: object
@@ -328,24 +327,26 @@ def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, ba
     )
 
 
-def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int, force_float: bool = False) -> GramSystem:
-    """Build the Gram system of {z^beta f : |beta| <= max_degree} against
-    target g, over the full graded basis of C(d + max_degree, d) unknowns;
-    ValueError, before building anything, when its matrix has more than
-    GRAM_ENTRY_BUDGET entries."""
+def _system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, method: str) -> GramSystem:
+    """The Gram system of the reachable basis to degree, the one a solve
+    factors: ValueError, before assembling anything, when it has more than
+    GRAM_ENTRY_BUDGET entries.  It is exact when the inputs are and method
+    takes the exact path for its size; inexact inputs give a float system."""
     _check_inputs(space, f, g)
-    max_degree = _degree(max_degree)
-    basis = _full_basis(space.d, max_degree, "full Gram system",
-                        "a profile (distance_profile, the profile command) solves only the part the target reaches")
-    exact = _exact_inputs(space, f, g) and not force_float
-    return _gram_system(space, f, g, max_degree, basis, exact)
+    degree = _degree(degree)
+    basis = _reachable(f, g, degree)
+    _check_entry_budget(len(basis), space.d, degree, "reachable Gram block",
+                        "a solve factors the block of its top degree, so a lower top degree shrinks it")
+    exact = _exact_inputs(space, f, g) and _solve_path(method, True, len(basis)) == "exact"
+    return _gram_system(space, f, g, degree, basis, exact)
 
 
-def _full_basis(d: int, max_degree: int, name: str, advice: str) -> list[tuple]:
-    """The graded basis of |beta| <= max_degree that a full system is built
-    over, checked by ``_check_entry_budget`` before it is listed."""
-    _check_entry_budget(math.comb(d + max_degree, d), d, max_degree, name, advice)
-    return graded_monomials(d, max_degree)
+def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int) -> GramSystem:
+    """Build the Gram system of {z^beta f : |beta| <= max_degree} against
+    target g over the basis the target reaches (see the module docstring),
+    exact when the inputs are; ValueError, before assembling anything, when
+    its matrix has more than GRAM_ENTRY_BUDGET entries."""
+    return _system(space, f, g, max_degree, "exact")
 
 
 def _check_entry_budget(n: int, d: int, max_degree: int, name: str, advice: str) -> None:
@@ -367,6 +368,10 @@ class ConditioningReport:
 
 @dataclass(frozen=True)
 class ApproximantResult:
+    """The best approximant p = sum_i coefficients[i] z^basis[i] to degree:
+    basis holds the reachable exponents in graded order, and p has no other
+    terms (their coefficients in the full solution are 0)."""
+
     degree: int
     basis: tuple
     coefficients: tuple
@@ -467,24 +472,12 @@ def _solve_path(method: str, exact: bool, size: int) -> str:
     return method
 
 
-def _restrict(system: GramSystem, rows):
-    """(G, c) of the system on the increasing indices rows.  A leading range
-    is sliced, so a fully reachable float block is a view, not a copy."""
-    n = len(rows)
-    if n == 0 or rows[-1] == n - 1:
-        return (system.matrix[:n] if system.exact else system.matrix[:n, :n]), system.rhs[:n]
-    if system.exact:
-        return [[system.matrix[i][j] for j in rows] for i in rows], [system.rhs[i] for i in rows]
-    ix = np.array(rows)
-    return system.matrix[np.ix_(ix, ix)], system.rhs[ix]
-
-
 class _Factored:
     """A Hermitian system G a = c of n unknowns, factored once on one path.
     Its leading k-block is factored by the leading k x k part of the factor
     (L, or U = D L* on the exact path), so has pivots[:k] and projection
-    c_k* a_k = sum(gains[:k]).  G may be nested
-    lists (an exact system) with rows longer than n."""
+    c_k* a_k = sum(gains[:k]).  G may have rows longer than n: the
+    leading rows of a larger system."""
 
     def __init__(self, G, c, g_norm_sq, exact: bool, method: str):
         n = len(c)
@@ -556,31 +549,22 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     """Best approximation of g from {p f : deg p <= degree} (degree defaults
     to the system degree).
 
-    Only the rows and columns the right-hand side reaches at the system
-    degree are factored, so the pivots are those of a profile to that
-    degree; the other coefficients are 0 and ``basis`` is the full one.
-    ArithmeticError when the float path refuses the block.
+    The leading block of the system to that degree is factored, so the
+    pivots are those of a profile to that degree; ``basis`` and
+    ``coefficients`` are the reachable ones, and every other coefficient of
+    the full basis is 0.  ArithmeticError when the float path refuses the
+    block.
     """
     m = system.degree if degree is None else _degree(degree)
     if m > system.degree:
         raise ValueError("requested degree exceeds the assembled system")
-    size = system.block_sizes()[m]
-    code = _coder([system.degree + 1] * system.space.d)
-    reach = code(_exponents(_reachable(system.f, system.g, system.degree), system.space.d))
-    rows = np.flatnonzero(np.isin(code(_exponents(system.basis[:size], system.space.d)), reach)).tolist()
-    top = _Factored(*_restrict(system, rows), system.g_norm_sq, system.exact, method)
-    dist_sq, pmin, pmax = top.block(len(rows), m)
-    exact, solution = top.method == "exact", top.coefficients()
-    if exact:
-        coefficients = [ComplexRational()] * size
-        for i, v in zip(rows, solution):
-            coefficients[i] = v
-    else:
-        coefficients = np.zeros(size, dtype=complex)
-        coefficients[rows] = solution
+    k = system.block_sizes()[m]
+    top = _Factored(system.matrix[:k], system.rhs[:k], system.g_norm_sq, system.exact, method)
+    dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
-        degree=m, basis=system.basis[:size], coefficients=tuple(coefficients), dist_sq=dist_sq,
-        conditioning=ConditioningReport(top.method, pmin, pmax, len(rows), size), exact=exact,
+        degree=m, basis=system.basis[:k], coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
+        conditioning=ConditioningReport(top.method, pmin, pmax, k, math.comb(system.space.d + m, system.space.d)),
+        exact=top.method == "exact",
     )
 
 
@@ -605,15 +589,9 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     _solve_path(method, True, 0)  # rejects an unknown method, also on an empty schedule
     if not degrees:
         return []
-    _check_inputs(space, f, g)
-    top = degrees[-1]
-    basis = _reachable(f, g, top)
-    _check_entry_budget(len(basis), space.d, top, "reachable Gram block",
-                        "a profile factors the block of its top degree, so a lower top degree shrinks it")
     # one storage decision for the whole sweep, from the reachable size, so
-    # blocks are sliced, not converted; inexact inputs give a float system
-    exact = _exact_inputs(space, f, g) and _solve_path(method, True, len(basis)) == "exact"
-    system = _gram_system(space, f, g, top, basis, exact)
+    # blocks are sliced, not converted
+    system = _system(space, f, g, degrees[-1], method)
     sizes = system.block_sizes()
     t0 = time.perf_counter()
     factored = _Factored(system.matrix, system.rhs, system.g_norm_sq, system.exact, method)
@@ -662,8 +640,10 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
     """
     if phi.dim != space.d:
         raise ValueError("dimension mismatch between space and polynomials")
-    basis = _full_basis(space.d, _degree(max_degree), "finite section",
+    d, m = space.d, _degree(max_degree)
+    _check_entry_budget(math.comb(d + m, d), d, m, "finite section",
                         "the bound is non-decreasing in the degree, so a lower one still bounds the multiplier norm")
+    basis = graded_monomials(d, m)
     A = _gram_matrix(space, phi, basis, exact=False)
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
     vals = scipy.linalg.eigh(A, D, eigvals_only=True)

@@ -135,15 +135,20 @@ def run_step(spec: ExperimentSpec) -> list[ProfilePoint] | Certificate:
     def poly(key):
         return poly_from_literal(p[key])
 
+    def degrees():
+        if not isinstance(p["degrees"], list):
+            raise ValueError(f"the degrees of {spec.name!r} must be a JSON list, got {p['degrees']!r}")
+        return p["degrees"]
+
     method = p.get("method", "auto")
     if spec.kind == "profile":
         if "g" in p:
-            return distance_profile(space, poly("f"), poly("g"), p["degrees"], method=method)
-        return cyclicity_profile(space, poly("f"), p["degrees"], method=method)
+            return distance_profile(space, poly("f"), poly("g"), degrees(), method=method)
+        return cyclicity_profile(space, poly("f"), degrees(), method=method)
     if spec.kind == "hc":
-        return hc_profile(space, poly("phi"), json_int(p["n"]), p["degrees"], method=method)
+        return hc_profile(space, poly("phi"), json_int(p["n"]), degrees(), method=method)
     if spec.kind == "member":
-        return membership_profile(space, poly("h"), poly("f"), json_int(p["k"]), p["degrees"], method=method)
+        return membership_profile(space, poly("h"), poly("f"), json_int(p["k"]), degrees(), method=method)
     if spec.kind == "dual-certify":
         return dual_lower_bound(space, poly("g"), poly("h"), json_int(p["j"]))
     grid = {k: json_int(p[k]) for k in ("n_base", "max_doublings") if k in p}
@@ -170,8 +175,11 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
     summary: dict = {}
 
     if spec.kind == "bundle":
-        for step in spec.params["steps"]:
-            rep = run_experiment(step, out_dir)
+        steps = spec.params["steps"]
+        if not isinstance(steps, list):
+            raise ValueError(f"the steps of {spec.name!r} must be a JSON list, got {steps!r}")
+        for step in steps:
+            rep = run_experiment(ExperimentSpec.from_json(step), out_dir)
             outputs[rep.name] = rep.outputs
             summary[rep.name] = rep.summary
     else:

@@ -19,6 +19,7 @@ embeddings, the arguments of boundary functionals) are ``SparsePoly(1, ...)``;
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -364,7 +365,7 @@ def poly_from_literal(lit, dim=None) -> SparsePoly:
             if not all(isinstance(x, int) for x in parts):
                 raise ValueError(f"exact coefficient for {key} must have integer parts, got {val!r}")
             c = ComplexRational(Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3]))
-        elif size == 2:
+        elif size == 2 and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in val):
             c = complex(float(val[0]), float(val[1]))
         else:
             raise ValueError(f"coefficient for {key} must be [re_num,re_den,im_num,im_den] or [re,im], got {val!r}")

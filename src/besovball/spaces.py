@@ -31,6 +31,7 @@ satisfy it structurally, quadrature measures are checked at construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -274,6 +275,8 @@ def space_from_json(obj) -> SpaceSpec:
         return SpaceSpec(d=d, kind="besov", N=json_int(obj["N"]), measure=measure_from_json(obj["measure"]))
     if kind == "alpha":
         a = obj["alpha"]
+        if not isinstance(a, numbers.Real) or isinstance(a, bool):
+            raise ValueError(f"the alpha of a space must be a number, got {a!r}")
         a = int(a) if float(a).is_integer() else float(a)
         return SpaceSpec(d=d, kind="alpha", alpha=a)
     raise ValueError(f"unknown space kind: {kind!r}")

@@ -147,9 +147,7 @@ def test_projection_oracle_random_systems():
         res = optimal_approximant(assemble_gram(space, f, g, m), method="exact")
         assert res.exact
         assert res.dist_sq == oracle, (space, f.terms, g.terms, m)
-        resf = optimal_approximant(
-            assemble_gram(space, f, g, m, force_float=True), method="float"
-        )
+        resf = optimal_approximant(approx._system(space, f, g, m, "float"), method="float")
         scale = max(1.0, abs(float(oracle)))
         assert abs(resf.dist_sq - float(oracle)) <= 1e-10 * scale
         checked += 1
@@ -248,14 +246,14 @@ def test_finite_section_is_the_gram_section_eigenvalue():
     ]
     for space, phi in cases:
         for m in (0, 2, 5):
-            system = assemble_gram(space, phi, SparsePoly.one(space.d), m, force_float=True)
-            D = np.diag([float(monomial_norm_sq(space, b)) for b in system.basis])
-            top = scipy.linalg.eigh(system.matrix, D, eigvals_only=True)[-1]
+            basis = graded_monomials(space.d, m)
+            D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
+            top = scipy.linalg.eigh(approx._gram_matrix(space, phi, basis, False), D, eigvals_only=True)[-1]
             assert finite_section_mult_bound(space, phi, m) == pytest.approx(math.sqrt(top), rel=1e-12, abs=1e-12)
 
 
 def test_finite_section_entry_budget(monkeypatch):
-    # the budget of assemble_gram, at its boundary: DA_2 to degree 4 has 15
+    # the budget of the full section, at its boundary: DA_2 to degree 4 has 15
     # unknowns, 225 entries; past it nothing is built
     phi = SparsePoly(2, {(1, 0): 1, (0, 2): 1})
     monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 225)
@@ -335,7 +333,7 @@ def test_float_path_holds_on_brutal_conditioning():
     # (test_float_path_refuses_collapsed_blocks reaches the refusal); the
     # float distance must be nonnegative and agree with the exact one
     sp = SpaceSpec.alpha_scale(1, -24)
-    sysm = assemble_gram(sp, ONE_MINUS_Z, SparsePoly.one(1), 12, force_float=True)
+    sysm = approx._system(sp, ONE_MINUS_Z, SparsePoly.one(1), 12, "float")
     res = optimal_approximant(sysm, method="auto")
     assert res.dist_sq >= 0.0
     exact = optimal_approximant(
@@ -353,7 +351,7 @@ def test_float_rounding_below_zero_scales_with_g_norm():
     for s in (1, 1000):
         g = SparsePoly(1, {(2,): ComplexRational(6 * s, Fraction(65 * s, 9))})
         assert [p.dist_sq for p in distance_profile(sp, f, g, range(3), method="float")] == [0.0] * 3
-        assert optimal_approximant(assemble_gram(sp, f, g, 0, force_float=True), method="float").dist_sq == 0.0
+        assert optimal_approximant(approx._system(sp, f, g, 0, "float"), method="float").dist_sq == 0.0
 
 
 def test_float_path_refuses_collapsed_blocks(monkeypatch):
@@ -362,7 +360,7 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     # Cholesky fails at degree 13 and its scaled pivots collapse at degree
     # 12, so both blocks are refused, while degrees 0..11 keep their float
     # values
-    base = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, force_float=True)
+    base = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, "float")
     H = scipy.linalg.hilbert(14).astype(complex)
     ones = np.ones(14)
     system = dataclasses.replace(base, matrix=H, rhs=H @ ones, g_norm_sq=float(ones @ H.real @ ones) + 1.0)
@@ -387,7 +385,7 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
 def test_nonpositive_diagonal_refused_from_its_index(monkeypatch):
     # G = diag(1, 1, -1): the float Cholesky stops before index 2, so the
     # degree-2 block is refused and the smaller ones keep their values
-    base = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 2, force_float=True)
+    base = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 2, "float")
     system = dataclasses.replace(base, matrix=np.diag([1.0, 1.0, -1.0]).astype(complex), rhs=np.ones(3, dtype=complex), g_norm_sq=3.0)
     monkeypatch.setattr(approx, "_gram_system", lambda *args, **kwargs: system)
     pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(2), method="float")
@@ -537,7 +535,7 @@ def test_float_path_refuses_subnormal_weights():
 
 def test_exact_results_survive_pickle_and_deepcopy():
     res = optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), 4), method="exact")
-    flt = optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), 4, force_float=True))
+    flt = optimal_approximant(approx._system(DA2, F22, SparsePoly.one(2), 4, "float"))
     assert res.exact and any(res.coefficients) and not flt.exact
     for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
         again = clone(res)
@@ -707,22 +705,23 @@ def test_target_orthogonal_to_every_multiple_has_no_unknowns():
         assert [(p.dist_sq, p.min_pivot, p.unknowns) for p in pts] == [(float(gn), math.inf, 0)] * 4
     res = optimal_approximant(assemble_gram(DA2, f, g, 3))
     assert res.dist_sq == gn and res.exact
-    assert len(res.basis) == 10 and not any(res.coefficients)
+    assert res.basis == () == res.coefficients
     assert (res.conditioning.min_pivot, res.conditioning.max_pivot) == (math.inf, 0.0)
     assert (res.conditioning.unknowns, res.conditioning.full_unknowns) == (0, 10)
 
 
 def test_zero_filled_residual_is_orthogonal_to_the_full_basis():
-    # f and g touch only part of the DA_3 difference graph; the coefficients
-    # outside it are 0, yet the residual is exactly orthogonal to z^beta f
-    # for every beta of the full basis, and its norm is the distance
+    # f and g touch only part of the DA_3 difference graph; the approximant
+    # has terms only inside it (the coefficients outside are 0), yet the
+    # residual is exactly orthogonal to z^beta f for every beta of the full
+    # basis, and its norm is the distance
     space = SpaceSpec.drury_arveson(3)
     f = SparsePoly(3, {(0, 0, 0): 1, (1, 1, 0): Fraction(-3, 2), (0, 0, 2): ComplexRational(0, 1)})
     g = SparsePoly(3, {(0, 0, 0): 2, (1, 0, 0): Fraction(1, 3)})
     system = assemble_gram(space, f, g, 4)
     for m in (2, 4):
         res = optimal_approximant(system, degree=m, method="exact")
-        assert res.conditioning.unknowns < res.conditioning.full_unknowns == len(res.basis) == math.comb(3 + m, 3)
+        assert len(res.basis) == res.conditioning.unknowns < res.conditioning.full_unknowns == math.comb(3 + m, 3)
         r = g - res.polynomial(3) * f
         assert norm_sq(space, r) == res.dist_sq
         for beta in graded_monomials(3, m):
@@ -1008,7 +1007,7 @@ if HAVE_HYPOTHESIS:
         if f.is_zero():
             return
         exact = assemble_gram(space, f, g, m)
-        flt = assemble_gram(space, f, g, m, force_float=True)
+        flt = approx._system(space, f, g, m, "float")
         assert exact.exact and not flt.exact
         G = np.array([[complex(x) for x in row] for row in exact.matrix])
         c = np.array([complex(x) for x in exact.rhs])
@@ -1030,7 +1029,7 @@ if HAVE_HYPOTHESIS:
         if f.is_zero():
             return
         exact = assemble_gram(space, f, g, m)
-        flt = assemble_gram(space, f, g, m, force_float=True)
+        flt = approx._system(space, f, g, m, "float")
         tol = 1e-12 * float(exact.g_norm_sq)
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
@@ -1049,27 +1048,34 @@ if HAVE_HYPOTHESIS:
     def test_reduced_solves_equal_the_full_solve(case, m):
         # the full system, assembled over the whole graded basis by the one
         # Gram-entry routine and factored whole, against the reduced
-        # profile and the zero-filled approximant
+        # profile and approximant: the reduced system is the full one on
+        # the reachable rows, and the full solution is 0 off them
         space, f, g = case
         if f.is_zero():
             return
         basis = graded_monomials(space.d, m)
+        full = approx._gram_system(space, f, g, m, basis, True)
         exact = assemble_gram(space, f, g, m)
-        G = approx._gram_matrix(space, f, basis, True)
-        assert G == exact.matrix == _gram_by_dictionary(space, f, basis, True)
-        _, _, _, gains = approx._ldl_exact(G, exact.rhs)
-        sizes = exact.block_sizes()
+        index = {b: i for i, b in enumerate(basis)}
+        rows = [index[b] for b in exact.basis]
+        assert full.matrix == _gram_by_dictionary(space, f, basis, True)
+        assert exact.matrix == [[full.matrix[i][j] for j in rows] for i in rows]
+        assert exact.rhs == [full.rhs[i] for i in rows]
+        _, _, _, gains = approx._ldl_exact(full.matrix, full.rhs)
+        sizes = full.block_sizes()
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
         assert [p.dist_sq for p in pts] == [float(exact.g_norm_sq - sum(gains[:sizes[k]])) for k in range(m + 1)]
-        full = approx._Factored(G, exact.rhs, exact.g_norm_sq, True, "exact")
+        a = approx._Factored(full.matrix, full.rhs, full.g_norm_sq, True, "exact").coefficients()
         res = optimal_approximant(exact, method="exact")
         assert res.dist_sq == exact.g_norm_sq - sum(gains)
-        assert res.coefficients == tuple(full.coefficients())
+        assert res.coefficients == tuple(a[i] for i in rows)
+        assert all(a[i] == ComplexRational() for i in set(range(len(basis))).difference(rows))
         # the float path: same full matrix rounded, one float Cholesky
-        flt = assemble_gram(space, f, g, m, force_float=True)
-        Gf = approx._gram_matrix(space, f, basis, False)
-        assert np.array_equal(Gf, flt.matrix) and np.array_equal(Gf, _gram_by_dictionary(space, f, basis, False))
-        ffull = approx._Factored(Gf, flt.rhs, flt.g_norm_sq, False, "float")
+        fullf = approx._gram_system(space, f, g, m, basis, False)
+        flt = approx._system(space, f, g, m, "float")
+        assert np.array_equal(fullf.matrix, _gram_by_dictionary(space, f, basis, False))
+        assert np.array_equal(flt.matrix, fullf.matrix[np.ix_(rows, rows)])
+        ffull = approx._Factored(fullf.matrix, fullf.rhs, fullf.g_norm_sq, False, "float")
         tol = 1e-12 * float(exact.g_norm_sq)
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
         for k, fp in enumerate(fpts):
@@ -1078,15 +1084,21 @@ if HAVE_HYPOTHESIS:
 
 
 def test_assemble_gram_entry_budget(monkeypatch):
-    # DA_2 to degree 4: 15 unknowns, 225 entries
-    da2, f = SpaceSpec.drury_arveson(2), SparsePoly(2, {(0, 0): 1, (1, 1): -2})
+    # 1 + z1 + z2 reaches the whole DA_2 basis to degree 4: 15 unknowns, 225
+    # entries; the 3 reachable unknowns of F22 fit a budget the full basis
+    # would not
+    da2, one = SpaceSpec.drury_arveson(2), SparsePoly.one(2)
+    dense = SparsePoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
     monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 225)
-    assert len(assemble_gram(da2, f, SparsePoly.one(2), 4).basis) == 15
+    assert len(assemble_gram(da2, dense, one, 4).basis) == 15
     monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 224)
-    with pytest.raises(ValueError, match="15 unknowns, 225 entries, over the budget of 224"):
-        assemble_gram(da2, f, SparsePoly.one(2), 4)
-    # a profile never builds the full system, so the budget does not bind it
-    assert cyclicity_profile(da2, f, [4])[0].full_unknowns == 15
+    for solve in (lambda: assemble_gram(da2, dense, one, 4), lambda: cyclicity_profile(da2, dense, [4])):
+        with pytest.raises(ValueError, match="reachable Gram block to degree 4 in 2 variables has 15 unknowns, "
+                                             "225 entries, over the budget of 224"):
+            solve()
+    res = optimal_approximant(assemble_gram(da2, F22, one, 4))
+    assert (res.conditioning.unknowns, res.conditioning.full_unknowns) == (3, 15)
+    assert cyclicity_profile(da2, F22, [4])[0].full_unknowns == 15
 
 
 def test_profile_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from besovball import approx
+from besovball.approx import cyclicity_profile, graded_monomials
 from besovball.cli import main
 from besovball.experiments import run_experiment
 from besovball.poly import SparsePoly, poly_to_literal
+from besovball.spaces import SpaceSpec
 
 DA2 = '{"d":2,"kind":"alpha","alpha":0}'
 D4 = '{"d":1,"kind":"alpha","alpha":4}'
@@ -257,6 +260,16 @@ def test_bad_inputs_exit_2():
      "error: the params of dilation-contraction must be a JSON object, got [1]"),
     (("norm", "--space", '{"d":1,"kind":"alpha"}', "--poly", ONE_MINUS_Z), "error: a space has no 'alpha' key"),
     (("run", "--spec", '{"name":"x","kind":"bundle"}'), "error: the params of 'x' has no 'steps' key"),
+    (("norm", "--space", HARDY1, "--poly", '{"0":[{},1]}'),
+     "error: coefficient for 0 must be [re_num,re_den,im_num,im_den] or [re,im], got [{}, 1]"),
+    (("norm", "--space", '{"d":1,"kind":"alpha","alpha":[0]}', "--poly", ONE_MINUS_Z),
+     "error: the alpha of a space must be a number, got [0]"),
+    (("run", "--spec", '{"name":"x","kind":"profile","space":' + HARDY1 + ',"params":{"f":' + ONE_MINUS_Z
+      + ',"degrees":5}}'), "error: the degrees of 'x' must be a JSON list, got 5"),
+    (("run", "--spec", '{"name":"x","kind":"bundle","params":{"steps":[1]}}'),
+     "error: an experiment spec must be a JSON object, got 1"),
+    (("run", "--spec", '{"name":"x","kind":"bundle","params":{"steps":5}}'),
+     "error: the steps of 'x' must be a JSON list, got 5"),
 ])
 def test_malformed_json_exits_2_naming_the_object(tmp_path, args, message):
     if args[0] == "run":
@@ -344,16 +357,37 @@ def test_run_spec_refuses_a_bool_step_integer(tmp_path):
     assert (code, out, err) == (2, "", "error: n must be an integer >= 0, got True\n")
 
 
-def test_approx_refuses_a_full_system_past_the_entry_budget():
-    # DA_4 to degree 20 has 10626 unknowns, 1.1e8 entries: refused before
-    # anything is allocated; degree 16 (4845 unknowns) is within the budget
+def test_approx_solves_the_paper_da4_system_at_degree_400(tmp_path):
+    # 1 - 16 z1z2z3z4 in DA_4: 101 of the C(404, 4) unknowns are reachable,
+    # and the approximant factors only those, as the profile does
+    out_path = tmp_path / "da4.json"
+    da4 = '{"d":4,"kind":"alpha","alpha":0}'
+    code, out, _ = run("approx", "--space", da4, "--f", F4, "--deg", "400", "--method", "exact", "--json", str(out_path))
+    assert code == 0
+    assert "basis size = 1093567501, factored = 101, solve path = exact" in out
+    payload = json.loads(out_path.read_text())
+    f = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
+    (pt,) = cyclicity_profile(SpaceSpec.drury_arveson(4), f, [400], method="exact")
+    assert payload["dist_sq"] == pt.dist_sq == 0.7932847933227528
+    assert (payload["conditioning"]["unknowns"], payload["conditioning"]["full_unknowns"]) == (101, 1093567501)
+
+
+def test_approx_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
+    # a dense degree-2 generator in DA_3 reaches all 5984 unknowns at degree
+    # 31, about 3.6e7 entries (573 MB): refused after the walk, whose
+    # candidate arrays peak at about 3.9 MB, before anything is assembled
+    def refuse(*args):
+        raise AssertionError("the Gram system was assembled")
+
+    monkeypatch.setattr(approx, "_gram_system", refuse)
+    f = json.dumps(poly_to_literal(SparsePoly(3, {b: i + 1 for i, b in enumerate(graded_monomials(3, 2))})))
     tracemalloc.start()
     try:
-        code, out, err = run("approx", "--space", '{"d":4,"kind":"alpha","alpha":0}', "--f", F4, "--deg", "20")
+        code, out, err = run("approx", "--space", '{"d":3,"kind":"alpha","alpha":0}', "--f", f, "--deg", "31")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
-    assert "10626 unknowns, 112911876 entries, over the budget of 33554432" in err
-    assert "profile" in err
-    assert peak < 1e6
+    assert ("error: the reachable Gram block to degree 31 in 3 variables has 5984 unknowns, 35808256 entries, "
+            "over the budget of 33554432") in err
+    assert peak < 8e6
