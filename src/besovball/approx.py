@@ -108,6 +108,10 @@ DIST_SQ_CLAMP = -1e-12
 # entries (columns x pairs of terms of f) and the block of G they fill
 # (columns x rows) stay within this count: a few MB of index arrays
 GRAM_BLOCK_ENTRIES = 1 << 16
+# candidate exponents (rows of a layer x shifts) per block of the reachable
+# walk, unless it already holds more codes: its arrays stay a few hundred kB
+# until the walk passes the entry budget
+WALK_BLOCK_ENTRIES = 1 << 11
 # entries of a reachable block (assemble_gram, distance_profile) or of a
 # full section (finite_section_mult_bound): 512 MB of complex entries, which
 # DA_4 to degree 16 (4845 unknowns) fits and degree 20 (10626) does not
@@ -273,34 +277,47 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
     The walk starts from the seeds gamma - delta (gamma in supp g, delta in
     supp f) and follows the shifts delta - eps between exponents of f, layer
     by layer.  It never lists the full basis: its cost is the number of
-    reachable exponents times the number of shifts.  Each exponent carries
-    its slack degree - |beta| as a leading digit, so it is on the basis
-    when no digit is negative, and ``_coder`` codes its digits in [0,
-    degree] one to one; the codes deduplicate the walk, and their
-    decreasing order is the graded order.
+    reachable exponents times the number of shifts.  It forms the
+    neighbours of a layer in blocks of WALK_BLOCK_ENTRIES candidates, or of
+    as many as the codes a block is sorted with when those are more, so
+    that the sorts cost about what the candidates do.  Each exponent
+    carries its slack degree - |beta| as a leading digit, so it is on the
+    basis when no digit is negative, and ``_coder`` codes its digits in [0,
+    degree] one to one; the codes deduplicate the walk, and their decreasing
+    order is the graded order.  ValueError, before the exponents are
+    listed, when the Gram block they index has more than GRAM_ENTRY_BUDGET
+    entries.
     """
     d = f.dim
     F, Gx = _exponents(f.terms, d), _exponents(g.terms, d)
     F1 = np.column_stack((-F.sum(axis=1), F))
-    seeds = np.column_stack((degree - Gx.sum(axis=1), Gx))[:, None, :] - F1[None, :, :]
     diffs = (F1[:, None, :] - F1[None, :, :]).reshape(-1, d + 1)
     _, first = np.unique(_coder(2 * np.abs(diffs).max(axis=0) + 1)(diffs), return_index=True)
-    S = diffs[first]  # with the zero shift, which leads back into the layer
     code = _coder([degree + 1] * (d + 1))
-    # breadth first from all seeds: the shifts come in pairs +-s, so the
-    # neighbours of a layer lie in it, in the layer before or in the next
-    cand = seeds.reshape(-1, d + 1)
-    layers, codes = [cand[:0]], [code(cand[:0])]  # an empty first layer: nothing concatenated is empty
-    while len(cand):
-        cand = cand[cand.min(axis=1) >= 0]  # on the basis
-        known = np.concatenate(codes[-2:])
-        c, first = np.unique(np.concatenate((known, code(cand))), return_index=True)
-        new = first >= len(known)
-        layers.append(cand[first[new] - len(known)])
-        codes.append(c[new])
-        cand = (layers[-1][:, None, :] + S[None, :, :]).reshape(-1, d + 1)
-    order = np.argsort(np.concatenate(codes))[::-1]
-    return list(map(tuple, np.concatenate(layers)[order, 1:].tolist()))
+    # breadth first: the first layer is the seeds gamma - delta, each later
+    # one the neighbours of the one before that are new.  The shifts (the
+    # zero shift among them) come in pairs +-s, so the neighbours of a
+    # layer lie in it, in the layer before or in the next: only the codes of
+    # the last two layers and of the new ones found so far are searched.
+    src, shifts = np.column_stack((degree - Gx.sum(axis=1), Gx)), -F1
+    layers, codes = [src[:0]], [code(src[:0])]  # an empty first layer: nothing concatenated is empty
+    while len(src):
+        seen = np.concatenate(codes[-2:])
+        start, rows, step = len(seen), [], max(1, max(WALK_BLOCK_ENTRIES, len(seen)) // len(shifts))
+        for i in range(0, len(src), step):
+            cand = (src[i:i + step, None, :] + shifts[None, :, :]).reshape(-1, d + 1)
+            cand = cand[cand.min(axis=1) >= 0]  # on the basis
+            c, at = np.unique(np.concatenate((seen, code(cand))), return_index=True)
+            new = at >= len(seen)
+            rows.append(cand[at[new] - len(seen)])
+            seen = np.concatenate((seen, c[new]))
+        src, shifts = np.concatenate(rows), diffs[first]
+        layers.append(src)
+        codes.append(seen[start:])
+    codes = np.concatenate(codes)
+    _check_entry_budget(len(codes), d, degree, "reachable Gram block",
+                        "a solve factors the block of its top degree, so a lower top degree shrinks it")
+    return list(map(tuple, np.concatenate(layers)[np.argsort(codes)[::-1], 1:].tolist()))
 
 
 def _check_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> None:
@@ -335,8 +352,6 @@ def _system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, method:
     _check_inputs(space, f, g)
     degree = _degree(degree)
     basis = _reachable(f, g, degree)
-    _check_entry_budget(len(basis), space.d, degree, "reachable Gram block",
-                        "a solve factors the block of its top degree, so a lower top degree shrinks it")
     exact = _exact_inputs(space, f, g) and _solve_path(method, True, len(basis)) == "exact"
     return _gram_system(space, f, g, degree, basis, exact)
 
@@ -369,8 +384,10 @@ class ConditioningReport:
 @dataclass(frozen=True)
 class ApproximantResult:
     """The best approximant p = sum_i coefficients[i] z^basis[i] to degree:
-    basis holds the reachable exponents in graded order, and p has no other
-    terms (their coefficients in the full solution are 0)."""
+    basis is the degree prefix of the system's reachable basis, in graded
+    order, and p has no other terms (their coefficients in the full solution
+    are 0).  Below the system's degree the prefix may hold exponents reached
+    only through higher degrees; their coefficients are 0."""
 
     degree: int
     basis: tuple
@@ -551,7 +568,8 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
 
     The leading block of the system to that degree is factored, so the
     pivots are those of a profile to that degree; ``basis`` and
-    ``coefficients`` are the reachable ones, and every other coefficient of
+    ``coefficients`` are those of the degree prefix of the system's
+    reachable basis (see ApproximantResult), and every other coefficient of
     the full basis is 0.  ArithmeticError when the float path refuses the
     block.
     """
