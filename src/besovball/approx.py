@@ -284,9 +284,10 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
     carries its slack degree - |beta| as a leading digit, so it is on the
     basis when no digit is negative, and ``_coder`` codes its digits in [0,
     degree] one to one; the codes deduplicate the walk, and their decreasing
-    order is the graded order.  ValueError, before the exponents are
-    listed, when the Gram block they index has more than GRAM_ENTRY_BUDGET
-    entries.
+    order is the graded order.  ValueError at the end of the first layer
+    that takes the walk past isqrt(GRAM_ENTRY_BUDGET) exponents, where the
+    Gram block they index is sure to have more than GRAM_ENTRY_BUDGET
+    entries: a refusal walks at most one layer past that count.
     """
     d = f.dim
     F, Gx = _exponents(f.terms, d), _exponents(g.terms, d)
@@ -301,6 +302,7 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
     # the last two layers and of the new ones found so far are searched.
     src, shifts = np.column_stack((degree - Gx.sum(axis=1), Gx)), -F1
     layers, codes = [src[:0]], [code(src[:0])]  # an empty first layer: nothing concatenated is empty
+    held, most = 0, math.isqrt(GRAM_ENTRY_BUDGET)  # n unknowns fit the budget iff n <= most
     while len(src):
         seen = np.concatenate(codes[-2:])
         start, rows, step = len(seen), [], max(1, max(WALK_BLOCK_ENTRIES, len(seen)) // len(shifts))
@@ -314,9 +316,12 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
         src, shifts = np.concatenate(rows), diffs[first]
         layers.append(src)
         codes.append(seen[start:])
+        held += len(src)
+        if held > most:
+            raise ValueError(f"the reachable Gram block to degree {degree} in {d} variables has more than {most} "
+                             f"unknowns, over the budget of {GRAM_ENTRY_BUDGET} entries; a solve factors the block "
+                             "of its top degree, so a lower top degree shrinks it")
     codes = np.concatenate(codes)
-    _check_entry_budget(len(codes), d, degree, "reachable Gram block",
-                        "a solve factors the block of its top degree, so a lower top degree shrinks it")
     return list(map(tuple, np.concatenate(layers)[np.argsort(codes)[::-1], 1:].tolist()))
 
 
@@ -362,14 +367,6 @@ def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: in
     exact when the inputs are; ValueError, before assembling anything, when
     its matrix has more than GRAM_ENTRY_BUDGET entries."""
     return _system(space, f, g, max_degree, "exact")
-
-
-def _check_entry_budget(n: int, d: int, max_degree: int, name: str, advice: str) -> None:
-    """ValueError, naming the system and advising the caller, when a system
-    of n unknowns has more than GRAM_ENTRY_BUDGET entries."""
-    if n * n > GRAM_ENTRY_BUDGET:
-        raise ValueError(f"the {name} to degree {max_degree} in {d} variables has {n} unknowns, {n * n} entries, "
-                         f"over the budget of {GRAM_ENTRY_BUDGET}; {advice}")
 
 
 @dataclass(frozen=True)
@@ -659,8 +656,11 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
     if phi.dim != space.d:
         raise ValueError("dimension mismatch between space and polynomials")
     d, m = space.d, _degree(max_degree)
-    _check_entry_budget(math.comb(d + m, d), d, m, "finite section",
-                        "the bound is non-decreasing in the degree, so a lower one still bounds the multiplier norm")
+    n = math.comb(d + m, d)
+    if n * n > GRAM_ENTRY_BUDGET:
+        raise ValueError(f"the finite section to degree {m} in {d} variables has {n} unknowns, {n * n} entries, "
+                         f"over the budget of {GRAM_ENTRY_BUDGET}; the bound is non-decreasing in the degree, "
+                         "so a lower one still bounds the multiplier norm")
     basis = graded_monomials(d, m)
     A = _gram_matrix(space, phi, basis, exact=False)
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])

@@ -31,7 +31,7 @@ mu_total / sqrt(E) is the same for c mu as for mu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +47,8 @@ SUPPORT_TOL = 1e-10
 ENERGY_DOUBLING_TOL = 0.02  # relative change that ends the doubling of the energy and box-integral grids
 NORM_REL_TOL = 1e-8  # relative width that ends the cutoff doubling of a functional-norm bracket
 LATTICE_CHECK_TOL = 1e-12
+SHIFT_PROBE_NODES = 4  # nodes per axis of the two offset grids the shift-invariance probe compares
+SHIFT_PROBE_PAIRS = 1 << 20  # node pairs the probe compares at most: 4^(2m) for m <= 5
 BOX_GRID_BASE = 64  # nodes per axis of the first box-integral grid; even, so no node sits on u = 0
 BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; bounds time only, as the sum holds no grid
 BOX_LEAF_POINTS = 1 << 14  # box-integral points summed at a time: 128 kB per float64 array
@@ -264,8 +266,10 @@ class CubeMeasure:
     closed cube stays positive.
 
     ``shift_invariant`` claims <phi(t), phi(s)> = <phi(t - s), phi(0)> for
-    all parameters t, s, including differences outside the cube.  Only
-    ``torus`` sets it: its points are exponentials of linear forms in t.
+    all parameters t, s, including differences outside the cube.  ``torus``
+    sets it, since its points are exponentials of linear forms in t;
+    ``from_callable`` sets it when a pointwise probe on a small grid finds
+    it (a unitary turn of the torus keeps it); ``sphere_patch`` has none.
     ``energy`` then sums over the difference lattice instead of all node
     pairs, after checking the claim against the pair sum on the base grid.
     """
@@ -331,7 +335,19 @@ class CubeMeasure:
 
     @staticmethod
     def from_callable(m: int, d: int, fn, label: str = "custom") -> "CubeMeasure":
-        return CubeMeasure(m=m, d=d, phi=fn, label=label)
+        """The cube parametrized by fn, shift-invariant when the pointwise
+        probe ``_probe_shift_invariance`` finds it so.  A unitary turn of the
+        torus keeps its inner products, and with them its lattice:
+
+        >>> torus = CubeMeasure.torus(4, 4)
+        >>> U = np.eye(4) - np.outer([1, 2, 3, 4], [1, 2, 3, 4]) / 15  # a reflection
+        >>> CubeMeasure.from_callable(3, 4, lambda T: torus.phi(T) @ U).shift_invariant
+        True
+        >>> CubeMeasure.from_callable(3, 4, CubeMeasure.sphere_patch(4, 4).phi).shift_invariant
+        False
+        """
+        cube = CubeMeasure(m=m, d=d, phi=fn, label=label)
+        return replace(cube, shift_invariant=_probe_shift_invariance(cube))
 
     def points(self, T: np.ndarray) -> np.ndarray:
         """phi on the rows of T, checked to land on the unit sphere."""
@@ -465,27 +481,72 @@ def _pair_sum(measure: CubeMeasure, n: int) -> float:
     return kernels.energy_pair_sum(Z1, Z2)
 
 
+def _lattice_inner(measure: CubeMeasure, n: int):
+    """<phi((u - 1/2) h), phi(0)> with h = 2 / n over the (2n - 1)^m difference
+    points u in {1 - n, ..., n - 1}^m, in the order of ``_tensor``: yields
+    (U, inner) for LATTICE_CHUNK points at a time."""
+    h = 2.0 / n
+    shape = (2 * n - 1,) * measure.m
+    count = math.prod(shape)
+    z0 = measure.points(np.zeros((1, measure.m)))[0]
+    for start in range(0, count, LATTICE_CHUNK):
+        idx = np.arange(start, min(start + LATTICE_CHUNK, count))
+        U = np.stack(np.unravel_index(idx, shape), axis=1).astype(float) + (1 - n)
+        yield U, measure.points((U - 0.5) * h) @ z0.conj()
+
+
 def _lattice_sum(measure: CubeMeasure, n: int) -> float:
     """``_pair_sum`` for a shift-invariant cube, as a sum over differences.
 
     Per axis t_i - s_j = (i - j - 1/2) h, and i - j = u occurs n - |u| times,
     so the n^m x n^m pairs collapse to (2n - 1)^m difference points u with
     weight prod_j (n - |u_j|) and kernel 1/|1 - <phi((u - 1/2) h), phi(0)>|.
-    The points go LATTICE_CHUNK at a time, in the order of ``_tensor``, and
-    math.fsum adds the chunk totals in that order.
+    The points go LATTICE_CHUNK at a time (``_lattice_inner``), and math.fsum
+    adds the chunk totals in that order.
     """
-    h = 2.0 / n
-    shape = (2 * n - 1,) * measure.m
-    count = math.prod(shape)
-    z0 = measure.points(np.zeros((1, measure.m)))[0]
-    totals = []
-    for start in range(0, count, LATTICE_CHUNK):
-        idx = np.arange(start, min(start + LATTICE_CHUNK, count))
-        U = np.stack(np.unravel_index(idx, shape), axis=1).astype(float) + (1 - n)
-        weight = np.prod(n - np.abs(U), axis=1)
-        Z = measure.points((U - 0.5) * h)
-        totals.append(float(np.sum(weight / np.abs(1.0 - Z @ z0.conj()))))
-    return math.fsum(totals)
+    return math.fsum(float(np.sum(np.prod(n - np.abs(U), axis=1) / np.abs(1.0 - inner)))
+                     for U, inner in _lattice_inner(measure, n))
+
+
+def _probe_shift_invariance(measure: CubeMeasure) -> bool:
+    """Whether <phi(t), phi(s)> = <phi(t - s), phi(0)> to LATTICE_CHECK_TOL on
+    every pair of the two offset midpoint grids with n = SHIFT_PROBE_NODES
+    nodes per axis, the pairs ``_pair_sum`` takes at that n.
+
+    phi is read only through ``points``, so a point off the unit sphere (a
+    difference t - s outside the cube included), or any other ValueError
+    from it, gives False.  The right side takes the (2n - 1)^m distinct
+    differences from ``_lattice_inner``, as ``_lattice_sum`` indexes them:
+    nodes i and j read the one at u = i - j + n - 1 per axis.  The n^(2m)
+    pairs are compared in blocks of rows of about LATTICE_CHUNK pairs; past
+    SHIFT_PROBE_PAIRS pairs (m > 5) the cube is not probed and gives False.
+
+    Memory: the 16 * 7^m bytes of differences, the two grids (8 (m + 2d)
+    4^m bytes with their parameters), one block of about 1 MB and the
+    scratch of one ``_lattice_inner`` chunk, which phi sets (about 8 MB for
+    the torus on a full chunk, as in ``_lattice_sum``).  ``tracemalloc``
+    reads peaks of 0.25 MB at m = 3, 1.0 MB at m = 4 and 8.0 MB at m = 5 on
+    the torus.
+    """
+    n, m = SHIFT_PROBE_NODES, measure.m
+    if n ** (2 * m) > SHIFT_PROBE_PAIRS:
+        return False
+    try:
+        _, Z1 = measure.grid(n, offset=0.0)
+        _, Z2 = measure.grid(n, offset=0.5)
+        diff = np.concatenate([inner for _, inner in _lattice_inner(measure, n)])
+    except ValueError:
+        return False
+    radix = (2 * n - 1) ** np.arange(m - 1, -1, -1)
+    code, centre = _tensor(np.arange(n), m) @ radix, (n - 1) * int(radix.sum())
+    W = Z2.conj().T
+    rows = max(1, LATTICE_CHUNK // len(code))
+    for r in range(0, len(code), rows):
+        inner = Z1[r:r + rows] @ W
+        at = code[r:r + rows, None] - code[None, :] + centre
+        if not np.all(np.abs(inner - diff[at]) <= LATTICE_CHECK_TOL):
+            return False
+    return True
 
 
 def _check_lattice_sum(measure: CubeMeasure, n: int, lattice_sum: float) -> float:

@@ -20,9 +20,11 @@ worker, whatever the number of pairs.  Each chunk sums its tiles in a fixed
 order, and ``math.fsum`` sums the chunk totals in chunk order, so the result
 does not depend on the number of workers, bit for bit.
 
-Shift-invariant cubes (the torus) never reach ``energy_pair_sum`` at full
-size: ``certify.energy`` sums them over the difference lattice and calls the
-pair sum only once, at the base grid, to check that sum.
+Shift-invariant cubes (the torus, and a cube from ``from_callable`` whose
+probe finds the lattice, such as a unitary turn of the torus) never reach
+``energy_pair_sum`` at full size: ``certify.energy`` sums them over the
+difference lattice and calls the pair sum only once, at the base grid, to
+check that sum.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from operator import add
 
 import numpy as np
 
-from .scalars import ComplexRational, is_exact_scalar, json_int, json_object
+from .scalars import ComplexRational, check_int, is_exact_scalar, json_int, json_object
 
 
 def multi_factorial(beta) -> int:
@@ -362,8 +362,10 @@ def poly_from_literal(lit, dim=None) -> SparsePoly:
         size = len(val) if isinstance(val, list) else None
         if size == 4:
             parts = [json_int(x) for x in val]
-            if not all(isinstance(x, int) for x in parts):
-                raise ValueError(f"exact coefficient for {key} must have integer parts, got {val!r}")
+            for part, x in zip(("re_num", "re_den", "im_num", "im_den"), parts):
+                check_int(f"{part} of the exact coefficient {val!r} for {key}", x, None)
+            if parts[1] == 0 or parts[3] == 0:
+                raise ValueError(f"the exact coefficient {val!r} for {key} has a zero denominator")
             c = ComplexRational(Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3]))
         elif size == 2 and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in val):
             c = complex(float(val[0]), float(val[1]))

@@ -324,11 +324,12 @@ def path_casts(exact: bool):
     return complex, float
 
 
-def check_int(name: str, value, least: int) -> None:
-    """ValueError, naming the argument, unless value is an int >= least; a
-    bool is refused, so a JSON true does not read as 1."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def check_int(name: str, value, least: int | None) -> None:
+    """ValueError, naming the argument, unless value is an int >= least (any
+    int for least None); a bool is refused, so a JSON true does not read as 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def json_int(x):

@@ -1093,31 +1093,46 @@ def test_assemble_gram_entry_budget(monkeypatch):
     assert len(assemble_gram(da2, dense, one, 4).basis) == 15
     monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 224)
     for solve in (lambda: assemble_gram(da2, dense, one, 4), lambda: cyclicity_profile(da2, dense, [4])):
-        with pytest.raises(ValueError, match="reachable Gram block to degree 4 in 2 variables has 15 unknowns, "
-                                             "225 entries, over the budget of 224"):
+        with pytest.raises(ValueError, match="reachable Gram block to degree 4 in 2 variables has more than 14 "
+                                             "unknowns, over the budget of 224 entries"):
             solve()
     res = optimal_approximant(assemble_gram(da2, F22, one, 4))
     assert (res.conditioning.unknowns, res.conditioning.full_unknowns) == (3, 15)
     assert cyclicity_profile(da2, F22, [4])[0].full_unknowns == 15
 
 
+def test_reachable_walk_stops_at_the_entry_budget():
+    # the dense degree-2 generator in DA_3 reaches all C(103, 3) = 176,851
+    # exponents at m = 100; the walk stops a layer past 5792 of them
+    f = SparsePoly(3, {b: i + 1 for i, b in enumerate(graded_monomials(3, 2))})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="degree 100 in 3 variables has more than 5792 unknowns"):
+            approx._reachable(f, SparsePoly.one(3), 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_profile_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
     # a dense degree-2 generator in DA_3 reaches all C(34, 3) = 5984 unknowns
-    # at m = 31, about 3.6e7 entries: refused before anything is assembled
+    # at m = 31, about 3.6e7 entries: refused once the walk holds more than
+    # isqrt(2^25) = 5792, before anything is assembled
     def refuse(*args):
         raise AssertionError("the Gram system was assembled")
 
     monkeypatch.setattr(approx, "_gram_system", refuse)
     f = SparsePoly(3, {b: i + 1 for i, b in enumerate(graded_monomials(3, 2))})
     da3, one = SpaceSpec.drury_arveson(3), SparsePoly.one(3)
-    with pytest.raises(ValueError, match=r"the reachable Gram block to degree 31 in 3 variables has 5984 unknowns, "
-                                         r"35808256 entries, over the budget of 33554432"):
+    with pytest.raises(ValueError, match=r"the reachable Gram block to degree 31 in 3 variables has more than 5792 "
+                                         r"unknowns, over the budget of 33554432 entries"):
         distance_profile(da3, f, one, [2, 31])
     # at the boundary: the 5 reachable unknowns of F22 to degree 8 fit a
-    # budget of 25 entries, and not one of 24
+    # budget of 25 entries, and not one of 24, which holds at most 4
     monkeypatch.undo()
     monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 25)
     assert cyclicity_profile(DA2, F22, [8])[0].unknowns == 5
     monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 24)
-    with pytest.raises(ValueError, match="5 unknowns, 25 entries, over the budget of 24"):
+    with pytest.raises(ValueError, match="more than 4 unknowns, over the budget of 24 entries"):
         cyclicity_profile(DA2, F22, [8])

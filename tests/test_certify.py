@@ -283,21 +283,64 @@ def test_lattice_sum_memory_is_bounded():
     assert total == pytest.approx(4829688392.858561, rel=1e-12)
 
 
-def test_rotated_torus_takes_pair_path():
+def test_rotated_torus_takes_lattice_path():
     # Householder reflection I - v v^T / 15 with v = (1, 2, 3, 4): rational,
-    # orthogonal and dense, so the rotated cube keeps the energy but is not
-    # marked shift-invariant
+    # orthogonal and dense, so the rotated cube keeps the inner products of
+    # the torus, and from_callable's probe finds its lattice
     v = np.array([1.0, 2.0, 3.0, 4.0])
     U = np.eye(4) - np.outer(v, v) / 15.0
     mu = CubeMeasure.torus(4, 4)
     rotated = CubeMeasure.from_callable(3, 4, lambda T: mu.phi(T) @ U, label="rotated torus")
+    assert rotated.shift_invariant
     a = energy(mu, n_base=8, max_doublings=1)
     b = energy(rotated, n_base=8, max_doublings=1)
-    assert (a.energy_sum, b.energy_sum) == ("lattice", "pairs")
+    assert (a.energy_sum, b.energy_sum) == ("lattice", "lattice")
     assert b.value == pytest.approx(a.value, rel=1e-12)
-    assert a.lattice_check_rel <= 1e-12 and b.lattice_check_rel is None
-    assert a.kernel_evaluations == 8**6 + 15**3 + 31**3
-    assert b.kernel_evaluations == 8**6 + 16**6
+    assert a.lattice_check_rel <= 1e-12 and b.lattice_check_rel <= 1e-12
+    assert a.kernel_evaluations == b.kernel_evaluations == 8**6 + 15**3 + 31**3
+
+
+def test_callable_sphere_patch_is_not_shift_invariant():
+    # the same phi as the named patch: the probe finds no lattice, so the
+    # energy takes the pair path and gives the named patch's value
+    patch = CubeMeasure.sphere_patch(4, 4)
+    mu = CubeMeasure.from_callable(3, 4, patch.phi)
+    assert not mu.shift_invariant
+    a = energy(patch, n_base=8, max_doublings=1)
+    b = energy(mu, n_base=8, max_doublings=1)
+    assert (a.energy_sum, b.energy_sum) == ("pairs", "pairs")
+    assert b.value == a.value
+    assert b.kernel_evaluations == a.kernel_evaluations == 8**6 + 16**6
+
+
+def test_callable_leaving_the_sphere_outside_the_cube_is_not_shift_invariant():
+    # the torus on [-1, 1]^m and twice it outside: every grid point is on
+    # the sphere, but the differences t - s the lattice needs are not all
+    torus = CubeMeasure.torus(4, 4)
+
+    def phi(T):
+        inside = np.abs(T).max(axis=1, keepdims=True) <= 1.0  # the offset grid reaches 1
+        return torus.phi(T) * np.where(inside, 1.0, 2.0)
+
+    mu = CubeMeasure.from_callable(3, 4, phi)
+    assert not mu.shift_invariant
+    assert energy(mu, n_base=8, max_doublings=0).energy_sum == "pairs"
+
+
+def test_shift_probe_memory_is_bounded():
+    # m = 5: 4^10 pairs of probe nodes against 7^5 differences; held at once
+    # the pairs alone would take 16 MB as complex numbers, and their indices 8 MB
+    torus = CubeMeasure.torus(6, 6)
+    tracemalloc.start()
+    try:
+        mu = CubeMeasure.from_callable(5, 6, torus.phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mu.shift_invariant
+    assert peak < 10e6
+    # past SHIFT_PROBE_PAIRS (m = 6) the cube is left unprobed
+    assert not CubeMeasure.from_callable(6, 7, CubeMeasure.torus(7, 7).phi).shift_invariant
 
 
 def test_energy_grid_budget(monkeypatch):

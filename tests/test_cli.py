@@ -279,6 +279,18 @@ def test_malformed_json_exits_2_naming_the_object(tmp_path, args, message):
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("coeff, message", [
+    ("[1,0,0,1]", "error: the exact coefficient [1, 0, 0, 1] for 0 has a zero denominator"),
+    ("[1,1,2,0]", "error: the exact coefficient [1, 1, 2, 0] for 0 has a zero denominator"),
+    ("[true,1,0,1]", "error: re_num of the exact coefficient [True, 1, 0, 1] for 0 must be an integer, got True"),
+    ("[1,1,0,false]", "error: im_den of the exact coefficient [1, 1, 0, False] for 0 must be an integer, got False"),
+])
+def test_norm_refuses_a_bad_exact_part_naming_the_coefficient(coeff, message):
+    # a zero denominator was a bare Fraction error, and a JSON true read as 1
+    code, out, err = run("norm", "--space", HARDY1, "--poly", '{"0":' + coeff + '}')
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_verify_lemma_refuses_a_fractional_integer_param():
     code, out, err = run("verify-lemma", "slice-bound", "--params", '{"trials": 2.5}')
     assert code == 2 and out == ""
@@ -374,8 +386,9 @@ def test_approx_solves_the_paper_da4_system_at_degree_400(tmp_path):
 
 def test_approx_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
     # a dense degree-2 generator in DA_3 reaches all 5984 unknowns at degree
-    # 31, about 3.6e7 entries (573 MB): refused after the walk, which forms
-    # its candidates in blocks, and before anything is listed or assembled
+    # 31, about 3.6e7 entries (573 MB): refused once the walk, which forms
+    # its candidates in blocks, holds more than 5792, and before anything is
+    # listed or assembled
     def refuse(*args):
         raise AssertionError("the Gram system was assembled")
 
@@ -388,6 +401,6 @@ def test_approx_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
-    assert ("error: the reachable Gram block to degree 31 in 3 variables has 5984 unknowns, 35808256 entries, "
-            "over the budget of 33554432") in err
+    assert ("error: the reachable Gram block to degree 31 in 3 variables has more than 5792 unknowns, "
+            "over the budget of 33554432 entries") in err
     assert peak < 1e6
