@@ -39,14 +39,20 @@ weights leave the normal float range.  ``_reachable`` deduplicates
 and sorts its walk on the same codes.
 
 Each call factors its top block once, on one of two paths: exact LDL* or
-Jacobi-prescaled float Cholesky, with L y = c in the same pass.  The exact
+Jacobi-prescaled float Cholesky, with L y = c in the same pass.
+``_solve_path`` decides the path, once per call, and the block is factored
+as it is stored: a float solve of exact inputs factors the float assembly
+of ``_gram_matrix``, never a conversion of exact entries, so
+``optimal_approximant`` and a ``distance_profile`` to the same degree
+factor the same float block and agree bit for bit.  The exact
 LDL* eliminates the rows of [G | c] as Gaussian integers over one
 denominator per row, divides out a row's content once per update rather
 than normalising each rational entry, and skips the rows a pivot does not
 reach; LDL* is unique, so its D, y and solution are the rational ones.
 ``auto`` takes the exact path when the inputs are exact and the *reachable*
 block has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse
-generators come out exact at degrees whose full basis is far larger.  The
+generators come out exact at degrees whose full basis is far larger;
+``exact`` on inputs that hold floats is refused, naming them.  The
 graded order makes the leading blocks the lower-degree systems: every
 degree-k prefix of the reachable basis holds whole degree-k components,
 every reachable one among them, so a profile reads every degree from one
@@ -332,8 +338,11 @@ def _check_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> None:
         raise ValueError("the generator must be nonzero")
 
 
-def _exact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> bool:
-    return space.is_exact and f.is_exact() and g.is_exact()
+def _inexact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> str:
+    """Which inputs hold floats, as a phrase; "" when all are exact."""
+    coefficients = " and ".join(name for name, p in (("f", f), ("g", g)) if not p.is_exact())
+    return " and ".join(filter(None, ("" if space.is_exact else "the space's weights",
+                                      coefficients and f"the coefficients of {coefficients}")))
 
 
 def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool) -> GramSystem:
@@ -350,15 +359,13 @@ def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, ba
 
 
 def _system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, method: str) -> GramSystem:
-    """The Gram system of the reachable basis to degree, the one a solve
-    factors: ValueError, before assembling anything, when it has more than
-    GRAM_ENTRY_BUDGET entries.  It is exact when the inputs are and method
-    takes the exact path for its size; inexact inputs give a float system."""
+    """The Gram system of the reachable basis to degree, stored on the path
+    method factors it on (``_solve_path``): ValueError, before assembling
+    anything, when it has more than GRAM_ENTRY_BUDGET entries."""
     _check_inputs(space, f, g)
     degree = _degree(degree)
     basis = _reachable(f, g, degree)
-    exact = _exact_inputs(space, f, g) and _solve_path(method, True, len(basis)) == "exact"
-    return _gram_system(space, f, g, degree, basis, exact)
+    return _gram_system(space, f, g, degree, basis, _solve_path(method, space, f, g, len(basis)) == "exact")
 
 
 def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int) -> GramSystem:
@@ -366,7 +373,7 @@ def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: in
     target g over the basis the target reaches (see the module docstring),
     exact when the inputs are; ValueError, before assembling anything, when
     its matrix has more than GRAM_ENTRY_BUDGET entries."""
-    return _system(space, f, g, max_degree, "exact")
+    return _system(space, f, g, max_degree, "float" if _inexact_inputs(space, f, g) else "exact")
 
 
 @dataclass(frozen=True)
@@ -476,37 +483,37 @@ def _chol_float(G: np.ndarray, c: np.ndarray):
     return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
 
 
-def _solve_path(method: str, exact: bool, size: int) -> str:
-    """"exact" or "float" for a block of size unknowns; "auto" takes the exact
-    path for an exact system of at most AUTO_EXACT_LIMIT unknowns."""
+def _solve_path(method: str, space: SpaceSpec, f: SparsePoly, g: SparsePoly, size: int,
+                stored_exact: bool = True) -> str:
+    """"exact" or "float", the path a block of size unknowns of the Gram
+    system of f against g is factored on, when the system is stored exact
+    (stored_exact) or in float; "auto" takes the exact path for an exact
+    system of at most AUTO_EXACT_LIMIT unknowns.  ValueError for an unknown
+    method, and for "exact" on a system that holds floats, naming them."""
     if method not in ("auto", "exact", "float"):
         raise ValueError(f"method must be 'auto', 'exact' or 'float', not {method!r}")
-    if method == "auto":
-        return "exact" if exact and size <= AUTO_EXACT_LIMIT else "float"
-    return method
+    inexact = _inexact_inputs(space, f, g)
+    if method == "exact" and (inexact or not stored_exact):
+        raise ValueError(f"exact solve requested, but {inexact} are floats" if inexact else
+                         "exact solve requested on a Gram system assembled in float")
+    exact = not inexact and stored_exact and (method == "exact" or (method == "auto" and size <= AUTO_EXACT_LIMIT))
+    return "exact" if exact else "float"
 
 
 class _Factored:
-    """A Hermitian system G a = c of n unknowns, factored once on one path.
-    Its leading k-block is factored by the leading k x k part of the factor
-    (L, or U = D L* on the exact path), so has pivots[:k] and projection
-    c_k* a_k = sum(gains[:k]).  G may have rows longer than n: the
-    leading rows of a larger system."""
+    """A Hermitian system G a = c of n unknowns, factored once on the path of
+    its storage: exact LDL* of nested lists of rationals, or float Cholesky of
+    a complex array.  Its leading k-block is factored by the leading k x k
+    part of the factor (L, or U = D L* on the exact path), so has
+    pivots[:k] and projection c_k* a_k = sum(gains[:k]).  G may have rows
+    longer than n: the leading rows of a larger system."""
 
-    def __init__(self, G, c, g_norm_sq, exact: bool, method: str):
-        n = len(c)
-        method = _solve_path(method, exact, n)
-        self.method, self.g_norm_sq = method, g_norm_sq
-        if method == "exact":
-            if not exact:
-                raise ValueError("exact solve requested on a float-path system")
-            self.U, self.y, self.pivots, self.gains = _ldl_exact(G, c)
-            return
-        self.g_norm_sq = float(g_norm_sq)
+    def __init__(self, G, c, g_norm_sq, exact: bool):
+        self.method, self.g_norm_sq = ("exact", g_norm_sq) if exact else ("float", float(g_norm_sq))
         if exact:
-            G = np.array([[complex(x) for x in row[:n]] for row in G], dtype=complex).reshape(n, n)
-            c = np.array([complex(x) for x in c], dtype=complex)
-        self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c)
+            self.U, self.y, self.pivots, self.gains = _ldl_exact(G, c)
+        else:
+            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c)
 
     def block(self, k: int, m: int):
         """(dist_sq, min_pivot, max_pivot) of the leading k-block, the system
@@ -567,19 +574,25 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     pivots are those of a profile to that degree; ``basis`` and
     ``coefficients`` are those of the degree prefix of the system's
     reachable basis (see ApproximantResult), and every other coefficient of
-    the full basis is 0.  ArithmeticError when the float path refuses the
-    block.
+    the full basis is 0.  A float solve of an exact system factors the
+    float assembly of that block, the one ``distance_profile`` factors, so
+    at the system degree the two agree bit for bit.  ArithmeticError when
+    the float path refuses the block; ValueError for method="exact" on a
+    system that holds floats.
     """
     m = system.degree if degree is None else _degree(degree)
     if m > system.degree:
         raise ValueError("requested degree exceeds the assembled system")
     k = system.block_sizes()[m]
-    top = _Factored(system.matrix[:k], system.rhs[:k], system.g_norm_sq, system.exact, method)
+    exact = _solve_path(method, system.space, system.f, system.g, k, system.exact) == "exact"
+    if exact != system.exact:
+        system = _gram_system(system.space, system.f, system.g, m, system.basis[:k], False)
+    top = _Factored(system.matrix[:k], system.rhs[:k], system.g_norm_sq, exact)
     dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
         degree=m, basis=system.basis[:k], coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
         conditioning=ConditioningReport(top.method, pmin, pmax, k, math.comb(system.space.d + m, system.space.d)),
-        exact=top.method == "exact",
+        exact=exact,
     )
 
 
@@ -596,20 +609,22 @@ class ProfilePoint:
 
 def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, method: str = "auto") -> list[ProfilePoint]:
     """dist(g, {p f : deg p <= m})^2 for each m in degrees: one walk of the
-    reachable basis, one assembly of it, one factorization.  ArithmeticError
-    when the float path refuses a degree (see the module docstring);
-    ValueError, before assembling anything, when the reachable block of the
-    top degree has more than GRAM_ENTRY_BUDGET entries."""
+    reachable basis, one assembly of it on the path ``_solve_path`` picks for
+    its size, one factorization.  ArithmeticError when the float path
+    refuses a degree (see the module docstring); ValueError, before
+    assembling anything, when the reachable block of the top degree has more
+    than GRAM_ENTRY_BUDGET entries, and for method="exact" on inputs that
+    hold floats, also on an empty schedule."""
     degrees = sorted(set(map(_degree, degrees)))
-    _solve_path(method, True, 0)  # rejects an unknown method, also on an empty schedule
     if not degrees:
+        _solve_path(method, space, f, g, 0)  # an unknown method, or exact on floats, fails here too
         return []
-    # one storage decision for the whole sweep, from the reachable size, so
-    # blocks are sliced, not converted
+    # one path for the whole sweep, from the reachable size, so blocks are
+    # sliced, not converted
     system = _system(space, f, g, degrees[-1], method)
     sizes = system.block_sizes()
     t0 = time.perf_counter()
-    factored = _Factored(system.matrix, system.rhs, system.g_norm_sq, system.exact, method)
+    factored = _Factored(system.matrix, system.rhs, system.g_norm_sq, system.exact)
     out = []
     for m in degrees:
         dist_sq, min_pivot, _ = factored.block(sizes[m], m)

@@ -452,18 +452,24 @@ def _param_inv_sq_integral(m: int, n: int) -> float:
     return float(tree(0, n**m) * h**m)
 
 
+def _check_box_grid(m: int, n: int, rel: float | None = None) -> None:
+    """ValueError when the box integral's grid of n nodes per axis has more
+    than BOX_GRID_POINTS points; rel is the relative change of the last
+    doubling, if there was one."""
+    if n**m > BOX_GRID_POINTS:
+        state = "" if rel is None else f", unconverged at relative change {rel:.3g} (tolerance {ENERGY_DOUBLING_TOL})"
+        raise ValueError(f"box integral for m = {m}: the n = {n} grid needs {n**m} points, "
+                         f"over the budget of {BOX_GRID_POINTS}{state}")
+
+
 def param_inv_sq_integral(m: int):
     """(value, rel_change, n_final) for the parameter-box integral, with
     midpoint-grid doubling from BOX_GRID_BASE nodes per axis until the change
     falls under ENERGY_DOUBLING_TOL; ValueError, before building it, for a
     grid past BOX_GRID_POINTS points."""
-    n, prev = BOX_GRID_BASE, None
+    n, prev, rel = BOX_GRID_BASE, None, None
     while True:
-        if n**m > BOX_GRID_POINTS:
-            state = ("" if prev is None
-                     else f", unconverged at relative change {rel:.3g} (tolerance {ENERGY_DOUBLING_TOL})")
-            raise ValueError(f"box integral for m = {m}: the n = {n} grid needs {n**m} points, "
-                             f"over the budget of {BOX_GRID_POINTS}{state}")
+        _check_box_grid(m, n, rel)
         cur = _param_inv_sq_integral(m, n)
         if prev is not None:
             rel = abs(cur - prev) / cur
@@ -573,7 +579,9 @@ def _check_energy_budget(measure: CubeMeasure, n_base: int, max_doublings: int) 
     ``energy`` (n_base 2^max_doublings nodes per axis), the lattice path's
     base-grid check or the reverse-Lipschitz grid needs more than
     ENERGY_PAIR_BUDGET kernel evaluations; the levels grow with n, so the
-    last one is the largest, and the chord grid is counted at its largest size."""
+    last one is the largest, and the chord grid is counted at its largest
+    size.  Then ValueError if the box integral's first grid is past
+    BOX_GRID_POINTS, as ``param_inv_sq_integral`` would find it."""
     if measure.m < 3:
         raise ValueError(f"energy of {measure.label}: the cube needs dimension m >= 3, got m = {measure.m}")
     check_int("n_base", n_base, 1)
@@ -589,6 +597,7 @@ def _check_energy_budget(measure: CubeMeasure, n_base: int, max_doublings: int) 
         if count > ENERGY_PAIR_BUDGET:
             raise ValueError(f"energy of {measure.label}: {what} needs {count} kernel evaluations, "
                              f"over the budget of {ENERGY_PAIR_BUDGET}")
+    _check_box_grid(measure.m, BOX_GRID_BASE)
 
 
 def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2) -> EnergyResult:

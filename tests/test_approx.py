@@ -31,7 +31,7 @@ from besovball.approx import (
     optimal_approximant,
     ratio_norm_sweep,
 )
-from besovball.poly import SparsePoly
+from besovball.poly import SparsePoly, poly_from_literal
 from besovball.scalars import ComplexRational, path_casts
 from besovball.spaces import NormalizedVolume, PointMassAtOne, SpaceSpec, inner_product, monomial_norm_sq, norm_sq
 
@@ -1065,7 +1065,7 @@ if HAVE_HYPOTHESIS:
         sizes = full.block_sizes()
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
         assert [p.dist_sq for p in pts] == [float(exact.g_norm_sq - sum(gains[:sizes[k]])) for k in range(m + 1)]
-        a = approx._Factored(full.matrix, full.rhs, full.g_norm_sq, True, "exact").coefficients()
+        a = approx._Factored(full.matrix, full.rhs, full.g_norm_sq, True).coefficients()
         res = optimal_approximant(exact, method="exact")
         assert res.dist_sq == exact.g_norm_sq - sum(gains)
         assert res.coefficients == tuple(a[i] for i in rows)
@@ -1075,7 +1075,7 @@ if HAVE_HYPOTHESIS:
         flt = approx._system(space, f, g, m, "float")
         assert np.array_equal(fullf.matrix, _gram_by_dictionary(space, f, basis, False))
         assert np.array_equal(flt.matrix, fullf.matrix[np.ix_(rows, rows)])
-        ffull = approx._Factored(fullf.matrix, fullf.rhs, fullf.g_norm_sq, False, "float")
+        ffull = approx._Factored(fullf.matrix, fullf.rhs, fullf.g_norm_sq, False)
         tol = 1e-12 * float(exact.g_norm_sq)
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
         for k, fp in enumerate(fpts):
@@ -1136,3 +1136,85 @@ def test_profile_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
     monkeypatch.setattr(approx, "GRAM_ENTRY_BUDGET", 24)
     with pytest.raises(ValueError, match="more than 4 unknowns, over the budget of 24 entries"):
         cyclicity_profile(DA2, F22, [8])
+
+
+# the DA_2 system of the CI's approx compare: f and g with a complex
+# coefficient on every monomial of degree <= 2
+CI_DA2_F = poly_from_literal({"0,0": [-2, 3, -4, 9], "1,0": [9, 8, 4, 1], "0,1": [-2, 5, -8, 1],
+                              "2,0": [3, 2, 5, 6], "1,1": [7, 9, -3, 1], "0,2": [5, 8, -5, 1]})
+CI_DA2_G = poly_from_literal({"0,0": [3, 4, 2, 7], "1,0": [2, 7, 7, 9], "0,1": [7, 8, -4, 3],
+                              "2,0": [-9, 2, 8, 3], "1,1": [2, 1, 8, 9], "0,2": [9, 7, 1, 1]})
+
+
+def _agreement_cases():
+    """Seeded dense exact systems in the spaces of the exact batch, m <= 8:
+    rational and Gaussian-rational f and g with every coefficient of degree
+    <= 2 nonzero, then the CI's DA_2 system at degree 4."""
+    rng = random.Random(20261019)
+    spaces = (SpaceSpec.drury_arveson(1), DA2, SpaceSpec.drury_arveson(3), SpaceSpec.alpha_scale(1, 2),
+              SpaceSpec.alpha_scale(1, -1))
+    cases = []
+    for space in spaces:
+        for m in (1, 2, 4, 8):
+            rational = {b: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                        for b in graded_monomials(space.d, 2)}
+            cases.append((space, SparsePoly(space.d, rational), _dense_complex_poly(rng, space.d, 2), m))
+            cases.append((space, _dense_complex_poly(rng, space.d, 2), _dense_complex_poly(rng, space.d, 2), m))
+    return cases + [(DA2, CI_DA2_F, CI_DA2_G, 4)]
+
+
+@pytest.mark.parametrize("method", ["float", "auto"])
+def test_approximant_and_profile_factor_the_same_float_block(method):
+    # a float solve of an exact system factors the float assembly of its
+    # block, the one a profile to that degree factors, so the two agree bit
+    # for bit, on both sides of AUTO_EXACT_LIMIT (165 unknowns in DA_3 at
+    # m = 8); exact entries rounded one by one give other bits
+    sizes = []
+    for space, f, g, m in _agreement_cases():
+        res = optimal_approximant(assemble_gram(space, f, g, m), method=method)
+        (pt,) = distance_profile(space, f, g, [m], method=method)
+        assert (res.conditioning.path, res.conditioning.unknowns) == (pt.path, pt.unknowns)
+        assert (float(res.dist_sq), res.conditioning.min_pivot) == (pt.dist_sq, pt.min_pivot), (space, m)
+        sizes.append((pt.path, pt.unknowns))
+    assert pt.dist_sq == {"float": 14.402489600191728, "auto": 14.402489600191721}[method]  # auto: exact, 15 unknowns
+    assert ("float", 165) in sizes and (("exact", 35) in sizes) == (method == "auto")
+
+
+def test_a_float_solve_of_an_exact_system_keeps_the_subnormal_weight_refusal():
+    # alpha = -300: ||z^10||^2 = 11^-300 is subnormal, so the float system to
+    # degree 8 is refused by approx as by profile; the exact distance^2
+    # rounds to 1e-300, and a float solve without the check reads 0.0
+    space = SpaceSpec.alpha_scale(1, -300)
+    f, g = SparsePoly(1, {(0,): 1, (2,): Fraction(-1, 3)}), SparsePoly(1, {(0,): 1, (9,): 1})
+    message = r"\|\|z\^\(10,\)\|\|\^2 = 3\.8212e-313 \(degree 10\) .* to degree 8 would lose its digits"
+    with pytest.raises(ArithmeticError, match=message):
+        optimal_approximant(assemble_gram(space, f, g, 8), method="float")
+    with pytest.raises(ArithmeticError, match=message):
+        distance_profile(space, f, g, [8], method="float")
+    assert float(optimal_approximant(assemble_gram(space, f, g, 8), method="exact").dist_sq) == 1e-300
+
+
+@pytest.mark.parametrize("space, f, g, why", [
+    (SpaceSpec.alpha_scale(1, 0.5), ONE_MINUS_Z, SparsePoly.one(1), "the space's weights are floats"),
+    (H1, ONE_MINUS_Z.to_float(), SparsePoly.one(1), "the coefficients of f are floats"),
+    (H1, ONE_MINUS_Z, SparsePoly.one(1).to_float(), "the coefficients of g are floats"),
+    (SpaceSpec.alpha_scale(1, 0.5), ONE_MINUS_Z.to_float(), SparsePoly.one(1).to_float(),
+     "the space's weights and the coefficients of f and g are floats"),
+])
+def test_exact_solve_names_the_float_inputs(space, f, g, why):
+    message = f"^exact solve requested, but {why}$"
+    for degrees in ([0, 3], []):
+        with pytest.raises(ValueError, match=message):
+            distance_profile(space, f, g, degrees, method="exact")
+    system = assemble_gram(space, f, g, 3)
+    assert not system.exact
+    with pytest.raises(ValueError, match=message):
+        optimal_approximant(system, method="exact")
+    assert optimal_approximant(system).conditioning.path == "float"
+
+
+def test_exact_solve_of_a_float_assembled_system_is_refused():
+    system = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 3, "float")
+    with pytest.raises(ValueError, match="^exact solve requested on a Gram system assembled in float$"):
+        optimal_approximant(system, method="exact")
+    assert optimal_approximant(system, method="auto").conditioning.path == "float"

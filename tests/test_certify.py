@@ -465,6 +465,24 @@ def test_param_integral_grid_budget(monkeypatch):
     assert peak < 1e6
 
 
+def test_energy_lower_bound_refuses_the_box_grid_before_the_support_grid(monkeypatch):
+    # torus(5, 5) has m = 4: its kernel evaluations fit the budget, the box
+    # integral's first grid (64^4 points) does not, and the refusal comes
+    # before f is evaluated on the support grid, with the integral's message
+    def refuse(*args):
+        raise AssertionError("f was evaluated on the support grid")
+
+    monkeypatch.setattr(certify, "evaluate_on_points", refuse)
+    f5 = SparsePoly(5, {(0,) * 5: 1, (1,) * 5: -(5 ** 2.5)})
+    with pytest.raises(ValueError) as info:
+        energy_lower_bound(SpaceSpec.drury_arveson(5), f5, CubeMeasure.torus(5, 5))
+    assert str(info.value) == ("box integral for m = 4: the n = 64 grid needs 16777216 points, "
+                               "over the budget of 4194304")
+    with pytest.raises(ValueError) as again:
+        param_inv_sq_integral(4)
+    assert str(again.value) == str(info.value)
+
+
 
 # -- one copy of each check and of monomial evaluation --------------------------
 

@@ -404,3 +404,24 @@ def test_approx_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
     assert ("error: the reachable Gram block to degree 31 in 3 variables has more than 5792 unknowns, "
             "over the budget of 33554432 entries") in err
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("verb", [("approx", "--deg", "3"), ("profile", "--degrees", "0:3")])
+def test_exact_method_on_float_weights_names_them(verb):
+    code, out, err = run(*verb, "--space", '{"d":1,"kind":"alpha","alpha":0.5}', "--f", ONE_MINUS_Z,
+                         "--method", "exact")
+    assert (code, out, err) == (2, "", "error: exact solve requested, but the space's weights are floats\n")
+
+
+def test_approx_and_profile_refuse_a_subnormal_float_weight_alike():
+    # alpha = -300: the float system to degree 8 needs ||z^10||^2 = 11^-300,
+    # which is subnormal: both verbs exit 2 with one line, and no value
+    space = '{"d":1,"kind":"alpha","alpha":-300}'
+    f, g = '{"0":[1,1,0,1],"2":[-1,3,0,1]}', '{"0":[1,1,0,1],"9":[1,1,0,1]}'
+    approx_run = run("approx", "--space", space, "--f", f, "--g", g, "--deg", "8", "--method", "float")
+    profile_run = run("profile", "--space", space, "--f", f, "--g", g, "--degrees", "8", "--method", "float")
+    assert approx_run == profile_run
+    code, out, err = approx_run
+    assert code == 2 and out == ""
+    assert err == ("error: the monomial weight ||z^(10,)||^2 = 3.8212e-313 (degree 10) is below the normal float "
+                   'range, so the float Gram system to degree 8 would lose its digits; use method="exact"\n')
