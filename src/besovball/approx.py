@@ -25,18 +25,22 @@ a system past GRAM_ENTRY_BUDGET entries before assembling it: the
 reachable block, or the full section.
 
 Exponents have one index, the mixed-radix integer codes of ``_coder``.
-One routine, ``_gram_matrix``, pairs two polynomials over a column and a
-row basis, M[i][j] = <z^(beta_j) u, z^(rho_i) v>: it builds G (u = v = f),
-c as the conjugate of the one-row pairing <z^(beta_i) f, g>, and the
-section of ``finite_section_mult_bound``.  It finds the row of every
-candidate term from the codes with numpy, in blocks of at most
-GRAM_BLOCK_ENTRIES candidates, and computes each monomial weight once.  The
-float path adds the terms with np.bincount and the exact path as
-ComplexRational, both in the order of the pairs of terms, so G and c are
-those of the per-entry dictionary loops they replaced (bitwise on the float
-path, ``==`` on the exact one).  The float path refuses a system whose
-weights leave the normal float range.  ``_reachable`` deduplicates
-and sorts its walk on the same codes.
+One routine, ``_pairing``, lists the terms of the pairing of two
+polynomials over a column and a row basis, M[i][j] = <z^(beta_j) u, z^(rho_i)
+v>: G pairs u = v = f, c is the conjugate of the one-row pairing
+<z^(beta_i) f, g>, and ``finite_section_mult_bound`` takes the section of
+f against itself.  It finds the row of every candidate term from the codes
+with numpy, in blocks of at most GRAM_BLOCK_ENTRIES candidates, and lists
+each monomial weight once.  ``_gram_matrix`` adds the terms in float with
+np.bincount, in the order of the pairs of terms, so G and c are bitwise
+those of the per-entry dictionary loops it replaced; it refuses a system
+whose weights leave the normal float range.  ``_gram_rows`` builds the
+exact system directly as the upper rows of [G | c] that the exact LDL*
+factors: f, g and the weights as integers over their lcms, each entry with
+j >= i summed in Python ints, and one gcd per row, so no term and no entry
+takes a gcd of its own, and G and c read back from the rows are ``==`` to
+the loops' rationals.  ``_reachable`` deduplicates and sorts its walk on
+the same codes.
 
 Each call factors its top block once, on one of two paths: exact LDL* or
 Jacobi-prescaled float Cholesky, with L y = c in the same pass.
@@ -45,10 +49,12 @@ as it is stored: a float solve of exact inputs factors the float assembly
 of ``_gram_matrix``, never a conversion of exact entries, so
 ``optimal_approximant`` and a ``distance_profile`` to the same degree
 factor the same float block and agree bit for bit.  The exact
-LDL* eliminates the rows of [G | c] as Gaussian integers over one
-denominator per row, divides out a row's content once per update rather
-than normalising each rational entry, and skips the rows a pivot does not
-reach; LDL* is unique, so its D, y and solution are the rational ones.
+LDL* eliminates those rows as Gaussian integers over one denominator per
+row, divides out a row's content once per update rather than normalising
+each rational entry, and skips the rows a pivot does not reach; LDL* is
+unique, so its D, y and solution are the rational ones.  A leading block
+is factored from the rows of the whole, cut at its last column and reduced
+again (``_leading_rows``).
 ``auto`` takes the exact path when the inputs are exact and the *reachable*
 block has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse
 generators come out exact at degrees whose full basis is far larger;
@@ -98,7 +104,7 @@ import numpy as np
 import scipy.linalg
 
 from .poly import SparsePoly, series_invert
-from .scalars import ComplexRational, check_int, exact_parts, from_parts, path_casts
+from .scalars import check_int, exact_parts, from_parts
 from .spaces import SpaceSpec, homogeneous_norms_sq, monomial_norm_sq, norm_sq
 
 # exact LDL* with its back substitution takes about 0.01 s on the 101
@@ -170,15 +176,42 @@ def _coder(radix):
 
 @dataclass(frozen=True)
 class GramSystem:
+    """The Gram system G a = c of {z^beta f : beta in basis} against g.  The
+    solves factor ``data``; ``matrix`` and ``rhs`` are G and c for every
+    other reader, on the exact path formed from the rows when read."""
+
     space: SpaceSpec
     f: SparsePoly
     g: SparsePoly
     degree: int
     basis: tuple  # the reachable exponents to degree, in graded order
-    matrix: object  # nested lists (exact) or numpy array (float)
-    rhs: object
+    # what the solve factors: the upper rows of [G | c] (exact, see
+    # ``_gram_rows``) or the pair (G, c) of complex arrays (float)
+    data: object
     g_norm_sq: object
     exact: bool
+
+    @property
+    def matrix(self):
+        """G: nested lists of ComplexRational (exact), formed from the rows
+        on each read, or a complex array (float)."""
+        if not self.exact:
+            return self.data[0]
+        n = len(self.data)
+        G = [[None] * n for _ in range(n)]
+        for i, (re, im, den) in enumerate(self.data):
+            G[i][i:] = [from_parts(a, b, den) for a, b in zip(re[:-1], im[:-1])]
+            for j in range(i + 1, n):
+                G[j][i] = G[i][j].conjugate()
+        return G
+
+    @property
+    def rhs(self):
+        """c: a list of ComplexRational (exact), formed from the rows on
+        each read, or a complex array (float)."""
+        if not self.exact:
+            return self.data[1]
+        return [from_parts(re[-1], im[-1], den) for re, im, den in self.data]
 
     def block_sizes(self) -> dict[int, int]:
         """degree -> number of basis elements with |beta| <= degree."""
@@ -186,38 +219,27 @@ class GramSystem:
         return dict(enumerate(np.searchsorted(degrees, np.arange(self.degree + 1), side="right").tolist()))
 
 
-def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparsePoly | None = None, rows=None):
-    """M[i][j] = <z^(beta_j) f, z^(rho_i) g> over the columns beta_j of basis
-    and the rows rho_i of rows (g = f and rows = basis by default, the Gram
-    matrix of {z^beta f}): nested lists of ComplexRational (exact) or a
-    complex numpy array (float).
+def _pairing(f: SparsePoly, basis, g: SparsePoly, rows):
+    """The terms of M[i][j] = <z^(beta_j) f, z^(rho_i) g> over the columns
+    beta_j of basis and the rows rho_i of rows, for nonempty basis, rows, f
+    and g: (exps, blocks).
 
     Orthogonality of monomials collapses each entry to the sum, over the
     pairs (delta, eps) of exponents of f and g with beta_j + delta - eps =
-    rho_i, of c_delta conj(d_eps) ||z^(beta_j + delta)||^2.  Exponents are
+    rho_i, of f_delta conj(g_eps) ||z^(beta_j + delta)||^2.  Exponents are
     coded by ``_coder`` in a radix whose digits never carry on that range,
     so the row of beta_j + delta - eps is a search for code(beta_j) +
     code(delta - eps) in the sorted row codes, and exponents off the rows
-    (negative or past the degree) find none.  Each weight is computed once
-    per distinct rho_i + eps, so the one-row pairing against g computes
-    only the weights of the exponents of g.  Columns go in blocks of at most
-    GRAM_BLOCK_ENTRIES candidates (columns x pairs) and block entries
-    (columns x rows); each entry is summed in (delta, eps) order, by
-    np.bincount on the float path and as ComplexRational on the exact path,
-    where each term is its product c_delta conj(d_eps) scaled by the real
-    weight in one step, and only the products of pairs that some entry uses
-    are formed.  ArithmeticError on the float path when a weight is
-    below the normal float range (``_check_float_weights``).
+    (negative or past the degree) find none.  exps lists each distinct rho_i
+    + eps once, so each weight is computed once, and the one-row pairing
+    against g needs only the weights of the exponents of g.  blocks yields,
+    per block of columns j0:j1, (j0, j1, i, j, p, k): the row, the column
+    relative to j0, the pair p = (delta, eps) = (p // len(g), p % len(g))
+    and the weight exps[k] of each term, in column then pair order.  A
+    block holds at most GRAM_BLOCK_ENTRIES candidates (columns x pairs) and
+    block entries (columns x rows).
     """
-    g = f if g is None else g
-    rows = basis if rows is None else rows
-    n, nr, d = len(basis), len(rows), space.d
-    cast, weight = path_casts(exact)
-    G = [[ComplexRational()] * n for _ in range(nr)] if exact else np.zeros((nr, n), dtype=complex)
-    if not (n and nr and f.terms and g.terms):
-        return G
-    fc, gc = list(map(cast, f.terms.values())), list(map(cast, g.terms.values()))
-    ng = len(gc)  # pair p = (delta, eps) = (p // ng, p % ng), delta slowest
+    n, nr, d, ng = len(basis), len(rows), f.dim, len(g.terms)
     B, R = _exponents(basis, d), _exponents(rows, d)
     F, Fg = _exponents(f.terms, d), _exponents(g.terms, d)
     # digit k of a candidate beta_j + delta - eps lies in [-max Fg_k,
@@ -229,29 +251,41 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
     shift_codes = code((F[:, None, :] - Fg[None, :, :]).reshape(-1, d))
     shifted = (R[:, None, :] + Fg[None, :, :]).reshape(-1, d)  # rho_i + eps, row i slowest
     _, first, weight_of = np.unique(code(shifted), return_index=True, return_inverse=True)
-    weights = [weight(monomial_norm_sq(space, e)) for e in shifted[first].tolist()]
-    if not exact:
-        weights = np.array(weights, dtype=float)
-        _check_float_weights(space, shifted[first], weights, int(B.sum(axis=1).max()))
-        re, im = np.array([(p.real, p.imag) for p in (cd * ce.conjugate() for cd in fc for ce in gc)]).T
-    else:
-        prods = {}  # exact products of the pairs some entry uses, formed on first use
 
-    step = max(1, min(GRAM_BLOCK_ENTRIES // (len(fc) * ng), GRAM_BLOCK_ENTRIES // nr))
-    for j0 in range(0, n, step):
-        j1 = min(j0 + step, n)
-        cand = col_codes[j0:j1, None] + shift_codes[None, :]
-        pos = np.minimum(np.searchsorted(sorted_codes, cand), nr - 1)
-        cols, pairs = np.nonzero(sorted_codes[pos] == cand)  # column, then pair order
-        found = order[pos[cols, pairs]]
-        wk = weight_of[found * ng + pairs % ng]  # the weight of rho_i + eps = beta_j + delta
-        if exact:
-            pl = pairs.tolist()
-            for p in set(pl).difference(prods):
-                prods[p] = fc[p // ng] * gc[p % ng].conjugate()
-            for i, j, p, k in zip(found.tolist(), (cols + j0).tolist(), pl, wk.tolist()):
-                G[i][j] = G[i][j] + prods[p] * weights[k]  # a real weight scales in one step
-            continue
+    def blocks():
+        step = max(1, min(GRAM_BLOCK_ENTRIES // len(shift_codes), GRAM_BLOCK_ENTRIES // nr))
+        for j0 in range(0, n, step):
+            j1 = min(j0 + step, n)
+            cand = col_codes[j0:j1, None] + shift_codes[None, :]
+            pos = np.minimum(np.searchsorted(sorted_codes, cand), nr - 1)
+            cols, pairs = np.nonzero(sorted_codes[pos] == cand)  # column, then pair order
+            found = order[pos[cols, pairs]]
+            # the weight of rho_i + eps = beta_j + delta
+            yield j0, j1, found, cols, pairs, weight_of[found * ng + pairs % ng]
+
+    return shifted[first], blocks()
+
+
+def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, g: SparsePoly | None = None, rows=None) -> np.ndarray:
+    """M[i][j] = <z^(beta_j) f, z^(rho_i) g> in float over the columns beta_j
+    of basis and the rows rho_i of rows (g = f and rows = basis by default,
+    the Gram matrix of {z^beta f}), as a complex array, from the terms of
+    ``_pairing``.  Each entry is summed by np.bincount in (delta, eps)
+    order.  ArithmeticError when a weight is below the normal float range
+    (``_check_float_weights``).
+    """
+    g = f if g is None else g
+    rows = basis if rows is None else rows
+    n, nr = len(basis), len(rows)
+    G = np.zeros((nr, n), dtype=complex)
+    if not (n and nr and f.terms and g.terms):
+        return G
+    exps, blocks = _pairing(f, basis, g, rows)
+    weights = np.array([float(monomial_norm_sq(space, e)) for e in exps.tolist()])
+    _check_float_weights(space, exps, weights, max(map(sum, basis)))
+    fc, gc = [complex(c) for c in f.terms.values()], [complex(c) for c in g.terms.values()]
+    re, im = np.array([(p.real, p.imag) for p in (cd * ce.conjugate() for cd in fc for ce in gc)]).T
+    for j0, j1, found, cols, pairs, wk in blocks:
         # bincount adds in input order from 0.0, so each entry is the sum of
         # its terms in (delta, eps) order
         target = cols * nr + found
@@ -259,6 +293,76 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, exact: bool, g: SparseP
         for part, out in ((re, G.real), (im, G.imag)):
             out[:, j0:j1] = np.bincount(target, part[pairs] * w, minlength=(j1 - j0) * nr).reshape(j1 - j0, nr).T
     return G
+
+
+def _gaussian_integers(p: SparsePoly):
+    """The coefficients of an exact p as Gaussian integers over their least
+    common denominator: (re, im, den), in term order."""
+    parts = [exact_parts(c) for c in p.terms.values()]
+    den = math.lcm(*(d for _, _, d in parts))
+    return [a * (den // d) for a, _, d in parts], [b * (den // d) for _, b, d in parts], den
+
+
+def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis) -> list:
+    """The exact Gram system of {z^beta f : beta in basis} against g as the
+    upper rows of [G | c], the form ``_ldl_exact`` factors: row i is (re,
+    im, den), the integer numerators of G[i][i:] and of c[i] = <g, z^(beta_i)
+    f> over one positive denominator, with no factor common to all of them.
+
+    f and g are Gaussian integers over the lcms F and H of their
+    denominators (``_gaussian_integers``), and the weights integers over
+    the lcm W of theirs, so every term of ``_pairing`` is an integer over
+    one denominator F lcm(F, H) W, summed in Python ints; G is Hermitian, so
+    only the terms with j >= i are summed.  One gcd per row then divides
+    out its content: no gcd is taken per term or per entry.
+    """
+    n = len(basis)
+    re = [[0] * (n - i + 1) for i in range(n)]
+    im = [[0] * (n - i + 1) for i in range(n)]
+    den = 1
+    if n and f.terms:
+        (fa, fb, F), (ga, gb, H) = _gaussian_integers(f), _gaussian_integers(g)
+        gram_exps, gram_blocks = _pairing(f, basis, f, basis)
+        # a zero g pairs with nothing
+        rhs_exps, rhs_blocks = _pairing(f, basis, g, [(0,) * space.d]) if g.terms else (gram_exps[:0], ())
+        ws = [monomial_norm_sq(space, e) for e in np.concatenate((gram_exps, rhs_exps)).tolist()]
+        W = math.lcm(*(w.denominator for w in ws))
+        ws = [w.numerator * (W // w.denominator) for w in ws]
+        L = math.lcm(F, H)
+        den = F * L * W
+        # the terms f_delta conj(f_eps) w of G[i][j] are over F^2 W: scaled
+        # by L / F, over den
+        s = L // F
+        pr = [(a * c + b * e) * s for a, b in zip(fa, fb) for c, e in zip(fa, fb)]
+        pi = [(b * c - a * e) * s for a, b in zip(fa, fb) for c, e in zip(fa, fb)]
+        for j0, _, found, cols, pairs, wk in gram_blocks:
+            keep = found <= cols + j0
+            found = found[keep]
+            offsets = cols[keep] + j0 - found  # of column j in row i: j - i
+            for i, o, p, k in zip(found.tolist(), offsets.tolist(), pairs[keep].tolist(), wk[keep].tolist()):
+                w = ws[k]
+                re[i][o] += pr[p] * w
+                im[i][o] += pi[p] * w
+        # c[j] is the conjugate of the one-row pairing: its terms
+        # conj(f_delta) g_eps w are over F H W, scaled by L / H
+        s, ws = L // H, ws[len(gram_exps):]
+        pr = [(a * c + b * e) * s for a, b in zip(fa, fb) for c, e in zip(ga, gb)]
+        pi = [(a * e - b * c) * s for a, b in zip(fa, fb) for c, e in zip(ga, gb)]
+        for j0, _, _, cols, pairs, wk in rhs_blocks:
+            for j, p, k in zip((cols + j0).tolist(), pairs.tolist(), wk.tolist()):
+                w = ws[k]
+                re[j][-1] += pr[p] * w
+                im[j][-1] += pi[p] * w
+    return [_reduced(r, m, den) for r, m in zip(re, im)]
+
+
+def _reduced(re: list, im: list, den: int):
+    """The row (re, im, den) with the content common to den and every
+    numerator divided out."""
+    h = gcd(den, *re, *im)
+    if h == 1:
+        return re, im, den
+    return [x // h for x in re], [x // h for x in im], den // h
 
 
 def _check_float_weights(space: SpaceSpec, exps: np.ndarray, weights: np.ndarray, degree: int) -> None:
@@ -347,15 +451,16 @@ def _inexact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> str:
 
 def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool) -> GramSystem:
     """The Gram system of {z^beta f : beta in basis} against g; basis lists
-    exponents with |beta| <= degree in graded order.  c[i] = <g, z^(beta_i) f>
-    is the conjugate of the one-row pairing <z^(beta_i) f, g>."""
-    row = _gram_matrix(space, f, basis, exact, g, [(0,) * space.d])[0]
-    # conj turns +0.0 imaginary parts into -0.0, and + 0.0 turns them back
-    rhs = [x.conjugate() for x in row] if exact else row.conj() + 0.0
-    return GramSystem(
-        space=space, f=f, g=g, degree=degree, basis=tuple(basis), matrix=_gram_matrix(space, f, basis, exact),
-        rhs=rhs, g_norm_sq=norm_sq(space, g), exact=exact,
-    )
+    exponents with |beta| <= degree in graded order.  Exact, it is the rows
+    of ``_gram_rows``; float, c[i] = <g, z^(beta_i) f> is the conjugate of
+    the one-row pairing <z^(beta_i) f, g>."""
+    if exact:
+        data = _gram_rows(space, f, g, basis)
+    else:
+        # conj turns +0.0 imaginary parts into -0.0, and + 0.0 turns them back
+        data = _gram_matrix(space, f, basis), _gram_matrix(space, f, basis, g, [(0,) * space.d])[0].conj() + 0.0
+    return GramSystem(space=space, f=f, g=g, degree=degree, basis=tuple(basis), data=data,
+                      g_norm_sq=norm_sq(space, g), exact=exact)
 
 
 def _system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, method: str) -> GramSystem:
@@ -404,19 +509,20 @@ class ApproximantResult:
         return SparsePoly(dim, dict(zip(self.basis, self.coefficients)))
 
 
-def _ldl_exact(G, c):
-    """LDL* of a Hermitian positive definite rational matrix with L y = c in
-    the same pass, by Gaussian elimination on the rows of [G | c]: (U, y, D,
-    gains).  L is never formed.  U = D L* comes as its rows: row i is (re,
-    im, den), the integer numerators of U[i][i:] and of y_i over one
-    positive denominator, so re[0] = D_i den and L[j][i] = conj(U[i][j]) /
-    D_i.  ArithmeticError when a pivot is not real positive (the system was
-    not positive definite).
+def _ldl_exact(rows):
+    """LDL* of a Hermitian positive definite rational matrix G with L y = c
+    in the same pass, by Gaussian elimination on the upper rows of [G | c]
+    (``_gram_rows``): (U, y, D, gains).  L is never formed.  U = D L* comes
+    as its rows: row i is (re, im, den), the integer numerators of U[i][i:]
+    and of y_i over one positive denominator, so re[0] = D_i den and L[j][i]
+    = conj(U[i][j]) / D_i.  ArithmeticError when a pivot is not real
+    positive (the system was not positive definite).
 
     Each row keeps its columns from the diagonal on, since the Schur
     complement is Hermitian: the column-i entry of row j > i is
-    conj(U[i][j]).  Pivot i, numerator p > 0 over den, subtracts conj(U[i][j])
-    / D_i times its row from row j.  With g = gcd(den, den_j) that is row_j q
+    conj(U[i][j]).  An update replaces its row in a copy of the list, so
+    the rows given are not changed.  Pivot i, numerator p > 0 over den,
+    subtracts conj(U[i][j]) / D_i times its row from row j.  With g = gcd(den, den_j) that is row_j q
     - (a + ib) row_i over den_j q, where q = p den / g and a + ib is the
     conjugate numerator times den_j / g, all three first divided by gcd(q,
     a, b).  One gcd then divides out the row's content, so its numbers are
@@ -424,14 +530,9 @@ def _ldl_exact(G, c):
     taken per entry, and the real pivot needs no complex division.  A zero
     multiplier skips its row, so a banded system updates only its band.
     """
-    n = len(c)
-    rows = []  # (re, im, den) of row i from column i on, the rhs last
-    for i in range(n):
-        parts = [exact_parts(x) for x in G[i][i:n]] + [exact_parts(c[i])]
-        den = math.lcm(*{d for _, _, d in parts})
-        rows.append(([a * (den // d) if a else 0 for a, _, d in parts],
-                     [b * (den // d) if b else 0 for _, b, d in parts], den))
-    U, y, D, gains = rows, [], [], []
+    n = len(rows)
+    U = rows = list(rows)
+    y, D, gains = [], [], []
     for i in range(n):
         re, im, den = rows[i]
         p = re[0]
@@ -454,12 +555,18 @@ def _ldl_exact(G, c):
             ur, ui = re[j - i:], im[j - i:]
             xr = [x * q - a * u + b * v for x, u, v in zip(xr, ur, ui)]
             xi = [x * q - a * v - b * u for x, u, v in zip(xi, ur, ui)]
-            dj *= q
-            h = gcd(dj, *xr, *xi)
-            if h != 1:
-                xr, xi, dj = [x // h for x in xr], [x // h for x in xi], dj // h
-            rows[j] = xr, xi, dj
+            rows[j] = _reduced(xr, xi, dj * q)
     return U, y, D, gains
+
+
+def _leading_rows(rows: list, k: int) -> list:
+    """The rows of the leading k-block of [G | c] from those of the whole
+    (``_gram_rows``): each row's columns from k on are dropped, and its
+    content is divided out again, so it is the row ``_gram_rows`` builds for
+    that block."""
+    if k == len(rows):
+        return rows
+    return [_reduced(re[:k - i] + re[-1:], im[:k - i] + im[-1:], den) for i, (re, im, den) in enumerate(rows[:k])]
 
 
 def _chol_float(G: np.ndarray, c: np.ndarray):
@@ -501,19 +608,19 @@ def _solve_path(method: str, space: SpaceSpec, f: SparsePoly, g: SparsePoly, siz
 
 
 class _Factored:
-    """A Hermitian system G a = c of n unknowns, factored once on the path of
-    its storage: exact LDL* of nested lists of rationals, or float Cholesky of
-    a complex array.  Its leading k-block is factored by the leading k x k
-    part of the factor (L, or U = D L* on the exact path), so has
-    pivots[:k] and projection c_k* a_k = sum(gains[:k]).  G may have rows
-    longer than n: the leading rows of a larger system."""
+    """The leading n-block G a = c of a Gram system, factored once on the
+    path of its storage: exact LDL* of its rows, or float Cholesky of its
+    complex arrays.  A leading k-block of that is factored by the leading k
+    x k part of the factor (L, or U = D L* on the exact path), so has
+    pivots[:k] and projection c_k* a_k = sum(gains[:k])."""
 
-    def __init__(self, G, c, g_norm_sq, exact: bool):
-        self.method, self.g_norm_sq = ("exact", g_norm_sq) if exact else ("float", float(g_norm_sq))
-        if exact:
-            self.U, self.y, self.pivots, self.gains = _ldl_exact(G, c)
+    def __init__(self, system: GramSystem, n: int):
+        if system.exact:
+            self.method, self.g_norm_sq = "exact", system.g_norm_sq
+            self.U, self.y, self.pivots, self.gains = _ldl_exact(_leading_rows(system.data, n))
         else:
-            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c)
+            (G, c), self.method, self.g_norm_sq = system.data, "float", float(system.g_norm_sq)
+            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G[:n], c[:n])
 
     def block(self, k: int, m: int):
         """(dist_sq, min_pivot, max_pivot) of the leading k-block, the system
@@ -587,7 +694,7 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     exact = _solve_path(method, system.space, system.f, system.g, k, system.exact) == "exact"
     if exact != system.exact:
         system = _gram_system(system.space, system.f, system.g, m, system.basis[:k], False)
-    top = _Factored(system.matrix[:k], system.rhs[:k], system.g_norm_sq, exact)
+    top = _Factored(system, k)
     dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
         degree=m, basis=system.basis[:k], coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
@@ -624,7 +731,7 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     system = _system(space, f, g, degrees[-1], method)
     sizes = system.block_sizes()
     t0 = time.perf_counter()
-    factored = _Factored(system.matrix, system.rhs, system.g_norm_sq, system.exact)
+    factored = _Factored(system, len(system.basis))
     out = []
     for m in degrees:
         dist_sq, min_pivot, _ = factored.block(sizes[m], m)
@@ -677,7 +784,7 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
                          f"over the budget of {GRAM_ENTRY_BUDGET}; the bound is non-decreasing in the degree, "
                          "so a lower one still bounds the multiplier norm")
     basis = graded_monomials(d, m)
-    A = _gram_matrix(space, phi, basis, exact=False)
+    A = _gram_matrix(space, phi, basis)
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
     vals = scipy.linalg.eigh(A, D, eigvals_only=True)
     top = float(vals[-1])

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import SparsePoly, factorial_ratio
-from .scalars import ComplexRational, abs_sq, check_int, json_int, json_object, path_casts
+from .scalars import ComplexRational, abs_sq, check_int, exact_parts, json_int, json_object, path_casts
 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
@@ -337,13 +337,21 @@ def inner_product(space: SpaceSpec, f: SparsePoly, g: SparsePoly):
 
 def _weighted_abs_sq_sum(space: SpaceSpec, terms):
     """sum of |c_beta|^2 ||z^beta||^2 over the (beta, c) pairs, in their
-    order; exact iff the space and every c are exact."""
-    exact = space.is_exact and all(isinstance(c, ComplexRational) for _, c in terms)
-    _, weight = path_casts(exact)
-    total = Fraction(0) if exact else 0.0
+    order; exact iff the space and every c are exact.  Exact, with c = (a +
+    bi) / d and ||z^beta||^2 = p / q, it is one integer sum of (a^2 + b^2) p
+    over the lcm of the d^2 q, made a Fraction once."""
+    if not (space.is_exact and all(isinstance(c, ComplexRational) for _, c in terms)):
+        total = 0.0
+        for beta, c in terms:
+            total = total + abs_sq(c) * float(monomial_norm_sq(space, beta))
+        return total
+    parts = []
     for beta, c in terms:
-        total = total + abs_sq(c) * weight(monomial_norm_sq(space, beta))
-    return total
+        a, b, d = exact_parts(c)
+        w = monomial_norm_sq(space, beta)
+        parts.append(((a * a + b * b) * w.numerator, d * d * w.denominator))
+    den = math.lcm(*(q for _, q in parts))
+    return Fraction(sum(s * (den // q) for s, q in parts), den)
 
 
 def norm_sq(space: SpaceSpec, f: SparsePoly):

@@ -32,7 +32,7 @@ from besovball.approx import (
     ratio_norm_sweep,
 )
 from besovball.poly import SparsePoly, poly_from_literal
-from besovball.scalars import ComplexRational, path_casts
+from besovball.scalars import ComplexRational, exact_parts, path_casts
 from besovball.spaces import NormalizedVolume, PointMassAtOne, SpaceSpec, inner_product, monomial_norm_sq, norm_sq
 
 try:
@@ -248,7 +248,7 @@ def test_finite_section_is_the_gram_section_eigenvalue():
         for m in (0, 2, 5):
             basis = graded_monomials(space.d, m)
             D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
-            top = scipy.linalg.eigh(approx._gram_matrix(space, phi, basis, False), D, eigvals_only=True)[-1]
+            top = scipy.linalg.eigh(approx._gram_matrix(space, phi, basis), D, eigvals_only=True)[-1]
             assert finite_section_mult_bound(space, phi, m) == pytest.approx(math.sqrt(top), rel=1e-12, abs=1e-12)
 
 
@@ -363,7 +363,7 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     base = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, "float")
     H = scipy.linalg.hilbert(14).astype(complex)
     ones = np.ones(14)
-    system = dataclasses.replace(base, matrix=H, rhs=H @ ones, g_norm_sq=float(ones @ H.real @ ones) + 1.0)
+    system = dataclasses.replace(base, data=(H, H @ ones), g_norm_sq=float(ones @ H.real @ ones) + 1.0)
     with pytest.raises(ArithmeticError, match=r'degree 13 \(14 unknowns\) factors only 13 of them; use method="exact"'):
         optimal_approximant(system, degree=13)
     with pytest.raises(ArithmeticError, match=r'degree 12 \(13 unknowns\) factors them, but .* use method="exact"'):
@@ -386,7 +386,8 @@ def test_nonpositive_diagonal_refused_from_its_index(monkeypatch):
     # G = diag(1, 1, -1): the float Cholesky stops before index 2, so the
     # degree-2 block is refused and the smaller ones keep their values
     base = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 2, "float")
-    system = dataclasses.replace(base, matrix=np.diag([1.0, 1.0, -1.0]).astype(complex), rhs=np.ones(3, dtype=complex), g_norm_sq=3.0)
+    system = dataclasses.replace(base, data=(np.diag([1.0, 1.0, -1.0]).astype(complex), np.ones(3, dtype=complex)),
+                                 g_norm_sq=3.0)
     monkeypatch.setattr(approx, "_gram_system", lambda *args, **kwargs: system)
     pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(2), method="float")
     assert [(p.path, p.dist_sq) for p in pts] == [("float", 2.0), ("float", 1.0)]
@@ -463,7 +464,7 @@ def test_profile_factors_the_top_block_once(monkeypatch):
     sizes = []
     for name in ("_ldl_exact", "_chol_float"):
         real = getattr(approx, name)
-        monkeypatch.setattr(approx, name, lambda G, c, real=real: sizes.append(len(G)) or real(G, c))
+        monkeypatch.setattr(approx, name, lambda *args, real=real: sizes.append(len(args[0])) or real(*args))
     distance_profile(DA2, F22, SparsePoly.one(2), range(0, 9), method="exact")
     distance_profile(DA2, F22, SparsePoly.one(2), [0, 3, 6], method="float")
     assert sizes == [5, 4]
@@ -580,11 +581,29 @@ def _ldl_pairs(G, c):
     return L, y, D, [(v[0] ** 2 + v[1] ** 2) / d for v, d in zip(y, D)]
 
 
-def _assert_ldl_equals_the_pair_oracle(G, c):
+def _rows(G, c):
+    """The upper rows of [G | c] that _ldl_exact factors, from nested lists
+    of exact scalars: row i holds the numerators of G[i][i:] and c[i] over
+    their least common denominator, the conversion _ldl_exact made of its
+    input before the Gram assembly built the rows."""
+    rows = []
+    for i in range(len(c)):
+        parts = [exact_parts(x) for x in G[i][i:]] + [exact_parts(c[i])]
+        den = math.lcm(*(d for _, _, d in parts))
+        rows.append(([a * (den // d) for a, _, d in parts], [b * (den // d) for _, b, d in parts], den))
+    return rows
+
+
+def _assert_ldl_equals_the_pair_oracle(G, c, rows=None):
+    """_ldl_exact of rows (by default the adapter's rows of G and c) against
+    the pair oracle on G and c."""
     def pair(x):
         return x.re, x.im
 
-    U, y, D, gains = approx._ldl_exact(G, c)
+    if rows is None:
+        rows = _rows(G, c)
+    assert rows == _rows(G, c)
+    U, y, D, gains = approx._ldl_exact(rows)
     L0, y0, D0, gains0 = _ldl_pairs([[pair(x) for x in row] for row in G], [pair(x) for x in c])
     assert D == D0 and gains == gains0
     assert all(type(v) is Fraction for v in D + gains)
@@ -621,7 +640,30 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_da4_system():
     one = SparsePoly.one(4)
     system = approx._gram_system(DA4, F4, one, 400, approx._reachable(F4, one, 400), True)
     assert len(system.basis) == 101
-    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs)
+    # the rows' one global denominator is about 1065 bits before each row
+    # divides out its content
+    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
+
+
+@pytest.mark.parametrize("space, f, g, m", [
+    (DA4, F4, SparsePoly.one(4), 400),
+    (SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12, SparsePoly.one(1), 30),
+    (DA2, SparsePoly(2, {(0, 0): 1, (2, 1): Fraction(-3, 2), (1, 0): ComplexRational(1, -2)}),
+     SparsePoly(2, {(0, 0): ComplexRational(Fraction(2, 3), 5), (1, 1): Fraction(1, 7)}), 5),
+])
+def test_leading_rows_are_the_rows_of_the_leading_block(space, f, g, m):
+    # a leading k-block sliced from the rows of the whole system and
+    # reduced again is the adapter's rows of the leading k x k part of G,
+    # which a factorization of that block alone would read
+    system = approx._gram_system(space, f, g, m, approx._reachable(f, g, m), True)
+    G, c = system.matrix, system.rhs
+    sizes = sorted(set(system.block_sizes().values()))
+    assert sizes[-1] == len(c) > sizes[0]
+    for k in sizes:
+        rows = approx._leading_rows(system.data, k)
+        assert rows == _rows([row[:k] for row in G[:k]], c[:k])
+        assert approx._Factored(system, k).gains == approx._ldl_exact(rows)[3]
+    assert approx._leading_rows(system.data, len(c)) is system.data
 
 
 def _dense_complex_poly(rng, d, degree):
@@ -641,7 +683,7 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_complex_gram_systems(d, m,
     system = approx._gram_system(space, f, g, m, approx._reachable(f, g, m), True)
     assert len(system.basis) == math.comb(d + m, d)
     assert any(not x.is_real for row in system.matrix for x in row) and any(not x.is_real for x in system.rhs)
-    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs)
+    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
 
 
 @pytest.mark.parametrize("m", [12, 30, 60])
@@ -651,7 +693,7 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_d_minus4_system(m):
     sp, f, one = SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12, SparsePoly.one(1)
     system = approx._gram_system(sp, f, one, m, approx._reachable(f, one, m), True)
     assert len(system.basis) == m + 1
-    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs)
+    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
 
 
 def _crs(*xs):
@@ -672,7 +714,7 @@ def test_ldl_exact_refuses_an_indefinite_system_at_its_first_bad_pivot(G, c, mes
     # first pivot that is not real positive, as the rational LDL* reported
     # them
     with pytest.raises(ArithmeticError) as info:
-        approx._ldl_exact(G, c)
+        approx._ldl_exact(_rows(G, c))
     assert str(info.value) == message
     with pytest.raises(AssertionError):
         _ldl_pairs([[(x.re, x.im) for x in row] for row in G], [(x.re, x.im) for x in c])
@@ -703,7 +745,16 @@ def test_target_orthogonal_to_every_multiple_has_no_unknowns():
     for method in ("auto", "exact", "float"):
         pts = distance_profile(DA2, f, g, range(4), method=method)
         assert [(p.dist_sq, p.min_pivot, p.unknowns) for p in pts] == [(float(gn), math.inf, 0)] * 4
-    res = optimal_approximant(assemble_gram(DA2, f, g, 3))
+    system = assemble_gram(DA2, f, g, 3)
+    assert system.data == system.matrix == system.rhs == []
+    # over the full basis every row of the exact system has c[i] = 0, as
+    # the oracles have, and so does a zero target
+    basis = graded_monomials(2, 3)
+    for target in (g, SparsePoly.zero(2)):
+        full = approx._gram_system(DA2, f, target, 3, basis, True)
+        assert all(re[-1] == im[-1] == 0 for re, im, _ in full.data)
+        _assert_gram_rows_equal_oracle(DA2, f, target, 3, basis)
+    res = optimal_approximant(system)
     assert res.dist_sq == gn and res.exact
     assert res.basis == () == res.coefficients
     assert (res.conditioning.min_pivot, res.conditioning.max_pivot) == (math.inf, 0.0)
@@ -771,16 +822,25 @@ def _rhs_by_dictionary(space, f, g, basis, exact):
     return c if exact else np.array(c, dtype=complex)
 
 
+def _assert_gram_rows_equal_oracle(space, f, g, degree, basis):
+    """The exact system's rows are the adapter's rows of the dictionary
+    oracles, and its matrix and rhs, formed from them, are the oracles
+    themselves, ComplexRational entries included."""
+    system = approx._gram_system(space, f, g, degree, basis, True)
+    G, c = _gram_by_dictionary(space, f, basis, True), _rhs_by_dictionary(space, f, g, basis, True)
+    assert system.data == _rows(G, c)
+    assert system.matrix == G and system.rhs == c
+    assert {type(x) for row in system.matrix for x in row} | {type(x) for x in system.rhs} <= {ComplexRational}
+
+
 def _assert_gram_equals_oracle(space, f, basis):
     # g = 1 + f^2 puts several terms of f on the rows beta = eps of the
     # right-hand side, so its summation order shows
     g = SparsePoly.one(space.d) + f * f
     degree = max((sum(b) for b in basis), default=0)
-    exact = space.is_exact and f.is_exact()
-    if exact:
-        assert approx._gram_matrix(space, f, basis, True) == _gram_by_dictionary(space, f, basis, True)
-        assert approx._gram_system(space, f, g, degree, basis, True).rhs == _rhs_by_dictionary(space, f, g, basis, True)
-    G = approx._gram_matrix(space, f, basis, False)
+    if space.is_exact and f.is_exact():
+        _assert_gram_rows_equal_oracle(space, f, g, degree, basis)
+    G = approx._gram_matrix(space, f, basis)
     assert G.dtype == complex and G.flags.c_contiguous
     assert np.array_equal(G, _gram_by_dictionary(space, f, basis, False))
     # bitwise, once signed zeros are normalised
@@ -822,8 +882,9 @@ def test_gram_matrix_equals_the_dictionary_loop(space, f, m, monkeypatch):
         monkeypatch.setattr(approx, "GRAM_BLOCK_ENTRIES", budget)
         _assert_gram_equals_oracle(space, f, basis)
         _assert_gram_equals_oracle(space, f, reach)
-    assert approx._gram_matrix(space, f, [], True) == []
-    assert approx._gram_matrix(space, SparsePoly.zero(space.d), basis, False).shape == (len(basis), len(basis))
+    if space.is_exact and f.is_exact():
+        _assert_gram_rows_equal_oracle(space, f, SparsePoly.one(space.d), 0, [])
+    assert approx._gram_matrix(space, SparsePoly.zero(space.d), basis).shape == (len(basis), len(basis))
 
 
 def _past_int64_generator():
@@ -955,7 +1016,7 @@ def test_gram_assembly_memory_is_bounded():
     assert n == 656
     tracemalloc.start()
     try:
-        G = approx._gram_matrix(DA4, f, basis, False)
+        G = approx._gram_matrix(DA4, f, basis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1061,11 +1122,11 @@ if HAVE_HYPOTHESIS:
         assert full.matrix == _gram_by_dictionary(space, f, basis, True)
         assert exact.matrix == [[full.matrix[i][j] for j in rows] for i in rows]
         assert exact.rhs == [full.rhs[i] for i in rows]
-        _, _, _, gains = approx._ldl_exact(full.matrix, full.rhs)
+        _, _, _, gains = approx._ldl_exact(full.data)
         sizes = full.block_sizes()
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
         assert [p.dist_sq for p in pts] == [float(exact.g_norm_sq - sum(gains[:sizes[k]])) for k in range(m + 1)]
-        a = approx._Factored(full.matrix, full.rhs, full.g_norm_sq, True).coefficients()
+        a = approx._Factored(full, len(basis)).coefficients()
         res = optimal_approximant(exact, method="exact")
         assert res.dist_sq == exact.g_norm_sq - sum(gains)
         assert res.coefficients == tuple(a[i] for i in rows)
@@ -1075,7 +1136,7 @@ if HAVE_HYPOTHESIS:
         flt = approx._system(space, f, g, m, "float")
         assert np.array_equal(fullf.matrix, _gram_by_dictionary(space, f, basis, False))
         assert np.array_equal(flt.matrix, fullf.matrix[np.ix_(rows, rows)])
-        ffull = approx._Factored(fullf.matrix, fullf.rhs, fullf.g_norm_sq, False)
+        ffull = approx._Factored(fullf, len(basis))
         tol = 1e-12 * float(exact.g_norm_sq)
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
         for k, fp in enumerate(fpts):

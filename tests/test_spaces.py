@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -354,6 +355,30 @@ ORACLE_SPACES = (
        for mu in (PointMassAtOne(), NormalizedVolume(2), ConstantDensity(Fraction(1, 3)), BetaDensity(2))]
     + [SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0 - r, 32))]
 )
+
+
+def test_exact_norm_sq_equals_the_term_by_term_fraction_sum():
+    # norm_sq's one integer sum over the lcm of the d^2 q against a Fraction
+    # sum, term by term, of |c|^2 times the weight p / q: ==, and a Fraction
+    # also for an empty sum
+    rng = random.Random(11)
+
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 60))
+
+    spaces_ = [sp for sp in ORACLE_SPACES if sp.is_exact] + [SpaceSpec.drury_arveson(4)]
+    for space in spaces_:
+        for size in (0, 1, 5, 12):
+            terms = {tuple(rng.randint(0, 6) for _ in range(space.d)): ComplexRational(rational(), rational())
+                     for _ in range(size)}
+            f = SparsePoly(space.d, terms)
+            want = Fraction(0)
+            for beta, c in f.terms.items():
+                want += (c.re ** 2 + c.im ** 2) * Fraction(monomial_norm_sq(space, beta))
+            got = norm_sq(space, f)
+            assert type(got) is Fraction and got == want, (space, f.terms)
+    # the DA_4 target of the paper's example: 1 + 256 ||z1z2z3z4||^2 = 1 + 256/24
+    assert norm_sq(SpaceSpec.drury_arveson(4), SparsePoly(4, {(0,) * 4: 1, (1,) * 4: -16})) == Fraction(35, 3)
 
 
 def test_to_json_of_alpha_is_unchanged():
