@@ -703,7 +703,7 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per point, and callers keep many
 class ProfilePoint:
     m: int
     dist_sq: float

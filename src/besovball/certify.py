@@ -54,7 +54,7 @@ BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; bounds time only, as the
 BOX_LEAF_POINTS = 1 << 14  # box-integral points summed at a time: 128 kB per float64 array
 NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
-LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time: about 8 MB of scratch
+LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time: about 3 MB of scratch on the torus
 CHORD_GRID_NODES = 12  # nodes per axis, at most, of the reverse-Lipschitz grid
 
 
@@ -296,12 +296,16 @@ class CubeMeasure:
         inv_sqrt_k = 1.0 / math.sqrt(k)
 
         def phi(T):
+            # cos and sin written into the parts of Z, then scaled: the same
+            # bits as k^(-1/2) exp(1j * angle), without a complex exp
             T = np.asarray(T, dtype=float)
             ang = ang_scale * T
-            last = -ang.sum(axis=1, keepdims=True)
-            full = np.concatenate([ang, last], axis=1)
+            last = -ang.sum(axis=1)
             Z = np.zeros((T.shape[0], d), dtype=complex)
-            Z[:, :k] = inv_sqrt_k * np.exp(1j * full)
+            for part, fn in ((Z.real, np.cos), (Z.imag, np.sin)):
+                fn(ang, out=part[:, :m])
+                fn(last, out=part[:, m])
+            Z[:, :k] *= inv_sqrt_k
             return Z
 
         return CubeMeasure(m=m, d=d, phi=phi, label=f"torus(k={k}, d={d})", shrink=shrink,
@@ -351,12 +355,13 @@ class CubeMeasure:
 
     def points(self, T: np.ndarray) -> np.ndarray:
         """phi on the rows of T, checked to land on the unit sphere."""
-        Z = np.asarray(self.phi(T), dtype=complex)
+        Z = np.ascontiguousarray(self.phi(T), dtype=complex)
         if Z.shape != (T.shape[0], self.d):
             raise ValueError(f"phi returned shape {Z.shape}, expected {(T.shape[0], self.d)}")
-        dev = float(np.abs(np.sqrt(np.sum(np.abs(Z) ** 2, axis=1)) - 1.0).max())
-        if dev > SPHERE_TOL:
-            raise ValueError(f"parametrization leaves the unit sphere by {dev:.2e}")
+        parts = Z.view(float)  # the real and imaginary parts, side by side
+        dev = float(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0).max())
+        if not dev <= SPHERE_TOL:  # nan included
+            raise ValueError(f"{self.label}: parametrization leaves the unit sphere by {dev:.2e}")
         return Z
 
     def grid(self, n: int, offset: float = 0.0):
@@ -490,15 +495,25 @@ def _pair_sum(measure: CubeMeasure, n: int) -> float:
 def _lattice_inner(measure: CubeMeasure, n: int):
     """<phi((u - 1/2) h), phi(0)> with h = 2 / n over the (2n - 1)^m difference
     points u in {1 - n, ..., n - 1}^m, in the order of ``_tensor``: yields
-    (U, inner) for LATTICE_CHUNK points at a time."""
+    (weights, inner) for LATTICE_CHUNK points at a time, the weight of u
+    being prod_j (n - |u_j|).
+
+    Each chunk indexes two per-axis tables of length 2n - 1 with its
+    points' digits: the parameters (u_j - 1/2) h and the counts n - |u_j|.
+    The counts are integers, so their product is exact in any order."""
     h = 2.0 / n
-    shape = (2 * n - 1,) * measure.m
-    count = math.prod(shape)
-    z0 = measure.points(np.zeros((1, measure.m)))[0]
+    m = measure.m
+    u = np.arange(1 - n, n, dtype=float)
+    axis_param, axis_count = (u - 0.5) * h, n - np.abs(u)
+    count = (2 * n - 1) ** m
+    z0 = measure.points(np.zeros((1, m)))[0]
     for start in range(0, count, LATTICE_CHUNK):
-        idx = np.arange(start, min(start + LATTICE_CHUNK, count))
-        U = np.stack(np.unravel_index(idx, shape), axis=1).astype(float) + (1 - n)
-        yield U, measure.points((U - 0.5) * h) @ z0.conj()
+        digits = np.unravel_index(np.arange(start, min(start + LATTICE_CHUNK, count)), (2 * n - 1,) * m)
+        T, weights = np.empty((len(digits[0]), m)), np.ones(len(digits[0]))
+        for j, d in enumerate(digits):
+            T[:, j] = axis_param[d]
+            weights *= axis_count[d]
+        yield weights, measure.points(T) @ z0.conj()
 
 
 def _lattice_sum(measure: CubeMeasure, n: int) -> float:
@@ -510,8 +525,8 @@ def _lattice_sum(measure: CubeMeasure, n: int) -> float:
     The points go LATTICE_CHUNK at a time (``_lattice_inner``), and math.fsum
     adds the chunk totals in that order.
     """
-    return math.fsum(float(np.sum(np.prod(n - np.abs(U), axis=1) / np.abs(1.0 - inner)))
-                     for U, inner in _lattice_inner(measure, n))
+    return math.fsum(float(np.sum(weights / np.abs(1.0 - inner)))
+                     for weights, inner in _lattice_inner(measure, n))
 
 
 def _probe_shift_invariance(measure: CubeMeasure) -> bool:
@@ -529,9 +544,9 @@ def _probe_shift_invariance(measure: CubeMeasure) -> bool:
 
     Memory: the 16 * 7^m bytes of differences, the two grids (8 (m + 2d)
     4^m bytes with their parameters), one block of about 1 MB and the
-    scratch of one ``_lattice_inner`` chunk, which phi sets (about 8 MB for
+    scratch of one ``_lattice_inner`` chunk, which phi sets (about 3 MB for
     the torus on a full chunk, as in ``_lattice_sum``).  ``tracemalloc``
-    reads peaks of 0.25 MB at m = 3, 1.0 MB at m = 4 and 8.0 MB at m = 5 on
+    reads peaks of 0.25 MB at m = 3, 1.0 MB at m = 4 and 4.1 MB at m = 5 on
     the torus.
     """
     n, m = SHIFT_PROBE_NODES, measure.m
@@ -686,8 +701,8 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
     fvals = evaluate_on_points(f.to_float(), Z)
     support_dev = float(np.abs(fvals).max())
     scale = _coeff_scale(f)
-    if support_dev > SUPPORT_TOL * scale:
-        raise ValueError(f"measure is not supported in the zero set: max |f| = {support_dev:.2e}")
+    if not support_dev <= SUPPORT_TOL * scale:  # nan included
+        raise ValueError(f"{measure.label} is not supported in the zero set: max |f| = {support_dev:.2e}")
 
     res = energy(measure, n_base=n_base, max_doublings=max_doublings)
     mu_total = measure.total_mass
@@ -695,8 +710,15 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
 
     wq = (2.0 / n_check) ** measure.m
     pair_max = 0.0
+    # each monomial as evaluate_on_points forms it, 1 times the powers
+    # Z[:, i] ** e in coordinate order, from one table of those powers
+    powers = {(i, e): Z[:, i] ** e for i in range(measure.d) for e in range(1, 7)}
+    mono = np.empty(Z.shape[0], dtype=complex)
     for beta in graded_monomials(measure.d, 6):
-        mono = evaluate_on_points(SparsePoly.monomial(measure.d, beta), Z)
+        mono.fill(1.0)
+        for i, e in enumerate(beta):
+            if e:
+                mono *= powers[i, e]
         pair_max = max(pair_max, abs(complex(np.sum(mono * fvals) * wq)))
 
     audit = {

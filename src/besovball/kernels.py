@@ -128,5 +128,5 @@ def min_chord_ratio(Z: np.ndarray, W: np.ndarray, T: np.ndarray, S: np.ndarray) 
         np.maximum(chord2, 0.0, out=chord2)
         np.maximum(param2, 1e-300, out=param2)
         chord2 /= param2
-        best = min(best, float(chord2.min()))
+        best = float(np.minimum(best, chord2.min()))  # a nan block stays nan, where min() would drop it
     return math.sqrt(best)

@@ -172,6 +172,18 @@ def test_profile_scaling_invariance():
         assert pa.dist_sq == pytest.approx(pb.dist_sq, rel=1e-14)
 
 
+def test_profile_points_are_slotted_and_still_copy():
+    # no per-point __dict__; pickle, replace and asdict work as before
+    point = distance_profile(DA2, F22, SparsePoly.one(2), [2], method="exact")[0]
+    assert not hasattr(point, "__dict__")
+    assert pickle.loads(pickle.dumps(point)) == point
+    moved = dataclasses.replace(point, m=3)
+    assert (moved.m, moved.dist_sq) == (3, point.dist_sq)
+    assert dataclasses.asdict(point)["dist_sq"] == point.dist_sq
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.m = 4
+
+
 def test_cyclicity_profile_known_values():
     pts = cyclicity_profile(DA2, F22, [0, 2, 4], method="exact")
     assert pts[0].dist_sq == pytest.approx(2.0 / 3.0)

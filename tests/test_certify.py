@@ -283,6 +283,69 @@ def test_lattice_sum_memory_is_bounded():
     assert total == pytest.approx(4829688392.858561, rel=1e-12)
 
 
+def _exp_torus_phi(k, d, shrink=0.05):
+    """The torus chart as a complex exp of the angles, k^(-1/2) exp(1j * angle)."""
+    ang_scale = math.pi * (1.0 - shrink)
+    inv_sqrt_k = 1.0 / math.sqrt(k)
+
+    def phi(T):
+        T = np.asarray(T, dtype=float)
+        ang = ang_scale * T
+        last = -ang.sum(axis=1, keepdims=True)
+        full = np.concatenate([ang, last], axis=1)
+        Z = np.zeros((T.shape[0], d), dtype=complex)
+        Z[:, :k] = inv_sqrt_k * np.exp(1j * full)
+        return Z
+
+    return phi
+
+
+def _per_point_lattice_sum(phi, m, n):
+    """The lattice sum with each chunk's differences U formed point by point
+    (``unravel_index``, ``stack``) and weighted by ``np.prod(n - |U|)``; the
+    chunks and the fsum of their totals as in ``_lattice_sum``."""
+    h = 2.0 / n
+    shape = (2 * n - 1,) * m
+    count = math.prod(shape)
+    z0 = phi(np.zeros((1, m)))[0]
+    totals = []
+    for start in range(0, count, certify.LATTICE_CHUNK):
+        idx = np.arange(start, min(start + certify.LATTICE_CHUNK, count))
+        U = np.stack(np.unravel_index(idx, shape), axis=1).astype(float) + (1 - n)
+        inner = phi((U - 0.5) * h) @ z0.conj()
+        totals.append(float(np.sum(np.prod(n - np.abs(U), axis=1) / np.abs(1.0 - inner))))
+    return math.fsum(totals)
+
+
+def test_torus_chart_equals_the_complex_exp():
+    # seeded parameters with exact zeros among them, where the angle sum is -0.0
+    T = np.random.default_rng(2024).uniform(-1.0, 1.0, (4000, 4))
+    T[:5] = 0.0
+    for k, d in [(2, 2), (3, 5), (4, 4)]:
+        got = CubeMeasure.torus(k, d).phi(T[:, : k - 1])
+        want = _exp_torus_phi(k, d)(T[:, : k - 1])
+        assert np.array_equal(got, want), (k, d)
+        assert got.tobytes() == want.tobytes(), (k, d)
+
+
+@pytest.mark.parametrize("k, n", [(4, 8), (4, 16), (5, 8)])
+def test_lattice_sum_equals_the_per_point_formula(k, n):
+    assert _lattice_sum(CubeMeasure.torus(k, k), n) == _per_point_lattice_sum(_exp_torus_phi(k, k), k - 1, n)
+
+
+def test_lattice_sum_of_the_turned_torus_equals_the_per_point_formula(monkeypatch):
+    # the Householder reflection of test_rotated_torus_takes_lattice_path
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    U = np.eye(4) - np.outer(v, v) / 15.0
+    torus = CubeMeasure.torus(4, 4)
+    rotated = CubeMeasure.from_callable(3, 4, lambda T: torus.phi(T) @ U)
+    exp_phi = _exp_torus_phi(4, 4)
+    assert _lattice_sum(rotated, 8) == _per_point_lattice_sum(lambda T: exp_phi(T) @ U, 3, 8)
+    # chunks of 1000 of the 15^3 points: three whole chunks and a partial one
+    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1000)
+    assert _lattice_sum(torus, 8) == _per_point_lattice_sum(exp_phi, 3, 8)
+
+
 def test_rotated_torus_takes_lattice_path():
     # Householder reflection I - v v^T / 15 with v = (1, 2, 3, 4): rational,
     # orthogonal and dense, so the rotated cube keeps the inner products of
@@ -440,6 +503,31 @@ def test_energy_certificate_preconditions():
     bad = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -8})
     with pytest.raises(ValueError):
         energy_lower_bound(SpaceSpec.drury_arveson(4), bad, mu, max_doublings=0)
+
+
+def test_nan_points_and_values_are_refused():
+    # a comparison with nan is False, so "dev > tol" let nan through: energy
+    # gave value nan and c_estimate inf, and the certificate divided by zero
+    torus = CubeMeasure.torus(4, 4)
+    f = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
+
+    def phi(T):
+        Z = torus.phi(T)
+        Z[T[:, 0] > 0.5] = math.nan
+        return Z
+
+    mu = CubeMeasure(m=3, d=4, phi=phi, label="torus with nan rows")
+    off = "torus with nan rows: parametrization leaves the unit sphere by nan"
+    with pytest.raises(ValueError, match=off):
+        mu.points(np.array([[0.0, 0.0, 0.0], [0.75, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match=off):
+        energy(mu, max_doublings=0)
+    with pytest.raises(ValueError, match=off):
+        energy_lower_bound(SpaceSpec.drury_arveson(4), f, mu, max_doublings=0)
+    # points on the sphere where f is nan
+    f_nan = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16, (0, 0, 0, 1): math.nan})
+    with pytest.raises(ValueError, match=r"torus\(k=4, d=4\) is not supported in the zero set: max \|f\| = nan"):
+        energy_lower_bound(SpaceSpec.drury_arveson(4), f_nan, torus, max_doublings=0)
 
 
 def test_param_integral_grid_budget(monkeypatch):

@@ -64,6 +64,15 @@ def test_min_chord_ratio_small_case():
     assert min_chord_ratio(Z1, W, T1, S2) == pytest.approx(math.sqrt(2.0) / 0.5)
 
 
+def test_min_chord_ratio_keeps_a_nan_block():
+    # min(best, nan) keeps best, so a nan in any block but the first was dropped
+    torus = certify.CubeMeasure.torus(4, 4)
+    T1, Z1 = torus.grid(12, offset=0.0)
+    T2, Z2 = torus.grid(12, offset=0.5)
+    Z1[700, 0] = math.nan
+    assert math.isnan(min_chord_ratio(Z1, Z2, T1, T2))
+
+
 def _chord_ratio_512_rows(Z, W, T, S):
     """min_chord_ratio as it was formed in 512-row blocks of full temporaries."""
     nw2 = np.sum(np.abs(W) ** 2, axis=1)
