@@ -25,22 +25,21 @@ a system past GRAM_ENTRY_BUDGET entries before assembling it: the
 reachable block, or the full section.
 
 Exponents have one index, the mixed-radix integer codes of ``_coder``.
-One routine, ``_pairing``, lists the terms of the pairing of two
-polynomials over a column and a row basis, M[i][j] = <z^(beta_j) u, z^(rho_i)
-v>: G pairs u = v = f, c is the conjugate of the one-row pairing
-<z^(beta_i) f, g>, and ``finite_section_mult_bound`` takes the section of
-f against itself.  It finds the row of every candidate term from the codes
-with numpy, in blocks of at most GRAM_BLOCK_ENTRIES candidates, and lists
-each monomial weight once.  ``_gram_matrix`` adds the terms in float with
-np.bincount, in the order of the pairs of terms, so G and c are bitwise
-those of the per-entry dictionary loops it replaced; it refuses a system
-whose weights leave the normal float range.  ``_gram_rows`` builds the
-exact system directly as the upper rows of [G | c] that the exact LDL*
-factors: f, g and the weights as integers over their lcms, each entry with
-j >= i summed in Python ints, and one gcd per row, so no term and no entry
-takes a gcd of its own, and G and c read back from the rows are ``==`` to
-the loops' rationals.  ``_reachable`` deduplicates and sorts its walk on
-the same codes.
+``_pairing`` lists the terms of the Gram matrix of f over a basis, the
+reachable one or the full one of ``finite_section_mult_bound``: it finds
+the row of every candidate term from the codes with numpy, in blocks of at
+most GRAM_BLOCK_ENTRIES candidates, and lists each monomial weight once.
+c[j] = <g, z^(beta_j) f> has a term only where beta_j = eps - delta for
+exponents delta of f and eps of g, at most len(f) len(g) of them, which
+``_rhs_terms`` finds in a dict index of the basis; their weights are G's.
+G is summed in float by np.bincount and c from 0, both in (delta, eps)
+order, so both are bitwise those of the per-entry dictionary loops they
+replaced; a weight below the normal float range is refused.
+``_gram_rows`` builds the exact system directly as the upper rows of [G |
+c] that the exact LDL* factors, summed in Python ints over one denominator
+with one gcd per row, so G and c read back from the rows are ``==`` to the
+loops' rationals.  ``_reachable`` deduplicates and sorts its walk on the
+same codes.
 
 Each call factors its top block once, on one of two paths: exact LDL* or
 Jacobi-prescaled float Cholesky, with L y = c in the same pass.
@@ -97,8 +96,9 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd
+from operator import sub
 
 import numpy as np
 import scipy.linalg
@@ -219,80 +219,82 @@ class GramSystem:
         return dict(enumerate(np.searchsorted(degrees, np.arange(self.degree + 1), side="right").tolist()))
 
 
-def _pairing(f: SparsePoly, basis, g: SparsePoly, rows):
-    """The terms of M[i][j] = <z^(beta_j) f, z^(rho_i) g> over the columns
-    beta_j of basis and the rows rho_i of rows, for nonempty basis, rows, f
-    and g: (exps, blocks).
+def _pairing(f: SparsePoly, basis):
+    """The terms of G[i][j] = <z^(beta_j) f, z^(beta_i) f> over a nonempty
+    basis, for a nonzero f: (exps, blocks).
 
-    Orthogonality of monomials collapses each entry to the sum, over the
-    pairs (delta, eps) of exponents of f and g with beta_j + delta - eps =
-    rho_i, of f_delta conj(g_eps) ||z^(beta_j + delta)||^2.  Exponents are
-    coded by ``_coder`` in a radix whose digits never carry on that range,
-    so the row of beta_j + delta - eps is a search for code(beta_j) +
-    code(delta - eps) in the sorted row codes, and exponents off the rows
-    (negative or past the degree) find none.  exps lists each distinct rho_i
-    + eps once, so each weight is computed once, and the one-row pairing
-    against g needs only the weights of the exponents of g.  blocks yields,
-    per block of columns j0:j1, (j0, j1, i, j, p, k): the row, the column
-    relative to j0, the pair p = (delta, eps) = (p // len(g), p % len(g))
-    and the weight exps[k] of each term, in column then pair order.  A
-    block holds at most GRAM_BLOCK_ENTRIES candidates (columns x pairs) and
-    block entries (columns x rows).
+    Each entry is the sum, over the pairs (delta, eps) of exponents of f
+    with beta_j + delta - eps = beta_i, of f_delta conj(f_eps) ||z^(beta_j
+    + delta)||^2.  ``_coder`` codes exponents in a radix whose digits never
+    carry on that range, so the row of beta_j + delta - eps is a search for
+    code(beta_j) + code(delta - eps) in the sorted basis codes, which finds
+    none off the basis.  exps lists each distinct beta_i + eps once, the
+    weights to compute.  blocks yields, per block of columns j0:j1, (j0, j1,
+    i, j, p, k): the row, the column relative to j0, the pair p = (delta,
+    eps) = divmod(p, len(f)) and the weight exps[k] of each term, in column
+    then pair order, at most GRAM_BLOCK_ENTRIES candidates (columns x pairs)
+    and block entries (columns x rows) per block.
     """
-    n, nr, d, ng = len(basis), len(rows), f.dim, len(g.terms)
-    B, R = _exponents(basis, d), _exponents(rows, d)
-    F, Fg = _exponents(f.terms, d), _exponents(g.terms, d)
-    # digit k of a candidate beta_j + delta - eps lies in [-max Fg_k,
-    # max B_k + max F_k] and that of a row in [0, max R_k], so the two
-    # differ by less than radix_k, and equal codes mean equal exponents
-    code = _coder(np.maximum(B.max(axis=0) + F.max(axis=0), R.max(axis=0) + Fg.max(axis=0)) + 1)
-    sorted_codes, order = np.unique(code(R), return_index=True)  # the rows are distinct
+    n, d, nf = len(basis), f.dim, len(f.terms)
+    B, F = _exponents(basis, d), _exponents(f.terms, d)
+    # digit k of a candidate lies in [-max F_k, max B_k + max F_k] and of a
+    # row in [0, max B_k]: they differ by less than radix_k, so never collide
+    code = _coder(B.max(axis=0) + F.max(axis=0) + 1)
     col_codes = code(B)
-    shift_codes = code((F[:, None, :] - Fg[None, :, :]).reshape(-1, d))
-    shifted = (R[:, None, :] + Fg[None, :, :]).reshape(-1, d)  # rho_i + eps, row i slowest
+    order = np.argsort(col_codes)  # the basis is distinct
+    sorted_codes = col_codes[order]
+    shift_codes = code((F[:, None, :] - F[None, :, :]).reshape(-1, d))
+    shifted = (B[:, None, :] + F[None, :, :]).reshape(-1, d)  # beta_i + eps, row i slowest
     _, first, weight_of = np.unique(code(shifted), return_index=True, return_inverse=True)
 
     def blocks():
-        step = max(1, min(GRAM_BLOCK_ENTRIES // len(shift_codes), GRAM_BLOCK_ENTRIES // nr))
+        step = max(1, min(GRAM_BLOCK_ENTRIES // len(shift_codes), GRAM_BLOCK_ENTRIES // n))
         for j0 in range(0, n, step):
             j1 = min(j0 + step, n)
             cand = col_codes[j0:j1, None] + shift_codes[None, :]
-            pos = np.minimum(np.searchsorted(sorted_codes, cand), nr - 1)
+            pos = np.minimum(np.searchsorted(sorted_codes, cand), n - 1)
             cols, pairs = np.nonzero(sorted_codes[pos] == cand)  # column, then pair order
             found = order[pos[cols, pairs]]
-            # the weight of rho_i + eps = beta_j + delta
-            yield j0, j1, found, cols, pairs, weight_of[found * ng + pairs % ng]
+            # the weight of beta_i + eps = beta_j + delta
+            yield j0, j1, found, cols, pairs, weight_of[found * nf + pairs % nf]
 
     return shifted[first], blocks()
 
 
-def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, g: SparsePoly | None = None, rows=None) -> np.ndarray:
-    """M[i][j] = <z^(beta_j) f, z^(rho_i) g> in float over the columns beta_j
-    of basis and the rows rho_i of rows (g = f and rows = basis by default,
-    the Gram matrix of {z^beta f}), as a complex array, from the terms of
-    ``_pairing``.  Each entry is summed by np.bincount in (delta, eps)
-    order.  ArithmeticError when a weight is below the normal float range
-    (``_check_float_weights``).
-    """
-    g = f if g is None else g
-    rows = basis if rows is None else rows
-    n, nr = len(basis), len(rows)
-    G = np.zeros((nr, n), dtype=complex)
-    if not (n and nr and f.terms and g.terms):
+def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis) -> np.ndarray:
+    """G[i][j] = <z^(beta_j) f, z^(beta_i) f> in float, the Gram matrix of
+    {z^beta f : beta in basis}, from the terms of ``_pairing``, each entry
+    summed by np.bincount in (delta, eps) order.  ArithmeticError for a
+    weight below the normal float range (``_check_float_weights``)."""
+    n = len(basis)
+    G = np.zeros((n, n), dtype=complex)
+    if not (n and f.terms):
         return G
-    exps, blocks = _pairing(f, basis, g, rows)
+    exps, blocks = _pairing(f, basis)
     weights = np.array([float(monomial_norm_sq(space, e)) for e in exps.tolist()])
     _check_float_weights(space, exps, weights, max(map(sum, basis)))
-    fc, gc = [complex(c) for c in f.terms.values()], [complex(c) for c in g.terms.values()]
-    re, im = np.array([(p.real, p.imag) for p in (cd * ce.conjugate() for cd in fc for ce in gc)]).T
+    fc = [complex(c) for c in f.terms.values()]
+    re, im = np.array([(p.real, p.imag) for p in (cd * ce.conjugate() for cd in fc for ce in fc)]).T
     for j0, j1, found, cols, pairs, wk in blocks:
         # bincount adds in input order from 0.0, so each entry is the sum of
         # its terms in (delta, eps) order
-        target = cols * nr + found
+        target = cols * n + found
         w = weights[wk]
         for part, out in ((re, G.real), (im, G.imag)):
-            out[:, j0:j1] = np.bincount(target, part[pairs] * w, minlength=(j1 - j0) * nr).reshape(j1 - j0, nr).T
+            out[:, j0:j1] = np.bincount(target, part[pairs] * w, minlength=(j1 - j0) * n).reshape(j1 - j0, n).T
     return G
+
+
+def _rhs_terms(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis):
+    """The terms conj(f_delta) g_eps w of c[j] = <g, z^(beta_j) f>, w =
+    ||z^eps||^2, one per pair p = (delta, eps) = divmod(p, len(g)) of
+    exponents of f and g with eps - delta = beta_j on the basis: (j, p, w),
+    in pair order.  Each w is also a weight of G, at beta_j + delta."""
+    index = {b: j for j, b in enumerate(basis)}
+    for p, (delta, eps) in enumerate(product(f.terms, g.terms)):
+        j = index.get(tuple(map(sub, eps, delta)))
+        if j is not None:
+            yield j, p, monomial_norm_sq(space, eps)
 
 
 def _gaussian_integers(p: SparsePoly):
@@ -311,10 +313,10 @@ def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis) -> list:
 
     f and g are Gaussian integers over the lcms F and H of their
     denominators (``_gaussian_integers``), and the weights integers over
-    the lcm W of theirs, so every term of ``_pairing`` is an integer over
-    one denominator F lcm(F, H) W, summed in Python ints; G is Hermitian, so
-    only the terms with j >= i are summed.  One gcd per row then divides
-    out its content: no gcd is taken per term or per entry.
+    the lcm W of theirs, so every term of G (``_pairing``) and of c
+    (``_rhs_terms``) is an integer over one denominator F lcm(F, H) W,
+    summed in Python ints; G is Hermitian, so only the terms with j >= i
+    are summed.  One gcd per row then divides out its content.
     """
     n = len(basis)
     re = [[0] * (n - i + 1) for i in range(n)]
@@ -322,10 +324,8 @@ def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis) -> list:
     den = 1
     if n and f.terms:
         (fa, fb, F), (ga, gb, H) = _gaussian_integers(f), _gaussian_integers(g)
-        gram_exps, gram_blocks = _pairing(f, basis, f, basis)
-        # a zero g pairs with nothing
-        rhs_exps, rhs_blocks = _pairing(f, basis, g, [(0,) * space.d]) if g.terms else (gram_exps[:0], ())
-        ws = [monomial_norm_sq(space, e) for e in np.concatenate((gram_exps, rhs_exps)).tolist()]
+        exps, blocks = _pairing(f, basis)
+        ws = [monomial_norm_sq(space, e) for e in exps.tolist()]
         W = math.lcm(*(w.denominator for w in ws))
         ws = [w.numerator * (W // w.denominator) for w in ws]
         L = math.lcm(F, H)
@@ -335,7 +335,7 @@ def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis) -> list:
         s = L // F
         pr = [(a * c + b * e) * s for a, b in zip(fa, fb) for c, e in zip(fa, fb)]
         pi = [(b * c - a * e) * s for a, b in zip(fa, fb) for c, e in zip(fa, fb)]
-        for j0, _, found, cols, pairs, wk in gram_blocks:
+        for j0, _, found, cols, pairs, wk in blocks:
             keep = found <= cols + j0
             found = found[keep]
             offsets = cols[keep] + j0 - found  # of column j in row i: j - i
@@ -343,16 +343,14 @@ def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis) -> list:
                 w = ws[k]
                 re[i][o] += pr[p] * w
                 im[i][o] += pi[p] * w
-        # c[j] is the conjugate of the one-row pairing: its terms
-        # conj(f_delta) g_eps w are over F H W, scaled by L / H
-        s, ws = L // H, ws[len(gram_exps):]
+        # the terms conj(f_delta) g_eps w of c are over F H W: scaled by L / H
+        s = L // H
         pr = [(a * c + b * e) * s for a, b in zip(fa, fb) for c, e in zip(ga, gb)]
         pi = [(a * e - b * c) * s for a, b in zip(fa, fb) for c, e in zip(ga, gb)]
-        for j0, _, _, cols, pairs, wk in rhs_blocks:
-            for j, p, k in zip((cols + j0).tolist(), pairs.tolist(), wk.tolist()):
-                w = ws[k]
-                re[j][-1] += pr[p] * w
-                im[j][-1] += pi[p] * w
+        for j, p, w in _rhs_terms(space, f, g, basis):
+            w = w.numerator * (W // w.denominator)
+            re[j][-1] += pr[p] * w
+            im[j][-1] += pi[p] * w
     return [_reduced(r, m, den) for r, m in zip(re, im)]
 
 
@@ -450,15 +448,17 @@ def _inexact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> str:
 
 
 def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool) -> GramSystem:
-    """The Gram system of {z^beta f : beta in basis} against g; basis lists
-    exponents with |beta| <= degree in graded order.  Exact, it is the rows
-    of ``_gram_rows``; float, c[i] = <g, z^(beta_i) f> is the conjugate of
-    the one-row pairing <z^(beta_i) f, g>."""
+    """The Gram system of {z^beta f : beta in basis} against g, basis in
+    graded order to degree: the rows of ``_gram_rows`` (exact), or G of
+    ``_gram_matrix`` and c summed from 0 in ``_rhs_terms`` order (float)."""
     if exact:
         data = _gram_rows(space, f, g, basis)
     else:
-        # conj turns +0.0 imaginary parts into -0.0, and + 0.0 turns them back
-        data = _gram_matrix(space, f, basis), _gram_matrix(space, f, basis, g, [(0,) * space.d])[0].conj() + 0.0
+        terms = [a.conjugate() * b for a in map(complex, f.terms.values()) for b in map(complex, g.terms.values())]
+        c = [0j] * len(basis)
+        for j, p, w in _rhs_terms(space, f, g, basis):
+            c[j] += terms[p] * float(w)
+        data = _gram_matrix(space, f, basis), np.array(c, dtype=complex)
     return GramSystem(space=space, f=f, g=g, degree=degree, basis=tuple(basis), data=data,
                       g_norm_sq=norm_sq(space, g), exact=exact)
 

@@ -74,31 +74,16 @@ def sum_squares_compose(f, k: int, d: int) -> SparsePoly:
     return acc
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _central_binomial(j: int) -> int:
-    return math.comb(2 * j, j)
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _sum_sq_term_sum(d: int, n: int) -> int:
-    """sum over |alpha| = n, alpha in N_0^d, of (2 alpha)!/(alpha!)^2.
-
-    Convolution recursion in d: splitting off the last exponent turns the
-    d-variable sum into a convolution of the (d-1)-variable sums with the
-    central binomial coefficients; cost O(d n^2) against O(n^(d-1)) for
-    direct enumeration.
-    """
-    if d == 1:
-        return _central_binomial(n)
-    return sum(_sum_sq_term_sum(d - 1, j) * _central_binomial(n - j) for j in range(n + 1))
-
-
 def sk_coefficient(d: int, n: int) -> Fraction:
     """Exact squared Drury-Arveson norm of the image of lambda^n under the
-    sum-of-squares substitution with k = d slots: (n!)^2/(2n)! * sum_{|alpha|=n} (2 alpha)!/(alpha!)^2."""
+    sum-of-squares substitution with k = d slots, (n!)^2/(2n)! * sum_{|alpha|=n}
+    (2 alpha)!/(alpha!)^2, in closed form: prod_{i<n} (d + 2i)/(2i + 1), the
+    ratio (d/2)_n / (1/2)_n of rising factorials.  The generating function of
+    the sum is (1 - 4x)^(-d/2), whose coefficients are 4^n (d/2)_n / n!, and
+    (2n)! = 4^n n! (1/2)_n."""
     if d < 1 or n < 0:
         raise ValueError("need d >= 1, n >= 0")
-    return Fraction(_sum_sq_term_sum(d, n), _central_binomial(n))
+    return Fraction(math.prod(range(d, d + 2 * n, 2)), math.prod(range(1, 2 * n, 2)))
 
 
 def sk_coefficient_ratios(d: int, max_degree: int) -> list[float]:

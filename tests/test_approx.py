@@ -818,9 +818,9 @@ def _gram_by_dictionary(space, f, basis, exact):
 
 
 def _rhs_by_dictionary(space, f, g, basis, exact):
-    """Oracle: c[i] = <g, z^(beta_i) f> by the per-row dictionary loop that
-    the one-row Gram pairing replaced, summed from 0 in the order of the
-    terms of f."""
+    """Oracle: c[i] = <g, z^(beta_i) f> by a per-row dictionary loop, each
+    entry summed from 0 in the order of the terms of f, the (delta, eps)
+    order in which the library sums the pairs of terms of f and g."""
     cast, weight = path_casts(exact)
     fconj = [(delta, cast(c).conjugate()) for delta, c in f.terms.items()]
     gterms = {b: cast(c) for b, c in g.terms.items()}
@@ -897,6 +897,23 @@ def test_gram_matrix_equals_the_dictionary_loop(space, f, m, monkeypatch):
     if space.is_exact and f.is_exact():
         _assert_gram_rows_equal_oracle(space, f, SparsePoly.one(space.d), 0, [])
     assert approx._gram_matrix(space, SparsePoly.zero(space.d), basis).shape == (len(basis), len(basis))
+
+
+def test_a_gram_system_runs_one_pairing(monkeypatch):
+    # G takes the one pairing of f with itself; c is read off the pairs of
+    # terms of f and g, and a zero g gives c = 0 on both paths
+    space, f, m = GRAM_CASES[1]
+    basis = graded_monomials(space.d, m)
+    calls = []
+    pairing = approx._pairing
+    monkeypatch.setattr(approx, "_pairing", lambda *args: calls.append(args) or pairing(*args))
+    for exact in (True, False):
+        for g in (SparsePoly.one(space.d) + f * f, SparsePoly.zero(space.d)):
+            calls.clear()
+            system = approx._gram_system(space, f, g, m, basis, exact)
+            assert len(calls) == 1
+            if g.is_zero():
+                assert list(system.rhs) == [0] * len(basis)
 
 
 def _past_int64_generator():

@@ -575,30 +575,50 @@ def test_energy_lower_bound_refuses_the_box_grid_before_the_support_grid(monkeyp
 # -- one copy of each check and of monomial evaluation --------------------------
 
 
-def _oracle_pairing_max(measure, f, n_check):
-    """The deg-6 monomial pairing of ``energy_lower_bound``, with the
-    monomials built by hand as they were before ``evaluate_on_points``."""
+def _oracle_pairings(measure, f, n_check):
+    """The deg-6 monomial pairings |integral z^beta f dmu| of
+    ``energy_lower_bound``, beta by beta in graded order, with the monomials
+    built by hand as they were before ``evaluate_on_points``."""
     _, Z = measure.grid(n_check, offset=0.0)
     fvals = evaluate_on_points(f.to_float(), Z)
     wq = (2.0 / n_check) ** measure.m
-    pair_max = 0.0
+    out = []
     for beta in graded_monomials(measure.d, 6):
         mono = np.ones(Z.shape[0], dtype=complex)
         for i, e in enumerate(beta):
             if e:
                 mono *= Z[:, i] ** e
-        pair_max = max(pair_max, abs(complex(np.sum(mono * fvals) * wq)))
-    return pair_max
+        out.append((beta, abs(complex(np.sum(mono * fvals) * wq))))
+    return out
+
+
+PAIRING_CASES = [
+    (SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16}), CubeMeasure.torus(4, 4)),
+    (SparsePoly(4, {(0, 0, 0, 0): 1, (2, 0, 0, 0): -1, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1}),
+     CubeMeasure.sphere_patch(4, 4)),
+]
 
 
 def test_monomial_pairings_equal_the_hand_built_loop():
-    f4 = SparsePoly(4, {(0, 0, 0, 0): 1, (1, 1, 1, 1): -16})
-    sum_sq = SparsePoly(4, {(0, 0, 0, 0): 1, (2, 0, 0, 0): -1, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1})
-    for f, mu in [(f4, CubeMeasure.torus(4, 4)), (sum_sq, CubeMeasure.sphere_patch(4, 4))]:
+    for f, mu in PAIRING_CASES:
         cert = energy_lower_bound(SpaceSpec.drury_arveson(4), f, mu, n_base=6, max_doublings=0)
         got = cert.audit["max_abs_monomial_pairing_deg6"]
-        assert got.hex() == _oracle_pairing_max(mu, f, 8).hex()
+        assert got.hex() == max(v for _, v in _oracle_pairings(mu, f, 8)).hex()
         assert list(cert.audit)[-1] == "max_abs_monomial_pairing_deg6"
+
+
+def test_each_monomial_pairing_equals_the_hand_built_loop(monkeypatch):
+    # the audit keeps only the maximum, so the certificate is built once per
+    # monomial, with the monomial list cut to that one and the energy stubbed
+    # with its real value (computed once per cube): the audit then holds that
+    # monomial's pairing, and each one is pinned to its bits
+    for f, mu in PAIRING_CASES:
+        res = certify.energy(mu, n_base=6, max_doublings=0)
+        monkeypatch.setattr(certify, "energy", lambda *args, **kwargs: res)
+        for beta, want in _oracle_pairings(mu, f, 8):
+            monkeypatch.setattr(certify, "graded_monomials", lambda d, m, beta=beta: [beta])
+            cert = energy_lower_bound(SpaceSpec.drury_arveson(4), f, mu, n_base=6, max_doublings=0)
+            assert cert.audit["max_abs_monomial_pairing_deg6"].hex() == want.hex(), beta
 
 
 def test_functional_norm_refuses_orders_it_cannot_bound():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -109,6 +111,31 @@ def test_sk_coefficient_matches_enumeration():
     for d in (1, 2, 3, 4):
         for n in range(0, 7):
             assert sk_coefficient(d, n) == _sk_enumeration_oracle(d, n), (d, n)
+
+
+@lru_cache(maxsize=None)
+def _sum_sq_term_sum_oracle(d, n):
+    """sum over |alpha| = n, alpha in N_0^d, of (2 alpha)!/(alpha!)^2, by the
+    convolution recursion in d that the closed form replaced: splitting off
+    the last exponent convolves the (d-1)-variable sums with the central
+    binomial coefficients."""
+    if d == 1:
+        return math.comb(2 * n, n)
+    return sum(_sum_sq_term_sum_oracle(d - 1, j) * math.comb(2 * (n - j), n - j) for j in range(n + 1))
+
+
+def test_sk_coefficient_closed_form_equals_the_recursion():
+    for d in range(1, 11):
+        for n in range(90):
+            assert sk_coefficient(d, n) == Fraction(_sum_sq_term_sum_oracle(d, n), math.comb(2 * n, n)), (d, n)
+
+
+def test_sk_coefficient_is_fast_at_high_degree():
+    # the recursion's O(d n^2) big-int products take seconds at this degree;
+    # the closed form is two products of n integers
+    t0 = time.perf_counter()
+    assert sk_coefficient(4, 2000) == 2001 * sk_coefficient(2, 2000)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_sk_coefficient_anchors():

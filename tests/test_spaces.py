@@ -298,7 +298,7 @@ if HAVE_HYPOTHESIS:
 
 def test_weight_caches_are_bounded():
     caches = [spaces._weight, spaces._sphere_factor, spaces._monomial_norm_sq, certify._falling_sq_in_shifted_basis,
-              embeddings.tkd_monomial_norm_sq, embeddings._central_binomial, embeddings._sum_sq_term_sum]
+              embeddings.tkd_monomial_norm_sq]
     assert all(c.cache_info().maxsize == spaces.CACHE_MAXSIZE for c in caches)
     # every quadrature space is a new cache key that holds its own arrays;
     # more (space, degree) keys than the cache keeps must evict, not pile up
