@@ -54,7 +54,8 @@ BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; bounds time only, as the
 BOX_LEAF_POINTS = 1 << 14  # box-integral points summed at a time: 128 kB per float64 array
 NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
-LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time: about 3 MB of scratch on the torus
+LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time
+LATTICE_CHART_ROWS = 1 << 11  # points of a chunk the chart takes at a time: about 2 MB of scratch on the torus
 CHORD_GRID_NODES = 12  # nodes per axis, at most, of the reverse-Lipschitz grid
 
 
@@ -500,20 +501,23 @@ def _lattice_inner(measure: CubeMeasure, n: int):
 
     Each chunk indexes two per-axis tables of length 2n - 1 with its
     points' digits: the parameters (u_j - 1/2) h and the counts n - |u_j|.
-    The counts are integers, so their product is exact in any order."""
+    The counts are integers, so their product is exact in any order.  The
+    chart takes the chunk LATTICE_CHART_ROWS points at a time, never one
+    point alone: a one-row product may go to another BLAS routine."""
     h = 2.0 / n
     m = measure.m
     u = np.arange(1 - n, n, dtype=float)
     axis_param, axis_count = (u - 0.5) * h, n - np.abs(u)
     count = (2 * n - 1) ** m
-    z0 = measure.points(np.zeros((1, m)))[0]
+    z0c = measure.points(np.zeros((1, m)))[0].conj()
     for start in range(0, count, LATTICE_CHUNK):
         digits = np.unravel_index(np.arange(start, min(start + LATTICE_CHUNK, count)), (2 * n - 1,) * m)
         T, weights = np.empty((len(digits[0]), m)), np.ones(len(digits[0]))
         for j, d in enumerate(digits):
             T[:, j] = axis_param[d]
             weights *= axis_count[d]
-        yield weights, measure.points(T) @ z0.conj()
+        blocks = np.split(T, range(LATTICE_CHART_ROWS, len(T) - 1, LATTICE_CHART_ROWS))
+        yield weights, np.concatenate([measure.points(t) @ z0c for t in blocks])
 
 
 def _lattice_sum(measure: CubeMeasure, n: int) -> float:
@@ -529,6 +533,7 @@ def _lattice_sum(measure: CubeMeasure, n: int) -> float:
                      for weights, inner in _lattice_inner(measure, n))
 
 
+@kernels.blas_on_calling_thread()
 def _probe_shift_invariance(measure: CubeMeasure) -> bool:
     """Whether <phi(t), phi(s)> = <phi(t - s), phi(0)> to LATTICE_CHECK_TOL on
     every pair of the two offset midpoint grids with n = SHIFT_PROBE_NODES
@@ -544,10 +549,10 @@ def _probe_shift_invariance(measure: CubeMeasure) -> bool:
 
     Memory: the 16 * 7^m bytes of differences, the two grids (8 (m + 2d)
     4^m bytes with their parameters), one block of about 1 MB and the
-    scratch of one ``_lattice_inner`` chunk, which phi sets (about 3 MB for
+    scratch of one ``_lattice_inner`` chunk, which phi sets (about 2 MB for
     the torus on a full chunk, as in ``_lattice_sum``).  ``tracemalloc``
-    reads peaks of 0.25 MB at m = 3, 1.0 MB at m = 4 and 4.1 MB at m = 5 on
-    the torus.
+    reads peaks of 0.25 MB at m = 3, 1.0 MB at m = 4 and 2.3 MB at m = 5 on
+    the torus.  numpy's BLAS runs on the calling thread, as in ``energy``.
     """
     n, m = SHIFT_PROBE_NODES, measure.m
     if n ** (2 * m) > SHIFT_PROBE_PAIRS:
@@ -615,6 +620,7 @@ def _check_energy_budget(measure: CubeMeasure, n_base: int, max_doublings: int) 
     _check_box_grid(measure.m, BOX_GRID_BASE)
 
 
+@kernels.blas_on_calling_thread()
 def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2) -> EnergyResult:
     """Quadrature value and analytic upper bound for E(mu).
 
@@ -627,6 +633,13 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2) -> Ene
     on the base grid.  Every level, the base-grid check and the chord-ratio
     grid are held to ENERGY_PAIR_BUDGET kernel evaluations: past it,
     ValueError before any quadrature.
+
+    The chord-ratio scan holds one block of kernels.CHORD_ROWS = 16 rows of
+    the pair grid at a time: 16 x n_c^m pairs at n_c = min(n, 12) nodes per
+    axis, a traced peak of 0.92 MB at 12 nodes per axis on an m = 3 cube.
+    numpy's BLAS runs on the calling thread for the whole call
+    (``kernels.blas_on_calling_thread``); the bits are those of any other
+    thread count.
     """
     _check_energy_budget(measure, n_base, max_doublings)
     m = measure.m

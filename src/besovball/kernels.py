@@ -20,6 +20,26 @@ worker, whatever the number of pairs.  Each chunk sums its tiles in a fixed
 order, and ``math.fsum`` sums the chunk totals in chunk order, so the result
 does not depend on the number of workers, bit for bit.
 
+Inside ``blas_on_calling_thread`` numpy's own OpenBLAS runs on the calling
+thread.  ``certify.energy`` and the shift probe enter it, since their
+complex products (the lattice sum's points @ conj(phi(0)), the chord
+scan's block @ W*, a chart's own @ U) each wake an OpenBLAS helper thread,
+which then spins idle on a CPU for about 50 ms.  On a 2-CPU x86_64 machine
+the energy certificate of the rotated torus took 0.18 s with the helper
+and 0.11 s without it (medians of ten benchmark runs).  The real tile
+products of the pair sum do not wake it.  The bits stay: OpenBLAS splits
+gemm and gemv work by output element, so each element is formed the same
+way on any number of threads.  scipy's LAPACK is a separate OpenBLAS and
+is left alone, because its thread count does move bits: the float
+Cholesky of a 201-unknown profile factors differently on one thread.
+
+``min_chord_ratio`` scans CHORD_ROWS rows at a time, and only one block's
+temporaries are alive at once: at 12 nodes per axis on an m = 3 cube
+(1728 x 1728 pairs) that is the block's complex product (0.44 MB) while its
+squared chords form, then its three real (16, 1728) arrays, a traced peak
+of 0.92 MB.  Blocks of 64 rows peaked at 2.9 MB and took twice as long
+(52 ms against 23 ms for the scan, on a 2-CPU x86_64 machine).
+
 Shift-invariant cubes (the torus, and a cube from ``from_callable`` whose
 probe finds the lattice, such as a unitary turn of the torus) never reach
 ``energy_pair_sum`` at full size: ``certify.energy`` sums them over the
@@ -29,16 +49,34 @@ check that sum.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 TILE_ROWS = 16
 TILE_COLS = 4096  # two float64 tiles of 16 x 4096: 1 MB of scratch per worker
 CHUNK_ROWS = 512  # rows per unit of work handed to a worker
-CHORD_ROWS = 64  # rows per block of the chord-ratio scan: its temporaries stay in cache
+CHORD_ROWS = 16  # rows per block of the chord-ratio scan: its temporaries stay in cache
+
+
+# (get, set) symbol pairs of the thread count, by OpenBLAS build: numpy's
+# ILP64 wheels prefix and suffix them, other builds do not
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
+_blas_depth = 0  # blocks of blas_on_calling_thread open in the process
+_blas_saved = None  # the thread count to restore when the last one closes
 
 
 def backend() -> str:
@@ -51,6 +89,47 @@ def _workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def _numpy_openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy's
+    wheel, looked up on first use; None for a numpy built on another BLAS."""
+    root = Path(np.__file__).resolve().parent
+    for libdir in (root.parent / "numpy.libs", root / ".dylibs"):
+        for lib in sorted(libdir.glob("*openblas*")) if libdir.is_dir() else ():
+            handle = ctypes.CDLL(str(lib))  # the copy numpy already loaded
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+                if get is not None and set_ is not None:
+                    get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextmanager
+def blas_on_calling_thread():
+    """numpy's OpenBLAS at one thread inside the block, the previous count
+    restored when the last open block exits (exceptions included); a no-op
+    where numpy's OpenBLAS is not found.  Also a decorator.
+
+    Nested and concurrent blocks share one saved count under a lock.  The
+    setting is process-wide, so it also holds for the pair sum's workers.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        lib = _numpy_openblas()
+        if lib is not None and _blas_depth == 0:
+            _blas_saved = lib[0]()
+            lib[1](1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if lib is not None and _blas_depth == 0:
+                lib[1](_blas_saved)
 
 
 def energy_pair_sum(Z: np.ndarray, W: np.ndarray) -> float:
@@ -112,21 +191,22 @@ def min_chord_ratio(Z: np.ndarray, W: np.ndarray, T: np.ndarray, S: np.ndarray) 
     Wc = W.conj().T
     best = math.inf
     for start in range(0, Z.shape[0], CHORD_ROWS):
-        zb = Z[start : start + CHORD_ROWS]
-        tb = T[start : start + CHORD_ROWS]
-        nz2 = np.sum(np.abs(zb) ** 2, axis=1)
-        nt2 = np.sum(tb**2, axis=1)
-        # the per-pair expressions of (nz2 + nw2) - 2 Re<z, w>, formed in place
-        g = (zb @ Wc).real
-        g *= 2.0
-        chord2 = np.add.outer(nz2, nw2)
-        chord2 -= g
-        tp = tb @ S.T
-        tp *= 2.0
-        param2 = np.add.outer(nt2, ns2)
-        param2 -= tp
+        rows = slice(start, start + CHORD_ROWS)
+        chord2 = _sq_gaps(Z[rows] @ Wc, Z[rows], nw2)  # the complex product dies here
+        param2 = _sq_gaps(T[rows] @ S.T, T[rows], ns2)
         np.maximum(chord2, 0.0, out=chord2)
         np.maximum(param2, 1e-300, out=param2)
         chord2 /= param2
         best = float(np.minimum(best, chord2.min()))  # a nan block stays nan, where min() would drop it
+        del chord2, param2  # before the next block's product
     return math.sqrt(best)
+
+
+def _sq_gaps(prod: np.ndarray, rows: np.ndarray, col_norms2: np.ndarray) -> np.ndarray:
+    """(|x|^2 + |y|^2) - 2 Re<x, y> per pair of a row x and a column y, from
+    prod = rows @ (columns)*, whose real part is doubled in place."""
+    g = prod.real
+    g *= 2.0
+    gaps = np.add.outer(np.sum(np.abs(rows) ** 2, axis=1), col_norms2)
+    gaps -= g
+    return gaps

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besovball import certify
+from besovball import certify, kernels
 from besovball.certify import (
     Certificate,
     CubeMeasure,
@@ -270,6 +270,37 @@ def test_lattice_sum_in_chunks_matches_pair_sum(monkeypatch):
     assert _lattice_sum(mu, 8) == pytest.approx(_pair_sum(mu, 8), rel=1e-12)
 
 
+def _householder_turn(cube: CubeMeasure):
+    """The cube after the reflection I - v v^T / 15, v = (1, 2, 3, 4), with
+    the complex (n, 4) @ (4, 4) product in its own chart."""
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    U = np.eye(4) - np.outer(v, v) / 15.0
+    return lambda T: cube.phi(T) @ U
+
+
+def test_lattice_chart_blocks_keep_the_bits_and_never_take_one_row(monkeypatch):
+    # 15^3 = 3375 points in chunks of 1000 and chart blocks of 333: a chunk
+    # of 1000 ends in a block of 334, not in one of 333 and a lone row
+    torus = CubeMeasure.torus(4, 4)
+    turned = _householder_turn(torus)
+    whole = _lattice_sum(CubeMeasure.from_callable(3, 4, turned), 8)
+    rows = []
+
+    def phi(T):
+        rows.append(len(T))
+        return turned(T)
+
+    mu = CubeMeasure.from_callable(3, 4, phi)
+    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1000)
+    monkeypatch.setattr(certify, "LATTICE_CHART_ROWS", 333)
+    rows.clear()
+    chunked = _lattice_sum(mu, 8)
+    assert rows == [1] + [333, 333, 334] * 3 + [333, 42]  # phi(0), then the blocks
+    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1 << 14)
+    assert _lattice_sum(mu, 8) == whole
+    assert chunked == pytest.approx(whole, rel=1e-14)
+
+
 def test_lattice_sum_memory_is_bounded():
     # 31^4 = 923521 difference points; held at once they took about 200 MB
     mu = CubeMeasure.torus(5, 5)
@@ -404,6 +435,66 @@ def test_shift_probe_memory_is_bounded():
     assert peak < 10e6
     # past SHIFT_PROBE_PAIRS (m = 6) the cube is left unprobed
     assert not CubeMeasure.from_callable(6, 7, CubeMeasure.torus(7, 7).phi).shift_invariant
+
+
+@pytest.fixture
+def numpy_blas():
+    """(get, set) of numpy's OpenBLAS thread count, set to 2 for the test and
+    put back after it; skips where numpy brings no OpenBLAS of its own."""
+    lib = kernels._numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, set_ = lib
+    before = get()
+    set_(2)
+    try:
+        yield get, set_
+    finally:
+        set_(before)
+
+
+def test_energy_runs_numpy_blas_on_the_calling_thread(numpy_blas):
+    get, _ = numpy_blas
+    seen, fail = [], []
+
+    def phi(T):
+        seen.append(get())
+        if fail:
+            raise RuntimeError("chart failed")
+        return turned(T)
+
+    turned = _householder_turn(CubeMeasure.torus(4, 4))
+    mu = CubeMeasure.from_callable(3, 4, phi)  # the shift probe reads it too
+    assert mu.shift_invariant and seen and set(seen) == {1}
+    assert get() == 2
+    seen.clear()
+    energy(mu, n_base=8, max_doublings=0)
+    assert seen and set(seen) == {1}
+    assert get() == 2
+    fail.append(True)
+    with pytest.raises(RuntimeError, match="chart failed"):
+        energy(mu, n_base=8, max_doublings=0)
+    assert get() == 2
+
+
+def test_energy_bits_do_not_depend_on_the_blas_scope(numpy_blas, monkeypatch):
+    # OpenBLAS splits its products by output element, so each element is
+    # formed the same way on one thread as on two
+    get, _ = numpy_blas
+    seen = []
+    torus = CubeMeasure.torus(4, 4)
+    turned = _householder_turn(torus)
+
+    def phi(T):
+        seen.append(get())
+        return turned(T)
+
+    cubes = [torus, CubeMeasure.from_callable(3, 4, phi)]
+    scoped = [energy(mu) for mu in cubes]
+    seen.clear()
+    monkeypatch.setattr(kernels, "_numpy_openblas", lambda: (get, lambda n: None))  # the setter stubbed
+    assert [energy(mu) for mu in cubes] == scoped
+    assert seen and set(seen) == {2}
 
 
 def test_energy_grid_budget(monkeypatch):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from besovball import certify
+from besovball import certify, kernels
 from besovball.kernels import CHUNK_ROWS, TILE_COLS, TILE_ROWS, energy_pair_sum, min_chord_ratio
 
 
@@ -111,3 +112,57 @@ def test_min_chord_ratio_is_frozen_on_the_certificate_cubes(name, frozen):
     got = min_chord_ratio(Z1, Z2, T1, T2)
     assert got == _chord_ratio_512_rows(Z1, Z2, T1, T2)
     assert got == frozen
+
+
+def test_min_chord_ratio_scratch_is_one_block():
+    # one 16-row block's temporaries at a time, 0.92 MB; 6.3 MB when each
+    # 64-row block's complex product outlived it into the next block
+    torus = certify.CubeMeasure.torus(4, 4)
+    T1, Z1 = torus.grid(12, offset=0.0)
+    T2, Z2 = torus.grid(12, offset=0.5)
+    tracemalloc.start()
+    try:
+        c = min_chord_ratio(Z1, Z2, T1, T2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert c == 0.1719090952697469
+
+
+def test_blas_scope_nests_and_restores_the_count():
+    lib = kernels._numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, set_ = lib
+    before = get()
+    set_(2)
+    try:
+        with kernels.blas_on_calling_thread():
+            with kernels.blas_on_calling_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        # two blocks that close out of order, as on two threads: the count
+        # comes back when the last one closes
+        a, b = kernels.blas_on_calling_thread(), kernels.blas_on_calling_thread()
+        a.__enter__()
+        b.__enter__()
+        a.__exit__(None, None, None)
+        assert get() == 1
+        b.__exit__(None, None, None)
+        assert get() == 2
+        with pytest.raises(ZeroDivisionError):
+            with kernels.blas_on_calling_thread():
+                1 / 0
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_blas_scope_without_the_library_does_nothing(monkeypatch):
+    monkeypatch.setattr(kernels, "_numpy_openblas", lambda: None)
+    with kernels.blas_on_calling_thread():
+        # <z_i, w_j> is 1/2 on the diagonal and 0 off it: 2 * 2 + 2 * 1
+        assert energy_pair_sum(np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)) == 6.0
+    assert kernels._blas_depth == 0
