@@ -97,7 +97,7 @@ def _numpy_openblas():
     wheel, looked up on first use; None for a numpy built on another BLAS."""
     root = Path(np.__file__).resolve().parent
     for libdir in (root.parent / "numpy.libs", root / ".dylibs"):
-        for lib in sorted(libdir.glob("*openblas*")) if libdir.is_dir() else ():
+        for lib in sorted(libdir.glob("*openblas*")):
             handle = ctypes.CDLL(str(lib))  # the copy numpy already loaded
             for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
                 get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)

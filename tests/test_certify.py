@@ -456,6 +456,7 @@ def numpy_blas():
 def test_energy_runs_numpy_blas_on_the_calling_thread(numpy_blas):
     get, _ = numpy_blas
     seen, fail = [], []
+    turned = _householder_turn(CubeMeasure.torus(4, 4))
 
     def phi(T):
         seen.append(get())
@@ -463,7 +464,6 @@ def test_energy_runs_numpy_blas_on_the_calling_thread(numpy_blas):
             raise RuntimeError("chart failed")
         return turned(T)
 
-    turned = _householder_turn(CubeMeasure.torus(4, 4))
     mu = CubeMeasure.from_callable(3, 4, phi)  # the shift probe reads it too
     assert mu.shift_invariant and seen and set(seen) == {1}
     assert get() == 2
