@@ -16,8 +16,8 @@ an exponent of g for some exponent delta of f.  So G is block diagonal over
 the connected components of that difference graph, and only the components
 that meet the right-hand side carry a nonzero solution.  ``_reachable``
 walks those components from the exponents alone, and ``_system`` builds
-every Gram system that is solved over them alone: ``distance_profile``
-factors it, and ``assemble_gram`` returns it for ``optimal_approximant``.
+the Gram system over them alone: ``distance_profile`` factors it, and
+``assemble_gram`` returns it for ``optimal_approximant``.
 Both are exact: the dropped unknowns are 0 in the full solution, so a
 result lists only the reachable basis and its coefficients.  Only
 ``finite_section_mult_bound`` builds the full basis.  Both builders refuse
@@ -41,19 +41,19 @@ with one gcd per row, so G and c read back from the rows are ``==`` to the
 loops' rationals.  ``_reachable`` deduplicates and sorts its walk on the
 same codes.
 
-Each call factors its top block once, on one of two paths: exact LDL* or
-Jacobi-prescaled float Cholesky, with L y = c in the same pass.
-``_solve_path`` decides the path, once per call, and the block is factored
-as it is stored: a float solve of exact inputs factors the float assembly
-of ``_gram_matrix``, never a conversion of exact entries, so
-``optimal_approximant`` and a ``distance_profile`` to the same degree
-factor the same float block and agree bit for bit.  The exact
-LDL* eliminates those rows as Gaussian integers over one denominator per
-row, divides out a row's content once per update rather than normalising
-each rational entry, and skips the rows a pivot does not reach; LDL* is
-unique, so its D, y and solution are the rational ones.  A leading block
-is factored from the rows of the whole, cut at its last column and reduced
-again (``_leading_rows``).
+Each call factors one whole system once, on one of two paths: exact LDL*
+or Jacobi-prescaled float Cholesky, with L y = c in the same pass.
+``_solve_path`` decides the path, once per call, and one rule picks the
+system: the stored one when it is the block to solve and is stored on that
+path, else that block assembled on that path by ``_gram_system``.  So a
+float solve of exact inputs factors the float assembly of ``_gram_matrix``,
+never a conversion of exact entries, and ``optimal_approximant`` and a
+``distance_profile`` to the same degree factor the same float block and
+agree bit for bit.  The exact LDL* eliminates the rows of ``_gram_rows`` as
+Gaussian integers over one denominator per row, divides out a row's
+content once per update rather than normalising each rational entry, and
+skips the rows a pivot does not reach; LDL* is unique, so its D, y and
+solution are the rational ones.
 ``auto`` takes the exact path when the inputs are exact and the *reachable*
 block has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse
 generators come out exact at degrees whose full basis is far larger;
@@ -559,16 +559,6 @@ def _ldl_exact(rows):
     return U, y, D, gains
 
 
-def _leading_rows(rows: list, k: int) -> list:
-    """The rows of the leading k-block of [G | c] from those of the whole
-    (``_gram_rows``): each row's columns from k on are dropped, and its
-    content is divided out again, so it is the row ``_gram_rows`` builds for
-    that block."""
-    if k == len(rows):
-        return rows
-    return [_reduced(re[:k - i] + re[-1:], im[:k - i] + im[-1:], den) for i, (re, im, den) in enumerate(rows[:k])]
-
-
 def _chol_float(G: np.ndarray, c: np.ndarray):
     """Jacobi-prescaled Cholesky S G S = L L* and the forward solve L y = S c
     on the longest leading block that factors in float: (L, y, pivots, gains,
@@ -590,37 +580,34 @@ def _chol_float(G: np.ndarray, c: np.ndarray):
     return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
 
 
-def _solve_path(method: str, space: SpaceSpec, f: SparsePoly, g: SparsePoly, size: int,
-                stored_exact: bool = True) -> str:
+def _solve_path(method: str, space: SpaceSpec, f: SparsePoly, g: SparsePoly, size: int) -> str:
     """"exact" or "float", the path a block of size unknowns of the Gram
-    system of f against g is factored on, when the system is stored exact
-    (stored_exact) or in float; "auto" takes the exact path for an exact
-    system of at most AUTO_EXACT_LIMIT unknowns.  ValueError for an unknown
-    method, and for "exact" on a system that holds floats, naming them."""
+    system of f against g is factored on; "auto" takes the exact path for
+    exact inputs and at most AUTO_EXACT_LIMIT unknowns.  ValueError for an
+    unknown method, and for "exact" on inputs that hold floats, naming them."""
     if method not in ("auto", "exact", "float"):
         raise ValueError(f"method must be 'auto', 'exact' or 'float', not {method!r}")
     inexact = _inexact_inputs(space, f, g)
-    if method == "exact" and (inexact or not stored_exact):
-        raise ValueError(f"exact solve requested, but {inexact} are floats" if inexact else
-                         "exact solve requested on a Gram system assembled in float")
-    exact = not inexact and stored_exact and (method == "exact" or (method == "auto" and size <= AUTO_EXACT_LIMIT))
+    if method == "exact" and inexact:
+        raise ValueError(f"exact solve requested, but {inexact} are floats")
+    exact = not inexact and (method == "exact" or (method == "auto" and size <= AUTO_EXACT_LIMIT))
     return "exact" if exact else "float"
 
 
 class _Factored:
-    """The leading n-block G a = c of a Gram system, factored once on the
-    path of its storage: exact LDL* of its rows, or float Cholesky of its
-    complex arrays.  A leading k-block of that is factored by the leading k
-    x k part of the factor (L, or U = D L* on the exact path), so has
-    pivots[:k] and projection c_k* a_k = sum(gains[:k])."""
+    """A Gram system G a = c, factored whole and once on the path of its
+    storage: exact LDL* of its rows, or float Cholesky of its complex
+    arrays.  A leading k-block of it is factored by the leading k x k part
+    of the factor (L, or U = D L* on the exact path), so has pivots[:k] and
+    projection c_k* a_k = sum(gains[:k])."""
 
-    def __init__(self, system: GramSystem, n: int):
+    def __init__(self, system: GramSystem):
         if system.exact:
             self.method, self.g_norm_sq = "exact", system.g_norm_sq
-            self.U, self.y, self.pivots, self.gains = _ldl_exact(_leading_rows(system.data, n))
+            self.U, self.y, self.pivots, self.gains = _ldl_exact(system.data)
         else:
             (G, c), self.method, self.g_norm_sq = system.data, "float", float(system.g_norm_sq)
-            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G[:n], c[:n])
+            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c)
 
     def block(self, k: int, m: int):
         """(dist_sq, min_pivot, max_pivot) of the leading k-block, the system
@@ -677,24 +664,25 @@ def optimal_approximant(system: GramSystem, degree: int | None = None, method: s
     """Best approximation of g from {p f : deg p <= degree} (degree defaults
     to the system degree).
 
-    The leading block of the system to that degree is factored, so the
-    pivots are those of a profile to that degree; ``basis`` and
-    ``coefficients`` are those of the degree prefix of the system's
-    reachable basis (see ApproximantResult), and every other coefficient of
-    the full basis is 0.  A float solve of an exact system factors the
-    float assembly of that block, the one ``distance_profile`` factors, so
-    at the system degree the two agree bit for bit.  ArithmeticError when
-    the float path refuses the block; ValueError for method="exact" on a
-    system that holds floats.
+    The block to solve is the degree prefix of the system's reachable basis
+    (see ApproximantResult), on the path ``_solve_path`` picks for its size.
+    The stored system is factored when it is that block on that path; any
+    other block is assembled on that path by ``_gram_system`` and factored.
+    So the pivots are those a profile to the system degree reads at that
+    degree, and a float solve of an exact system factors the float assembly
+    ``distance_profile`` factors: at the system degree the two agree bit for
+    bit.  Every coefficient of the full basis off the prefix is 0.
+    ArithmeticError when the float path refuses the block; ValueError for
+    method="exact" on inputs that hold floats.
     """
     m = system.degree if degree is None else _degree(degree)
     if m > system.degree:
         raise ValueError("requested degree exceeds the assembled system")
     k = system.block_sizes()[m]
-    exact = _solve_path(method, system.space, system.f, system.g, k, system.exact) == "exact"
-    if exact != system.exact:
-        system = _gram_system(system.space, system.f, system.g, m, system.basis[:k], False)
-    top = _Factored(system, k)
+    exact = _solve_path(method, system.space, system.f, system.g, k) == "exact"
+    if k < len(system.basis) or exact != system.exact:
+        system = _gram_system(system.space, system.f, system.g, m, system.basis[:k], exact)
+    top = _Factored(system)
     dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
         degree=m, basis=system.basis[:k], coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
@@ -731,7 +719,7 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     system = _system(space, f, g, degrees[-1], method)
     sizes = system.block_sizes()
     t0 = time.perf_counter()
-    factored = _Factored(system, len(system.basis))
+    factored = _Factored(system)
     out = []
     for m in degrees:
         dist_sq, min_pivot, _ = factored.block(sizes[m], m)

@@ -46,16 +46,16 @@ def _load_poly(arg: str) -> SparsePoly:
 
 
 def _parse_degrees(arg: str) -> list[int]:
+    """A comma list of degrees, or lo:hi[:step], hi inclusive, step >= 1."""
     s = arg.strip()
     if ":" in s:
         parts = [int(x) for x in s.split(":")]
-        if len(parts) == 2:
-            lo, hi = parts
-            return list(range(lo, hi + 1))
-        if len(parts) == 3:
-            lo, hi, step = parts
-            return list(range(lo, hi + 1, step))
-        raise ValueError(f"bad degree range {arg!r}")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"bad degree range {arg!r}")
+        lo, hi, step = (parts + [1])[:3]
+        if step < 1:
+            raise ValueError(f"the step of --degrees {arg!r} must be >= 1")
+        return list(range(lo, hi + 1, step))
     return [int(x) for x in s.split(",") if x.strip()]
 
 
@@ -190,7 +190,7 @@ def _cmd_approx(args) -> int:
     if args.json_out:
         payload = {
             "degree": res.degree,
-            "dist_sq": float(complex(res.dist_sq).real) if not isinstance(res.dist_sq, float) else res.dist_sq,
+            "dist_sq": float(res.dist_sq),
             "approximant": poly_to_literal(res.polynomial(space.d)),
             "conditioning": {
                 "path": res.conditioning.path,

@@ -156,16 +156,16 @@ def run_step(spec: ExperimentSpec) -> list[ProfilePoint] | Certificate:
 
 
 def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> ExperimentReport:
-    """Run one experiment (or a registered builtin by name) into out_dir.
+    """Run one experiment, a spec, its JSON object or the name of a
+    registered builtin, into out_dir; ValueError for an unknown name.
 
     A bundle runs its steps in order.  ``threads`` is accepted and ignored;
     it is kept so that existing callers passing it still work.
     """
     if isinstance(spec, str):
-        if spec in BUILTIN_EXPERIMENTS:
-            spec = BUILTIN_EXPERIMENTS[spec]()
-        else:
-            spec = ExperimentSpec.from_json(spec)
+        if spec not in BUILTIN_EXPERIMENTS:
+            raise ValueError(f"unknown experiment {spec!r}; known: {sorted(BUILTIN_EXPERIMENTS)}")
+        spec = BUILTIN_EXPERIMENTS[spec]()
     elif isinstance(spec, dict):
         spec = ExperimentSpec.from_json(spec)
     out_dir = Path(out_dir)
@@ -499,4 +499,4 @@ def verify_lemma(name: str, params: dict | None = None) -> LemmaReport:
     """Run a registered quantitative lemma check by name."""
     if name not in LEMMA_CHECKS:
         raise ValueError(f"unknown lemma check {name!r}; known: {sorted(LEMMA_CHECKS)}")
-    return LEMMA_CHECKS[name](json_object(params or {}, f"the params of {name}"))
+    return LEMMA_CHECKS[name](json_object({} if params is None else params, f"the params of {name}"))

@@ -353,7 +353,10 @@ def json_object(obj, what: str) -> dict:
     """obj, parsed first if it is a string, as a JSON object: ValueError
     naming what unless it is one, or when a key read from it is missing."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} must be a JSON object, got {obj!r} ({exc})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {obj!r}")
     return _JsonObject(obj, what)

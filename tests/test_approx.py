@@ -346,7 +346,7 @@ def test_float_path_holds_on_brutal_conditioning():
     # float distance must be nonnegative and agree with the exact one
     sp = SpaceSpec.alpha_scale(1, -24)
     sysm = approx._system(sp, ONE_MINUS_Z, SparsePoly.one(1), 12, "float")
-    res = optimal_approximant(sysm, method="auto")
+    res = optimal_approximant(sysm, method="float")
     assert res.dist_sq >= 0.0
     exact = optimal_approximant(
         assemble_gram(sp, ONE_MINUS_Z, SparsePoly.one(1), 12), method="exact"
@@ -371,24 +371,31 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     # so dist^2 = 1 on the whole block; H is indefinite once rounded: its
     # Cholesky fails at degree 13 and its scaled pivots collapse at degree
     # 12, so both blocks are refused, while degrees 0..11 keep their float
-    # values
+    # values.  Every block assembled for this system, approximant or
+    # profile, is the leading block of H of its size
     base = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, "float")
     H = scipy.linalg.hilbert(14).astype(complex)
     ones = np.ones(14)
-    system = dataclasses.replace(base, data=(H, H @ ones), g_norm_sq=float(ones @ H.real @ ones) + 1.0)
+
+    def hilbert_block(space, f, g, degree, basis, exact):
+        k = len(basis)
+        return dataclasses.replace(base, degree=degree, basis=tuple(basis), data=(H[:k, :k], (H @ ones)[:k]),
+                                   g_norm_sq=float(ones @ H.real @ ones) + 1.0)
+
+    monkeypatch.setattr(approx, "_gram_system", hilbert_block)
+    system = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, "float")
     with pytest.raises(ArithmeticError, match=r'degree 13 \(14 unknowns\) factors only 13 of them; use method="exact"'):
-        optimal_approximant(system, degree=13)
+        optimal_approximant(system, degree=13, method="float")
     with pytest.raises(ArithmeticError, match=r'degree 12 \(13 unknowns\) factors them, but .* use method="exact"'):
-        optimal_approximant(system, degree=12)
-    res = optimal_approximant(system, degree=11)
+        optimal_approximant(system, degree=12, method="float")
+    res = optimal_approximant(system, degree=11, method="float")
     assert (res.conditioning.path, res.dist_sq) == ("float", float.fromhex("0x1.ffffffffff660p-1"))
-    monkeypatch.setattr(approx, "_gram_system", lambda *args, **kwargs: system)
     pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(12), method="float")
     assert [p.path for p in pts] == ["float"] * 12
-    assert pts[-1].dist_sq == float.fromhex("0x1.0000000000460p+0")
+    assert pts[-1].dist_sq == res.dist_sq  # the same 12 x 12 block
     tol = 1e-12 * system.g_norm_sq
     for p in pts:
-        assert p.dist_sq == pytest.approx(optimal_approximant(system, degree=p.m).dist_sq, abs=tol)
+        assert p.dist_sq == pytest.approx(optimal_approximant(system, degree=p.m, method="float").dist_sq, abs=tol)
     for top_degree in (12, 13):
         with pytest.raises(ArithmeticError, match=r"degree 12 \(13 unknowns\)"):
             distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
@@ -548,7 +555,7 @@ def test_float_path_refuses_subnormal_weights():
 
 def test_exact_results_survive_pickle_and_deepcopy():
     res = optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), 4), method="exact")
-    flt = optimal_approximant(approx._system(DA2, F22, SparsePoly.one(2), 4, "float"))
+    flt = optimal_approximant(approx._system(DA2, F22, SparsePoly.one(2), 4, "float"), method="float")
     assert res.exact and any(res.coefficients) and not flt.exact
     for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
         again = clone(res)
@@ -657,25 +664,50 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_da4_system():
     _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
 
 
-@pytest.mark.parametrize("space, f, g, m", [
-    (DA4, F4, SparsePoly.one(4), 400),
+def _bits(res):
+    """An ApproximantResult with its floats as their bytes, so that == on it
+    is bit for bit."""
+    if res.exact:
+        return res
+    return dataclasses.replace(res, dist_sq=res.dist_sq.hex(),
+                               coefficients=np.asarray(res.coefficients, dtype=complex).tobytes())
+
+
+_DA2_F = SparsePoly(2, {(0, 0): 1, (2, 1): Fraction(-3, 2), (1, 0): ComplexRational(1, -2)})
+_DA2_G = SparsePoly(2, {(0, 0): ComplexRational(Fraction(2, 3), 5), (1, 1): Fraction(1, 7)})
+
+
+@pytest.mark.parametrize("space, f, g, top", [
+    (DA4, F4, SparsePoly.one(4), 120),
     (SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12, SparsePoly.one(1), 30),
-    (DA2, SparsePoly(2, {(0, 0): 1, (2, 1): Fraction(-3, 2), (1, 0): ComplexRational(1, -2)}),
-     SparsePoly(2, {(0, 0): ComplexRational(Fraction(2, 3), 5), (1, 1): Fraction(1, 7)}), 5),
+    (DA2, _DA2_F, _DA2_G, 5),
+    (DA2, _DA2_F.to_float(), _DA2_G, 5),
+    (SpaceSpec.alpha_scale(2, 0.5), _DA2_F, _DA2_G.to_float(), 5),
 ])
-def test_leading_rows_are_the_rows_of_the_leading_block(space, f, g, m):
-    # a leading k-block sliced from the rows of the whole system and
-    # reduced again is the adapter's rows of the leading k x k part of G,
-    # which a factorization of that block alone would read
-    system = approx._gram_system(space, f, g, m, approx._reachable(f, g, m), True)
-    G, c = system.matrix, system.rhs
-    sizes = sorted(set(system.block_sizes().values()))
-    assert sizes[-1] == len(c) > sizes[0]
-    for k in sizes:
-        rows = approx._leading_rows(system.data, k)
-        assert rows == _rows([row[:k] for row in G[:k]], c[:k])
-        assert approx._Factored(system, k).gains == approx._ldl_exact(rows)[3]
-    assert approx._leading_rows(system.data, len(c)) is system.data
+def test_a_solve_to_each_degree_equals_the_solve_of_that_system(space, f, g, top):
+    # optimal_approximant to degree m of a system stored on either path
+    # equals, bit for bit, the solve of the system assembled to degree m on
+    # the solve's path over the degree-m prefix of the basis; an exact solve
+    # of a float-stored system of exact inputs assembles exact rows.  That
+    # assembly is the leading block of the whole system: the rows of the
+    # leading part of G and c (exact), or its bits (float)
+    paths = ("exact", "float") if space.is_exact and f.is_exact() and g.is_exact() else ("float",)
+    for stored in paths:
+        system = approx._system(space, f, g, top, stored)
+        sizes = system.block_sizes()
+        assert sizes[top] == len(system.basis) > sizes[0]
+        for m in range(top + 1):
+            k = sizes[m]
+            for path in paths:
+                block = approx._gram_system(space, f, g, m, system.basis[:k], path == "exact")
+                res = optimal_approximant(system, degree=m, method=path)
+                assert _bits(res) == _bits(optimal_approximant(block, method=path)), (stored, m, path)
+                assert res.conditioning.path == path
+                if path == stored == "exact":
+                    assert block.data == _rows([row[:k] for row in system.matrix[:k]], system.rhs[:k])
+                elif path == stored:
+                    assert block.matrix.tobytes() == system.matrix[:k, :k].tobytes()
+                    assert block.rhs.tobytes() == system.rhs[:k].tobytes()
 
 
 def _dense_complex_poly(rng, d, degree):
@@ -1155,7 +1187,7 @@ if HAVE_HYPOTHESIS:
         sizes = full.block_sizes()
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
         assert [p.dist_sq for p in pts] == [float(exact.g_norm_sq - sum(gains[:sizes[k]])) for k in range(m + 1)]
-        a = approx._Factored(full, len(basis)).coefficients()
+        a = approx._Factored(full).coefficients()
         res = optimal_approximant(exact, method="exact")
         assert res.dist_sq == exact.g_norm_sq - sum(gains)
         assert res.coefficients == tuple(a[i] for i in rows)
@@ -1165,7 +1197,7 @@ if HAVE_HYPOTHESIS:
         flt = approx._system(space, f, g, m, "float")
         assert np.array_equal(fullf.matrix, _gram_by_dictionary(space, f, basis, False))
         assert np.array_equal(flt.matrix, fullf.matrix[np.ix_(rows, rows)])
-        ffull = approx._Factored(fullf, len(basis))
+        ffull = approx._Factored(fullf)
         tol = 1e-12 * float(exact.g_norm_sq)
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
         for k, fp in enumerate(fpts):
@@ -1301,10 +1333,3 @@ def test_exact_solve_names_the_float_inputs(space, f, g, why):
     with pytest.raises(ValueError, match=message):
         optimal_approximant(system, method="exact")
     assert optimal_approximant(system).conditioning.path == "float"
-
-
-def test_exact_solve_of_a_float_assembled_system_is_refused():
-    system = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 3, "float")
-    with pytest.raises(ValueError, match="^exact solve requested on a Gram system assembled in float$"):
-        optimal_approximant(system, method="exact")
-    assert optimal_approximant(system, method="auto").conditioning.path == "float"

@@ -13,7 +13,7 @@ import pytest
 from besovball import approx
 from besovball.approx import cyclicity_profile, graded_monomials
 from besovball.cli import main
-from besovball.experiments import run_experiment
+from besovball.experiments import BUILTIN_EXPERIMENTS, run_experiment
 from besovball.poly import SparsePoly, poly_to_literal
 from besovball.spaces import SpaceSpec
 
@@ -92,6 +92,14 @@ def test_profile_empty_degree_list(tmp_path):
     )
     assert code == 0
     assert csv_path.read_text().strip() == "m,dist_sq,min_pivot,runtime_ms"
+
+
+@pytest.mark.parametrize("degrees", ["5:1:-1", "4:0:-2", "1:5:0"])
+def test_profile_refuses_a_degree_step_below_one(degrees):
+    # a negative step dropped hi, [5, 4, 3] for 5:1:-1, and a zero step was
+    # range()'s own error
+    code, out, err = run("profile", "--space", DA2, "--f", F22, "--degrees", degrees)
+    assert (code, out, err) == (2, "", f"error: the step of --degrees {degrees!r} must be >= 1\n")
 
 
 def test_hc_verb():
@@ -295,6 +303,24 @@ def test_verify_lemma_refuses_a_fractional_integer_param():
     code, out, err = run("verify-lemma", "slice-bound", "--params", '{"trials": 2.5}')
     assert code == 2 and out == ""
     assert err == "error: trials must be an integer >= 1, got 2.5\n"
+
+
+@pytest.mark.parametrize("params, got", [
+    ("[]", "[]"), ("0", "0"), ("false", "False"), ('""', "'' (Expecting value: line 1 column 1 (char 0))"),
+])
+def test_verify_lemma_refuses_falsy_params_that_are_not_an_object(params, got):
+    # only a missing --params means the check's defaults; these ran the
+    # check with them and exited 0
+    code, out, err = run("verify-lemma", "slice-outer", "--params", params)
+    assert (code, out) == (2, "")
+    assert err == f"error: the params of slice-outer must be a JSON object, got {got}\n"
+
+
+def test_run_refuses_an_unknown_name_naming_the_builtins(tmp_path):
+    code, out, err = run("run", "--name", "nope", "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown experiment 'nope'; known: {sorted(BUILTIN_EXPERIMENTS)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exit_code():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,8 +116,11 @@ def test_bundle_equals_its_steps_run_in_order(tmp_path):
 
 
 def test_run_rejects_unknown_name(tmp_path):
-    with pytest.raises((ValueError, json.JSONDecodeError)):
-        run_experiment("no-such-experiment", tmp_path)
+    # a string is only ever a builtin name, never spec JSON text
+    known = re.escape(str(sorted(BUILTIN_EXPERIMENTS)))
+    for name in ("no-such-experiment", json.dumps(BUILTIN_EXPERIMENTS["da-cyclic-d2"]().to_json())):
+        with pytest.raises(ValueError, match=f"^unknown experiment {re.escape(repr(name))}; known: {known}$"):
+            run_experiment(name, tmp_path)
 
 
 def test_custom_spec_from_dict(tmp_path):
