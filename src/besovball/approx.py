@@ -44,16 +44,16 @@ same codes.
 Each call factors one whole system once, on one of two paths: exact LDL*
 or Jacobi-prescaled float Cholesky, with L y = c in the same pass.
 ``_solve_path`` decides the path, once per call, and one rule picks the
-system: the stored one when it is the block to solve and is stored on that
-path, else that block assembled on that path by ``_gram_system``.  So a
-float solve of exact inputs factors the float assembly of ``_gram_matrix``,
-never a conversion of exact entries, and ``optimal_approximant`` and a
-``distance_profile`` to the same degree factor the same float block and
-agree bit for bit.  The exact LDL* eliminates the rows of ``_gram_rows`` as
-Gaussian integers over one denominator per row, divides out a row's
-content once per update rather than normalising each rational entry, and
-skips the rows a pivot does not reach; LDL* is unique, so its D, y and
-solution are the rational ones.
+system: the stored one when it is stored on that path, else the same basis
+assembled on that path by ``_gram_system``.  So a float solve of exact
+inputs factors the float assembly of ``_gram_matrix``, never a conversion
+of exact entries, and ``optimal_approximant`` and a ``distance_profile`` to
+the same degree factor the same float block and agree bit for bit.  The
+exact LDL* eliminates the rows of ``_gram_rows`` as Gaussian integers over
+one denominator per row, divides out a row's content once per update
+rather than normalising each rational entry, and skips the rows a pivot
+does not reach; LDL* is unique, so its D, y and solution are the rational
+ones.
 ``auto`` takes the exact path when the inputs are exact and the *reachable*
 block has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse
 generators come out exact at degrees whose full basis is far larger;
@@ -493,10 +493,8 @@ class ConditioningReport:
 @dataclass(frozen=True)
 class ApproximantResult:
     """The best approximant p = sum_i coefficients[i] z^basis[i] to degree:
-    basis is the degree prefix of the system's reachable basis, in graded
-    order, and p has no other terms (their coefficients in the full solution
-    are 0).  Below the system's degree the prefix may hold exponents reached
-    only through higher degrees; their coefficients are 0."""
+    basis is the system's reachable basis, in graded order, and p has no
+    other terms (their coefficients in the full solution are 0)."""
 
     degree: int
     basis: tuple
@@ -660,32 +658,28 @@ class _Factored:
         return [from_parts(x, z, q) for x, z in zip(ar, ai)]
 
 
-def optimal_approximant(system: GramSystem, degree: int | None = None, method: str = "auto") -> ApproximantResult:
-    """Best approximation of g from {p f : deg p <= degree} (degree defaults
-    to the system degree).
+def optimal_approximant(system: GramSystem, method: str = "auto") -> ApproximantResult:
+    """Best approximation of g from {p f : deg p <= degree}, the system's
+    degree, over its whole reachable basis.
 
-    The block to solve is the degree prefix of the system's reachable basis
-    (see ApproximantResult), on the path ``_solve_path`` picks for its size.
-    The stored system is factored when it is that block on that path; any
-    other block is assembled on that path by ``_gram_system`` and factored.
-    So the pivots are those a profile to the system degree reads at that
-    degree, and a float solve of an exact system factors the float assembly
-    ``distance_profile`` factors: at the system degree the two agree bit for
-    bit.  Every coefficient of the full basis off the prefix is 0.
-    ArithmeticError when the float path refuses the block; ValueError for
+    The system is factored on the path ``_solve_path`` picks for its size,
+    as it is stored when it is stored on that path, else after
+    ``_gram_system`` assembles the same basis on that path.  So the pivots
+    are those a profile to the system degree reads at that degree, and a
+    float solve of an exact system factors the float assembly
+    ``distance_profile`` factors: the two agree bit for bit.  Every
+    coefficient of the full basis off the reachable one is 0.
+    ArithmeticError when the float path refuses the system; ValueError for
     method="exact" on inputs that hold floats.
     """
-    m = system.degree if degree is None else _degree(degree)
-    if m > system.degree:
-        raise ValueError("requested degree exceeds the assembled system")
-    k = system.block_sizes()[m]
+    m, k = system.degree, len(system.basis)
     exact = _solve_path(method, system.space, system.f, system.g, k) == "exact"
-    if k < len(system.basis) or exact != system.exact:
-        system = _gram_system(system.space, system.f, system.g, m, system.basis[:k], exact)
+    if exact != system.exact:
+        system = _gram_system(system.space, system.f, system.g, m, system.basis, exact)
     top = _Factored(system)
     dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
-        degree=m, basis=system.basis[:k], coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
+        degree=m, basis=system.basis, coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
         conditioning=ConditioningReport(top.method, pmin, pmax, k, math.comb(system.space.d + m, system.space.d)),
         exact=exact,
     )

@@ -39,7 +39,7 @@ import numpy as np
 from . import kernels
 from .approx import graded_monomials
 from .poly import SparsePoly, onevar_terms
-from .scalars import ComplexRational, abs_sq, check_int, json_object
+from .scalars import ComplexRational, abs_sq, check_int
 from .spaces import CACHE_MAXSIZE, SpaceSpec
 
 SPHERE_TOL = 1e-12
@@ -202,12 +202,6 @@ class Certificate:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lower_bound": self.lower_bound, "audit": self.audit, "grid": self.grid}
-
-    @staticmethod
-    def from_json(obj) -> "Certificate":
-        obj = json_object(obj, "a certificate")
-        return Certificate(kind=obj["kind"], lower_bound=float(obj["lower_bound"]),
-                           audit=obj.get("audit", {}), grid=obj.get("grid", {}))
 
 
 def dual_lower_bound(space: SpaceSpec, g: SparsePoly, h: SparsePoly, j: int) -> Certificate:

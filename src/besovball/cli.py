@@ -26,7 +26,7 @@ from .experiments import (
     write_profile_csv,
 )
 from .poly import SparsePoly, poly_from_literal, poly_to_literal
-from .scalars import ComplexRational
+from .scalars import ComplexRational, json_object
 from .spaces import inner_product, norm_sq, space_from_json
 
 
@@ -48,15 +48,19 @@ def _load_poly(arg: str) -> SparsePoly:
 def _parse_degrees(arg: str) -> list[int]:
     """A comma list of degrees, or lo:hi[:step], hi inclusive, step >= 1."""
     s = arg.strip()
-    if ":" in s:
-        parts = [int(x) for x in s.split(":")]
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad degree range {arg!r}")
-        lo, hi, step = (parts + [1])[:3]
-        if step < 1:
-            raise ValueError(f"the step of --degrees {arg!r} must be >= 1")
-        return list(range(lo, hi + 1, step))
-    return [int(x) for x in s.split(",") if x.strip()]
+    ranged = ":" in s
+    try:
+        parts = [int(x) for x in (s.split(":") if ranged else filter(str.strip, s.split(",")))]
+    except ValueError:
+        raise ValueError(f"--degrees must be a comma list of integers or lo:hi[:step], got {arg!r}") from None
+    if not ranged:
+        return parts
+    if len(parts) not in (2, 3):
+        raise ValueError(f"the range --degrees {arg!r} must be lo:hi or lo:hi:step")
+    lo, hi, step = (parts + [1])[:3]
+    if step < 1:
+        raise ValueError(f"the step of --degrees {arg!r} must be >= 1")
+    return list(range(lo, hi + 1, step))
 
 
 def _fmt_scalar(x) -> str:
@@ -245,7 +249,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
-    report = verify_lemma(args.name, json.loads(args.params))
+    report = verify_lemma(args.name, json_object(args.params, f"the params of {args.name}"))
     print(f"check = {report.name}")
     for key, val in report.margins.items():
         print(f"  {key} = {val}")

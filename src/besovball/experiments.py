@@ -47,7 +47,7 @@ from .poly import (
     roots_1d,
     series_invert,
 )
-from .scalars import ComplexRational, check_int, json_int, json_object
+from .scalars import ComplexRational, check_int, json_float, json_int, json_object
 from .spaces import (
     BetaDensity,
     ConstantDensity,
@@ -220,7 +220,7 @@ def run_experiment(spec: ExperimentSpec | str | dict, out_dir, threads=None) -> 
 def cube_from_json(obj) -> CubeMeasure:
     obj = json_object(obj, "a cube")
     fam = obj.get("family")
-    shrink = {"shrink": float(obj["shrink"])} if "shrink" in obj else {}
+    shrink = {"shrink": json_float("shrink", obj["shrink"])} if "shrink" in obj else {}
     if fam == "torus":
         return CubeMeasure.torus(json_int(obj["k"]), json_int(obj["d"]), **shrink)
     if fam == "sphere":
@@ -334,15 +334,15 @@ def _int_param(params: dict, name: str, default: int, least: int) -> int:
     return value
 
 
-def _random_exact_poly(rng: random.Random, d: int, max_deg: int = 4, max_terms: int = 5,
-                       complex_coeffs: bool = True) -> SparsePoly:
+def _random_exact_poly(rng: random.Random, d: int) -> SparsePoly:
+    """At most 5 terms of degree <= 4, about half of them complex."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 5)):
         beta = [0] * d
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randint(0, 4)):
             beta[rng.randrange(d)] += 1
         re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        im = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if complex_coeffs and rng.random() < 0.5 else Fraction(0)
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.5 else Fraction(0)
         terms[tuple(beta)] = ComplexRational(re, im)
     f = SparsePoly(d, terms)
     return f if not f.is_zero() else SparsePoly.one(d)
@@ -379,7 +379,7 @@ def _check_slice_bound(params: dict) -> LemmaReport:
     trials = _int_param(params, "trials", 100, 1)
     d = _int_param(params, "d", 3, 1)
     seed = _int_param(params, "seed", 0, 0)
-    tol = float(params.get("tol", 1e-10))
+    tol = json_float("tol", params.get("tol", 1e-10))
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(trials):
@@ -404,7 +404,7 @@ def _check_slice_outer(params: dict) -> LemmaReport:
     d = _int_param(params, "d", 3, 1)
     points = _int_param(params, "points", 20, 1)
     seed = _int_param(params, "seed", 0, 0)
-    margin = float(params.get("margin", 1e-9))
+    margin = json_float("margin", params.get("margin", 1e-9))
     one_minus = SparsePoly(1, {(0,): 1, (1,): -1})
     img = tau_compose(one_minus, k, d)
     rng = np.random.default_rng(seed)
@@ -430,13 +430,16 @@ def _check_onevar_derivative_bound(params: dict) -> LemmaReport:
     """
     n = _int_param(params, "n", 2, 1)
     M = _int_param(params, "M", 400, 0)
-    radii = [float(r) for r in params.get("r_grid", [0.5, 0.9, 0.99])]
+    radii = params.get("r_grid", [0.5, 0.9, 0.99])
+    if not isinstance(radii, list):
+        raise ValueError(f"r_grid must be a JSON list, got {radii!r}")
+    radii = [json_float("an entry of r_grid", r) for r in radii]
     # committed from a reference run over the default grid: observed
     # sup 1.7885 and area 0.8889, stable since the evaluation is
     # deterministic
-    sup_bound = float(params.get("sup_bound", 2.0))
-    area_bound = float(params.get("area_bound", 1.0))
-    circle_r = float(params.get("circle_radius", 0.999))
+    sup_bound = json_float("sup_bound", params.get("sup_bound", 2.0))
+    area_bound = json_float("area_bound", params.get("area_bound", 1.0))
+    circle_r = json_float("circle_radius", params.get("circle_radius", 0.999))
     p = poly_from_literal(params["p"]) if "p" in params else SparsePoly(1, {(0,): 1, (1,): -1})
     if p.dim != 1:
         raise ValueError("the check needs a one-variable polynomial")
@@ -470,10 +473,13 @@ def _check_radial_mult_section(params: dict) -> LemmaReport:
     """
     space = space_from_json(params["space"]) if "space" in params else SpaceSpec.drury_arveson(2)
     phi = poly_from_literal(params["phi"]) if "phi" in params else SparsePoly(2, {(1, 0): 1, (0, 2): 1})
-    radii = [float(r) for r in params.get("r_grid", [0.5, 0.9])]
+    radii = params.get("r_grid", [0.5, 0.9])
+    if not isinstance(radii, list):
+        raise ValueError(f"r_grid must be a JSON list, got {radii!r}")
+    radii = [json_float("an entry of r_grid", r) for r in radii]
     m = _int_param(params, "m", 5, 0)
     m_ref = _int_param(params, "m_ref", 9, 0)
-    slack = float(params.get("slack", 0.1))
+    slack = json_float("slack", params.get("slack", 0.1))
     ref = finite_section_mult_bound(space, phi, m_ref)
     ratios = {}
     ok = True

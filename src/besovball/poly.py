@@ -119,8 +119,8 @@ class SparsePoly:
         return SparsePoly(dim, {(0,) * dim: 1})
 
     @staticmethod
-    def monomial(dim, beta, coeff=1):
-        return SparsePoly(dim, {tuple(beta): coeff})
+    def monomial(dim, beta):
+        return SparsePoly(dim, {tuple(beta): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -352,11 +352,15 @@ def poly_to_literal(f: SparsePoly) -> dict:
     return out
 
 
-def poly_from_literal(lit, dim=None) -> SparsePoly:
+def poly_from_literal(lit) -> SparsePoly:
     lit = json_object(lit, "a polynomial literal")
-    terms = {}
+    terms, dim = {}, None
     for key, val in lit.items():
-        beta = tuple(int(x) for x in key.split(","))
+        try:
+            beta = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            raise ValueError(f"the key {key!r} of a polynomial literal must be comma-separated integer "
+                             "exponents") from None
         if dim is None:
             dim = len(beta)
         size = len(val) if isinstance(val, list) else None

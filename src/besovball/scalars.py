@@ -71,8 +71,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
-from numbers import Rational
+from math import gcd, isfinite
+from numbers import Rational, Real
 
 
 def _as_fraction(x):
@@ -336,6 +336,16 @@ def json_int(x):
     """A whole JSON number as an int; anything else is left to the caller's
     check, so a fractional value is refused rather than truncated."""
     return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
+def json_float(name: str, x) -> float:
+    """A JSON number as a float: ValueError, naming the parameter, for
+    anything else, so a string or a bool is not read as a number, nor the
+    NaN or Infinity that ``json.loads`` accepts, which would make a
+    tolerance or a bound compare true or false whatever the values."""
+    if not isinstance(x, Real) or isinstance(x, bool) or not isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
+    return float(x)
 
 
 class _JsonObject(dict):

@@ -44,6 +44,8 @@ from .scalars import ComplexRational, abs_sq, check_int, exact_parts, json_int, 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
 CACHE_MAXSIZE = 4096
+# Gauss-Legendre nodes of GeneralQuadrature.from_density
+QUADRATURE_NODES = 256
 
 
 # -- radial measures ---------------------------------------------------------
@@ -59,9 +61,6 @@ class PointMassAtOne:
     @property
     def is_exact(self) -> bool:
         return True
-
-    def to_json(self):
-        return {"type": "point_mass_one"}
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,6 @@ class NormalizedVolume:
     def is_exact(self) -> bool:
         return True
 
-    def to_json(self):
-        return {"type": "volume", "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class ConstantDensity:
@@ -102,9 +98,6 @@ class ConstantDensity:
     def is_exact(self) -> bool:
         return True
 
-    def to_json(self):
-        return {"type": "constant_density", "c": [Fraction(self.c).numerator, Fraction(self.c).denominator]}
-
 
 @dataclass(frozen=True)
 class BetaDensity:
@@ -122,9 +115,6 @@ class BetaDensity:
     @property
     def is_exact(self) -> bool:
         return True
-
-    def to_json(self):
-        return {"type": "beta_density", "beta": self.beta}
 
 
 class GeneralQuadrature:
@@ -155,9 +145,10 @@ class GeneralQuadrature:
         object.__setattr__(self, "_hash", hash((nodes.tobytes(), weights.tobytes())))
 
     @staticmethod
-    def from_density(u, n_nodes: int = 256):
-        """Gauss-Legendre rule for dmu = u(r) * 2r dr on [0,1]."""
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+    def from_density(u):
+        """Gauss-Legendre rule of QUADRATURE_NODES nodes for dmu = u(r) * 2r
+        dr on [0,1]."""
+        x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
         r = 0.5 * (x + 1.0)
         wr = 0.5 * w * np.array([float(u(ri)) for ri in r]) * 2.0 * r
         return GeneralQuadrature(r, wr)
@@ -176,9 +167,6 @@ class GeneralQuadrature:
 
     def __hash__(self):
         return self._hash
-
-    def to_json(self):
-        return {"type": "quadrature", "nodes": self.nodes.tolist(), "weights": self.weights.tolist()}
 
 
 def measure_from_json(obj):
@@ -256,15 +244,6 @@ class SpaceSpec:
     def weight(self, n: int):
         """W_n; Fraction on the exact path, float otherwise."""
         return _weight(self, n)
-
-    def to_json(self):
-        out = {"d": self.d, "kind": self.kind}
-        if self.kind == "besov":
-            out["N"] = self.N
-            out["measure"] = self.measure.to_json()
-        else:
-            out["alpha"] = int(self.alpha) if self.is_exact else float(self.alpha)
-        return out
 
 
 def space_from_json(obj) -> SpaceSpec:

@@ -74,15 +74,13 @@ def test_gram_anchor_block():
 
 def test_dist_anchors_exact():
     # degree-m best distance for 1 - z on the Hardy line is 1/(m+2)
-    sys5 = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 5)
     for m in range(6):
-        res = optimal_approximant(sys5, degree=m, method="exact")
+        res = optimal_approximant(assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), m), method="exact")
         assert res.dist_sq == Fraction(1, m + 2), m
     # two-variable product target: constants already reach 2/3, degree 2
     # lands exactly on 8/15
-    sys22 = assemble_gram(DA2, F22, SparsePoly.one(2), 2)
-    assert optimal_approximant(sys22, degree=0, method="exact").dist_sq == Fraction(2, 3)
-    assert optimal_approximant(sys22, method="exact").dist_sq == Fraction(8, 15)
+    for m, dist_sq in ((0, Fraction(2, 3)), (2, Fraction(8, 15))):
+        assert optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), m), method="exact").dist_sq == dist_sq
 
 
 def _projection_oracle(space, f, g, m):
@@ -331,9 +329,8 @@ def test_unknown_method_raises(method):
 
 
 def test_lower_degree_slice_reuses_system():
-    sysm = assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 6)
-    full = optimal_approximant(sysm, method="exact")
-    part = optimal_approximant(sysm, degree=3, method="exact")
+    full = optimal_approximant(assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 6), method="exact")
+    part = optimal_approximant(assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), 3), method="exact")
     assert part.degree == 3
     assert len(part.basis) == 4
     assert part.dist_sq > full.dist_sq
@@ -371,31 +368,35 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     # so dist^2 = 1 on the whole block; H is indefinite once rounded: its
     # Cholesky fails at degree 13 and its scaled pivots collapse at degree
     # 12, so both blocks are refused, while degrees 0..11 keep their float
-    # values.  Every block assembled for this system, approximant or
-    # profile, is the leading block of H of its size
+    # values.  Every block assembled here, approximant or profile, is the
+    # leading block of H of its size
     base = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, "float")
     H = scipy.linalg.hilbert(14).astype(complex)
     ones = np.ones(14)
+    g_norm_sq = float(ones @ H.real @ ones) + 1.0
 
     def hilbert_block(space, f, g, degree, basis, exact):
         k = len(basis)
         return dataclasses.replace(base, degree=degree, basis=tuple(basis), data=(H[:k, :k], (H @ ones)[:k]),
-                                   g_norm_sq=float(ones @ H.real @ ones) + 1.0)
+                                   g_norm_sq=g_norm_sq)
 
     monkeypatch.setattr(approx, "_gram_system", hilbert_block)
-    system = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, "float")
+
+    def system(m):
+        return approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), m, "float")
+
     with pytest.raises(ArithmeticError, match=r'degree 13 \(14 unknowns\) factors only 13 of them; use method="exact"'):
-        optimal_approximant(system, degree=13, method="float")
+        optimal_approximant(system(13), method="float")
     with pytest.raises(ArithmeticError, match=r'degree 12 \(13 unknowns\) factors them, but .* use method="exact"'):
-        optimal_approximant(system, degree=12, method="float")
-    res = optimal_approximant(system, degree=11, method="float")
+        optimal_approximant(system(12), method="float")
+    res = optimal_approximant(system(11), method="float")
     assert (res.conditioning.path, res.dist_sq) == ("float", float.fromhex("0x1.ffffffffff660p-1"))
     pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(12), method="float")
     assert [p.path for p in pts] == ["float"] * 12
     assert pts[-1].dist_sq == res.dist_sq  # the same 12 x 12 block
-    tol = 1e-12 * system.g_norm_sq
+    tol = 1e-12 * g_norm_sq
     for p in pts:
-        assert p.dist_sq == pytest.approx(optimal_approximant(system, degree=p.m, method="float").dist_sq, abs=tol)
+        assert p.dist_sq == pytest.approx(optimal_approximant(system(p.m), method="float").dist_sq, abs=tol)
     for top_degree in (12, 13):
         with pytest.raises(ArithmeticError, match=r"degree 12 \(13 unknowns\)"):
             distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
@@ -685,29 +686,31 @@ _DA2_G = SparsePoly(2, {(0, 0): ComplexRational(Fraction(2, 3), 5), (1, 1): Frac
     (SpaceSpec.alpha_scale(2, 0.5), _DA2_F, _DA2_G.to_float(), 5),
 ])
 def test_a_solve_to_each_degree_equals_the_solve_of_that_system(space, f, g, top):
-    # optimal_approximant to degree m of a system stored on either path
-    # equals, bit for bit, the solve of the system assembled to degree m on
-    # the solve's path over the degree-m prefix of the basis; an exact solve
-    # of a float-stored system of exact inputs assembles exact rows.  That
-    # assembly is the leading block of the whole system: the rows of the
-    # leading part of G and c (exact), or its bits (float)
+    # optimal_approximant of a system stored on either path equals, bit for
+    # bit, the solve of the same basis assembled on the solve's path; an
+    # exact solve of a float-stored system of exact inputs assembles exact
+    # rows.  The system assembled to degree m over the degree-m prefix of
+    # the basis, the block a profile reads at m, is the leading block of the
+    # whole system: the rows of the leading part of G and c (exact), or its
+    # bits (float)
     paths = ("exact", "float") if space.is_exact and f.is_exact() and g.is_exact() else ("float",)
     for stored in paths:
         system = approx._system(space, f, g, top, stored)
         sizes = system.block_sizes()
         assert sizes[top] == len(system.basis) > sizes[0]
+        for path in paths:
+            whole = approx._gram_system(space, f, g, top, system.basis, path == "exact")
+            res = optimal_approximant(system, method=path)
+            assert _bits(res) == _bits(optimal_approximant(whole, method=path)), (stored, path)
+            assert res.conditioning.path == path
         for m in range(top + 1):
             k = sizes[m]
-            for path in paths:
-                block = approx._gram_system(space, f, g, m, system.basis[:k], path == "exact")
-                res = optimal_approximant(system, degree=m, method=path)
-                assert _bits(res) == _bits(optimal_approximant(block, method=path)), (stored, m, path)
-                assert res.conditioning.path == path
-                if path == stored == "exact":
-                    assert block.data == _rows([row[:k] for row in system.matrix[:k]], system.rhs[:k])
-                elif path == stored:
-                    assert block.matrix.tobytes() == system.matrix[:k, :k].tobytes()
-                    assert block.rhs.tobytes() == system.rhs[:k].tobytes()
+            block = approx._gram_system(space, f, g, m, system.basis[:k], stored == "exact")
+            if stored == "exact":
+                assert block.data == _rows([row[:k] for row in system.matrix[:k]], system.rhs[:k])
+            else:
+                assert block.matrix.tobytes() == system.matrix[:k, :k].tobytes()
+                assert block.rhs.tobytes() == system.rhs[:k].tobytes()
 
 
 def _dense_complex_poly(rng, d, degree):
@@ -813,9 +816,8 @@ def test_zero_filled_residual_is_orthogonal_to_the_full_basis():
     space = SpaceSpec.drury_arveson(3)
     f = SparsePoly(3, {(0, 0, 0): 1, (1, 1, 0): Fraction(-3, 2), (0, 0, 2): ComplexRational(0, 1)})
     g = SparsePoly(3, {(0, 0, 0): 2, (1, 0, 0): Fraction(1, 3)})
-    system = assemble_gram(space, f, g, 4)
     for m in (2, 4):
-        res = optimal_approximant(system, degree=m, method="exact")
+        res = optimal_approximant(assemble_gram(space, f, g, m), method="exact")
         assert len(res.basis) == res.conditioning.unknowns < res.conditioning.full_unknowns == math.comb(3 + m, 3)
         r = g - res.polynomial(3) * f
         assert norm_sq(space, r) == res.dist_sq
@@ -1025,31 +1027,23 @@ def test_reachable_equals_the_set_walk_at_scale():
 
 def test_bad_degrees_raise_value_error():
     one = SparsePoly.one(2)
-    system = assemble_gram(DA2, F22, one, 2)
     for bad in (-1, 2.5, math.inf, math.nan, "2"):
-        with pytest.raises(ValueError, match="degree"):
-            optimal_approximant(system, degree=bad)
         with pytest.raises(ValueError, match="degree"):
             assemble_gram(DA2, F22, one, bad)
         with pytest.raises(ValueError, match="degree"):
             finite_section_mult_bound(DA2, F22, bad)
         with pytest.raises(ValueError, match="degree"):
             distance_profile(DA2, F22, one, [0, bad])
-    with pytest.raises(ValueError, match="exceeds"):
-        optimal_approximant(system, degree=3)
     # integral values of other types are degrees
     assert [p.m for p in distance_profile(DA2, F22, one, [2.0, np.int64(0)])] == [0, 2]
-    assert optimal_approximant(system, degree=Fraction(2)).dist_sq == Fraction(8, 15)
+    assert optimal_approximant(assemble_gram(DA2, F22, one, Fraction(2))).dist_sq == Fraction(8, 15)
 
 
 def test_bool_degrees_are_refused():
     # True is an int, but not a degree
     one = SparsePoly.one(2)
-    system = assemble_gram(DA2, F22, one, 2)
     for bad in (True, False):
         with pytest.raises(ValueError, match=f"a degree must be an integer >= 0, not {bad}"):
-            optimal_approximant(system, degree=bad)
-        with pytest.raises(ValueError, match="degree"):
             assemble_gram(DA2, F22, one, bad)
         with pytest.raises(ValueError, match="degree"):
             distance_profile(DA2, F22, one, [0, bad])
@@ -1150,15 +1144,16 @@ if HAVE_HYPOTHESIS:
         space, f, g = case
         if f.is_zero():
             return
-        exact = assemble_gram(space, f, g, m)
-        flt = approx._system(space, f, g, m, "float")
-        tol = 1e-12 * float(exact.g_norm_sq)
+        system = assemble_gram(space, f, g, m)
+        sizes = system.block_sizes()
+        tol = 1e-12 * float(system.g_norm_sq)
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
         for p, fp in zip(pts, fpts):
-            res = optimal_approximant(exact, degree=p.m, method="exact")
+            prefix = system.basis[:sizes[p.m]]
+            res = optimal_approximant(approx._gram_system(space, f, g, p.m, prefix, True), method="exact")
             assert (p.dist_sq, p.min_pivot, p.path) == (float(res.dist_sq), res.conditioning.min_pivot, "exact")
-            fres = optimal_approximant(flt, degree=fp.m, method="float")
+            fres = optimal_approximant(approx._gram_system(space, f, g, p.m, prefix, False), method="float")
             assert fp.path == fres.conditioning.path
             assert abs(fp.dist_sq - fres.dist_sq) <= tol
 

@@ -278,6 +278,32 @@ def test_bad_inputs_exit_2():
      "error: an experiment spec must be a JSON object, got 1"),
     (("run", "--spec", '{"name":"x","kind":"bundle","params":{"steps":5}}'),
      "error: the steps of 'x' must be a JSON list, got 5"),
+    (("verify-lemma", "slice-bound", "--params", '{"tol":[1]}'), "error: tol must be a finite number, got [1]"),
+    (("verify-lemma", "slice-bound", "--params", '{"tol":NaN}'), "error: tol must be a finite number, got nan"),
+    (("verify-lemma", "slice-outer", "--params", '{"margin":"x"}'), "error: margin must be a finite number, got 'x'"),
+    (("verify-lemma", "radial-mult-section", "--params", '{"slack":{}}'), "error: slack must be a finite number, got {}"),
+    (("verify-lemma", "onevar-derivative-bound", "--params", '{"sup_bound":null}'),
+     "error: sup_bound must be a finite number, got None"),
+    (("verify-lemma", "onevar-derivative-bound", "--params", '{"area_bound":true}'),
+     "error: area_bound must be a finite number, got True"),
+    (("verify-lemma", "onevar-derivative-bound", "--params", '{"circle_radius":"0.9"}'),
+     "error: circle_radius must be a finite number, got '0.9'"),
+    (("verify-lemma", "onevar-derivative-bound", "--params", '{"r_grid":5}'),
+     "error: r_grid must be a JSON list, got 5"),
+    (("verify-lemma", "radial-mult-section", "--params", '{"r_grid":[0.5,false]}'),
+     "error: an entry of r_grid must be a finite number, got False"),
+    (("certify", "energy", "--space", '{"d":4,"kind":"alpha","alpha":0}', "--f", F4, "--cube",
+      '{"family":"torus","k":4,"d":4,"shrink":[1]}'), "error: shrink must be a finite number, got [1]"),
+    (("profile", "--space", DA2, "--f", F22, "--degrees", "0:x"),
+     "error: --degrees must be a comma list of integers or lo:hi[:step], got '0:x'"),
+    (("profile", "--space", DA2, "--f", F22, "--degrees", "1,x"),
+     "error: --degrees must be a comma list of integers or lo:hi[:step], got '1,x'"),
+    (("profile", "--space", DA2, "--f", F22, "--degrees", "1:2:3:4"),
+     "error: the range --degrees '1:2:3:4' must be lo:hi or lo:hi:step"),
+    (("norm", "--space", DA2, "--poly", '{"a":[1,1,0,1]}'),
+     "error: the key 'a' of a polynomial literal must be comma-separated integer exponents"),
+    (("norm", "--space", HARDY1, "--poly", '{"1.5":[1,1,0,1]}'),
+     "error: the key '1.5' of a polynomial literal must be comma-separated integer exponents"),
 ])
 def test_malformed_json_exits_2_naming_the_object(tmp_path, args, message):
     if args[0] == "run":
@@ -306,7 +332,7 @@ def test_verify_lemma_refuses_a_fractional_integer_param():
 
 
 @pytest.mark.parametrize("params, got", [
-    ("[]", "[]"), ("0", "0"), ("false", "False"), ('""', "'' (Expecting value: line 1 column 1 (char 0))"),
+    ("[]", "[]"), ("0", "0"), ("false", "False"), ('""', "''"), ("", "'' (Expecting value: line 1 column 1 (char 0))"),
 ])
 def test_verify_lemma_refuses_falsy_params_that_are_not_an_object(params, got):
     # only a missing --params means the check's defaults; these ran the

@@ -170,7 +170,7 @@ def test_homogeneous_norms_equal_the_norms_of_the_parts():
     # norm_sq on each homogeneous part, also when only some parts are exact
     rng = np.random.default_rng(3)
     spaces_ = [SpaceSpec.drury_arveson(3), SpaceSpec.alpha_scale(2, -1), SpaceSpec.alpha_scale(2, 0.5),
-               SpaceSpec.besov(2, 1, NormalizedVolume(2)), SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0, 32))]
+               SpaceSpec.besov(2, 1, NormalizedVolume(2)), SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0))]
     for space in spaces_:
         terms = {}
         for _ in range(20):
@@ -230,25 +230,33 @@ def test_slice_norm_gap_nonnegative():
 
 
 def test_space_json_round_trip():
-    spaces = [
-        SpaceSpec.drury_arveson(4),
-        SpaceSpec.alpha_scale(1, 4),
-        SpaceSpec.besov(2, 1, PointMassAtOne()),
-        SpaceSpec.besov(3, 2, NormalizedVolume(3)),
-        SpaceSpec.besov(2, 1, BetaDensity(2)),
-        SpaceSpec.besov(2, 1, ConstantDensity(Fraction(1, 2))),
+    # the JSON of each measure kind and of alpha parses to the space it
+    # names, with its weights; an integral alpha such as 4.0 is exact
+    besov = '{"d":%d,"kind":"besov","N":%d,"measure":%s}'
+    cases = [
+        ('{"d":4,"kind":"alpha","alpha":0}', SpaceSpec.drury_arveson(4), True),
+        ('{"d":1,"kind":"alpha","alpha":4}', SpaceSpec.alpha_scale(1, 4), True),
+        ('{"d":1,"kind":"alpha","alpha":4.0}', SpaceSpec.alpha_scale(1, 4), True),
+        ('{"d":1,"kind":"alpha","alpha":0.5}', SpaceSpec.alpha_scale(1, 0.5), False),
+        (besov % (2, 1, '{"type":"point_mass_one"}'), SpaceSpec.besov(2, 1, PointMassAtOne()), True),
+        (besov % (3, 2, '{"type":"volume","dim":3}'), SpaceSpec.besov(3, 2, NormalizedVolume(3)), True),
+        (besov % (2, 1, '{"type":"beta_density","beta":2}'), SpaceSpec.besov(2, 1, BetaDensity(2)), True),
+        (besov % (2, 1, '{"type":"constant_density","c":[1,2]}'),
+         SpaceSpec.besov(2, 1, ConstantDensity(Fraction(1, 2))), True),
+        (besov % (2, 1, '{"type":"quadrature","nodes":[0.5,1.0],"weights":[0.25,0.5]}'),
+         SpaceSpec.besov(2, 1, GeneralQuadrature([0.5, 1.0], [0.25, 0.5])), False),
     ]
-    for sp in spaces:
-        blob = json.dumps(sp.to_json())
+    for blob, sp, exact in cases:
         back = space_from_json(json.loads(blob))
-        assert back.d == sp.d and back.kind == sp.kind
+        assert back == sp and back.is_exact is exact, blob
         for n in range(8):
-            assert back.weight(n) == sp.weight(n)
+            assert back.weight(n) == sp.weight(n) and type(back.weight(n)) is type(sp.weight(n))
 
 
 def test_measure_json_quadrature():
     gq = GeneralQuadrature.from_density(lambda r: np.ones_like(r))
-    back = measure_from_json(gq.to_json())
+    back = measure_from_json({"type": "quadrature", "nodes": gq.nodes.tolist(), "weights": gq.weights.tolist()})
+    assert back == gq
     assert abs(back.moment(3) - gq.moment(3)) < 1e-15
 
 
@@ -353,7 +361,7 @@ ORACLE_SPACES = (
     + [SpaceSpec.alpha_scale(2, a) for a in (-1, 2, Fraction(3), Fraction(1, 2), 0.5, 2.0)]
     + [SpaceSpec.besov(2, N, mu) for N in (0, 1, 2)
        for mu in (PointMassAtOne(), NormalizedVolume(2), ConstantDensity(Fraction(1, 3)), BetaDensity(2))]
-    + [SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0 - r, 32))]
+    + [SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0 - r))]
 )
 
 
@@ -379,15 +387,6 @@ def test_exact_norm_sq_equals_the_term_by_term_fraction_sum():
             assert type(got) is Fraction and got == want, (space, f.terms)
     # the DA_4 target of the paper's example: 1 + 256 ||z1z2z3z4||^2 = 1 + 256/24
     assert norm_sq(SpaceSpec.drury_arveson(4), SparsePoly(4, {(0,) * 4: 1, (1,) * 4: -16})) == Fraction(35, 3)
-
-
-def test_to_json_of_alpha_is_unchanged():
-    for a, want in [(4, 4), (Fraction(4), 4), (Fraction(1, 2), 0.5), (0.5, 0.5)]:
-        got = SpaceSpec.alpha_scale(1, a).to_json()
-        # the earlier rule, written out
-        old = int(a) if isinstance(a, (int, Fraction)) and Fraction(a).denominator == 1 else float(a)
-        assert got == {"d": 1, "kind": "alpha", "alpha": want}
-        assert type(got["alpha"]) is type(old) is type(want) and got["alpha"] == old
 
 
 if HAVE_HYPOTHESIS:
