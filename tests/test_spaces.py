@@ -389,6 +389,25 @@ def test_exact_norm_sq_equals_the_term_by_term_fraction_sum():
     assert norm_sq(SpaceSpec.drury_arveson(4), SparsePoly(4, {(0,) * 4: 1, (1,) * 4: -16})) == Fraction(35, 3)
 
 
+def test_to_json_of_alpha_is_unchanged():
+    # a space is written out as the JSON it was read from: the alpha a spec
+    # gives reaches its manifest with its value and type, and parses to the
+    # space the earlier SpaceSpec.to_json wrote that JSON for
+    from besovball.experiments import ExperimentSpec
+
+    for a, want in [(4, 4), (Fraction(4), 4), (Fraction(1, 2), 0.5), (0.5, 0.5)]:
+        # the earlier rule, written out
+        old = int(a) if isinstance(a, (int, Fraction)) and Fraction(a).denominator == 1 else float(a)
+        blob = json.dumps({"name": "s", "kind": "profile", "space": {"d": 1, "kind": "alpha", "alpha": old}})
+        got = ExperimentSpec.from_json(json.loads(blob)).to_json()["space"]
+        assert got == {"d": 1, "kind": "alpha", "alpha": want}
+        assert type(got["alpha"]) is type(old) is type(want) and got["alpha"] == old
+        back, sp = space_from_json(got), SpaceSpec.alpha_scale(1, a)
+        assert back.is_exact is sp.is_exact
+        for n in range(8):
+            assert back.weight(n) == sp.weight(n) and type(back.weight(n)) is type(sp.weight(n))
+
+
 if HAVE_HYPOTHESIS:
     mixed_coeff_st = st.one_of(
         coeff_st,
