@@ -24,14 +24,16 @@ result lists only the reachable basis and its coefficients.  Only
 a system past GRAM_ENTRY_BUDGET entries before assembling it: the
 reachable block, or the full section.
 
-Exponents have one index, the mixed-radix integer codes of ``_coder``.
-``_pairing`` lists the terms of the Gram matrix of f over a basis, the
-reachable one or the full one of ``finite_section_mult_bound``: it finds
-the row of every candidate term from the codes with numpy, in blocks of at
-most GRAM_BLOCK_ENTRIES candidates, and lists each monomial weight once.
+Exponents have two indexes: the mixed-radix integer codes of ``_coder``,
+which ``_pairing`` and ``_reachable`` search, and a dict of the basis
+tuples, which ``_rhs_terms`` looks its few terms up in.  ``_pairing``
+lists the terms of the Gram matrix of f over a basis, the reachable one or
+the full one of ``finite_section_mult_bound``: it finds the row of every
+candidate term from the codes with numpy, in blocks of at most
+GRAM_BLOCK_ENTRIES candidates, and lists each monomial weight once.
 c[j] = <g, z^(beta_j) f> has a term only where beta_j = eps - delta for
 exponents delta of f and eps of g, at most len(f) len(g) of them, which
-``_rhs_terms`` finds in a dict index of the basis; their weights are G's.
+``_rhs_terms`` finds in that dict; their weights are G's.
 G is summed in float by np.bincount and c from 0, both in (delta, eps)
 order, so both are bitwise those of the per-entry dictionary loops they
 replaced; a weight below the normal float range is refused.
@@ -62,15 +64,16 @@ graded order makes the leading blocks the lower-degree systems: every
 degree-k prefix of the reachable basis holds whole degree-k components,
 every reachable one among them, so a profile reads every degree from one
 factorization: dist^2 = ||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading
-k-block.  The float path answers a block or refuses it with
-ArithmeticError: it refuses a block past the longest leading block the
-float Cholesky factors, and one whose own scaled pivots collapse below
-PIVOT_COLLAPSE of the largest.  The Cholesky is backward stable, so such a
-block is singular at the precision G was rounded to, and no second
-factorization of the rounded G recovers the digits the rounding lost;
-method="exact" solves it.  A profile is refused at its first refused
-degree, while a shorter profile keeps the float values of its smaller
-blocks:
+k-block.  ``_Factored`` forms those sums, and the running min and max of
+the pivots, once for every k, so each degree is a lookup.  The float path
+answers a block or refuses it with ArithmeticError: it refuses a block
+past the longest leading block the float Cholesky factors, and one whose
+own scaled pivots collapse below PIVOT_COLLAPSE of the largest.  The
+Cholesky is backward stable, so such a block is singular at the precision
+G was rounded to, and no second factorization of the rounded G recovers
+the digits the rounding lost; method="exact" solves it.  A profile is
+refused at its first refused degree, while a shorter profile keeps the
+float values of its smaller blocks:
 
 >>> D = SpaceSpec.alpha_scale(1, -4)
 >>> f = SparsePoly(1, {(0,): 1, (1,): -1}) ** 12
@@ -510,10 +513,10 @@ class ApproximantResult:
 def _ldl_exact(rows):
     """LDL* of a Hermitian positive definite rational matrix G with L y = c
     in the same pass, by Gaussian elimination on the upper rows of [G | c]
-    (``_gram_rows``): (U, y, D, gains).  L is never formed.  U = D L* comes
-    as its rows: row i is (re, im, den), the integer numerators of U[i][i:]
-    and of y_i over one positive denominator, so re[0] = D_i den and L[j][i]
-    = conj(U[i][j]) / D_i.  ArithmeticError when a pivot is not real
+    (``_gram_rows``): (U, D, gains).  L is never formed.  U = D L* comes as
+    its rows: row i is (re, im, den), the integer numerators of U[i][i:] and
+    of y_i over one positive denominator, so re[0] = D_i den and L[j][i] =
+    conj(U[i][j]) / D_i.  ArithmeticError when a pivot is not real
     positive (the system was not positive definite).
 
     Each row keeps its columns from the diagonal on, since the Schur
@@ -530,14 +533,13 @@ def _ldl_exact(rows):
     """
     n = len(rows)
     U = rows = list(rows)
-    y, D, gains = [], [], []
+    D, gains = [], []
     for i in range(n):
         re, im, den = rows[i]
         p = re[0]
         if im[0] or p <= 0:
             raise ArithmeticError(f"pivot {i} is not real positive: {from_parts(p, im[0], den)!r}")
         D.append(Fraction(p, den))
-        y.append(from_parts(re[-1], im[-1], den))
         gains.append(Fraction(re[-1] ** 2 + im[-1] ** 2, den * p))
         for j in range(i + 1, n):
             a, b = re[j - i], -im[j - i]
@@ -554,7 +556,7 @@ def _ldl_exact(rows):
             xr = [x * q - a * u + b * v for x, u, v in zip(xr, ur, ui)]
             xi = [x * q - a * v - b * u for x, u, v in zip(xi, ur, ui)]
             rows[j] = _reduced(xr, xi, dj * q)
-    return U, y, D, gains
+    return U, D, gains
 
 
 def _chol_float(G: np.ndarray, c: np.ndarray):
@@ -597,23 +599,33 @@ class _Factored:
     storage: exact LDL* of its rows, or float Cholesky of its complex
     arrays.  A leading k-block of it is factored by the leading k x k part
     of the factor (L, or U = D L* on the exact path), so has pivots[:k] and
-    projection c_k* a_k = sum(gains[:k])."""
+    projection c_k* a_k = sum(gains[:k]).  ``projection``, ``low`` and
+    ``high`` hold, at entry k, that sum and the min and max of pivots[:k] as
+    floats (inf and 0 for the empty block), formed once: the projection adds
+    the gains left to right from 0, as sum() does, so block(k, m) reads its
+    values without a pass over them."""
 
     def __init__(self, system: GramSystem):
         if system.exact:
             self.method, self.g_norm_sq = "exact", system.g_norm_sq
-            self.U, self.y, self.pivots, self.gains = _ldl_exact(system.data)
+            self.U, self.pivots, self.gains = _ldl_exact(system.data)
         else:
             (G, c), self.method, self.g_norm_sq = system.data, "float", float(system.g_norm_sq)
             self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c)
+        self.projection = list(accumulate(self.gains, initial=0))
+        # rounding is monotone, so the min and max of the rounded pivots are
+        # the rounded min and max
+        pivots = list(map(float, self.pivots))
+        self.low = list(accumulate(pivots, min, initial=math.inf))
+        self.high = list(accumulate(pivots, max, initial=0.0))
 
     def block(self, k: int, m: int):
         """(dist_sq, min_pivot, max_pivot) of the leading k-block, the system
-        to degree m.  ArithmeticError for a float block that is past the
-        longest leading block the Cholesky factors, or whose own scaled
-        pivots collapse below PIVOT_COLLAPSE of the largest."""
+        to degree m, read from the running sums.  ArithmeticError for a float
+        block that is past the longest leading block the Cholesky factors, or
+        whose own scaled pivots collapse below PIVOT_COLLAPSE of the largest."""
         n = len(self.pivots)
-        pmin, pmax = float(min(self.pivots[:k], default=math.inf)), float(max(self.pivots[:k], default=0.0))
+        pmin, pmax = self.low[min(k, n)], self.high[min(k, n)]
         if self.method == "float" and (k > n or pmin < PIVOT_COLLAPSE * pmax):
             raise ArithmeticError(
                 f"the float Cholesky of the Gram block to degree {m} ({k} unknowns) "
@@ -621,7 +633,7 @@ class _Factored:
                    f"factors them, but its smallest scaled pivot is {pmin / pmax:.1e} of the largest, "
                    f"below {PIVOT_COLLAPSE}")
                 + '; use method="exact"')
-        dist_sq = self.g_norm_sq - sum(self.gains[:k])
+        dist_sq = self.g_norm_sq - self.projection[k]
         if dist_sq < 0:
             if dist_sq < DIST_SQ_CLAMP * max(1.0, self.g_norm_sq):
                 raise ArithmeticError(f"dist_sq = {dist_sq} below the clamp window")
@@ -699,11 +711,12 @@ class ProfilePoint:
 def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, method: str = "auto") -> list[ProfilePoint]:
     """dist(g, {p f : deg p <= m})^2 for each m in degrees: one walk of the
     reachable basis, one assembly of it on the path ``_solve_path`` picks for
-    its size, one factorization.  ArithmeticError when the float path
-    refuses a degree (see the module docstring); ValueError, before
-    assembling anything, when the reachable block of the top degree has more
-    than GRAM_ENTRY_BUDGET entries, and for method="exact" on inputs that
-    hold floats, also on an empty schedule."""
+    its size, one factorization, and each degree's point read from the
+    running projection and pivot extremes of ``_Factored``.  ArithmeticError
+    when the float path refuses a degree (see the module docstring);
+    ValueError, before assembling anything, when the reachable block of the
+    top degree has more than GRAM_ENTRY_BUDGET entries, and for
+    method="exact" on inputs that hold floats, also on an empty schedule."""
     degrees = sorted(set(map(_degree, degrees)))
     if not degrees:
         _solve_path(method, space, f, g, 0)  # an unknown method, or exact on floats, fails here too
@@ -811,18 +824,18 @@ def ratio_norm_sweep(space: SpaceSpec, p: SparsePoly, s: int, k: int, r_grid, M_
     if not M_grid or M_grid[0] < 0:
         raise ValueError("need a non-empty grid of truncation degrees >= 0")
     M_max = M_grid[-1]
-    num = p ** (s + k)
+    # ComplexRational * complex is complex(x) * complex, so a float copy of
+    # the numerator gives the same bits without the mixed products
+    num = (p ** (s + k)).truncate(M_max).to_float()
     rows = []
     sup = 0.0
     for r in r_grid:
         pr = p.dilate(float(r))
         inv = series_invert(pr, M_max)
-        # ComplexRational * complex is complex(x) * complex, so a float copy
-        # of the numerator gives the same bits without the mixed products
-        h = num.truncate(M_max).to_float()
+        h = num
         for _ in range(s):
             h = (h * inv).truncate(M_max)
-        blocks = homogeneous_norms_sq(space, h.to_float())
+        blocks = homogeneous_norms_sq(space, h)
         acc_at = list(accumulate(float(blocks.get(n, 0.0)) for n in range(M_max + 1)))
         for M in M_grid:
             total = acc_at[M]

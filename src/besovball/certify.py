@@ -381,18 +381,6 @@ def _tensor(axis: np.ndarray, m: int) -> np.ndarray:
     return np.stack([a.ravel() for a in mesh], axis=1)
 
 
-def evaluate_on_points(f: SparsePoly, Z: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of f on rows of Z."""
-    vals = np.zeros(Z.shape[0], dtype=complex)
-    for beta, c in f.terms.items():
-        term = np.full(Z.shape[0], complex(c), dtype=complex)
-        for i, e in enumerate(beta):
-            if e:
-                term *= Z[:, i] ** e
-        vals += term
-    return vals
-
-
 @dataclass(frozen=True)
 class EnergyResult:
     value: float
@@ -704,8 +692,21 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
         raise ValueError("dimension mismatch between space, polynomial and measure")
 
     n_check = max(n_base, 8)
-    T, Z = measure.grid(n_check, offset=0.0)
-    fvals = evaluate_on_points(f.to_float(), Z)
+    _, Z = measure.grid(n_check, offset=0.0)
+    # one table of the coordinate powers Z[:, i] ** e serves f's values and
+    # the audit monomials: each monomial is c times its powers in coordinate
+    # order, and f the sum of its terms from 0 in term order
+    powers = {(i, e): Z[:, i] ** e for i in range(measure.d) for e in range(1, max(6, f.degree()) + 1)}
+
+    def monomial(beta, c=1.0):
+        out = np.full(Z.shape[0], c, dtype=complex)
+        for i, e in enumerate(beta):
+            if e:
+                out *= powers[i, e]
+        return out
+
+    fvals = sum((monomial(beta, complex(c)) for beta, c in f.to_float().terms.items()),
+                np.zeros(Z.shape[0], dtype=complex))
     support_dev = float(np.abs(fvals).max())
     scale = _coeff_scale(f)
     if not support_dev <= SUPPORT_TOL * scale:  # nan included
@@ -717,16 +718,8 @@ def energy_lower_bound(space: SpaceSpec, f: SparsePoly, measure: CubeMeasure,
 
     wq = (2.0 / n_check) ** measure.m
     pair_max = 0.0
-    # each monomial as evaluate_on_points forms it, 1 times the powers
-    # Z[:, i] ** e in coordinate order, from one table of those powers
-    powers = {(i, e): Z[:, i] ** e for i in range(measure.d) for e in range(1, 7)}
-    mono = np.empty(Z.shape[0], dtype=complex)
     for beta in graded_monomials(measure.d, 6):
-        mono.fill(1.0)
-        for i, e in enumerate(beta):
-            if e:
-                mono *= powers[i, e]
-        pair_max = max(pair_max, abs(complex(np.sum(mono * fvals) * wq)))
+        pair_max = max(pair_max, abs(complex(np.sum(monomial(beta) * fvals) * wq)))
 
     audit = {
         "mu_total": mu_total,

@@ -8,12 +8,13 @@ input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .approx import assemble_gram, optimal_approximant
+from .approx import _system, optimal_approximant
 from .certify import Certificate
 from .embeddings import sum_squares_compose, tau_compose
 from .experiments import (
@@ -187,8 +188,9 @@ def _cmd_approx(args) -> int:
     space = _load_space(args.space)
     f = _load_poly(args.f)
     g = _load_poly(args.g) if args.g else SparsePoly.one(space.d)
-    system = assemble_gram(space, f, g, args.deg)
-    res = optimal_approximant(system, method=args.method)
+    # assembled on the path the solve takes, so an exact system is never
+    # built to be discarded
+    res = optimal_approximant(_system(space, f, g, args.deg, args.method), method=args.method)
     print(f"dist_sq = {_fmt_scalar(res.dist_sq)}")
     print(f"basis size = {res.conditioning.full_unknowns}, factored = {res.conditioning.unknowns}, solve path = {res.conditioning.path}")
     if args.json_out:
@@ -196,13 +198,7 @@ def _cmd_approx(args) -> int:
             "degree": res.degree,
             "dist_sq": float(res.dist_sq),
             "approximant": poly_to_literal(res.polynomial(space.d)),
-            "conditioning": {
-                "path": res.conditioning.path,
-                "min_pivot": res.conditioning.min_pivot,
-                "max_pivot": res.conditioning.max_pivot,
-                "unknowns": res.conditioning.unknowns,
-                "full_unknowns": res.conditioning.full_unknowns,
-            },
+            "conditioning": dataclasses.asdict(res.conditioning),
         }
         write_json(args.json_out, payload)
         print(f"wrote {args.json_out}")

@@ -313,6 +313,17 @@ def test_ratio_sweep_against_series_oracle():
     assert accepted_rs == {0.9, 0.99}
 
 
+def test_ratio_sweep_refuses_negative_orders_and_empty_degree_grids():
+    sp = SpaceSpec.besov(3, 1, PointMassAtOne())
+    p = SparsePoly(3, {(0, 0, 0): 1, (1, 0, 0): -1})
+    for s, k in [(-1, 1), (1, -1)]:
+        with pytest.raises(ValueError, match="need s, k >= 0"):
+            ratio_norm_sweep(sp, p, s, k, [0.9], [4])
+    for M_grid in ([], [-1, 4]):
+        with pytest.raises(ValueError, match="need a non-empty grid of truncation degrees >= 0"):
+            ratio_norm_sweep(sp, p, 1, 1, [0.9], M_grid)
+
+
 def test_gram_rejects_zero_f():
     with pytest.raises(ValueError):
         assemble_gram(H1, SparsePoly(1, {}), SparsePoly.one(1), 2)
@@ -623,11 +634,10 @@ def _assert_ldl_equals_the_pair_oracle(G, c, rows=None):
     if rows is None:
         rows = _rows(G, c)
     assert rows == _rows(G, c)
-    U, y, D, gains = approx._ldl_exact(rows)
+    U, D, gains = approx._ldl_exact(rows)
     L0, y0, D0, gains0 = _ldl_pairs([[pair(x) for x in row] for row in G], [pair(x) for x in c])
     assert D == D0 and gains == gains0
     assert all(type(v) is Fraction for v in D + gains)
-    assert [pair(v) for v in y] == y0
     n = len(c)
     # row i of U = D L* holds the numerators of U[i][i:] and y_i over one
     # denominator, so L[j][i] = conj(U[i][j]) / D[i]
@@ -1178,7 +1188,7 @@ if HAVE_HYPOTHESIS:
         assert full.matrix == _gram_by_dictionary(space, f, basis, True)
         assert exact.matrix == [[full.matrix[i][j] for j in rows] for i in rows]
         assert exact.rhs == [full.rhs[i] for i in rows]
-        _, _, _, gains = approx._ldl_exact(full.data)
+        _, _, gains = approx._ldl_exact(full.data)
         sizes = full.block_sizes()
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
         assert [p.dist_sq for p in pts] == [float(exact.g_norm_sq - sum(gains[:sizes[k]])) for k in range(m + 1)]
@@ -1328,3 +1338,72 @@ def test_exact_solve_names_the_float_inputs(space, f, g, why):
     with pytest.raises(ValueError, match=message):
         optimal_approximant(system, method="exact")
     assert optimal_approximant(system).conditioning.path == "float"
+
+
+def _block_by_slices(factored, k):
+    """(dist_sq, min_pivot, max_pivot) of the leading k-block read as before
+    the running sums: g_norm_sq - sum(gains[:k]), read as 0 inside the clamp
+    window, and the min and max of pivots[:k], per block; None where the
+    float path refuses the block."""
+    n = len(factored.pivots)
+    pmin = float(min(factored.pivots[:k], default=math.inf))
+    pmax = float(max(factored.pivots[:k], default=0.0))
+    if factored.method == "float" and (k > n or pmin < approx.PIVOT_COLLAPSE * pmax):
+        return None
+    dist_sq = factored.g_norm_sq - sum(factored.gains[:k])
+    if approx.DIST_SQ_CLAMP * max(1.0, factored.g_norm_sq) <= dist_sq < 0:
+        dist_sq = 0.0
+    return dist_sq, pmin, pmax
+
+
+def _same(a, b):
+    """Equal values of one type: floats bit for bit, exact values by ==."""
+    return type(a) is type(b) and (a.hex() == b.hex() if isinstance(a, float) else a == b)
+
+
+RUNNING_SUM_CASES = [
+    # the D_4 hc step n = 2 of 1 - z to degree 200: 201 reachable unknowns
+    (SpaceSpec.alpha_scale(1, 4), ONE_MINUS_Z ** 3, ONE_MINUS_Z ** 2, 200),
+    # the dense DA_2 system of the CI's approx compare: the whole basis
+    (DA2, CI_DA2_F, CI_DA2_G, 6),
+]
+
+
+@pytest.mark.parametrize("space, f, g, m", RUNNING_SUM_CASES)
+@pytest.mark.parametrize("path", ["exact", "float"])
+def test_running_sums_equal_the_sliced_sums_at_every_block(space, f, g, m, path):
+    # every leading block (on the float path also one past the whole
+    # system, which it refuses) and every point of the profile read the
+    # values the per-block slices give
+    system = approx._system(space, f, g, m, path)
+    factored = approx._Factored(system)
+    assert factored.method == path
+    for k in range(len(system.basis) + (2 if path == "float" else 1)):
+        want = _block_by_slices(factored, k)
+        if want is None:
+            with pytest.raises(ArithmeticError, match="float Cholesky"):
+                factored.block(k, m)
+            continue
+        got = factored.block(k, m)
+        assert all(map(_same, got, want)), k
+    sizes = system.block_sizes()
+    for pt in distance_profile(space, f, g, range(m + 1), method=path):
+        dist_sq, pmin, _ = _block_by_slices(factored, sizes[pt.m])
+        assert (pt.dist_sq.hex(), pt.min_pivot.hex()) == (float(dist_sq).hex(), pmin.hex()), pt.m
+
+
+@pytest.mark.parametrize("path", ["exact", "float"])
+def test_block_refuses_a_dist_sq_below_the_clamp_window(path):
+    # ||g||^2 replaced by values below the projection: a deficit inside the
+    # window, DIST_SQ_CLAMP * max(1, ||g||^2), is rounding and reads 0; one
+    # past it is refused
+    system = approx._system(DA2, F22, SparsePoly.one(2), 4, path)
+    k = len(system.basis)
+    projection = sum(approx._Factored(system).gains)
+    inside = projection - (Fraction(1, 10 ** 13) if path == "exact" else 1e-13)
+    factored = approx._Factored(dataclasses.replace(system, g_norm_sq=inside))
+    assert factored.block(k, 4)[0] == 0.0
+    for g_norm_sq in (0, projection / 2):
+        factored = approx._Factored(dataclasses.replace(system, g_norm_sq=g_norm_sq))
+        with pytest.raises(ArithmeticError, match="below the clamp window"):
+            factored.block(k, 4)

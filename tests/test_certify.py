@@ -25,7 +25,6 @@ from besovball.certify import (
     dual_lower_bound,
     energy,
     energy_lower_bound,
-    evaluate_on_points,
     functional_norm,
     param_inv_sq_integral,
 )
@@ -593,6 +592,14 @@ def test_energy_certificate_preconditions():
         energy_lower_bound(SpaceSpec.drury_arveson(4), bad, mu, max_doublings=0)
 
 
+def test_points_refuse_a_chart_of_the_wrong_shape():
+    # a chart into C^3 for a cube declared in C^4
+    torus = CubeMeasure.torus(3, 3)
+    mu = CubeMeasure(m=2, d=4, phi=torus.phi, label="torus(k=3, d=3) as d = 4")
+    with pytest.raises(ValueError, match=r"phi returned shape \(2, 3\), expected \(2, 4\)"):
+        mu.points(np.zeros((2, 2)))
+
+
 def test_nan_points_and_values_are_refused():
     # a comparison with nan is False, so "dev > tol" let nan through: energy
     # gave value nan and c_estimate inf, and the certificate divided by zero
@@ -644,11 +651,12 @@ def test_param_integral_grid_budget(monkeypatch):
 def test_energy_lower_bound_refuses_the_box_grid_before_the_support_grid(monkeypatch):
     # torus(5, 5) has m = 4: its kernel evaluations fit the budget, the box
     # integral's first grid (64^4 points) does not, and the refusal comes
-    # before f is evaluated on the support grid, with the integral's message
-    def refuse(*args):
-        raise AssertionError("f was evaluated on the support grid")
+    # before any grid of the cube is built (the support grid f is evaluated
+    # on among them), with the integral's message
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid of the cube was built")
 
-    monkeypatch.setattr(certify, "evaluate_on_points", refuse)
+    monkeypatch.setattr(CubeMeasure, "grid", refuse)
     f5 = SparsePoly(5, {(0,) * 5: 1, (1,) * 5: -(5 ** 2.5)})
     with pytest.raises(ValueError) as info:
         energy_lower_bound(SpaceSpec.drury_arveson(5), f5, CubeMeasure.torus(5, 5))
@@ -665,10 +673,16 @@ def test_energy_lower_bound_refuses_the_box_grid_before_the_support_grid(monkeyp
 
 def _oracle_pairings(measure, f, n_check):
     """The deg-6 monomial pairings |integral z^beta f dmu| of
-    ``energy_lower_bound``, beta by beta in graded order, with the monomials
-    built by hand as they were before ``evaluate_on_points``."""
+    ``energy_lower_bound``, beta by beta in graded order, with f and the
+    monomials evaluated by hand, each power formed where it is used."""
     _, Z = measure.grid(n_check, offset=0.0)
-    fvals = evaluate_on_points(f.to_float(), Z)
+    fvals = np.zeros(Z.shape[0], dtype=complex)
+    for beta, c in f.to_float().terms.items():
+        term = np.full(Z.shape[0], complex(c), dtype=complex)
+        for i, e in enumerate(beta):
+            if e:
+                term *= Z[:, i] ** e
+        fvals += term
     wq = (2.0 / n_check) ** measure.m
     out = []
     for beta in graded_monomials(measure.d, 6):

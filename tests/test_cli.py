@@ -49,6 +49,14 @@ def test_ip_verb():
     assert out.startswith("inner_product = 0")
 
 
+def test_ip_verb_prints_an_exact_complex_inner_product():
+    # <1/2 + i z, 1 + z> in D_4, where ||z||^2 = 16: the exact value, then
+    # its complex rounding
+    code, out, _ = run("ip", "--space", D4, "--f", '{"0":[1,2,0,1],"1":[0,1,1,1]}', "--g", '{"0":[1,1,0,1],"1":[1,1,0,1]}')
+    assert code == 0
+    assert out == "inner_product = ComplexRational(1/2, 16) (= (0.5+16j))\n"
+
+
 def test_approx_verb_with_json(tmp_path):
     out_path = tmp_path / "res.json"
     code, out, _ = run(
@@ -456,6 +464,36 @@ def test_approx_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
     assert ("error: the reachable Gram block to degree 31 in 3 variables has more than 5792 unknowns, "
             "over the budget of 33554432 entries") in err
     assert peak < 1e6
+
+
+# the dense DA_3 system of the CI's approx compare at degree 3 (20
+# unknowns), and 1 - (z1^2 + ... + z4^2) in DA_4 at degree 12, whose 210
+# reachable unknowns are past AUTO_EXACT_LIMIT
+DA3_DENSE_F = ('{"0,0,0":[1,1,0,1],"1,0,0":[-1,1,0,1],"0,1,0":[-1,3,0,1],"0,0,1":[9,8,0,1],"2,0,0":[4,5,0,1],'
+               '"1,1,0":[8,9,0,1],"1,0,1":[7,9,0,1],"0,2,0":[-5,6,0,1],"0,1,1":[1,4,0,1],"0,0,2":[8,3,0,1]}')
+DA3_DENSE_G = ('{"0,0,0":[4,1,0,1],"1,0,0":[4,3,0,1],"0,1,0":[-4,7,0,1],"0,0,1":[-8,1,0,1],"2,0,0":[-1,8,0,1],'
+               '"1,1,0":[-1,1,0,1],"1,0,1":[-1,9,0,1],"0,2,0":[2,1,0,1],"0,1,1":[-3,4,0,1],"0,0,2":[-9,4,0,1]}')
+SUM_SQ4 = '{"0,0,0,0":[1,1,0,1],"2,0,0,0":[-1,1,0,1],"0,2,0,0":[-1,1,0,1],"0,0,2,0":[-1,1,0,1],"0,0,0,2":[-1,1,0,1]}'
+FLOAT_SOLVES_OF_EXACT_INPUTS = [
+    (("--space", '{"d":3,"kind":"alpha","alpha":0}', "--f", DA3_DENSE_F, "--g", DA3_DENSE_G, "--deg", "3"),
+     "float", "basis size = 20, factored = 20, solve path = float"),
+    (("--space", '{"d":4,"kind":"alpha","alpha":0}', "--f", SUM_SQ4, "--deg", "12"),
+     "auto", "basis size = 1820, factored = 210, solve path = float"),
+]
+
+
+@pytest.mark.parametrize("system, method, line", FLOAT_SOLVES_OF_EXACT_INPUTS)
+def test_a_float_approx_of_exact_inputs_builds_no_exact_rows(monkeypatch, system, method, line):
+    # the system is assembled on the path the solve takes, so no exact rows
+    # are built for a float solve; --method exact still builds them
+    def refuse(*args):
+        raise AssertionError("exact Gram rows were built")
+
+    monkeypatch.setattr(approx, "_gram_rows", refuse)
+    code, out, _ = run("approx", *system, "--method", method)
+    assert code == 0 and line in out
+    with pytest.raises(AssertionError, match="exact Gram rows were built"):
+        run("approx", *system, "--method", "exact")
 
 
 @pytest.mark.parametrize("verb", [("approx", "--deg", "3"), ("profile", "--degrees", "0:3")])

@@ -238,6 +238,24 @@ def test_roots_multiplicity_clustering():
         assert all(abs(r - 1) < 1e-4 for r, _ in roots)
 
 
+def test_roots_merge_a_double_root():
+    # (1 - lambda)^2: the two computed roots lie closer than ROOT_CLUSTER_TOL
+    # and come back as one root of multiplicity 2
+    for s in ([1, -2, 1], _p(1, {(0,): 1, (1,): -1}) ** 2):
+        ((root, mult),) = roots_1d(s)
+        assert mult == 2 and abs(root - 1) < 1e-12
+
+
+def test_roots_refuse_a_root_that_fails_the_residual_check():
+    # 1 + 2e8 lambda + 1e-16 lambda^2 has roots near -5e-9 and -2e24: the
+    # companion matrix holds entries up to 2e24, so the small root comes back
+    # with an absolute error far above its size and fails the residual check
+    q = [1.0, 2e8, 1e-16]
+    with pytest.raises(ArithmeticError, match="fails the residual check"):
+        roots_1d(q)
+    assert not is_outer_1d(q)
+
+
 def test_outer_constant_and_margin():
     assert is_outer_1d(_p(1, {(0,): 5}))
     assert is_outer_1d([5])
