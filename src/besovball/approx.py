@@ -29,8 +29,10 @@ which ``_pairing`` and ``_reachable`` search, and a dict of the basis
 tuples, which ``_rhs_terms`` looks its few terms up in.  ``_pairing``
 lists the terms of the Gram matrix of f over a basis, the reachable one or
 the full one of ``finite_section_mult_bound``: it finds the row of every
-candidate term from the codes with numpy, in blocks of at most
-GRAM_BLOCK_ENTRIES candidates, and lists each monomial weight once.
+candidate term from the codes with numpy, searching each distinct shift
+delta - eps between terms of f once (``_shifts``, whose dedup a Gram
+system shares with the walk), in blocks of at most GRAM_BLOCK_ENTRIES
+candidates, and lists each monomial weight once.
 c[j] = <g, z^(beta_j) f> has a term only where beta_j = eps - delta for
 exponents delta of f and eps of g, at most len(f) len(g) of them, which
 ``_rhs_terms`` finds in that dict; their weights are G's.
@@ -222,49 +224,75 @@ class GramSystem:
         return dict(enumerate(np.searchsorted(degrees, np.arange(self.degree + 1), side="right").tolist()))
 
 
-def _pairing(f: SparsePoly, basis):
+def _shifts(f: SparsePoly):
+    """The exponents of a nonzero f and the distinct shifts between them:
+    (F1, S, shift_of).  Row k of F1 is (-|delta|, delta) for the k-th
+    exponent delta of f.  The rows of S are the distinct differences
+    (|eps| - |delta|, delta - eps) of rows of F1 over the pairs p = (delta,
+    eps) = divmod(p, len(f)), and S[shift_of[p]] is the row of pair p.
+    ``_reachable`` walks the rows of S, the degree change first;
+    ``_pairing`` searches each row once and spreads what it finds to the
+    pairs through shift_of."""
+    d = f.dim
+    F = _exponents(f.terms, d)
+    F1 = np.column_stack((-F.sum(axis=1), F))
+    diffs = (F1[:, None, :] - F1[None, :, :]).reshape(-1, d + 1)
+    codes = _coder(2 * np.abs(diffs).max(axis=0) + 1)(diffs)
+    _, first, shift_of = np.unique(codes, return_index=True, return_inverse=True)
+    return F1, diffs[first], shift_of
+
+
+def _pairing(f: SparsePoly, basis, shifts=None):
     """The terms of G[i][j] = <z^(beta_j) f, z^(beta_i) f> over a nonempty
-    basis, for a nonzero f: (exps, blocks).
+    basis, for a nonzero f: (exps, blocks).  shifts is ``_shifts(f)``, taken
+    from the walk when it has run, else formed here.
 
     Each entry is the sum, over the pairs (delta, eps) of exponents of f
     with beta_j + delta - eps = beta_i, of f_delta conj(f_eps) ||z^(beta_j
     + delta)||^2.  ``_coder`` codes exponents in a radix whose digits never
     carry on that range, so the row of beta_j + delta - eps is a search for
     code(beta_j) + code(delta - eps) in the sorted basis codes, which finds
-    none off the basis.  exps lists each distinct beta_i + eps once, the
-    weights to compute.  blocks yields, per block of columns j0:j1, (j0, j1,
-    i, j, p, k): the row, the column relative to j0, the pair p = (delta,
-    eps) = divmod(p, len(f)) and the weight exps[k] of each term, in column
-    then pair order, at most GRAM_BLOCK_ENTRIES candidates (columns x pairs)
-    and block entries (columns x rows) per block.
+    none off the basis.  Pairs with one shift delta - eps share that row, so
+    each column searches each distinct shift once: the hits are spread back
+    to the pairs through the shift of each pair, and the row of a hit is
+    read from the search of its shift.  exps lists
+    each distinct beta_i + eps once, the weights to compute.  blocks yields,
+    per block of columns j0:j1, (j0, j1, i, j, p, k): the row, the column
+    relative to j0, the pair p = (delta, eps) = divmod(p, len(f)) and the
+    weight exps[k] of each term, in column then pair order, at most
+    GRAM_BLOCK_ENTRIES spread candidates (columns x pairs) and block entries
+    (columns x rows) per block.
     """
     n, d, nf = len(basis), f.dim, len(f.terms)
-    B, F = _exponents(basis, d), _exponents(f.terms, d)
+    F1, S, shift_of = _shifts(f) if shifts is None else shifts
+    B, F = _exponents(basis, d), F1[:, 1:]
     # digit k of a candidate lies in [-max F_k, max B_k + max F_k] and of a
     # row in [0, max B_k]: they differ by less than radix_k, so never collide
     code = _coder(B.max(axis=0) + F.max(axis=0) + 1)
     col_codes = code(B)
     order = np.argsort(col_codes)  # the basis is distinct
     sorted_codes = col_codes[order]
-    shift_codes = code((F[:, None, :] - F[None, :, :]).reshape(-1, d))
+    shift_codes = code(S[:, 1:])
     shifted = (B[:, None, :] + F[None, :, :]).reshape(-1, d)  # beta_i + eps, row i slowest
     _, first, weight_of = np.unique(code(shifted), return_index=True, return_inverse=True)
 
     def blocks():
-        step = max(1, min(GRAM_BLOCK_ENTRIES // len(shift_codes), GRAM_BLOCK_ENTRIES // n))
+        step = max(1, min(GRAM_BLOCK_ENTRIES // len(shift_of), GRAM_BLOCK_ENTRIES // n))
         for j0 in range(0, n, step):
             j1 = min(j0 + step, n)
             cand = col_codes[j0:j1, None] + shift_codes[None, :]
             pos = np.minimum(np.searchsorted(sorted_codes, cand), n - 1)
-            cols, pairs = np.nonzero(sorted_codes[pos] == cand)  # column, then pair order
-            found = order[pos[cols, pairs]]
+            # whether beta_j + s is on the basis for each distinct shift s,
+            # spread to every pair (delta, eps) with delta - eps = s
+            cols, pairs = np.nonzero((sorted_codes[pos] == cand)[:, shift_of])  # column, then pair order
+            found = order[pos[cols, shift_of[pairs]]]
             # the weight of beta_i + eps = beta_j + delta
             yield j0, j1, found, cols, pairs, weight_of[found * nf + pairs % nf]
 
     return shifted[first], blocks()
 
 
-def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis) -> np.ndarray:
+def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, shifts=None) -> np.ndarray:
     """G[i][j] = <z^(beta_j) f, z^(beta_i) f> in float, the Gram matrix of
     {z^beta f : beta in basis}, from the terms of ``_pairing``, each entry
     summed by np.bincount in (delta, eps) order.  ArithmeticError for a
@@ -273,7 +301,7 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis) -> np.ndarray:
     G = np.zeros((n, n), dtype=complex)
     if not (n and f.terms):
         return G
-    exps, blocks = _pairing(f, basis)
+    exps, blocks = _pairing(f, basis, shifts)
     weights = np.array([float(monomial_norm_sq(space, e)) for e in exps.tolist()])
     _check_float_weights(space, exps, weights, max(map(sum, basis)))
     fc = [complex(c) for c in f.terms.values()]
@@ -308,7 +336,7 @@ def _gaussian_integers(p: SparsePoly):
     return [a * (den // d) for a, _, d in parts], [b * (den // d) for _, b, d in parts], den
 
 
-def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis) -> list:
+def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis, shifts=None) -> list:
     """The exact Gram system of {z^beta f : beta in basis} against g as the
     upper rows of [G | c], the form ``_ldl_exact`` factors: row i is (re,
     im, den), the integer numerators of G[i][i:] and of c[i] = <g, z^(beta_i)
@@ -327,7 +355,7 @@ def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis) -> list:
     den = 1
     if n and f.terms:
         (fa, fb, F), (ga, gb, H) = _gaussian_integers(f), _gaussian_integers(g)
-        exps, blocks = _pairing(f, basis)
+        exps, blocks = _pairing(f, basis, shifts)
         ws = [monomial_norm_sq(space, e) for e in exps.tolist()]
         W = math.lcm(*(w.denominator for w in ws))
         ws = [w.numerator * (W // w.denominator) for w in ws]
@@ -381,7 +409,7 @@ def _check_float_weights(space: SpaceSpec, exps: np.ndarray, weights: np.ndarray
         'would lose its digits; use method="exact"')
 
 
-def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
+def _reachable(f: SparsePoly, g: SparsePoly, degree: int, shifts=None) -> list[tuple]:
     """Exponents beta with |beta| <= degree in the components of the Gram
     difference graph that meet the right-hand side, in graded lex order.
 
@@ -398,33 +426,32 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int) -> list[tuple]:
     order is the graded order.  ValueError at the end of the first layer
     that takes the walk past isqrt(GRAM_ENTRY_BUDGET) exponents, where the
     Gram block they index is sure to have more than GRAM_ENTRY_BUDGET
-    entries: a refusal walks at most one layer past that count.
+    entries: a refusal walks at most one layer past that count.  shifts is
+    ``_shifts(f)``, formed here unless the caller holds it.
     """
     d = f.dim
-    F, Gx = _exponents(f.terms, d), _exponents(g.terms, d)
-    F1 = np.column_stack((-F.sum(axis=1), F))
-    diffs = (F1[:, None, :] - F1[None, :, :]).reshape(-1, d + 1)
-    _, first = np.unique(_coder(2 * np.abs(diffs).max(axis=0) + 1)(diffs), return_index=True)
+    F1, S, _ = _shifts(f) if shifts is None else shifts
+    Gx = _exponents(g.terms, d)
     code = _coder([degree + 1] * (d + 1))
     # breadth first: the first layer is the seeds gamma - delta, each later
     # one the neighbours of the one before that are new.  The shifts (the
     # zero shift among them) come in pairs +-s, so the neighbours of a
     # layer lie in it, in the layer before or in the next: only the codes of
     # the last two layers and of the new ones found so far are searched.
-    src, shifts = np.column_stack((degree - Gx.sum(axis=1), Gx)), -F1
+    src, moves = np.column_stack((degree - Gx.sum(axis=1), Gx)), -F1
     layers, codes = [src[:0]], [code(src[:0])]  # an empty first layer: nothing concatenated is empty
     held, most = 0, math.isqrt(GRAM_ENTRY_BUDGET)  # n unknowns fit the budget iff n <= most
     while len(src):
         seen = np.concatenate(codes[-2:])
-        start, rows, step = len(seen), [], max(1, max(WALK_BLOCK_ENTRIES, len(seen)) // len(shifts))
+        start, rows, step = len(seen), [], max(1, max(WALK_BLOCK_ENTRIES, len(seen)) // len(moves))
         for i in range(0, len(src), step):
-            cand = (src[i:i + step, None, :] + shifts[None, :, :]).reshape(-1, d + 1)
+            cand = (src[i:i + step, None, :] + moves[None, :, :]).reshape(-1, d + 1)
             cand = cand[cand.min(axis=1) >= 0]  # on the basis
             c, at = np.unique(np.concatenate((seen, code(cand))), return_index=True)
             new = at >= len(seen)
             rows.append(cand[at[new] - len(seen)])
             seen = np.concatenate((seen, c[new]))
-        src, shifts = np.concatenate(rows), diffs[first]
+        src, moves = np.concatenate(rows), S
         layers.append(src)
         codes.append(seen[start:])
         held += len(src)
@@ -450,18 +477,20 @@ def _inexact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> str:
                                       coefficients and f"the coefficients of {coefficients}")))
 
 
-def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool) -> GramSystem:
+def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool,
+                 shifts=None) -> GramSystem:
     """The Gram system of {z^beta f : beta in basis} against g, basis in
     graded order to degree: the rows of ``_gram_rows`` (exact), or G of
-    ``_gram_matrix`` and c summed from 0 in ``_rhs_terms`` order (float)."""
+    ``_gram_matrix`` and c summed from 0 in ``_rhs_terms`` order (float).
+    shifts is ``_shifts(f)`` when the caller holds it."""
     if exact:
-        data = _gram_rows(space, f, g, basis)
+        data = _gram_rows(space, f, g, basis, shifts)
     else:
         terms = [a.conjugate() * b for a in map(complex, f.terms.values()) for b in map(complex, g.terms.values())]
         c = [0j] * len(basis)
         for j, p, w in _rhs_terms(space, f, g, basis):
             c[j] += terms[p] * float(w)
-        data = _gram_matrix(space, f, basis), np.array(c, dtype=complex)
+        data = _gram_matrix(space, f, basis, shifts), np.array(c, dtype=complex)
     return GramSystem(space=space, f=f, g=g, degree=degree, basis=tuple(basis), data=data,
                       g_norm_sq=norm_sq(space, g), exact=exact)
 
@@ -472,8 +501,10 @@ def _system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, method:
     anything, when it has more than GRAM_ENTRY_BUDGET entries."""
     _check_inputs(space, f, g)
     degree = _degree(degree)
-    basis = _reachable(f, g, degree)
-    return _gram_system(space, f, g, degree, basis, _solve_path(method, space, f, g, len(basis)) == "exact")
+    shifts = _shifts(f)  # one dedup of the shifts for the walk and the pairing
+    basis = _reachable(f, g, degree, shifts)
+    exact = _solve_path(method, space, f, g, len(basis)) == "exact"
+    return _gram_system(space, f, g, degree, basis, exact, shifts)
 
 
 def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int) -> GramSystem:

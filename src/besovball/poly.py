@@ -384,7 +384,11 @@ def poly_from_literal(lit) -> SparsePoly:
 # -- one-variable polynomials -----------------------------------------------
 
 ROOT_RESIDUAL_TOL = 1e-9  # |q(root)| per unit coefficient norm, scaled by |root|^deg past the disc
-ROOT_CLUSTER_TOL = 1e-7  # roots closer than this count as one, with multiplicity
+# k computed roots within ROOT_CLUSTER_TOL^(1/k) of their mean, relative to
+# max(1, |mean|), count as one root of multiplicity k: rounding spreads a
+# k-fold root by about eps^(1/k) (1e-8 for k = 2, 1e-5 for k = 3), so a
+# fixed distance would merge only double roots
+ROOT_CLUSTER_TOL = 1e-12
 OUTER_MARGIN = 1e-9  # a root this close inside the circle counts as on it
 
 
@@ -411,9 +415,12 @@ def roots_1d(q):
 
     q is a ``SparsePoly`` in one variable or a sequence of coefficients
     a_0, a_1, ... by ascending degree.  Returns a list of (root,
-    multiplicity).  Each root is checked by back-substitution: |q(root)| <
-    ROOT_RESIDUAL_TOL * l2-norm of the coefficients.  Roots closer than
-    ROOT_CLUSTER_TOL are merged.
+    multiplicity), by real then imaginary part.  Each root is checked by
+    back-substitution: |q(root)| < ROOT_RESIDUAL_TOL * l2-norm of the
+    coefficients.  Computed roots are grouped by ROOT_CLUSTER_TOL, which
+    scales with the multiplicity, and a group counts as one root at its
+    mean.  ValueError, naming q, when the companion matrix is not finite:
+    a coefficient that is not, or a_k / a_n past the float range.
     """
     if isinstance(q, SparsePoly):
         arr = dense_coeffs(q)
@@ -423,6 +430,11 @@ def roots_1d(q):
         arr = arr[:-1]
     if arr.size <= 1:
         return []
+    # the companion matrix holds a_k / a_n; Python floats overflow to inf
+    # without a warning
+    if not (np.isfinite(arr).all() and max(map(abs, arr[:-1].tolist())) / abs(complex(arr[-1])) < math.inf):
+        raise ValueError(f"the roots of {q!r} are past the float companion matrix: a coefficient is not "
+                         "finite, or a ratio a_k / a_n of coefficients overflows")
     scale = float(np.linalg.norm(arr))
     raw = np.polynomial.polynomial.polyroots(arr)
     for r in raw:
@@ -431,22 +443,40 @@ def roots_1d(q):
         denom = scale * max(1.0, abs(r)) ** (arr.size - 1)
         if val / denom > ROOT_RESIDUAL_TOL:
             raise ArithmeticError(f"root {r} fails the residual check ({val / denom:.2e})")
-    clusters: list[list[complex]] = []
-    for r in sorted(raw, key=lambda z: (z.real, z.imag)):
-        for cl in clusters:
-            if abs(r - cl[0]) < ROOT_CLUSTER_TOL:
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+    roots, out = sorted(raw.tolist(), key=lambda z: (z.real, z.imag)), []
+    while roots:
+        # the first root left with as many of its nearest others as form one
+        # root, most first
+        r = roots[0]
+        near = sorted(roots, key=lambda z: abs(z - r))  # r first: sorted() is stable
+        k = next((k for k in range(len(near), 1, -1) if _one_root(r, near[:k])), 1)
+        out.append((r if k == 1 else sum(near[:k]) / k, k))
+        taken = set(map(id, near[:k]))
+        roots = [z for z in roots if id(z) not in taken]
+    return out
+
+
+def _one_root(r, group) -> bool:
+    """Whether the k computed roots of group, r the first and the others by
+    distance from it, lie within ROOT_CLUSTER_TOL^(1/k) of their mean c,
+    relative to max(1, |c|).  Then the farthest is within twice that of r,
+    and 1 + |r| + its distance bounds max(1, |c|): the mean is formed only
+    for groups that pass this."""
+    k, far = len(group), abs(group[-1] - r)
+    rho = ROOT_CLUSTER_TOL ** (1 / k)
+    if far > 2 * rho * (1 + abs(r) + far):
+        return False
+    c = sum(group) / k
+    return max(abs(z - c) for z in group) <= rho * max(1.0, abs(c))
 
 
 def is_outer_1d(q) -> bool:
     """True when the one-variable polynomial has no zeros of modulus < 1 - OUTER_MARGIN.
 
     A polynomial with no zeros in the open disc is outer in the Hardy space
-    of the disc; constants count as outer.
+    of the disc; constants count as outer.  False when a root fails the
+    residual check of ``roots_1d``; ValueError, naming q, when its
+    companion matrix is not finite.
     """
     try:
         roots = roots_1d(q)

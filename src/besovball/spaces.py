@@ -44,8 +44,6 @@ from .scalars import ComplexRational, abs_sq, check_int, exact_parts, json_int, 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
 CACHE_MAXSIZE = 4096
-# Gauss-Legendre nodes of GeneralQuadrature.from_density
-QUADRATURE_NODES = 256
 
 
 # -- radial measures ---------------------------------------------------------
@@ -143,15 +141,6 @@ class GeneralQuadrature:
         object.__setattr__(self, "weights", weights)
         # hashed once: the weight cache hashes the space on every lookup
         object.__setattr__(self, "_hash", hash((nodes.tobytes(), weights.tobytes())))
-
-    @staticmethod
-    def from_density(u):
-        """Gauss-Legendre rule of QUADRATURE_NODES nodes for dmu = u(r) * 2r
-        dr on [0,1]."""
-        x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-        r = 0.5 * (x + 1.0)
-        wr = 0.5 * w * np.array([float(u(ri)) for ri in r]) * 2.0 * r
-        return GeneralQuadrature(r, wr)
 
     def moment(self, n: int) -> float:
         return float(np.dot(self.weights, self.nodes ** (2 * n)))

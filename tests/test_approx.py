@@ -386,7 +386,7 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     ones = np.ones(14)
     g_norm_sq = float(ones @ H.real @ ones) + 1.0
 
-    def hilbert_block(space, f, g, degree, basis, exact):
+    def hilbert_block(space, f, g, degree, basis, exact, shifts=None):
         k = len(basis)
         return dataclasses.replace(base, degree=degree, basis=tuple(basis), data=(H[:k, :k], (H @ ones)[:k]),
                                    g_norm_sq=g_norm_sq)
@@ -960,6 +960,19 @@ def test_a_gram_system_runs_one_pairing(monkeypatch):
                 assert list(system.rhs) == [0] * len(basis)
 
 
+def test_a_gram_system_dedups_the_shifts_once(monkeypatch):
+    # the walk and the pairing of one system share one dedup of the shifts
+    # delta - eps, on both paths
+    space, f, m = GRAM_CASES[1]
+    calls = []
+    shifts = approx._shifts
+    monkeypatch.setattr(approx, "_shifts", lambda f: calls.append(f) or shifts(f))
+    for method in ("exact", "float"):
+        calls.clear()
+        system = approx._system(space, f, SparsePoly.one(space.d) + f, m, method)
+        assert calls == [f] and system.exact == (method == "exact") and len(system.basis) > 1
+
+
 def _past_int64_generator():
     d = 23
     return SparsePoly(d, {(0,) * d: 1, **{tuple(6 * (k == i) for k in range(d)): Fraction(-1, i + 2) for i in range(d)}})
@@ -970,6 +983,69 @@ def test_gram_matrix_codes_past_int64():
     # 8^22 = 2^66, so the codes take Python integers
     f = _past_int64_generator()
     _assert_gram_equals_oracle(SpaceSpec.drury_arveson(f.dim), f, graded_monomials(f.dim, 1))
+
+
+def _pairing_by_all_pairs(f, basis):
+    """Oracle: ``_pairing`` as it was before it searched each distinct shift
+    once, a search of every pair (delta, eps) of terms of f for every
+    column, with the same blocks; the blocks as a list."""
+    n, d, nf = len(basis), f.dim, len(f.terms)
+    B, F = approx._exponents(basis, d), approx._exponents(f.terms, d)
+    code = approx._coder(B.max(axis=0) + F.max(axis=0) + 1)
+    col_codes = code(B)
+    order = np.argsort(col_codes)
+    sorted_codes = col_codes[order]
+    shift_codes = code((F[:, None, :] - F[None, :, :]).reshape(-1, d))
+    shifted = (B[:, None, :] + F[None, :, :]).reshape(-1, d)
+    _, first, weight_of = np.unique(code(shifted), return_index=True, return_inverse=True)
+    blocks = []
+    step = max(1, min(approx.GRAM_BLOCK_ENTRIES // len(shift_codes), approx.GRAM_BLOCK_ENTRIES // n))
+    for j0 in range(0, n, step):
+        j1 = min(j0 + step, n)
+        cand = col_codes[j0:j1, None] + shift_codes[None, :]
+        pos = np.minimum(np.searchsorted(sorted_codes, cand), n - 1)
+        cols, pairs = np.nonzero(sorted_codes[pos] == cand)
+        found = order[pos[cols, pairs]]
+        blocks.append((j0, j1, found, cols, pairs, weight_of[found * nf + pairs % nf]))
+    return shifted[first], blocks
+
+
+def _sum_power_generator():
+    """1 - (z1 + z2 + z3 + z4)^4 / 16: 36 terms, 1296 pairs over 379 shifts."""
+    s = SparsePoly(4, {tuple(int(i == k) for k in range(4)): 1 for i in range(4)})
+    return SparsePoly.one(4) - s ** 4 * Fraction(1, 16)
+
+
+@pytest.mark.parametrize("space, f, m", [
+    # a dense degree-2 f: every coefficient of degree <= 2 nonzero
+    (SpaceSpec.drury_arveson(3), SparsePoly(3, {b: Fraction(i + 1, 7) for i, b in enumerate(graded_monomials(3, 2))}), 4),
+    (SpaceSpec.drury_arveson(4), _sum_power_generator(), 6),
+    (DA2, SparsePoly(2, {(1, 2): ComplexRational(3, -1)}), 4),  # one term: the one shift is 0
+    (SpaceSpec.drury_arveson(23), _past_int64_generator(), 1),  # codes past int64
+])
+def test_pairing_equals_the_all_pairs_search(space, f, m, monkeypatch):
+    # the same arrays, element for element and in order, with the shifts of
+    # the walk or formed by the pairing, at the budgets of
+    # test_gram_matrix_equals_the_dictionary_loop
+    nf = len(f.terms)
+    shifts = approx._shifts(f)
+    _, S, shift_of = shifts
+    assert len(shift_of) == nf * nf and (len(S) < nf * nf or nf == 1)
+    reach = approx._reachable(f, SparsePoly.one(space.d), m, shifts)
+    assert reach == approx._reachable(f, SparsePoly.one(space.d), m)
+    for basis in filter(None, (graded_monomials(space.d, m), reach)):  # a one-term f reaches nothing
+        for budget in (1, 3 * max(nf * nf, len(basis)), approx.GRAM_BLOCK_ENTRIES):
+            monkeypatch.setattr(approx, "GRAM_BLOCK_ENTRIES", budget)
+            want_exps, want = _pairing_by_all_pairs(f, basis)
+            for given in (None, shifts):
+                exps, blocks = approx._pairing(f, basis, given)
+                assert exps.dtype == want_exps.dtype and np.array_equal(exps, want_exps)
+                got = list(blocks)
+                assert len(got) == len(want) > 0
+                for (j0, j1, *arrays), (k0, k1, *oracle) in zip(got, want):
+                    assert (j0, j1) == (k0, k1)
+                    for a, b in zip(arrays, oracle):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _reachable_by_sets(f, g, degree):

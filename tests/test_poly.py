@@ -7,6 +7,7 @@ import math
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from besovball.poly import (
@@ -231,19 +232,43 @@ def test_roots_anchors():
 
 
 def test_roots_multiplicity_clustering():
-    # (1 - lambda)^3: triple root at 1
-    for s in ([1, -3, 3, -1], _p(1, {(0,): 1, (1,): -1}) ** 3):
-        roots = roots_1d(s)
-        assert sum(m for _, m in roots) == 3
-        assert all(abs(r - 1) < 1e-4 for r, _ in roots)
+    # (1 - lambda)^3: the computed roots lie about 1e-5 apart, past the
+    # distance that merges a double root, and come back as one triple root
+    # at their mean, which is 1 to rounding; so (1 - lambda)^3 is outer
+    for s in ([1, -3, 3, -1], [-1, 3, -3, 1], _p(1, {(0,): 1, (1,): -1}) ** 3):
+        ((root, mult),) = roots_1d(s)
+        assert mult == 3 and abs(root - 1) < 1e-12
+        assert is_outer_1d(s)
+    # (lambda - c)^k (lambda - 2)(lambda + 3): the k-fold root comes back
+    # whole, between two simple ones
+    c = 0.3 + 0.2j
+    for k in range(2, 6):
+        q = np.polynomial.polynomial.polyfromroots([c] * k + [2, -3])
+        (low, one), (root, mult), (high, other) = roots_1d(q)
+        assert (one, mult, other) == (1, k, 1)
+        assert abs(low + 3) < 1e-9 and abs(root - c) < 1e-9 and abs(high - 2) < 1e-9
+    # two simple roots 1e-3 apart stay two
+    assert [m for _, m in roots_1d(np.polynomial.polynomial.polyfromroots([1, 1.001]))] == [1, 1]
 
 
 def test_roots_merge_a_double_root():
-    # (1 - lambda)^2: the two computed roots lie closer than ROOT_CLUSTER_TOL
-    # and come back as one root of multiplicity 2
+    # (1 - lambda)^2: the two computed roots lie within ROOT_CLUSTER_TOL^(1/2)
+    # of their mean and come back as one root of multiplicity 2
     for s in ([1, -2, 1], _p(1, {(0,): 1, (1,): -1}) ** 2):
         ((root, mult),) = roots_1d(s)
         assert mult == 2 and abs(root - 1) < 1e-12
+
+
+def test_roots_refuse_a_companion_matrix_that_is_not_finite():
+    # 1e300 + lambda + 1e-300 lambda^2: a_0 / a_2 = 1e600 overflows, and a
+    # nan coefficient is no number; each is refused naming the input, and
+    # is_outer_1d refuses it too
+    for q in ([1e300, 1, 1e-300], [math.nan, 1], _p(1, {(0,): math.inf, (1,): 1})):
+        with pytest.raises(ValueError, match=r"the roots of .* are past the float companion matrix") as info:
+            roots_1d(q)
+        assert repr(q) in str(info.value)
+        with pytest.raises(ValueError, match="past the float companion matrix"):
+            is_outer_1d(q)
 
 
 def test_roots_refuse_a_root_that_fails_the_residual_check():

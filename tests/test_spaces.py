@@ -56,12 +56,20 @@ def test_moment_anchors():
     )
 
 
+def _density_rule(u):
+    """The 256-node Gauss-Legendre rule on [0, 1] for dmu = u(r) 2r dr, as
+    explicit nodes and weights."""
+    x, w = np.polynomial.legendre.leggauss(256)
+    r = 0.5 * (x + 1.0)
+    return GeneralQuadrature(r, 0.5 * w * np.array([float(u(ri)) for ri in r]) * 2.0 * r)
+
+
 def test_moment_oracle_quadrature():
     # numeric moments of the constant density against the exact formula
-    gq = GeneralQuadrature.from_density(lambda r: np.ones_like(r))
+    gq = _density_rule(lambda r: np.ones_like(r))
     for n in range(0, 12):
         assert abs(gq.moment(n) - 1.0 / (n + 1)) < 1e-12
-    gq2 = GeneralQuadrature.from_density(lambda r: (1.0 - r) ** 2)
+    gq2 = _density_rule(lambda r: (1.0 - r) ** 2)
     for n in range(0, 8):
         exact = float(BetaDensity(2).moment(n))
         assert abs(gq2.moment(n) - exact) < 1e-12
@@ -170,7 +178,7 @@ def test_homogeneous_norms_equal_the_norms_of_the_parts():
     # norm_sq on each homogeneous part, also when only some parts are exact
     rng = np.random.default_rng(3)
     spaces_ = [SpaceSpec.drury_arveson(3), SpaceSpec.alpha_scale(2, -1), SpaceSpec.alpha_scale(2, 0.5),
-               SpaceSpec.besov(2, 1, NormalizedVolume(2)), SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0))]
+               SpaceSpec.besov(2, 1, NormalizedVolume(2)), SpaceSpec.besov(2, 1, _density_rule(lambda r: 1.0))]
     for space in spaces_:
         terms = {}
         for _ in range(20):
@@ -254,7 +262,7 @@ def test_space_json_round_trip():
 
 
 def test_measure_json_quadrature():
-    gq = GeneralQuadrature.from_density(lambda r: np.ones_like(r))
+    gq = _density_rule(lambda r: np.ones_like(r))
     back = measure_from_json({"type": "quadrature", "nodes": gq.nodes.tolist(), "weights": gq.weights.tolist()})
     assert back == gq
     assert abs(back.moment(3) - gq.moment(3)) < 1e-15
@@ -361,7 +369,7 @@ ORACLE_SPACES = (
     + [SpaceSpec.alpha_scale(2, a) for a in (-1, 2, Fraction(3), Fraction(1, 2), 0.5, 2.0)]
     + [SpaceSpec.besov(2, N, mu) for N in (0, 1, 2)
        for mu in (PointMassAtOne(), NormalizedVolume(2), ConstantDensity(Fraction(1, 3)), BetaDensity(2))]
-    + [SpaceSpec.besov(2, 1, GeneralQuadrature.from_density(lambda r: 1.0 - r))]
+    + [SpaceSpec.besov(2, 1, _density_rule(lambda r: 1.0 - r))]
 )
 
 
