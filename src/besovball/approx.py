@@ -225,27 +225,27 @@ class GramSystem:
 
 
 def _shifts(f: SparsePoly):
-    """The exponents of a nonzero f and the distinct shifts between them:
-    (F1, S, shift_of).  Row k of F1 is (-|delta|, delta) for the k-th
-    exponent delta of f.  The rows of S are the distinct differences
+    """The exponents of f and the distinct shifts between them: (F1, S,
+    shift_of), all empty for f = 0.  Row k of F1 is (-|delta|, delta) for
+    the k-th exponent delta of f.  The rows of S are the distinct differences
     (|eps| - |delta|, delta - eps) of rows of F1 over the pairs p = (delta,
     eps) = divmod(p, len(f)), and S[shift_of[p]] is the row of pair p.
     ``_reachable`` walks the rows of S, the degree change first;
     ``_pairing`` searches each row once and spreads what it finds to the
-    pairs through shift_of."""
+    pairs through shift_of.  Each Gram system forms it once, for both."""
     d = f.dim
     F = _exponents(f.terms, d)
     F1 = np.column_stack((-F.sum(axis=1), F))
     diffs = (F1[:, None, :] - F1[None, :, :]).reshape(-1, d + 1)
-    codes = _coder(2 * np.abs(diffs).max(axis=0) + 1)(diffs)
-    _, first, shift_of = np.unique(codes, return_index=True, return_inverse=True)
-    return F1, diffs[first], shift_of
+    codes = _coder(2 * np.abs(diffs).max(axis=0, initial=0) + 1)(diffs)
+    distinct, first = np.unique(codes, return_index=True)
+    # the inverse, by a search: cheaper than np.unique's on these few codes
+    return F1, diffs[first], np.searchsorted(distinct, codes)
 
 
-def _pairing(f: SparsePoly, basis, shifts=None):
+def _pairing(f: SparsePoly, basis, shifts):
     """The terms of G[i][j] = <z^(beta_j) f, z^(beta_i) f> over a nonempty
-    basis, for a nonzero f: (exps, blocks).  shifts is ``_shifts(f)``, taken
-    from the walk when it has run, else formed here.
+    basis, for a nonzero f with shifts = ``_shifts(f)``: (exps, blocks).
 
     Each entry is the sum, over the pairs (delta, eps) of exponents of f
     with beta_j + delta - eps = beta_i, of f_delta conj(f_eps) ||z^(beta_j
@@ -264,7 +264,7 @@ def _pairing(f: SparsePoly, basis, shifts=None):
     (columns x rows) per block.
     """
     n, d, nf = len(basis), f.dim, len(f.terms)
-    F1, S, shift_of = _shifts(f) if shifts is None else shifts
+    F1, S, shift_of = shifts
     B, F = _exponents(basis, d), F1[:, 1:]
     # digit k of a candidate lies in [-max F_k, max B_k + max F_k] and of a
     # row in [0, max B_k]: they differ by less than radix_k, so never collide
@@ -292,7 +292,7 @@ def _pairing(f: SparsePoly, basis, shifts=None):
     return shifted[first], blocks()
 
 
-def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, shifts=None) -> np.ndarray:
+def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, shifts) -> np.ndarray:
     """G[i][j] = <z^(beta_j) f, z^(beta_i) f> in float, the Gram matrix of
     {z^beta f : beta in basis}, from the terms of ``_pairing``, each entry
     summed by np.bincount in (delta, eps) order.  ArithmeticError for a
@@ -336,7 +336,7 @@ def _gaussian_integers(p: SparsePoly):
     return [a * (den // d) for a, _, d in parts], [b * (den // d) for _, b, d in parts], den
 
 
-def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis, shifts=None) -> list:
+def _gram_rows(space: SpaceSpec, f: SparsePoly, g: SparsePoly, basis, shifts) -> list:
     """The exact Gram system of {z^beta f : beta in basis} against g as the
     upper rows of [G | c], the form ``_ldl_exact`` factors: row i is (re,
     im, den), the integer numerators of G[i][i:] and of c[i] = <g, z^(beta_i)
@@ -409,7 +409,7 @@ def _check_float_weights(space: SpaceSpec, exps: np.ndarray, weights: np.ndarray
         'would lose its digits; use method="exact"')
 
 
-def _reachable(f: SparsePoly, g: SparsePoly, degree: int, shifts=None) -> list[tuple]:
+def _reachable(f: SparsePoly, g: SparsePoly, degree: int, shifts) -> list[tuple]:
     """Exponents beta with |beta| <= degree in the components of the Gram
     difference graph that meet the right-hand side, in graded lex order.
 
@@ -427,10 +427,10 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int, shifts=None) -> list[t
     that takes the walk past isqrt(GRAM_ENTRY_BUDGET) exponents, where the
     Gram block they index is sure to have more than GRAM_ENTRY_BUDGET
     entries: a refusal walks at most one layer past that count.  shifts is
-    ``_shifts(f)``, formed here unless the caller holds it.
+    ``_shifts(f)``.
     """
     d = f.dim
-    F1, S, _ = _shifts(f) if shifts is None else shifts
+    F1, S, _ = shifts
     Gx = _exponents(g.terms, d)
     code = _coder([degree + 1] * (d + 1))
     # breadth first: the first layer is the seeds gamma - delta, each later
@@ -478,11 +478,11 @@ def _inexact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> str:
 
 
 def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool,
-                 shifts=None) -> GramSystem:
+                 shifts) -> GramSystem:
     """The Gram system of {z^beta f : beta in basis} against g, basis in
     graded order to degree: the rows of ``_gram_rows`` (exact), or G of
     ``_gram_matrix`` and c summed from 0 in ``_rhs_terms`` order (float).
-    shifts is ``_shifts(f)`` when the caller holds it."""
+    shifts is ``_shifts(f)``."""
     if exact:
         data = _gram_rows(space, f, g, basis, shifts)
     else:
@@ -718,7 +718,7 @@ def optimal_approximant(system: GramSystem, method: str = "auto") -> Approximant
     m, k = system.degree, len(system.basis)
     exact = _solve_path(method, system.space, system.f, system.g, k) == "exact"
     if exact != system.exact:
-        system = _gram_system(system.space, system.f, system.g, m, system.basis, exact)
+        system = _gram_system(system.space, system.f, system.g, m, system.basis, exact, _shifts(system.f))
     top = _Factored(system)
     dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
@@ -810,7 +810,7 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
                          f"over the budget of {GRAM_ENTRY_BUDGET}; the bound is non-decreasing in the degree, "
                          "so a lower one still bounds the multiplier norm")
     basis = graded_monomials(d, m)
-    A = _gram_matrix(space, phi, basis)
+    A = _gram_matrix(space, phi, basis, _shifts(phi))
     D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
     vals = scipy.linalg.eigh(A, D, eigvals_only=True)
     top = float(vals[-1])

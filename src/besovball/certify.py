@@ -24,10 +24,8 @@ Tolerances and grid sizes are module constants, read at each call:
 ENERGY_DOUBLING_TOL ends the grid doubling of the energy and of the
 parameter-box integral, BOX_GRID_BASE is the box integral's first grid,
 and NORM_REL_TOL is the relative width at which a functional-norm bracket
-stops growing its cutoff.  The box integral is kept per process under
-those of its constants, so a changed one sums it again.  The cube
-measures carry unit density: the bound mu_total / sqrt(E) is the same for
-c mu as for mu.
+stops growing its cutoff.  The cube measures carry unit density: the bound
+mu_total / sqrt(E) is the same for c mu as for mu.
 """
 
 from __future__ import annotations
@@ -456,28 +454,14 @@ def param_inv_sq_integral(m: int):
     """(value, rel_change, n_final) for the parameter-box integral, with
     midpoint-grid doubling from BOX_GRID_BASE nodes per axis until the change
     falls under ENERGY_DOUBLING_TOL; ValueError, before building it, for a
-    grid past BOX_GRID_POINTS points.
-
-    The value depends only on m and those three constants, so it is summed
-    once per process and key (m, BOX_GRID_BASE, ENERGY_DOUBLING_TOL,
-    BOX_GRID_POINTS): each constant is still read at every call, and a
-    changed one sums again.  A refusal is not kept; it raises on every
-    call.  The memo holds one 3-tuple per key, at most CACHE_MAXSIZE of
-    them, and at the defaults only m <= 3 passes the grid budget."""
-    return _doubled_box_integral(m, BOX_GRID_BASE, ENERGY_DOUBLING_TOL, BOX_GRID_POINTS)
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _doubled_box_integral(m: int, base: int, tol: float, budget: int):
-    """``param_inv_sq_integral`` for the constants of the key; budget is
-    BOX_GRID_POINTS, which ``_check_box_grid`` reads."""
-    n, prev, rel = base, None, None
+    grid past BOX_GRID_POINTS points."""
+    n, prev, rel = BOX_GRID_BASE, None, None
     while True:
         _check_box_grid(m, n, rel)
         cur = _param_inv_sq_integral(m, n)
         if prev is not None:
             rel = abs(cur - prev) / cur
-            if rel < tol:
+            if rel < ENERGY_DOUBLING_TOL:
                 return cur, rel, n
         prev = cur
         n *= 2

@@ -18,8 +18,10 @@ embeddings, the arguments of boundary functionals) are ``SparsePoly(1, ...)``;
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -384,11 +386,9 @@ def poly_from_literal(lit) -> SparsePoly:
 # -- one-variable polynomials -----------------------------------------------
 
 ROOT_RESIDUAL_TOL = 1e-9  # |q(root)| per unit coefficient norm, scaled by |root|^deg past the disc
-# k computed roots within ROOT_CLUSTER_TOL^(1/k) of their mean, relative to
-# max(1, |mean|), count as one root of multiplicity k: rounding spreads a
-# k-fold root by about eps^(1/k) (1e-8 for k = 2, 1e-5 for k = 3), so a
-# fixed distance would merge only double roots
-ROOT_CLUSTER_TOL = 1e-12
+# computed roots closer than this many times the sum of their error bounds
+# count as one root, with multiplicity (see _group_roots)
+ROOT_CLUSTER_TOL = 4.0
 OUTER_MARGIN = 1e-9  # a root this close inside the circle counts as on it
 
 
@@ -417,10 +417,10 @@ def roots_1d(q):
     a_0, a_1, ... by ascending degree.  Returns a list of (root,
     multiplicity), by real then imaginary part.  Each root is checked by
     back-substitution: |q(root)| < ROOT_RESIDUAL_TOL * l2-norm of the
-    coefficients.  Computed roots are grouped by ROOT_CLUSTER_TOL, which
-    scales with the multiplicity, and a group counts as one root at its
-    mean.  ValueError, naming q, when the companion matrix is not finite:
-    a coefficient that is not, or a_k / a_n past the float range.
+    coefficients.  Computed roots that lie within the rounding of one
+    multiple root, by ``_group_roots``, count as one root at their mean.
+    ValueError, naming q, when the companion matrix is not finite: a
+    coefficient that is not, or a_k / a_n past the float range.
     """
     if isinstance(q, SparsePoly):
         arr = dense_coeffs(q)
@@ -430,44 +430,79 @@ def roots_1d(q):
         arr = arr[:-1]
     if arr.size <= 1:
         return []
-    # the companion matrix holds a_k / a_n; Python floats overflow to inf
-    # without a warning
-    if not (np.isfinite(arr).all() and max(map(abs, arr[:-1].tolist())) / abs(complex(arr[-1])) < math.inf):
+    # the companion matrix holds a_k / a_n; a sum of Python floats is nan
+    # for a nan term and overflows to inf without a warning
+    if not math.isfinite(sum(map(abs, arr.tolist())) / abs(complex(arr[-1]))):
         raise ValueError(f"the roots of {q!r} are past the float companion matrix: a coefficient is not "
-                         "finite, or a ratio a_k / a_n of coefficients overflows")
+                         "finite, or the coefficients over a_n overflow")
     scale = float(np.linalg.norm(arr))
     raw = np.polynomial.polynomial.polyroots(arr)
+    vals = []
     for r in raw:
         val = abs(np.polynomial.polynomial.polyval(r, arr))
         # evaluation can overflow far outside the disc; rescale by the root size
         denom = scale * max(1.0, abs(r)) ** (arr.size - 1)
         if val / denom > ROOT_RESIDUAL_TOL:
             raise ArithmeticError(f"root {r} fails the residual check ({val / denom:.2e})")
-    roots, out = sorted(raw.tolist(), key=lambda z: (z.real, z.imag)), []
-    while roots:
-        # the first root left with as many of its nearest others as form one
-        # root, most first
-        r = roots[0]
-        near = sorted(roots, key=lambda z: abs(z - r))  # r first: sorted() is stable
-        k = next((k for k in range(len(near), 1, -1) if _one_root(r, near[:k])), 1)
-        out.append((r if k == 1 else sum(near[:k]) / k, k))
-        taken = set(map(id, near[:k]))
-        roots = [z for z in roots if id(z) not in taken]
-    return out
+        vals.append(float(val))
+    return _group_roots(raw.tolist(), vals, [abs(a) for a in arr.tolist()])
 
 
-def _one_root(r, group) -> bool:
-    """Whether the k computed roots of group, r the first and the others by
-    distance from it, lie within ROOT_CLUSTER_TOL^(1/k) of their mean c,
-    relative to max(1, |c|).  Then the farthest is within twice that of r,
-    and 1 + |r| + its distance bounds max(1, |c|): the mean is formed only
-    for groups that pass this."""
-    k, far = len(group), abs(group[-1] - r)
-    rho = ROOT_CLUSTER_TOL ** (1 / k)
-    if far > 2 * rho * (1 + abs(r) + far):
-        return False
-    c = sum(group) / k
-    return max(abs(z - c) for z in group) <= rho * max(1.0, abs(c))
+def _group_roots(roots: list, vals: list, sizes: list) -> list:
+    """The computed roots of q = a_0 + ... + a_n z^n, with vals the float
+    |q(root)| and sizes the |a_k|, as (root, multiplicity) by real then
+    imaginary part.
+
+    Root r_i lies within err_i = |q(r_i)| / |q'(r_i)| of a root of q, to
+    first order.  |q(r_i)| is taken as its float value plus n eps sum |a_k|
+    |r_i|^k, the rounding bound of Horner's rule at a real point, and
+    |q'(r_i)| as |a_n| times the distances from r_i to the other computed
+    roots not equal to it.  Two roots join when they lie within
+    ROOT_CLUSTER_TOL (err_i + err_j), and joined roots are one root at
+    their mean.  The k computed roots of a k-fold root, spread about rho
+    by rounding, have err_i = rho / k and lie 2 rho sin(pi / k) < pi (2 rho
+    / k) from their neighbours, so they join: (1 - z)^3, spread about
+    1e-5, is one triple root.  The roots 0.9999996 and 1.0000004, computed
+    to within 2e-10, stay two; so do simple roots of a monic quadratic near
+    1 down to about 2e-7 apart.  Equal computed roots join, and a root
+    whose err_i is not finite joins only its equals.
+    """
+    pairs = sorted(zip(roots, vals), key=lambda p: (p[0].real, p[0].imag))
+    roots, n, eps = [r for r, _ in pairs], len(pairs), sys.float_info.epsilon
+    # err_i is at most (max vals + n eps sum |a_k| m^k) / (|a_n| d^(n - 1)),
+    # m the largest modulus of a root and d the least distance between two:
+    # when d exceeds twice ROOT_CLUSTER_TOL times that, no two roots join
+    d = min((abs(x - y) for x, y in itertools.combinations(roots, 2)), default=math.inf)
+    rounding = n * eps * _abs_value(sizes, max(map(abs, roots)))
+    if d > (2 * ROOT_CLUSTER_TOL * (max(vals) + rounding) / sizes[-1]) ** (1 / n):
+        return [(r, 1) for r in roots]
+    err = []
+    for r, val in pairs:
+        slope = sizes[-1] * math.prod(abs(r - o) for o in roots if o != r)
+        e = (val + n * eps * _abs_value(sizes, abs(r))) / slope if slope else math.inf
+        err.append(e if e < math.inf else 0.0)
+    head = list(range(n))  # a union-find: each root's group is named by one of its roots
+    for i, j in itertools.combinations(range(n), 2):
+        if abs(roots[i] - roots[j]) <= ROOT_CLUSTER_TOL * (err[i] + err[j]):
+            head[_group_of(head, j)] = _group_of(head, i)
+    members = {}
+    for i, r in enumerate(roots):
+        members.setdefault(_group_of(head, i), []).append(r)
+    return [(g[0], 1) if len(g) == 1 else (sum(g) / len(g), len(g)) for g in members.values()]
+
+
+def _abs_value(sizes: list, x: float) -> float:
+    """sum sizes[k] x^k by Horner's rule."""
+    total = 0.0
+    for a in reversed(sizes):
+        total = total * x + a
+    return total
+
+
+def _group_of(head: list, i: int) -> int:
+    while head[i] != i:
+        i = head[i]
+    return i
 
 
 def is_outer_1d(q) -> bool:

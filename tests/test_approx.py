@@ -258,7 +258,7 @@ def test_finite_section_is_the_gram_section_eigenvalue():
         for m in (0, 2, 5):
             basis = graded_monomials(space.d, m)
             D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
-            top = scipy.linalg.eigh(approx._gram_matrix(space, phi, basis), D, eigvals_only=True)[-1]
+            top = scipy.linalg.eigh(approx._gram_matrix(space, phi, basis, approx._shifts(phi)), D, eigvals_only=True)[-1]
             assert finite_section_mult_bound(space, phi, m) == pytest.approx(math.sqrt(top), rel=1e-12, abs=1e-12)
 
 
@@ -386,7 +386,7 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     ones = np.ones(14)
     g_norm_sq = float(ones @ H.real @ ones) + 1.0
 
-    def hilbert_block(space, f, g, degree, basis, exact, shifts=None):
+    def hilbert_block(space, f, g, degree, basis, exact, shifts):
         k = len(basis)
         return dataclasses.replace(base, degree=degree, basis=tuple(basis), data=(H[:k, :k], (H @ ones)[:k]),
                                    g_norm_sq=g_norm_sq)
@@ -668,7 +668,7 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_da4_system():
     # 101 banded unknowns at m = 400 whose weights run down to 1e-236: pivots
     # of hundreds of digits
     one = SparsePoly.one(4)
-    system = approx._gram_system(DA4, F4, one, 400, approx._reachable(F4, one, 400), True)
+    system = approx._gram_system(DA4, F4, one, 400, approx._reachable(F4, one, 400, shifts := approx._shifts(F4)), True, shifts)
     assert len(system.basis) == 101
     # the rows' one global denominator is about 1065 bits before each row
     # divides out its content
@@ -709,13 +709,13 @@ def test_a_solve_to_each_degree_equals_the_solve_of_that_system(space, f, g, top
         sizes = system.block_sizes()
         assert sizes[top] == len(system.basis) > sizes[0]
         for path in paths:
-            whole = approx._gram_system(space, f, g, top, system.basis, path == "exact")
+            whole = approx._gram_system(space, f, g, top, system.basis, path == "exact", approx._shifts(f))
             res = optimal_approximant(system, method=path)
             assert _bits(res) == _bits(optimal_approximant(whole, method=path)), (stored, path)
             assert res.conditioning.path == path
         for m in range(top + 1):
             k = sizes[m]
-            block = approx._gram_system(space, f, g, m, system.basis[:k], stored == "exact")
+            block = approx._gram_system(space, f, g, m, system.basis[:k], stored == "exact", approx._shifts(f))
             if stored == "exact":
                 assert block.data == _rows([row[:k] for row in system.matrix[:k]], system.rhs[:k])
             else:
@@ -737,7 +737,7 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_complex_gram_systems(d, m,
     rng = random.Random(seed)
     space = SpaceSpec.drury_arveson(d)
     f, g = _dense_complex_poly(rng, d, 2), _dense_complex_poly(rng, d, 2)
-    system = approx._gram_system(space, f, g, m, approx._reachable(f, g, m), True)
+    system = approx._gram_system(space, f, g, m, approx._reachable(f, g, m, shifts := approx._shifts(f)), True, shifts)
     assert len(system.basis) == math.comb(d + m, d)
     assert any(not x.is_real for row in system.matrix for x in row) and any(not x.is_real for x in system.rhs)
     _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
@@ -748,7 +748,7 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_d_minus4_system(m):
     # (1 - z)^12 in D_-4: 25 diagonals, and past m = 44 more unknowns than
     # the float Cholesky factors
     sp, f, one = SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12, SparsePoly.one(1)
-    system = approx._gram_system(sp, f, one, m, approx._reachable(f, one, m), True)
+    system = approx._gram_system(sp, f, one, m, approx._reachable(f, one, m, shifts := approx._shifts(f)), True, shifts)
     assert len(system.basis) == m + 1
     _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
 
@@ -808,7 +808,7 @@ def test_target_orthogonal_to_every_multiple_has_no_unknowns():
     # the oracles have, and so does a zero target
     basis = graded_monomials(2, 3)
     for target in (g, SparsePoly.zero(2)):
-        full = approx._gram_system(DA2, f, target, 3, basis, True)
+        full = approx._gram_system(DA2, f, target, 3, basis, True, approx._shifts(f))
         assert all(re[-1] == im[-1] == 0 for re, im, _ in full.data)
         _assert_gram_rows_equal_oracle(DA2, f, target, 3, basis)
     res = optimal_approximant(system)
@@ -882,7 +882,7 @@ def _assert_gram_rows_equal_oracle(space, f, g, degree, basis):
     """The exact system's rows are the adapter's rows of the dictionary
     oracles, and its matrix and rhs, formed from them, are the oracles
     themselves, ComplexRational entries included."""
-    system = approx._gram_system(space, f, g, degree, basis, True)
+    system = approx._gram_system(space, f, g, degree, basis, True, approx._shifts(f))
     G, c = _gram_by_dictionary(space, f, basis, True), _rhs_by_dictionary(space, f, g, basis, True)
     assert system.data == _rows(G, c)
     assert system.matrix == G and system.rhs == c
@@ -896,11 +896,11 @@ def _assert_gram_equals_oracle(space, f, basis):
     degree = max((sum(b) for b in basis), default=0)
     if space.is_exact and f.is_exact():
         _assert_gram_rows_equal_oracle(space, f, g, degree, basis)
-    G = approx._gram_matrix(space, f, basis)
+    G = approx._gram_matrix(space, f, basis, approx._shifts(f))
     assert G.dtype == complex and G.flags.c_contiguous
     assert np.array_equal(G, _gram_by_dictionary(space, f, basis, False))
     # bitwise, once signed zeros are normalised
-    c = approx._gram_system(space, f, g, degree, basis, False).rhs
+    c = approx._gram_system(space, f, g, degree, basis, False, approx._shifts(f)).rhs
     assert (c + 0.0).tobytes() == (_rhs_by_dictionary(space, f, g, basis, False) + 0.0).tobytes()
 
 
@@ -932,7 +932,7 @@ def test_gram_matrix_equals_the_dictionary_loop(space, f, m, monkeypatch):
     # at one column (a budget under one column's pairs), at three columns
     # with a partial last block, and at the default
     basis = graded_monomials(space.d, m)
-    reach = approx._reachable(f, SparsePoly.one(space.d), m)
+    reach = approx._reachable(f, SparsePoly.one(space.d), m, approx._shifts(f))
     npairs = len(f.terms) ** 2
     for budget in (1, 3 * max(npairs, len(basis)), approx.GRAM_BLOCK_ENTRIES):
         monkeypatch.setattr(approx, "GRAM_BLOCK_ENTRIES", budget)
@@ -940,7 +940,8 @@ def test_gram_matrix_equals_the_dictionary_loop(space, f, m, monkeypatch):
         _assert_gram_equals_oracle(space, f, reach)
     if space.is_exact and f.is_exact():
         _assert_gram_rows_equal_oracle(space, f, SparsePoly.one(space.d), 0, [])
-    assert approx._gram_matrix(space, SparsePoly.zero(space.d), basis).shape == (len(basis), len(basis))
+    zero = SparsePoly.zero(space.d)
+    assert approx._gram_matrix(space, zero, basis, approx._shifts(zero)).shape == (len(basis), len(basis))
 
 
 def test_a_gram_system_runs_one_pairing(monkeypatch):
@@ -954,7 +955,7 @@ def test_a_gram_system_runs_one_pairing(monkeypatch):
     for exact in (True, False):
         for g in (SparsePoly.one(space.d) + f * f, SparsePoly.zero(space.d)):
             calls.clear()
-            system = approx._gram_system(space, f, g, m, basis, exact)
+            system = approx._gram_system(space, f, g, m, basis, exact, approx._shifts(f))
             assert len(calls) == 1
             if g.is_zero():
                 assert list(system.rhs) == [0] * len(basis)
@@ -1024,28 +1025,26 @@ def _sum_power_generator():
     (SpaceSpec.drury_arveson(23), _past_int64_generator(), 1),  # codes past int64
 ])
 def test_pairing_equals_the_all_pairs_search(space, f, m, monkeypatch):
-    # the same arrays, element for element and in order, with the shifts of
-    # the walk or formed by the pairing, at the budgets of
+    # the same arrays, element for element and in order, with the shifts
+    # the walk takes, at the budgets of
     # test_gram_matrix_equals_the_dictionary_loop
     nf = len(f.terms)
     shifts = approx._shifts(f)
     _, S, shift_of = shifts
     assert len(shift_of) == nf * nf and (len(S) < nf * nf or nf == 1)
     reach = approx._reachable(f, SparsePoly.one(space.d), m, shifts)
-    assert reach == approx._reachable(f, SparsePoly.one(space.d), m)
     for basis in filter(None, (graded_monomials(space.d, m), reach)):  # a one-term f reaches nothing
         for budget in (1, 3 * max(nf * nf, len(basis)), approx.GRAM_BLOCK_ENTRIES):
             monkeypatch.setattr(approx, "GRAM_BLOCK_ENTRIES", budget)
             want_exps, want = _pairing_by_all_pairs(f, basis)
-            for given in (None, shifts):
-                exps, blocks = approx._pairing(f, basis, given)
-                assert exps.dtype == want_exps.dtype and np.array_equal(exps, want_exps)
-                got = list(blocks)
-                assert len(got) == len(want) > 0
-                for (j0, j1, *arrays), (k0, k1, *oracle) in zip(got, want):
-                    assert (j0, j1) == (k0, k1)
-                    for a, b in zip(arrays, oracle):
-                        assert a.dtype == b.dtype and np.array_equal(a, b)
+            exps, blocks = approx._pairing(f, basis, shifts)
+            assert exps.dtype == want_exps.dtype and np.array_equal(exps, want_exps)
+            got = list(blocks)
+            assert len(got) == len(want) > 0
+            for (j0, j1, *arrays), (k0, k1, *oracle) in zip(got, want):
+                assert (j0, j1) == (k0, k1)
+                for a, b in zip(arrays, oracle):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _reachable_by_sets(f, g, degree):
@@ -1087,7 +1086,7 @@ def _reachable_by_components(f, g, degree):
 @pytest.mark.parametrize("space, f, m", GRAM_CASES)
 def test_reachable_equals_the_set_walk_and_the_components(space, f, m):
     for g in (SparsePoly.one(space.d), SparsePoly.one(space.d) + f * f):
-        reach = approx._reachable(f, g, m)
+        reach = approx._reachable(f, g, m, approx._shifts(f))
         assert reach == _reachable_by_sets(f, g, m) == _reachable_by_components(f, g, m)
 
 
@@ -1107,8 +1106,8 @@ def test_reachable_equals_the_set_walk_at_scale():
         (big, SparsePoly.one(big.dim), 12),
     ]
     for f, g, m in cases:
-        assert approx._reachable(f, g, m) == _reachable_by_sets(f, g, m)
-    assert len(approx._reachable(big, SparsePoly.one(big.dim), 12)) == 1 + 23 + 23 * 24 // 2
+        assert approx._reachable(f, g, m, approx._shifts(f)) == _reachable_by_sets(f, g, m)
+    assert len(approx._reachable(big, SparsePoly.one(big.dim), 12, approx._shifts(big))) == 1 + 23 + 23 * 24 // 2
 
 
 def test_bad_degrees_raise_value_error():
@@ -1152,12 +1151,12 @@ def test_gram_assembly_memory_is_bounded():
     # candidates keep the index arrays to a few MB on top of it
     f = _rotated_da4_generator()
     assert len(f.terms) == 36
-    basis = approx._reachable(f, SparsePoly.one(4), 12)
+    basis = approx._reachable(f, SparsePoly.one(4), 12, approx._shifts(f))
     n = len(basis)
     assert n == 656
     tracemalloc.start()
     try:
-        G = approx._gram_matrix(DA4, f, basis)
+        G = approx._gram_matrix(DA4, f, basis, approx._shifts(f))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1237,9 +1236,9 @@ if HAVE_HYPOTHESIS:
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
         for p, fp in zip(pts, fpts):
             prefix = system.basis[:sizes[p.m]]
-            res = optimal_approximant(approx._gram_system(space, f, g, p.m, prefix, True), method="exact")
+            res = optimal_approximant(approx._gram_system(space, f, g, p.m, prefix, True, approx._shifts(f)), method="exact")
             assert (p.dist_sq, p.min_pivot, p.path) == (float(res.dist_sq), res.conditioning.min_pivot, "exact")
-            fres = optimal_approximant(approx._gram_system(space, f, g, p.m, prefix, False), method="float")
+            fres = optimal_approximant(approx._gram_system(space, f, g, p.m, prefix, False, approx._shifts(f)), method="float")
             assert fp.path == fres.conditioning.path
             assert abs(fp.dist_sq - fres.dist_sq) <= tol
 
@@ -1257,7 +1256,7 @@ if HAVE_HYPOTHESIS:
         if f.is_zero():
             return
         basis = graded_monomials(space.d, m)
-        full = approx._gram_system(space, f, g, m, basis, True)
+        full = approx._gram_system(space, f, g, m, basis, True, approx._shifts(f))
         exact = assemble_gram(space, f, g, m)
         index = {b: i for i, b in enumerate(basis)}
         rows = [index[b] for b in exact.basis]
@@ -1274,7 +1273,7 @@ if HAVE_HYPOTHESIS:
         assert res.coefficients == tuple(a[i] for i in rows)
         assert all(a[i] == ComplexRational() for i in set(range(len(basis))).difference(rows))
         # the float path: same full matrix rounded, one float Cholesky
-        fullf = approx._gram_system(space, f, g, m, basis, False)
+        fullf = approx._gram_system(space, f, g, m, basis, False, approx._shifts(f))
         flt = approx._system(space, f, g, m, "float")
         assert np.array_equal(fullf.matrix, _gram_by_dictionary(space, f, basis, False))
         assert np.array_equal(flt.matrix, fullf.matrix[np.ix_(rows, rows)])
@@ -1311,7 +1310,7 @@ def test_reachable_walk_stops_at_the_entry_budget():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="degree 100 in 3 variables has more than 5792 unknowns"):
-            approx._reachable(f, SparsePoly.one(3), 100)
+            approx._reachable(f, SparsePoly.one(3), 100, approx._shifts(f))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -648,39 +648,6 @@ def test_param_integral_grid_budget(monkeypatch):
     assert peak < 1e6
 
 
-def test_param_integral_is_summed_once_per_key(monkeypatch):
-    # the key is m with BOX_GRID_BASE, ENERGY_DOUBLING_TOL and
-    # BOX_GRID_POINTS: a second call sums nothing, a changed constant sums
-    # again, and a refusal is not kept
-    sums = []
-    summed = certify._param_inv_sq_integral
-    monkeypatch.setattr(certify, "_param_inv_sq_integral", lambda m, n: sums.append((m, n)) or summed(m, n))
-    certify._doubled_box_integral.cache_clear()
-    first = param_inv_sq_integral(3)
-    assert sums == [(3, 64), (3, 128)]
-    sums.clear()
-    assert param_inv_sq_integral(3) == first and sums == []
-    for name, value, grids in (("ENERGY_DOUBLING_TOL", 0.05, [(3, 64), (3, 128)]),
-                               ("BOX_GRID_BASE", 32, [(3, 32), (3, 64), (3, 128)]),
-                               ("BOX_GRID_POINTS", 1 << 21, [(3, 64), (3, 128)])):
-        with monkeypatch.context() as mp:
-            mp.setattr(certify, name, value)
-            sums.clear()
-            value = param_inv_sq_integral(3)
-            assert sums == grids, name
-            sums.clear()
-            assert param_inv_sq_integral(3) == value and sums == [], name
-    sums.clear()
-    assert param_inv_sq_integral(3) == first and sums == []
-    with monkeypatch.context() as mp:
-        mp.setattr(certify, "ENERGY_DOUBLING_TOL", 1e-4)
-        for _ in range(2):
-            sums.clear()
-            with pytest.raises(ValueError, match="unconverged"):
-                param_inv_sq_integral(3)
-            assert sums == [(3, 64), (3, 128)]
-
-
 def test_energy_lower_bound_refuses_the_box_grid_before_the_support_grid(monkeypatch):
     # torus(5, 5) has m = 4: its kernel evaluations fit the budget, the box
     # integral's first grid (64^4 points) does not, and the refusal comes

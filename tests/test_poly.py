@@ -247,13 +247,24 @@ def test_roots_multiplicity_clustering():
         (low, one), (root, mult), (high, other) = roots_1d(q)
         assert (one, mult, other) == (1, k, 1)
         assert abs(low + 3) < 1e-9 and abs(root - c) < 1e-9 and abs(high - 2) < 1e-9
-    # two simple roots 1e-3 apart stay two
-    assert [m for _, m in roots_1d(np.polynomial.polynomial.polyfromroots([1, 1.001]))] == [1, 1]
+    # simple roots stay simple where the rounding tells them apart, each
+    # computed to within 1e-6 of its size: 1e-3 apart about 1; 8e-7 apart,
+    # where the computed roots are good to about 2e-10 and the one at
+    # 0.9999996 lies inside the disc; three 1e-4 apart about 1.00005, good
+    # to about 3e-7, the one at 0.99999 inside the disc; and +-1e10 i, whose
+    # q = 1e20 + lambda^2 has coefficients far apart in size
+    w = np.exp(2j * np.pi / 3)
+    for near, outer in (([1, 1.001], True), ([0.9999996, 1.0000004], False),
+                        ([1.00005 - 6e-5 * w ** j for j in range(3)], False), ([1e10j, -1e10j], True)):
+        q = np.polynomial.polynomial.polyfromroots(near)
+        roots = roots_1d(q)
+        assert [m for _, m in roots] == [1] * len(near) and is_outer_1d(q) == outer
+        assert all(min(abs(r - z) for z in near) < 1e-6 * abs(r) for r, _ in roots)
 
 
 def test_roots_merge_a_double_root():
-    # (1 - lambda)^2: the two computed roots lie within ROOT_CLUSTER_TOL^(1/2)
-    # of their mean and come back as one root of multiplicity 2
+    # (1 - lambda)^2: the two computed roots lie within the rounding of a
+    # double root and come back as one root of multiplicity 2
     for s in ([1, -2, 1], _p(1, {(0,): 1, (1,): -1}) ** 2):
         ((root, mult),) = roots_1d(s)
         assert mult == 2 and abs(root - 1) < 1e-12
