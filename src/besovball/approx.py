@@ -46,7 +46,10 @@ loops' rationals.  ``_reachable`` deduplicates and sorts its walk on the
 same codes.
 
 Each call factors one whole system once, on one of two paths: exact LDL*
-or Jacobi-prescaled float Cholesky, with L y = c in the same pass.
+or Jacobi-prescaled float Cholesky, with L y = c in the same pass.  The
+float Cholesky scales and factors G in the Fortran-ordered buffer the
+assembly built, when the call assembled it, so a float solve holds one n x
+n complex buffer; a caller's G is copied first.
 ``_solve_path`` decides the path, once per call, and one rule picks the
 system: the stored one when it is stored on that path, else the same basis
 assembled on that path by ``_gram_system``.  So a float solve of exact
@@ -123,15 +126,23 @@ PIVOT_COLLAPSE = 1e-13
 DIST_SQ_CLAMP = -1e-12
 # Gram columns per assembly block are capped so that both the candidate
 # entries (columns x pairs of terms of f) and the block of G they fill
-# (columns x rows) stay within this count: a few MB of index arrays
-GRAM_BLOCK_ENTRIES = 1 << 16
+# (columns x rows) stay within this count: 2.0 MB of index arrays on top of
+# G for the 656 unknowns and 1296 pairs of the rotated DA_4 system at m = 12
+# (5.4 MB at 2^16), with the same bits, since a column's terms never span
+# two blocks
+GRAM_BLOCK_ENTRIES = 1 << 14
 # candidate exponents (rows of a layer x shifts) per block of the reachable
 # walk, unless it already holds more codes: its arrays stay a few hundred kB
 # until the walk passes the entry budget
 WALK_BLOCK_ENTRIES = 1 << 11
 # entries of a reachable block (assemble_gram, distance_profile) or of a
-# full section (finite_section_mult_bound): 512 MB of complex entries, which
-# DA_4 to degree 16 (4845 unknowns) fits and degree 20 (10626) does not
+# full section (finite_section_mult_bound), which DA_4 to degree 16 (4845
+# unknowns) fits and degree 20 (10626) does not.  At the budget a float
+# solve holds one n x n complex buffer, 512 MB, plus one assembly block
+# (optimal_approximant of a float system also holds the caller's G, which
+# it copies); the exact path holds its rows, two Python ints per entry of
+# the upper triangle, tens of bytes each and more as they grow; the finite
+# section holds A and D, two complex buffers, 1 GB
 GRAM_ENTRY_BUDGET = 1 << 25
 
 
@@ -298,7 +309,7 @@ def _gram_matrix(space: SpaceSpec, f: SparsePoly, basis, shifts) -> np.ndarray:
     summed by np.bincount in (delta, eps) order.  ArithmeticError for a
     weight below the normal float range (``_check_float_weights``)."""
     n = len(basis)
-    G = np.zeros((n, n), dtype=complex)
+    G = np.zeros((n, n), dtype=complex, order="F")  # the buffer ``_chol_float`` factors in place
     if not (n and f.terms):
         return G
     exps, blocks = _pairing(f, basis, shifts)
@@ -590,23 +601,31 @@ def _ldl_exact(rows):
     return U, D, gains
 
 
-def _chol_float(G: np.ndarray, c: np.ndarray):
+def _chol_float(G: np.ndarray, c: np.ndarray, leading):
     """Jacobi-prescaled Cholesky S G S = L L* and the forward solve L y = S c
     on the longest leading block that factors in float: (L, y, pivots, gains,
-    S), each of that block's size (0 when G[0][0] is not positive)."""
+    S), each of that block's size (0 when G[0][0] is not positive).
+
+    G is overwritten, so only a buffer no one reads again may be passed
+    (``_Factored`` says which): a Fortran-ordered G, as ``_gram_matrix``
+    builds it, is scaled and factored in place, so L is G's own buffer and
+    the solve holds no second n x n one.  A failed attempt leaves a partial
+    factor there, so the next one factors leading(k), a fresh
+    Fortran-ordered buffer holding the leading k-block of G as it was
+    passed; while it is formed, the failed buffer is held too."""
     dg = np.real(np.diag(G))
     n = int(np.argmin(np.append(dg > 0, False)))  # up to the first non-positive entry
     s = 1.0 / np.sqrt(dg[:n])
+    G = G[:n, :n]
     while True:
-        # S G S in one Fortran-ordered buffer that zpotrf factors in place; a
-        # failed attempt leaves a partial factor there, so each one scales afresh
-        L = np.empty((n, n), dtype=complex, order="F")
-        np.multiply(G[:n, :n], s[:n, None], out=L)
-        L *= s[None, :n]
-        L, info = scipy.linalg.lapack.zpotrf(L, lower=1, overwrite_a=1)
+        G = np.asfortranarray(G)  # a copy only of a leading block or of a C-ordered G
+        G *= s[:n, None]
+        G *= s[None, :n]
+        L, info = scipy.linalg.lapack.zpotrf(G, lower=1, overwrite_a=1)
         if info == 0:
             break
         n = info - 1  # the leading minor of order info is not positive definite
+        G = leading(n)
     y = scipy.linalg.solve_triangular(L, c[:n] * s[:n], lower=True)
     return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
 
@@ -634,15 +653,33 @@ class _Factored:
     ``high`` hold, at entry k, that sum and the min and max of pivots[:k] as
     floats (inf and 0 for the empty block), formed once: the projection adds
     the gains left to right from 0, as sum() does, so block(k, m) reads its
-    values without a pass over them."""
+    values without a pass over them.
 
-    def __init__(self, system: GramSystem):
+    overwrite hands a float G over to ``_chol_float``, which factors it in
+    place: a caller passes it only for a system it assembled itself and
+    reads no more (``distance_profile``, and ``optimal_approximant`` when it
+    assembles on the other path), and a retry assembles the leading block
+    again.  Otherwise the Cholesky factors a copy, and a retry copies the
+    block, so a caller's ``GramSystem.matrix`` never changes."""
+
+    def __init__(self, system: GramSystem, overwrite: bool = False):
         if system.exact:
             self.method, self.g_norm_sq = "exact", system.g_norm_sq
             self.U, self.pivots, self.gains = _ldl_exact(system.data)
         else:
             (G, c), self.method, self.g_norm_sq = system.data, "float", float(system.g_norm_sq)
-            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c)
+            if overwrite:
+                # each entry of the block sums the same terms in the same
+                # order as in G, so it is bitwise G's
+                def leading(k):
+                    return _gram_system(system.space, system.f, system.g, system.degree, system.basis[:k], False,
+                                        _shifts(system.f)).data[0]
+            else:
+                G = np.array(G, order="F")
+
+                def leading(k):
+                    return np.array(system.data[0][:k, :k], order="F")
+            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c, leading)
         self.projection = list(accumulate(self.gains, initial=0))
         # rounding is monotone, so the min and max of the rounded pivots are
         # the rounded min and max
@@ -681,7 +718,7 @@ class _Factored:
         a_k); with h = gcd(p, s), scaling the held numerators by p / h and q
         to q p / h keeps that form without a gcd over the vector."""
         if self.method != "exact":
-            return scipy.linalg.solve_triangular(self.L.conj().T, self.y, lower=False) * self.scale
+            return scipy.linalg.solve_triangular(self.L, self.y, trans="C", lower=True) * self.scale
         n = len(self.U)
         ar, ai, q = [0] * n, [0] * n, 1
         for i in range(n - 1, -1, -1):
@@ -717,9 +754,10 @@ def optimal_approximant(system: GramSystem, method: str = "auto") -> Approximant
     """
     m, k = system.degree, len(system.basis)
     exact = _solve_path(method, system.space, system.f, system.g, k) == "exact"
-    if exact != system.exact:
+    own = exact != system.exact
+    if own:
         system = _gram_system(system.space, system.f, system.g, m, system.basis, exact, _shifts(system.f))
-    top = _Factored(system)
+    top = _Factored(system, overwrite=own)
     dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
         degree=m, basis=system.basis, coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
@@ -757,7 +795,7 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     system = _system(space, f, g, degrees[-1], method)
     sizes = system.block_sizes()
     t0 = time.perf_counter()
-    factored = _Factored(system)
+    factored = _Factored(system, overwrite=True)
     out = []
     for m in degrees:
         dist_sq, min_pivot, _ = factored.block(sizes[m], m)
@@ -799,7 +837,10 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
     degree; computed as the top generalized eigenvalue of the section of
     M_phi* M_phi against the diagonal of monomial norms.  ValueError, before
     building anything, when the section has more than GRAM_ENTRY_BUDGET
-    entries.
+    entries.  A and D are two complex Fortran-ordered n x n buffers that
+    the eigensolver overwrites: a traced peak of 33 bytes per entry of the
+    section (DA_2 to degree 40, 861 unknowns; 56 when the solver copied A
+    and a complex D cast from a float one).
     """
     if phi.dim != space.d:
         raise ValueError("dimension mismatch between space and polynomials")
@@ -811,8 +852,11 @@ def finite_section_mult_bound(space: SpaceSpec, phi: SparsePoly, max_degree: int
                          "so a lower one still bounds the multiplier norm")
     basis = graded_monomials(d, m)
     A = _gram_matrix(space, phi, basis, _shifts(phi))
-    D = np.diag([float(monomial_norm_sq(space, b)) for b in basis])
-    vals = scipy.linalg.eigh(A, D, eigvals_only=True)
+    # complex and Fortran-ordered, as A is, so that the solver overwrites
+    # both buffers rather than copying them
+    D = np.zeros((n, n), dtype=complex, order="F")
+    np.fill_diagonal(D, [float(monomial_norm_sq(space, b)) for b in basis])
+    vals = scipy.linalg.eigh(A, D, eigvals_only=True, overwrite_a=True, overwrite_b=True)
     top = float(vals[-1])
     return math.sqrt(max(top, 0.0))
 

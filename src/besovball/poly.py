@@ -385,10 +385,11 @@ def poly_from_literal(lit) -> SparsePoly:
 
 # -- one-variable polynomials -----------------------------------------------
 
-ROOT_RESIDUAL_TOL = 1e-9  # |q(root)| per unit coefficient norm, scaled by |root|^deg past the disc
+ROOT_RESIDUAL_TOL = 1e-9  # |q(root)| over sum |a_k| |root|^k, the relative change of the a_k it takes
 # computed roots closer than this many times the sum of their error bounds
 # count as one root, with multiplicity (see _group_roots)
 ROOT_CLUSTER_TOL = 4.0
+ROOT_NEWTON_STEPS = 2  # on a root that fails the residual check, before it is refused
 OUTER_MARGIN = 1e-9  # a root this close inside the circle counts as on it
 
 
@@ -416,11 +417,29 @@ def roots_1d(q):
     q is a ``SparsePoly`` in one variable or a sequence of coefficients
     a_0, a_1, ... by ascending degree.  Returns a list of (root,
     multiplicity), by real then imaginary part.  Each root is checked by
-    back-substitution: |q(root)| < ROOT_RESIDUAL_TOL * l2-norm of the
-    coefficients.  Computed roots that lie within the rounding of one
-    multiple root, by ``_group_roots``, count as one root at their mean.
-    ValueError, naming q, when the companion matrix is not finite: a
-    coefficient that is not, or a_k / a_n past the float range.
+    back-substitution: |q(root)| < ROOT_RESIDUAL_TOL sum_k |a_k| |root|^k,
+    so that it is a root of q with each a_k moved by less than that fraction
+    of itself; a root found as 0 where a_0 is not fails.  Where that sum
+    leaves the normal float range, the check runs on q(2^e w) scaled by a
+    power of two (``_polished``), which cannot overflow.  A root that fails
+    takes up to ROOT_NEWTON_STEPS Newton steps before it is refused, and a
+    root that passes is the solve's own.  Computed roots that lie within
+    the rounding of one multiple root, by ``_group_roots``, count as one
+    root at their mean.  ValueError, naming q, when the companion matrix is
+    not finite: a coefficient that is not, or a_k / a_n past the float
+    range.
+
+    A companion matrix finds its roots to within rounding of the largest,
+    so roots whose moduli lie more than a float mantissa apart are found
+    apart: the edges of the Newton polygon of q (``_root_scales``) give the
+    moduli of its roots, and each group of them, z = 2^e w with 2^e near
+    their largest modulus, is a companion solve of the terms of q on its
+    edges.  The terms left out change a root by less than a rounding of it.
+    A q whose roots form one group, as a q with no huge gap in its
+    coefficients does, is solved whole as it is:
+
+    >>> [f"{r.real:.6g}" for r, _ in roots_1d([1, 1, 1e-300])]
+    ['-1e+300', '-1']
     """
     if isinstance(q, SparsePoly):
         arr = dense_coeffs(q)
@@ -435,17 +454,98 @@ def roots_1d(q):
     if not math.isfinite(sum(map(abs, arr.tolist())) / abs(complex(arr[-1]))):
         raise ValueError(f"the roots of {q!r} are past the float companion matrix: a coefficient is not "
                          "finite, or the coefficients over a_n overflow")
-    scale = float(np.linalg.norm(arr))
-    raw = np.polynomial.polynomial.polyroots(arr)
-    vals = []
+    coeffs = arr.tolist()
+    sizes = [abs(a) for a in coeffs]
+    groups = _root_scales(sizes)
+    if len(groups) == 1:
+        raw = np.polynomial.polynomial.polyroots(arr).tolist()
+    else:
+        raw = [0j] * next(k for k, a in enumerate(coeffs) if a)
+        for i, j, e in groups:
+            ws = np.polynomial.polynomial.polyroots(_rescaled(coeffs[i:j + 1], e)).tolist()
+            raw += [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e)) for w in ws]
+    roots, vals = [], []
     for r in raw:
-        val = abs(np.polynomial.polynomial.polyval(r, arr))
-        # evaluation can overflow far outside the disc; rescale by the root size
-        denom = scale * max(1.0, abs(r)) ** (arr.size - 1)
-        if val / denom > ROOT_RESIDUAL_TOL:
-            raise ArithmeticError(f"root {r} fails the residual check ({val / denom:.2e})")
-        vals.append(float(val))
-    return _group_roots(raw.tolist(), vals, [abs(a) for a in arr.tolist()])
+        # |q(r)| may overflow far outside the disc, to inf or nan, a bound
+        # with no digits: the check then runs on r = 2^e w (_polished)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = float(abs(np.polynomial.polynomial.polyval(r, arr)))
+        den = _abs_value(sizes, abs(r))
+        ratio = (val and val / den) if sys.float_info.min <= den < math.inf else math.nan
+        if not ratio < ROOT_RESIDUAL_TOL:
+            r, ratio = _polished(coeffs, r)
+            if not ratio < ROOT_RESIDUAL_TOL:
+                raise ArithmeticError(f"root {r} fails the residual check ({ratio:.2e})")
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = float(abs(np.polynomial.polynomial.polyval(r, arr)))
+        roots.append(r)
+        vals.append(val)
+    return _group_roots(roots, vals, sizes)
+
+
+def _polished(coeffs: list, r: complex):
+    """(r, ratio) after up to ROOT_NEWTON_STEPS Newton steps on q, taken
+    while the ratio |q(r)| / sum |a_k| |r|^k of the residual check is not
+    below ROOT_RESIDUAL_TOL; r itself when it is at once.  The steps and
+    the ratio run on r = 2^e w, |w| in [1/2, 1), over the coefficients of
+    q(2^e w) scaled by a power of two to at most 1: the ratio is the same,
+    and no term overflows where |r|^n is past the float range."""
+    e = math.frexp(abs(r))[1]
+    w, b = complex(math.ldexp(r.real, -e), math.ldexp(r.imag, -e)), _rescaled(coeffs, e)
+    db, sizes = np.polynomial.polynomial.polyder(b), np.abs(b).tolist()
+
+    def ratio(w):
+        residual = float(abs(np.polynomial.polynomial.polyval(w, b)))
+        return residual and residual / _abs_value(sizes, abs(w))
+
+    now = ratio(w)
+    for _ in range(ROOT_NEWTON_STEPS):
+        if now < ROOT_RESIDUAL_TOL:
+            break
+        w -= np.polynomial.polynomial.polyval(w, b) / np.polynomial.polynomial.polyval(w, db)
+        now = ratio(w)
+        r = complex(math.ldexp(w.real, e), math.ldexp(w.imag, e))
+    return r, now
+
+
+def _rescaled(coeffs: list, e: int) -> np.ndarray:
+    """The coefficients a_k 2^(e k - s) of q(2^e w) / 2^s, the power of two
+    2^s putting the largest in [1/2, 1): exact unless one falls below the
+    normal float range."""
+    shift = max(math.frexp(abs(a))[1] + e * k for k, a in enumerate(coeffs) if a)
+    return np.array([complex(math.ldexp(a.real, e * k - shift), math.ldexp(a.imag, e * k - shift))
+                     for k, a in enumerate(coeffs)])
+
+
+def _root_scales(sizes: list) -> list:
+    """The groups of roots of q = a_0 + ... + a_n z^n, sizes the |a_k|, that
+    a companion matrix finds apart: (i, j, e) per group, whose j - i roots
+    are those of a_i + ... + a_j z^(j - i) and have moduli about 2^(-s) for
+    the slopes s of the edges from i to j; 2^e is the power of two at or
+    above the largest of them.
+
+    The edges of the upper convex hull of the points (k, log2 |a_k|) over
+    the nonzero a_k, the Newton polygon of q, go by falling slope; where
+    two slopes differ by more than the bits of a float mantissa, the roots
+    on either side lie that many bits apart in modulus, and the terms of
+    one side change a root of the other by less than a rounding of it.
+    Roots at 0 (a_0 = 0) belong to no group."""
+    pts = [(k, math.log2(a)) for k, a in enumerate(sizes) if a]
+    hull = []
+    for p in pts:
+        # pop the last vertex while it lies on or below the chord to p
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+                                 <= (p[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    groups = []
+    for (i, x), (j, y) in zip(hull, hull[1:]):
+        slope = (y - x) / (j - i)
+        if groups and groups[-1][2] - slope <= sys.float_info.mant_dig:
+            groups[-1][1:] = j, slope
+        else:
+            groups.append([i, j, slope])
+    return [(i, j, math.ceil(-slope)) for i, j, slope in groups]
 
 
 def _group_roots(roots: list, vals: list, sizes: list) -> list:

@@ -386,9 +386,13 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     ones = np.ones(14)
     g_norm_sq = float(ones @ H.real @ ones) + 1.0
 
+    assembled = []
+
     def hilbert_block(space, f, g, degree, basis, exact, shifts):
         k = len(basis)
-        return dataclasses.replace(base, degree=degree, basis=tuple(basis), data=(H[:k, :k], (H @ ones)[:k]),
+        assembled.append(k)
+        # a fresh buffer, as the assembly's own: a float solve overwrites it
+        return dataclasses.replace(base, degree=degree, basis=tuple(basis), data=(H[:k, :k].copy(), (H @ ones)[:k]),
                                    g_norm_sq=g_norm_sq)
 
     monkeypatch.setattr(approx, "_gram_system", hilbert_block)
@@ -411,6 +415,14 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     for top_degree in (12, 13):
         with pytest.raises(ArithmeticError, match=r"degree 12 \(13 unknowns\)"):
             distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
+    # a system handed over to the factorization is overwritten by the failed
+    # attempt, so the retry assembles its 13-block again and factors the
+    # bits that the copying formula factors from the leading block of H
+    assembled.clear()
+    factored = approx._Factored(system(13), overwrite=True)
+    assert assembled == [14, 13]
+    copies = _chol_float_by_copies(H, H @ ones)
+    assert (factored.pivots, factored.gains) == (copies[2], copies[3])
 
 
 def test_nonpositive_diagonal_refused_from_its_index(monkeypatch):
@@ -485,10 +497,23 @@ def test_chol_float_in_place_equals_the_copying_formula():
     bad[:, 20] *= 1e-3
     bad[20, 20] = 1e-12
     for M, size in [(G, n), (bad, 20), (np.diag([1.0, 1.0, -1.0]).astype(complex), 2)]:
-        got, want = approx._chol_float(M, c[:len(M)]), _chol_float_by_copies(M, c[:len(M)])
+        want = _chol_float_by_copies(M, c[:len(M)])
+        retries = []
+
+        def leading(k, M=M):
+            retries.append(k)
+            return np.array(M[:k, :k], order="F")
+
+        buffer = np.array(M, order="F")
+        got = approx._chol_float(buffer, c[:len(M)], leading)
         assert len(got[2]) == size
         for a, b in zip(got, want):
             assert np.array_equal(np.asarray(a), np.asarray(b))
+        # a whole block is factored in the buffer handed over; a failed
+        # attempt factors a fresh leading block, and a block cut short at a
+        # non-positive diagonal entry is copied, not assembled again
+        assert np.shares_memory(got[0], buffer) == (size == n)
+        assert retries == ([20] if M is bad else [])
 
 
 def test_profile_factors_the_top_block_once(monkeypatch):
@@ -897,7 +922,7 @@ def _assert_gram_equals_oracle(space, f, basis):
     if space.is_exact and f.is_exact():
         _assert_gram_rows_equal_oracle(space, f, g, degree, basis)
     G = approx._gram_matrix(space, f, basis, approx._shifts(f))
-    assert G.dtype == complex and G.flags.c_contiguous
+    assert G.dtype == complex and G.flags.f_contiguous  # the layout the float Cholesky factors in place
     assert np.array_equal(G, _gram_by_dictionary(space, f, basis, False))
     # bitwise, once signed zeros are normalised
     c = approx._gram_system(space, f, g, degree, basis, False, approx._shifts(f)).rhs
@@ -1148,7 +1173,8 @@ def _rotated_da4_generator():
 def test_gram_assembly_memory_is_bounded():
     # the rotated DA_4 system at m = 12: 656 reachable columns, 1296 pairs
     # of terms each; G itself is 6.9 MB, and blocks of GRAM_BLOCK_ENTRIES
-    # candidates keep the index arrays to a few MB on top of it
+    # candidates keep the index arrays to 2.0 MB on top of it (5.4 MB at
+    # 2^16 entries)
     f = _rotated_da4_generator()
     assert len(f.terms) == 36
     basis = approx._reachable(f, SparsePoly.one(4), 12, approx._shifts(f))
@@ -1161,7 +1187,44 @@ def test_gram_assembly_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert G.nbytes == 16 * n * n
-    assert peak < G.nbytes + 8e6
+    assert peak < G.nbytes + 3e6
+
+
+def _sumpow4():
+    """1 - (z1 + z2 + z3 + z4)^4 / 16: 36 terms, CI's float DA_4 case."""
+    return SparsePoly.one(4) - SparsePoly(4, {tuple(int(i == k) for i in range(4)): 1 for k in range(4)}) ** 4 * Fraction(1, 16)
+
+
+def test_float_profile_holds_one_gram_buffer():
+    # the float profile of 1 - (z1 + ... + z4)^4 / 16 over degrees 0, 4, 8,
+    # 12: 656 reachable unknowns, G = 16 n^2 bytes = 6.9 MB.  The solve
+    # scales and factors the assembly's own Fortran-ordered G, so the traced
+    # peak is G plus an assembly block and the walk: 1.30 G, where a second
+    # n x n buffer for the factor and blocks of 2^16 entries made it 2.07 G
+    f = _sumpow4()
+    degrees = [0, 4, 8, 12]
+    (*_, top) = cyclicity_profile(DA4, f, degrees, method="float")
+    n = top.unknowns
+    assert (n, top.path) == (656, "float")
+    tracemalloc.start()
+    try:
+        cyclicity_profile(DA4, f, degrees, method="float")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * n * n
+
+
+def test_float_approximant_leaves_the_callers_matrix_alone():
+    # optimal_approximant factors a copy of a float system's G, so the
+    # system reads the same G afterwards, bit for bit, and a second solve
+    # gives the same bits
+    system = approx._system(DA4, _sumpow4(), SparsePoly.one(4), 8, "float")
+    before = system.matrix.copy()
+    first = optimal_approximant(system, method="float")
+    assert system.matrix.tobytes() == before.tobytes()
+    second = optimal_approximant(system, method="float")
+    assert (first.dist_sq, first.coefficients) == (second.dist_sq, second.coefficients)
 
 
 if HAVE_HYPOTHESIS:

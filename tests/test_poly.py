@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -282,14 +284,51 @@ def test_roots_refuse_a_companion_matrix_that_is_not_finite():
             is_outer_1d(q)
 
 
-def test_roots_refuse_a_root_that_fails_the_residual_check():
-    # 1 + 2e8 lambda + 1e-16 lambda^2 has roots near -5e-9 and -2e24: the
-    # companion matrix holds entries up to 2e24, so the small root comes back
-    # with an absolute error far above its size and fails the residual check
-    q = [1.0, 2e8, 1e-16]
-    with pytest.raises(ArithmeticError, match="fails the residual check"):
-        roots_1d(q)
-    assert not is_outer_1d(q)
+def test_roots_refuse_a_root_that_fails_the_residual_check(monkeypatch):
+    # a companion solve that puts every root 4 times as far out: two Newton
+    # steps leave the roots of 1 - lambda^2 at 1.3 and the root -1e200 of
+    # 1e-10 + lambda + 1e-200 lambda^2 at -1.46e200, so both fail the check
+    # and are refused; a check against the coefficient norm times |root|^2
+    # overflowed to inf at -4e200 and passed it
+    polyroots = np.polynomial.polynomial.polyroots
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots", lambda c: polyroots(c) * 4)
+    for q in ([1.0, 0.0, -1.0], [1e-10, 1, 1e-200]):
+        with pytest.raises(ArithmeticError, match="fails the residual check"):
+            roots_1d(q)
+        assert not is_outer_1d(q)
+
+
+def test_roots_polish_a_root_that_fails_the_residual_check(monkeypatch):
+    # roots that pass the check are the solve's own; roots put 1e-3 off
+    # come back within the check's tolerance after Newton steps
+    polyroots = np.polynomial.polynomial.polyroots
+    q = [2.0, -3.0, 1.0]
+    assert [r for r, _ in roots_1d(q)] == sorted(polyroots(q).tolist(), key=lambda r: r.real)
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots", lambda c: polyroots(c) * (1 + 1e-3))
+    roots = roots_1d(q)
+    assert [m for _, m in roots] == [1, 1]
+    assert all(abs(r - want) < 1e-9 * want for (r, _), want in zip(roots, (1, 2)))
+
+
+@pytest.mark.parametrize("q, want", [
+    ([1, 1, 1e-300], [(-1e300, 1), (-1, 1)]),
+    ([1e-10, 1, 1e-200], [(-1e200, 1), (-1e-10, 1)]),
+    ([1.0, 2e8, 1e-16], [(-2e24, 1), (-5e-9, 1)]),
+    ([0, 0, 1e-10, 1, 1e-200], [(-1e200, 1), (-1e-10, 1), (0, 2)]),
+    ([1, -1e200, 1], [(1e-200, 1), (1e200, 1)]),
+])
+def test_roots_whose_moduli_span_the_float_range(q, want):
+    # the companion matrix of q holds a_k / a_n up to 1e300 and finds each
+    # small root as 0 (1e-300 lambda^2 + lambda + 1 was refused, and
+    # 1e-200 lambda^2 + lambda + 1e-10 read 0 as a root, checked against a
+    # bound that overflowed to inf); split along the Newton polygon, each
+    # root comes back to within rounding, with no float warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = roots_1d(q)
+    assert [m for _, m in roots] == [m for _, m in want]
+    assert all(abs(r - w) <= 4 * sys.float_info.epsilon * abs(w) for (r, _), (w, _) in zip(roots, want))
+    assert is_outer_1d(q) == all(abs(w) >= 1 for w, _ in want)
 
 
 def test_outer_constant_and_margin():
