@@ -101,7 +101,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, product
@@ -129,7 +129,8 @@ DIST_SQ_CLAMP = -1e-12
 # (columns x rows) stay within this count: 2.0 MB of index arrays on top of
 # G for the 656 unknowns and 1296 pairs of the rotated DA_4 system at m = 12
 # (5.4 MB at 2^16), with the same bits, since a column's terms never span
-# two blocks
+# two blocks.  At 4845 unknowns a block holds 3 columns, and G assembles
+# within 8% of the time that blocks of 13 columns (2^16) take
 GRAM_BLOCK_ENTRIES = 1 << 14
 # candidate exponents (rows of a layer x shifts) per block of the reachable
 # walk, unless it already holds more codes: its arrays stay a few hundred kB
@@ -655,30 +656,24 @@ class _Factored:
     the gains left to right from 0, as sum() does, so block(k, m) reads its
     values without a pass over them.
 
-    overwrite hands a float G over to ``_chol_float``, which factors it in
-    place: a caller passes it only for a system it assembled itself and
-    reads no more (``distance_profile``, and ``optimal_approximant`` when it
-    assembles on the other path), and a retry assembles the leading block
-    again.  Otherwise the Cholesky factors a copy, and a retry copies the
-    block, so a caller's ``GramSystem.matrix`` never changes."""
+    A float system's G is handed over to ``_chol_float``, which factors it
+    in place, so the system is spent: only a system assembled for the
+    factorization and read no more is passed (``distance_profile`` passes
+    its own; ``optimal_approximant`` assembles one or copies a caller's G).
+    A failed attempt factors the leading block assembled again."""
 
-    def __init__(self, system: GramSystem, overwrite: bool = False):
+    def __init__(self, system: GramSystem):
         if system.exact:
             self.method, self.g_norm_sq = "exact", system.g_norm_sq
             self.U, self.pivots, self.gains = _ldl_exact(system.data)
         else:
             (G, c), self.method, self.g_norm_sq = system.data, "float", float(system.g_norm_sq)
-            if overwrite:
-                # each entry of the block sums the same terms in the same
-                # order as in G, so it is bitwise G's
-                def leading(k):
-                    return _gram_system(system.space, system.f, system.g, system.degree, system.basis[:k], False,
-                                        _shifts(system.f)).data[0]
-            else:
-                G = np.array(G, order="F")
+            # each entry of the block sums the same terms in the same order
+            # as in G, so it is bitwise G's
+            def leading(k):
+                return _gram_system(system.space, system.f, system.g, system.degree, system.basis[:k], False,
+                                    _shifts(system.f)).data[0]
 
-                def leading(k):
-                    return np.array(system.data[0][:k, :k], order="F")
             self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c, leading)
         self.projection = list(accumulate(self.gains, initial=0))
         # rounding is monotone, so the min and max of the rounded pivots are
@@ -754,10 +749,13 @@ def optimal_approximant(system: GramSystem, method: str = "auto") -> Approximant
     """
     m, k = system.degree, len(system.basis)
     exact = _solve_path(method, system.space, system.f, system.g, k) == "exact"
-    own = exact != system.exact
-    if own:
+    if exact != system.exact:
         system = _gram_system(system.space, system.f, system.g, m, system.basis, exact, _shifts(system.f))
-    top = _Factored(system, overwrite=own)
+    elif not exact:
+        # the factorization overwrites G, and the caller's G stays as it is
+        G, c = system.data
+        system = replace(system, data=(np.array(G, order="F"), c))
+    top = _Factored(system)
     dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
         degree=m, basis=system.basis, coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
@@ -795,7 +793,7 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     system = _system(space, f, g, degrees[-1], method)
     sizes = system.block_sizes()
     t0 = time.perf_counter()
-    factored = _Factored(system, overwrite=True)
+    factored = _Factored(system)
     out = []
     for m in degrees:
         dist_sq, min_pivot, _ = factored.block(sizes[m], m)

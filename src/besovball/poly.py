@@ -465,21 +465,20 @@ def roots_1d(q):
             ws = np.polynomial.polynomial.polyroots(_rescaled(coeffs[i:j + 1], e)).tolist()
             raw += [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e)) for w in ws]
     roots, vals = [], []
-    for r in raw:
-        # |q(r)| may overflow far outside the disc, to inf or nan, a bound
-        # with no digits: the check then runs on r = 2^e w (_polished)
-        with np.errstate(over="ignore", invalid="ignore"):
+    # |q(r)| may overflow far outside the disc, to inf or nan, a bound with
+    # no digits: the check then runs on r = 2^e w (_polished)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in raw:
             val = float(abs(np.polynomial.polynomial.polyval(r, arr)))
-        den = _abs_value(sizes, abs(r))
-        ratio = (val and val / den) if sys.float_info.min <= den < math.inf else math.nan
-        if not ratio < ROOT_RESIDUAL_TOL:
-            r, ratio = _polished(coeffs, r)
+            den = _abs_value(sizes, abs(r))
+            ratio = (val and val / den) if sys.float_info.min <= den < math.inf else math.nan
             if not ratio < ROOT_RESIDUAL_TOL:
-                raise ArithmeticError(f"root {r} fails the residual check ({ratio:.2e})")
-            with np.errstate(over="ignore", invalid="ignore"):
+                r, ratio = _polished(coeffs, r)
+                if not ratio < ROOT_RESIDUAL_TOL:
+                    raise ArithmeticError(f"root {r} fails the residual check ({ratio:.2e})")
                 val = float(abs(np.polynomial.polynomial.polyval(r, arr)))
-        roots.append(r)
-        vals.append(val)
+            roots.append(r)
+            vals.append(val)
     return _group_roots(roots, vals, sizes)
 
 

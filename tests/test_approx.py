@@ -415,11 +415,16 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     for top_degree in (12, 13):
         with pytest.raises(ArithmeticError, match=r"degree 12 \(13 unknowns\)"):
             distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
-    # a system handed over to the factorization is overwritten by the failed
-    # attempt, so the retry assembles its 13-block again and factors the
-    # bits that the copying formula factors from the leading block of H
+    # the factorization overwrites the system's G in the failed attempt, so
+    # the retry assembles its 13-block again and factors the bits that the
+    # copying formula factors from the leading block of H; the approximant
+    # factors a copy of the caller's G and retries the same way
     assembled.clear()
-    factored = approx._Factored(system(13), overwrite=True)
+    with pytest.raises(ArithmeticError, match="factors only 13 of them"):
+        optimal_approximant(system(13), method="float")
+    assert assembled == [14, 13]
+    assembled.clear()
+    factored = approx._Factored(system(13))
     assert assembled == [14, 13]
     copies = _chol_float_by_copies(H, H @ ones)
     assert (factored.pivots, factored.gains) == (copies[2], copies[3])
@@ -1534,14 +1539,18 @@ def test_running_sums_equal_the_sliced_sums_at_every_block(space, f, g, m, path)
 def test_block_refuses_a_dist_sq_below_the_clamp_window(path):
     # ||g||^2 replaced by values below the projection: a deficit inside the
     # window, DIST_SQ_CLAMP * max(1, ||g||^2), is rounding and reads 0; one
-    # past it is refused
-    system = approx._system(DA2, F22, SparsePoly.one(2), 4, path)
-    k = len(system.basis)
-    projection = sum(approx._Factored(system).gains)
+    # past it is refused.  A float factorization spends its system's G, so
+    # each one gets a system of its own
+    def system(g_norm_sq=None):
+        s = approx._system(DA2, F22, SparsePoly.one(2), 4, path)
+        return s if g_norm_sq is None else dataclasses.replace(s, g_norm_sq=g_norm_sq)
+
+    k = len(system().basis)
+    projection = sum(approx._Factored(system()).gains)
     inside = projection - (Fraction(1, 10 ** 13) if path == "exact" else 1e-13)
-    factored = approx._Factored(dataclasses.replace(system, g_norm_sq=inside))
+    factored = approx._Factored(system(inside))
     assert factored.block(k, 4)[0] == 0.0
     for g_norm_sq in (0, projection / 2):
-        factored = approx._Factored(dataclasses.replace(system, g_norm_sq=g_norm_sq))
+        factored = approx._Factored(system(g_norm_sq))
         with pytest.raises(ArithmeticError, match="below the clamp window"):
             factored.block(k, 4)
