@@ -613,7 +613,9 @@ def _chol_float(G: np.ndarray, c: np.ndarray, leading):
     the solve holds no second n x n one.  A failed attempt leaves a partial
     factor there, so the next one factors leading(k), a fresh
     Fortran-ordered buffer holding the leading k-block of G as it was
-    passed; while it is formed, the failed buffer is held too."""
+    passed; while it is formed, the failed buffer is held too.  ValueError
+    when a pivot or y is not finite (G or c held an inf or a nan, or
+    overflowed)."""
     dg = np.real(np.diag(G))
     n = int(np.argmin(np.append(dg > 0, False)))  # up to the first non-positive entry
     s = 1.0 / np.sqrt(dg[:n])
@@ -627,8 +629,18 @@ def _chol_float(G: np.ndarray, c: np.ndarray, leading):
             break
         n = info - 1  # the leading minor of order info is not positive definite
         G = leading(n)
-    y = scipy.linalg.solve_triangular(L, c[:n] * s[:n], lower=True)
-    return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
+    # unchecked, so no n x n mask of isfinite(L) is formed: a non-finite
+    # entry of L's lower triangle reaches its pivot or y, which are checked
+    y = scipy.linalg.solve_triangular(L, c[:n] * s[:n], lower=True, check_finite=False)
+    pivots = np.diag(L).real ** 2
+    _check_finite("its pivots or forward solve", pivots, y)
+    return L, y, pivots.tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
+
+
+def _check_finite(what: str, *arrays) -> None:
+    """ValueError when an entry of the arrays is inf or nan."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"the float Cholesky of the Gram system holds infs or NaNs in {what}")
 
 
 def _solve_path(method: str, space: SpaceSpec, f: SparsePoly, g: SparsePoly, size: int) -> str:
@@ -713,7 +725,9 @@ class _Factored:
         a_k); with h = gcd(p, s), scaling the held numerators by p / h and q
         to q p / h keeps that form without a gcd over the vector."""
         if self.method != "exact":
-            return scipy.linalg.solve_triangular(self.L, self.y, trans="C", lower=True) * self.scale
+            a = scipy.linalg.solve_triangular(self.L, self.y, trans="C", lower=True, check_finite=False) * self.scale
+            _check_finite("its back substitution", a)
+            return a
         n = len(self.U)
         ar, ai, q = [0] * n, [0] * n, 1
         for i in range(n - 1, -1, -1):
@@ -745,7 +759,8 @@ def optimal_approximant(system: GramSystem, method: str = "auto") -> Approximant
     ``distance_profile`` factors: the two agree bit for bit.  Every
     coefficient of the full basis off the reachable one is 0.
     ArithmeticError when the float path refuses the system; ValueError for
-    method="exact" on inputs that hold floats.
+    method="exact" on inputs that hold floats, and for a float solve that
+    meets an inf or a nan.
     """
     m, k = system.degree, len(system.basis)
     exact = _solve_path(method, system.space, system.f, system.g, k) == "exact"
@@ -783,7 +798,9 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     when the float path refuses a degree (see the module docstring);
     ValueError, before assembling anything, when the reachable block of the
     top degree has more than GRAM_ENTRY_BUDGET entries, and for
-    method="exact" on inputs that hold floats, also on an empty schedule."""
+    method="exact" on inputs that hold floats, also on an empty schedule;
+    ValueError, after assembling, for a float factorization that meets an
+    inf or a nan."""
     degrees = sorted(set(map(_degree, degrees)))
     if not degrees:
         _solve_path(method, space, f, g, 0)  # an unknown method, or exact on floats, fails here too

@@ -55,7 +55,7 @@ BOX_LEAF_POINTS = 1 << 14  # box-integral points summed at a time: 128 kB per fl
 NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
 LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time
-LATTICE_CHART_ROWS = 1 << 11  # points of a chunk the chart takes at a time: about 2 MB of scratch on the torus
+LATTICE_CHART_ROWS = 1 << 11  # points of a chunk the chart takes at a time: about 1.5 MB of scratch on the torus
 CHORD_GRID_NODES = 12  # nodes per axis, at most, of the reverse-Lipschitz grid
 
 
@@ -284,27 +284,14 @@ class CubeMeasure:
     def torus(k: int, d: int, shrink: float = 0.05) -> "CubeMeasure":
         """Parametrizes the sphere part of the zero set of 1 - k^(k/2) z_1...z_k:
         points k^(-1/2)(e^(i a_1), ..., e^(i a_(k-1)), e^(-i(a_1+...+a_(k-1)))).
+
+        Its phi is a ``_TorusChart``, whose ``on_lattice`` gives
+        ``_lattice_inner`` the same points from a per-axis table of cos and
+        sin.
         """
         _check_chart(k, d, shrink)
-        m = k - 1
-        ang_scale = math.pi * (1.0 - shrink)
-        inv_sqrt_k = 1.0 / math.sqrt(k)
-
-        def phi(T):
-            # cos and sin written into the parts of Z, then scaled: the same
-            # bits as k^(-1/2) exp(1j * angle), without a complex exp
-            T = np.asarray(T, dtype=float)
-            ang = ang_scale * T
-            last = -ang.sum(axis=1)
-            Z = np.zeros((T.shape[0], d), dtype=complex)
-            for part, fn in ((Z.real, np.cos), (Z.imag, np.sin)):
-                fn(ang, out=part[:, :m])
-                fn(last, out=part[:, m])
-            Z[:, :k] *= inv_sqrt_k
-            return Z
-
-        return CubeMeasure(m=m, d=d, phi=phi, label=f"torus(k={k}, d={d})", shrink=shrink,
-                           shift_invariant=True)
+        return CubeMeasure(m=k - 1, d=d, phi=_TorusChart(k, d, shrink), label=f"torus(k={k}, d={d})",
+                           shrink=shrink, shift_invariant=True)
 
     @staticmethod
     def sphere_patch(k: int, d: int, shrink: float = 0.1) -> "CubeMeasure":
@@ -350,9 +337,14 @@ class CubeMeasure:
 
     def points(self, T: np.ndarray) -> np.ndarray:
         """phi on the rows of T, checked to land on the unit sphere."""
-        Z = np.ascontiguousarray(self.phi(T), dtype=complex)
-        if Z.shape != (T.shape[0], self.d):
-            raise ValueError(f"phi returned shape {Z.shape}, expected {(T.shape[0], self.d)}")
+        return self._on_sphere(self.phi(T), T.shape[0])
+
+    def _on_sphere(self, Z, rows: int) -> np.ndarray:
+        """Z, the chart's values at rows parameters, as a complex array;
+        ValueError for another shape or for a point off the unit sphere."""
+        Z = np.ascontiguousarray(Z, dtype=complex)
+        if Z.shape != (rows, self.d):
+            raise ValueError(f"phi returned shape {Z.shape}, expected {(rows, self.d)}")
         parts = Z.view(float)  # the real and imaginary parts, side by side
         dev = float(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0).max())
         if not dev <= SPHERE_TOL:  # nan included
@@ -373,6 +365,65 @@ def _check_chart(k: int, d: int, shrink: float) -> None:
         raise ValueError(f"need 2 <= k <= d, both integers; got k = {k!r}, d = {d!r}")
     if not (0 < shrink < 1):
         raise ValueError("shrink must be in (0,1)")
+
+
+class _TorusChart:
+    """phi of ``CubeMeasure.torus``: the rows of T to the points
+    k^(-1/2)(e^(i a_1), ..., e^(i a_m), e^(-i(a_1 + ... + a_m)), 0, ..., 0)
+    of C^d, a = pi (1 - shrink) T, m = k - 1.
+
+    One formula, ``_assemble``, forms the points of both ways in; they
+    differ only in where e^(i a_j) of the m axes comes from.  phi(T) takes
+    cos and sin of every angle of every row.  ``on_lattice`` reads them
+    from a table per lattice level: there each axis takes only 2n - 1
+    angles, and a row's angle a_j is the same float as the table's (one
+    rounding of one product), so the points are the same bits.
+    """
+
+    def __init__(self, k: int, d: int, shrink: float):
+        self.k, self.d = k, d
+        self.ang_scale = math.pi * (1.0 - shrink)
+        self.inv_sqrt_k = 1.0 / math.sqrt(k)
+
+    def __call__(self, T):
+        ang = self.ang_scale * np.asarray(T, dtype=float)
+        return self._assemble(ang, lambda out: _cis(ang, out))
+
+    def on_lattice(self, axis_param: np.ndarray):
+        """The chart on a tensor lattice whose every axis takes the
+        parameters axis_param: a function of one block's digits (m index
+        arrays into axis_param) to phi of its rows.  e^(i a) of the axis
+        angles is formed here, once."""
+        axis_ang = self.ang_scale * axis_param
+        table = np.empty(len(axis_ang), dtype=complex)
+        _cis(axis_ang, table)
+
+        def block(digits):
+            def axes(out):
+                for j, d in enumerate(digits):
+                    np.take(table, d, out=out[:, j])
+
+            return self._assemble(np.stack([axis_ang[d] for d in digits], axis=1), axes)
+
+        return block
+
+    def _assemble(self, ang: np.ndarray, axes) -> np.ndarray:
+        """The points of the rows of angles ang, (rows, m); axes(out) writes
+        e^(i ang) into the complex (rows, m) out.  cos and sin are written
+        into the parts of Z, then scaled: the same bits as k^(-1/2)
+        exp(1j * angle), without a complex exp."""
+        m = ang.shape[1]
+        Z = np.zeros((ang.shape[0], self.d), dtype=complex)
+        axes(Z[:, :m])
+        _cis(-ang.sum(axis=1), Z[:, m])
+        Z[:, :self.k] *= self.inv_sqrt_k
+        return Z
+
+
+def _cis(ang: np.ndarray, out: np.ndarray) -> None:
+    """cos and sin of ang written into the real and imaginary parts of out."""
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
 
 
 def _tensor(axis: np.ndarray, m: int) -> np.ndarray:
@@ -481,25 +532,36 @@ def _lattice_inner(measure: CubeMeasure, n: int):
     (weights, inner) for LATTICE_CHUNK points at a time, the weight of u
     being prod_j (n - |u_j|).
 
-    Each chunk indexes two per-axis tables of length 2n - 1 with its
-    points' digits: the parameters (u_j - 1/2) h and the counts n - |u_j|.
-    The counts are integers, so their product is exact in any order.  The
-    chart takes the chunk LATTICE_CHART_ROWS points at a time, never one
-    point alone: a one-row product may go to another BLAS routine."""
+    Each chunk reads its points' digits, which index per-axis tables of
+    length 2n - 1: the counts n - |u_j|, whose product is the weight
+    (integers, so exact in any order), and the parameters (u_j - 1/2) h.
+    The chart takes the chunk LATTICE_CHART_ROWS points at a time, never
+    one point alone: a one-row product may go to another BLAS routine.  A
+    chart with an ``on_lattice`` (the torus's) forms a block from its
+    digits and its own per-axis tables of e^(i a); any other chart takes
+    the block's parameters.  Either way the unit-sphere check of
+    ``points`` runs on every block."""
     h = 2.0 / n
     m = measure.m
     u = np.arange(1 - n, n, dtype=float)
     axis_param, axis_count = (u - 0.5) * h, n - np.abs(u)
     count = (2 * n - 1) ** m
     z0c = measure.points(np.zeros((1, m)))[0].conj()
+    on_lattice = getattr(measure.phi, "on_lattice", None)
+    if on_lattice is not None:
+        chart = on_lattice(axis_param)
+    else:
+        def chart(digits):
+            return measure.phi(np.stack([axis_param[d] for d in digits], axis=1))
     for start in range(0, count, LATTICE_CHUNK):
         digits = np.unravel_index(np.arange(start, min(start + LATTICE_CHUNK, count)), (2 * n - 1,) * m)
-        T, weights = np.empty((len(digits[0]), m)), np.ones(len(digits[0]))
-        for j, d in enumerate(digits):
-            T[:, j] = axis_param[d]
+        rows = len(digits[0])
+        weights = np.ones(rows)
+        for d in digits:
             weights *= axis_count[d]
-        blocks = np.split(T, range(LATTICE_CHART_ROWS, len(T) - 1, LATTICE_CHART_ROWS))
-        yield weights, np.concatenate([measure.points(t) @ z0c for t in blocks])
+        cuts = range(LATTICE_CHART_ROWS, rows - 1, LATTICE_CHART_ROWS)
+        blocks = zip(*(np.split(d, cuts) for d in digits))
+        yield weights, np.concatenate([measure._on_sphere(chart(b), len(b[0])) @ z0c for b in blocks])
 
 
 def _lattice_sum(measure: CubeMeasure, n: int) -> float:
@@ -531,9 +593,9 @@ def _probe_shift_invariance(measure: CubeMeasure) -> bool:
 
     Memory: the 16 * 7^m bytes of differences, the two grids (8 (m + 2d)
     4^m bytes with their parameters), one block of about 1 MB and the
-    scratch of one ``_lattice_inner`` chunk, which phi sets (about 2 MB for
-    the torus on a full chunk, as in ``_lattice_sum``).  ``tracemalloc``
-    reads peaks of 0.25 MB at m = 3, 1.0 MB at m = 4 and 2.3 MB at m = 5 on
+    scratch of one ``_lattice_inner`` chunk, which phi sets (about 1.5 MB
+    for the torus on a full chunk, as in ``_lattice_sum``).  ``tracemalloc``
+    reads peaks of 0.26 MB at m = 3, 1.0 MB at m = 4 and 1.6 MB at m = 5 on
     the torus.  numpy's BLAS runs on the calling thread, as in ``energy``.
     """
     n, m = SHIFT_PROBE_NODES, measure.m
@@ -618,7 +680,7 @@ def energy(measure: CubeMeasure, n_base: int = 8, max_doublings: int = 2) -> Ene
 
     The chord-ratio scan holds one block of kernels.CHORD_ROWS = 16 rows of
     the pair grid at a time: 16 x n_c^m pairs at n_c = min(n, 12) nodes per
-    axis, a traced peak of 0.92 MB at 12 nodes per axis on an m = 3 cube.
+    axis, a traced peak of 0.87 MB at 12 nodes per axis on an m = 3 cube.
     numpy's BLAS runs on the calling thread for the whole call
     (``kernels.blas_on_calling_thread``); the bits are those of any other
     thread count.

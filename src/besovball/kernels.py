@@ -23,7 +23,7 @@ does not depend on the number of workers, bit for bit.
 Inside ``blas_on_calling_thread`` numpy's own OpenBLAS runs on the calling
 thread.  ``certify.energy`` and the shift probe enter it, since their
 complex products (the lattice sum's points @ conj(phi(0)), the chord
-scan's block @ W*, a chart's own @ U) each wake an OpenBLAS helper thread,
+scan's block @ 2 W*, a chart's own @ U) each wake an OpenBLAS helper thread,
 which then spins idle on a CPU for about 50 ms.  On a 2-CPU x86_64 machine
 the energy certificate of the rotated torus took 0.18 s with the helper
 and 0.11 s without it (medians of ten benchmark runs).  The real tile
@@ -33,12 +33,17 @@ way on any number of threads.  scipy's LAPACK is a separate OpenBLAS and
 is left alone, because its thread count does move bits: the float
 Cholesky of a 201-unknown profile factors differently on one thread.
 
-``min_chord_ratio`` scans CHORD_ROWS rows at a time, and only one block's
-temporaries are alive at once: at 12 nodes per axis on an m = 3 cube
-(1728 x 1728 pairs) that is the block's complex product (0.44 MB) while its
-squared chords form, then its three real (16, 1728) arrays, a traced peak
-of 0.92 MB.  Blocks of 64 rows peaked at 2.9 MB and took twice as long
-(52 ms against 23 ms for the scan, on a 2-CPU x86_64 machine).
+``min_chord_ratio`` forms the columns 2 W* and 2 S^T and the squared norms
+of every row and column once, then scans CHORD_ROWS rows at a time.
+Doubling is exact barring overflow or underflow, so Re(Z @ 2 W*) is
+bitwise 2 Re(Z @ W*) and no block doubles a strided real part in place.
+Only one block's temporaries are alive at once: at 12 nodes per axis on an
+m = 3 cube (1728 x 1728 pairs) that is the block's complex product
+(0.44 MB) while its squared chords form, then its real (16, 1728) arrays,
+a traced peak of 0.87 MB.  Blocks of 64 rows peaked at 2.9 MB and took
+twice as long.  On a 2-CPU x86_64 machine the scan took 21.1 ms, and
+24.8 ms when each block doubled its real parts in place (medians of 25
+interleaved rounds).
 
 Shift-invariant cubes (the torus, and a cube from ``from_callable`` whose
 probe finds the lattice, such as a unitary turn of the torus) never reach
@@ -180,33 +185,29 @@ def energy_pair_sum(Z: np.ndarray, W: np.ndarray) -> float:
 def min_chord_ratio(Z: np.ndarray, W: np.ndarray, T: np.ndarray, S: np.ndarray) -> float:
     """Grid estimate of the reverse-Lipschitz constant of the parametrization:
     min over pairs of |phi(t) - phi(s)| / |t - s| for offset parameter grids
-    (the grids never collide, so |t - s| > 0)."""
+    (the grids never collide, so |t - s| > 0).
+
+    Squared gaps are |x|^2 + |y|^2 - 2 Re<x, y>, which keeps the scan at
+    matmul cost.  The norms are formed once for all rows, and the columns
+    2 W* and 2 S^T carry the 2, exactly, so no block doubles its product
+    (see the module docstring)."""
     Z = np.ascontiguousarray(Z, dtype=complex)
     W = np.ascontiguousarray(W, dtype=complex)
     T = np.ascontiguousarray(T, dtype=float)
     S = np.ascontiguousarray(S, dtype=float)
-    # |z - w|^2 = |z|^2 + |w|^2 - 2 Re<z, w> keeps the pair scan at matmul cost
-    nw2 = np.sum(np.abs(W) ** 2, axis=1)
-    ns2 = np.sum(S**2, axis=1)
-    Wc = W.conj().T
+    nz2, nw2 = np.sum(np.abs(Z) ** 2, axis=1), np.sum(np.abs(W) ** 2, axis=1)
+    nt2, ns2 = np.sum(T**2, axis=1), np.sum(S**2, axis=1)
+    W2, S2 = 2.0 * W.conj().T, 2.0 * S.T
     best = math.inf
     for start in range(0, Z.shape[0], CHORD_ROWS):
         rows = slice(start, start + CHORD_ROWS)
-        chord2 = _sq_gaps(Z[rows] @ Wc, Z[rows], nw2)  # the complex product dies here
-        param2 = _sq_gaps(T[rows] @ S.T, T[rows], ns2)
+        chord2 = np.add.outer(nz2[rows], nw2)
+        chord2 -= (Z[rows] @ W2).real  # the complex product dies here
+        param2 = np.add.outer(nt2[rows], ns2)
+        param2 -= T[rows] @ S2
         np.maximum(chord2, 0.0, out=chord2)
         np.maximum(param2, 1e-300, out=param2)
         chord2 /= param2
         best = float(np.minimum(best, chord2.min()))  # a nan block stays nan, where min() would drop it
         del chord2, param2  # before the next block's product
     return math.sqrt(best)
-
-
-def _sq_gaps(prod: np.ndarray, rows: np.ndarray, col_norms2: np.ndarray) -> np.ndarray:
-    """(|x|^2 + |y|^2) - 2 Re<x, y> per pair of a row x and a column y, from
-    prod = rows @ (columns)*, whose real part is doubled in place."""
-    g = prod.real
-    g *= 2.0
-    gaps = np.add.outer(np.sum(np.abs(rows) ** 2, axis=1), col_norms2)
-    gaps -= g
-    return gaps

@@ -1232,6 +1232,33 @@ def test_float_approximant_leaves_the_callers_matrix_alone():
     assert (first.dist_sq, first.coefficients) == (second.dist_sq, second.coefficients)
 
 
+def test_float_solve_refuses_a_system_that_is_not_finite():
+    # |1e200|^2 overflows, so G holds infs, and scaling it gives NaNs; the
+    # triangular solves run unchecked, and the pivots and y refuse them
+    f = SparsePoly(2, {(0, 0): 1.0, (1, 0): 1e200})
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            distance_profile(DA2, f, SparsePoly.one(2), [3], method="float")
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            optimal_approximant(approx._system(DA2, f, SparsePoly.one(2), 3, "float"), method="float")
+
+
+def test_float_factorization_forms_no_mask_of_the_factor():
+    # solve_triangular's check_finite formed isfinite(L), an n x n bool
+    # array of 0.43 MB at these 656 unknowns, in each triangular solve
+    system = approx._system(DA4, _sumpow4(), SparsePoly.one(4), 12, "float")
+    n = len(system.basis)
+    tracemalloc.start()
+    try:
+        factored = approx._Factored(system)
+        factored.coefficients()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 656
+    assert peak < n * n / 2
+
+
 if HAVE_HYPOTHESIS:
 
     @given(

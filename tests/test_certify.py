@@ -299,6 +299,78 @@ def test_lattice_chart_blocks_keep_the_bits_and_never_take_one_row(monkeypatch):
     assert chunked == pytest.approx(whole, rel=1e-14)
 
 
+def _lattice_axis(n):
+    """The per-axis parameters (u - 1/2) h of ``_lattice_inner``'s lattice."""
+    return (np.arange(1 - n, n, dtype=float) - 0.5) * (2.0 / n)
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (3, 5), (4, 4), (4, 6), (5, 5)])
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+@pytest.mark.parametrize("shrink", [0.05, 0.3])
+def test_torus_lattice_tables_equal_phi(k, d, n, shrink):
+    # the table path against phi of the same lattice rows: every row up to
+    # 4096, and past that (31^4 rows at k = 5, n = 16) a seeded sample with
+    # the first and last row among it
+    torus = CubeMeasure.torus(k, d, shrink)
+    axis, shape = _lattice_axis(n), (2 * n - 1,) * (k - 1)
+    count = math.prod(shape)
+    rows = np.arange(count)
+    if count > 4096:
+        rows = np.unique(np.r_[0, count - 1, np.random.default_rng(7).integers(0, count, 4094)])
+    digits = np.unravel_index(rows, shape)
+    got = torus.phi.on_lattice(axis)(digits)
+    want = torus.phi(np.stack([axis[u] for u in digits], axis=1))
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_torus_energy_equals_the_per_point_chart(monkeypatch):
+    # the reference: the torus chart with its table path taken away, so its
+    # lattice takes phi of every block's parameters
+    table = energy(CubeMeasure.torus(4, 4))
+    monkeypatch.delattr(certify._TorusChart, "on_lattice")
+    reference = energy(CubeMeasure.torus(4, 4))
+    assert table == reference
+    assert (table.value, table.c_estimate) == (85.13854290163819, 0.1719090952697469)
+
+
+def test_torus_lattice_table_blocks_never_take_one_row(monkeypatch):
+    # the table path's blocks split as phi's do in
+    # test_lattice_chart_blocks_keep_the_bits_and_never_take_one_row, and
+    # each one passes the sphere check
+    torus = CubeMeasure.torus(4, 4)
+    whole = _lattice_sum(torus, 8)
+    rows, checked = [], []
+    on_lattice, on_sphere = certify._TorusChart.on_lattice, CubeMeasure._on_sphere
+
+    def counted(chart, axis_param):
+        block = on_lattice(chart, axis_param)
+
+        def counted_block(digits):
+            rows.append(len(digits[0]))
+            return block(digits)
+
+        return counted_block
+
+    def counted_check(cube, Z, n):
+        checked.append(n)
+        return on_sphere(cube, Z, n)
+
+    monkeypatch.setattr(certify._TorusChart, "on_lattice", counted)
+    monkeypatch.setattr(CubeMeasure, "_on_sphere", counted_check)
+    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1000)
+    monkeypatch.setattr(certify, "LATTICE_CHART_ROWS", 333)
+    chunked = _lattice_sum(torus, 8)
+    assert rows == [333, 333, 334] * 3 + [333, 42]
+    assert checked == [1] + rows  # phi(0), then the blocks
+    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1 << 14)
+    monkeypatch.setattr(certify, "LATTICE_CHART_ROWS", 1 << 11)
+    rows.clear()
+    assert _lattice_sum(torus, 8) == whole
+    assert rows == [2048, 1327]
+    assert chunked == pytest.approx(whole, rel=1e-14)
+
+
 def test_lattice_sum_memory_is_bounded():
     # 31^4 = 923521 difference points; held at once they took about 200 MB
     mu = CubeMeasure.torus(5, 5)

@@ -99,16 +99,21 @@ _U4 = [[Fraction(x, 109) for x in row] for row in
     ("torus", 0.1719090952697469),
     ("sphere_patch", 0.06528351294424922),
     ("rotated torus", 0.17190909526974657),
+    ("torus(4, 6)", 0.1719090952697469),  # two zero coordinates
+    ("torus, 8 nodes", 0.22723593031488395),
 ])
 def test_min_chord_ratio_is_frozen_on_the_certificate_cubes(name, frozen):
-    # c_estimate feeds the frozen energy lower bound, so the 12-node scan
-    # must give the same float as the 512-row blocks it replaced
+    # c_estimate feeds the frozen energy lower bound, so the scan must give
+    # the same float as the 512-row blocks it replaced, at the 12-node grid
+    # and at the 8-node one of a certificate that stops at n = 8
     torus = certify.CubeMeasure.torus(4, 4)
     U = np.array(_U4, dtype=float)
-    cube = {"torus": torus, "sphere_patch": certify.CubeMeasure.sphere_patch(4, 4),
-            "rotated torus": certify.CubeMeasure.from_callable(3, 4, lambda T: torus.phi(T) @ U)}[name]
-    T1, Z1 = cube.grid(12, offset=0.0)
-    T2, Z2 = cube.grid(12, offset=0.5)
+    cube, nodes = {"torus": (torus, 12), "torus, 8 nodes": (torus, 8),
+                   "torus(4, 6)": (certify.CubeMeasure.torus(4, 6), 12),
+                   "sphere_patch": (certify.CubeMeasure.sphere_patch(4, 4), 12),
+                   "rotated torus": (certify.CubeMeasure.from_callable(3, 4, lambda T: torus.phi(T) @ U), 12)}[name]
+    T1, Z1 = cube.grid(nodes, offset=0.0)
+    T2, Z2 = cube.grid(nodes, offset=0.5)
     got = min_chord_ratio(Z1, Z2, T1, T2)
     assert got == _chord_ratio_512_rows(Z1, Z2, T1, T2)
     assert got == frozen
