@@ -15,14 +15,14 @@ difference of two exponents of f, and c[i] vanish unless beta_i + delta is
 an exponent of g for some exponent delta of f.  So G is block diagonal over
 the connected components of that difference graph, and only the components
 that meet the right-hand side carry a nonzero solution.  ``_reachable``
-walks those components from the exponents alone, and ``_system`` builds
-the Gram system over them alone: ``distance_profile`` factors it, and
-``assemble_gram`` returns it for ``optimal_approximant``.
-Both are exact: the dropped unknowns are 0 in the full solution, so a
-result lists only the reachable basis and its coefficients.  Only
-``finite_section_mult_bound`` builds the full basis.  Both builders refuse
-a system past GRAM_ENTRY_BUDGET entries before assembling it: the
-reachable block, or the full section.
+walks those components from the exponents alone, and a ``GramSystem`` is
+that walk: ``assemble_gram`` returns it for ``optimal_approximant``, and
+``distance_profile`` walks the same way.  Each solve assembles the system
+over the reachable basis alone.  Both are exact: the dropped unknowns are 0
+in the full solution, so a result lists only the reachable basis and its
+coefficients.  Only ``finite_section_mult_bound`` builds the full basis.
+The walk and the full section each refuse a system past GRAM_ENTRY_BUDGET
+entries before anything is assembled.
 
 Exponents have two indexes: the mixed-radix integer codes of ``_coder``,
 which ``_pairing`` and ``_reachable`` search, and a dict of the basis
@@ -45,22 +45,20 @@ with one gcd per row, so G and c read back from the rows are ``==`` to the
 loops' rationals.  ``_reachable`` deduplicates and sorts its walk on the
 same codes.
 
-Each call factors one whole system once, on one of two paths: exact LDL*
-or Jacobi-prescaled float Cholesky, with L y = c in the same pass.  The
-float Cholesky scales and factors G in the Fortran-ordered buffer the
-assembly built, when the call assembled it, so a float solve holds one n x
-n complex buffer; a caller's G is copied first.
-``_solve_path`` decides the path, once per call, and one rule picks the
-system: the stored one when it is stored on that path, else the same basis
-assembled on that path by ``_gram_system``.  So a float solve of exact
-inputs factors the float assembly of ``_gram_matrix``, never a conversion
-of exact entries, and ``optimal_approximant`` and a ``distance_profile`` to
-the same degree factor the same float block and agree bit for bit.  The
-exact LDL* eliminates the rows of ``_gram_rows`` as Gaussian integers over
-one denominator per row, divides out a row's content once per update
-rather than normalising each rational entry, and skips the rows a pivot
-does not reach; LDL* is unique, so its D, y and solution are the rational
-ones.
+Each solve assembles and factors one whole system once, on one of two
+paths: exact LDL* or Jacobi-prescaled float Cholesky, with L y = c in the
+same pass.  ``_solve_path`` decides the path, once per solve, and
+``_assemble`` builds the system on that path alone.  So a float solve of
+exact inputs factors the float assembly of ``_gram_matrix``, never a
+conversion of exact entries, and ``optimal_approximant`` and a
+``distance_profile`` to the same degree factor the same float block and
+agree bit for bit.  The float Cholesky scales and factors G in the
+Fortran-ordered buffer the assembly built, so a float solve holds one n x
+n complex buffer.  The exact LDL* eliminates the rows of ``_gram_rows`` as
+Gaussian integers over one denominator per row, divides out a row's
+content once per update rather than normalising each rational entry, and
+skips the rows a pivot does not reach; LDL* is unique, so its D, y and
+solution are the rational ones.
 ``auto`` takes the exact path when the inputs are exact and the *reachable*
 block has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse
 generators come out exact at degrees whose full basis is far larger;
@@ -92,7 +90,7 @@ ArithmeticError: the float Cholesky of the Gram block to degree 45 (46 unknowns)
 Pivots are those of the reduced system; a block with no unknowns reports
 min_pivot = inf and max_pivot = 0 (the empty minimum and maximum).
 ``ProfilePoint.runtime_ms`` is the time since the previous point; the
-first carries the factorization.
+first carries the assembly and the factorization.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, product
@@ -139,11 +137,10 @@ WALK_BLOCK_ENTRIES = 1 << 11
 # entries of a reachable block (assemble_gram, distance_profile) or of a
 # full section (finite_section_mult_bound), which DA_4 to degree 16 (4845
 # unknowns) fits and degree 20 (10626) does not.  At the budget a float
-# solve holds one n x n complex buffer, 512 MB, plus one assembly block
-# (optimal_approximant of a float system also holds the caller's G, which
-# it copies); the exact path holds its rows, two Python ints per entry of
-# the upper triangle, tens of bytes each and more as they grow; the finite
-# section holds A and D, two complex buffers, 1 GB
+# solve holds one n x n complex buffer, 512 MB, plus one assembly block;
+# the exact path holds its rows, two Python ints per entry of the upper
+# triangle, tens of bytes each and more as they grow; the finite section
+# holds A and D, two complex buffers, 1 GB
 GRAM_ENTRY_BUDGET = 1 << 25
 
 
@@ -193,30 +190,32 @@ def _coder(radix):
 
 @dataclass(frozen=True)
 class GramSystem:
-    """The Gram system G a = c of {z^beta f : beta in basis} against g.  The
-    solves factor ``data``; ``matrix`` and ``rhs`` are G and c for every
-    other reader, on the exact path formed from the rows when read."""
+    """The Gram system G a = c of {z^beta f : beta in basis} against g, as
+    the walk of ``assemble_gram`` leaves it: nothing is assembled.  A solve
+    assembles the system on its own path (``_assemble``); ``matrix`` and
+    ``rhs`` assemble G and c on each read."""
 
     space: SpaceSpec
     f: SparsePoly
     g: SparsePoly
     degree: int
     basis: tuple  # the reachable exponents to degree, in graded order
-    # what the solve factors: the upper rows of [G | c] (exact, see
-    # ``_gram_rows``) or the pair (G, c) of complex arrays (float)
-    data: object
-    g_norm_sq: object
-    exact: bool
+    shifts: tuple = field(compare=False, repr=False)  # ``_shifts(f)``, which the walk formed
+
+    @property
+    def exact(self) -> bool:
+        """Whether the inputs are exact, so that G and c are."""
+        return not _inexact_inputs(self.space, self.f, self.g)
 
     @property
     def matrix(self):
-        """G: nested lists of ComplexRational (exact), formed from the rows
-        on each read, or a complex array (float)."""
+        """G: nested lists of ComplexRational (exact), or a complex array."""
         if not self.exact:
-            return self.data[0]
-        n = len(self.data)
+            return _assemble(self, False)[0]
+        rows = _assemble(self, True)
+        n = len(rows)
         G = [[None] * n for _ in range(n)]
-        for i, (re, im, den) in enumerate(self.data):
+        for i, (re, im, den) in enumerate(rows):
             G[i][i:] = [from_parts(a, b, den) for a, b in zip(re[:-1], im[:-1])]
             for j in range(i + 1, n):
                 G[j][i] = G[i][j].conjugate()
@@ -224,11 +223,10 @@ class GramSystem:
 
     @property
     def rhs(self):
-        """c: a list of ComplexRational (exact), formed from the rows on
-        each read, or a complex array (float)."""
+        """c: a list of ComplexRational (exact), or a complex array."""
         if not self.exact:
-            return self.data[1]
-        return [from_parts(re[-1], im[-1], den) for re, im, den in self.data]
+            return _assemble(self, False)[1]
+        return [from_parts(re[-1], im[-1], den) for re, im, den in _assemble(self, True)]
 
     def block_sizes(self) -> dict[int, int]:
         """degree -> number of basis elements with |beta| <= degree."""
@@ -475,13 +473,6 @@ def _reachable(f: SparsePoly, g: SparsePoly, degree: int, shifts) -> list[tuple]
     return list(map(tuple, np.concatenate(layers)[np.argsort(codes)[::-1], 1:].tolist()))
 
 
-def _check_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> None:
-    if f.dim != space.d or g.dim != space.d:
-        raise ValueError("dimension mismatch between space and polynomials")
-    if f.is_zero():
-        raise ValueError("the generator must be nonzero")
-
-
 def _inexact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> str:
     """Which inputs hold floats, as a phrase; "" when all are exact."""
     coefficients = " and ".join(name for name, p in (("f", f), ("g", g)) if not p.is_exact())
@@ -489,42 +480,42 @@ def _inexact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> str:
                                       coefficients and f"the coefficients of {coefficients}")))
 
 
-def _gram_system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, basis, exact: bool,
-                 shifts) -> GramSystem:
-    """The Gram system of {z^beta f : beta in basis} against g, basis in
-    graded order to degree: the rows of ``_gram_rows`` (exact), or G of
-    ``_gram_matrix`` and c summed from 0 in ``_rhs_terms`` order (float).
-    shifts is ``_shifts(f)``."""
+def _assemble(system: GramSystem, exact: bool, k=None):
+    """The Gram system over the leading k exponents of the basis (all of
+    them for k = None), assembled on one path: the rows of ``_gram_rows``
+    (exact), or G of ``_gram_matrix`` and c summed from 0 in ``_rhs_terms``
+    order (float)."""
+    space, f, g, basis = system.space, system.f, system.g, system.basis[:k]
     if exact:
-        data = _gram_rows(space, f, g, basis, shifts)
-    else:
-        terms = [a.conjugate() * b for a in map(complex, f.terms.values()) for b in map(complex, g.terms.values())]
-        c = [0j] * len(basis)
-        for j, p, w in _rhs_terms(space, f, g, basis):
-            c[j] += terms[p] * float(w)
-        data = _gram_matrix(space, f, basis, shifts), np.array(c, dtype=complex)
-    return GramSystem(space=space, f=f, g=g, degree=degree, basis=tuple(basis), data=data,
-                      g_norm_sq=norm_sq(space, g), exact=exact)
+        return _gram_rows(space, f, g, basis, system.shifts)
+    terms = [a.conjugate() * b for a in map(complex, f.terms.values()) for b in map(complex, g.terms.values())]
+    c = [0j] * len(basis)
+    for j, p, w in _rhs_terms(space, f, g, basis):
+        c[j] += terms[p] * float(w)
+    return _gram_matrix(space, f, basis, system.shifts), np.array(c, dtype=complex)
 
 
-def _system(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree: int, method: str) -> GramSystem:
-    """The Gram system of the reachable basis to degree, stored on the path
-    method factors it on (``_solve_path``): ValueError, before assembling
-    anything, when it has more than GRAM_ENTRY_BUDGET entries."""
-    _check_inputs(space, f, g)
+def _walk(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degree) -> GramSystem:
+    """The Gram system of the reachable basis to degree, unassembled, for
+    ``assemble_gram`` and ``distance_profile``: ValueError for inputs of
+    another dimension than the space, for f = 0, and for a block of more
+    than GRAM_ENTRY_BUDGET entries (``_reachable``)."""
+    if f.dim != space.d or g.dim != space.d:
+        raise ValueError("dimension mismatch between space and polynomials")
+    if f.is_zero():
+        raise ValueError("the generator must be nonzero")
     degree = _degree(degree)
     shifts = _shifts(f)  # one dedup of the shifts for the walk and the pairing
-    basis = _reachable(f, g, degree, shifts)
-    exact = _solve_path(method, space, f, g, len(basis)) == "exact"
-    return _gram_system(space, f, g, degree, basis, exact, shifts)
+    return GramSystem(space, f, g, degree, tuple(_reachable(f, g, degree, shifts)), shifts)
 
 
 def assemble_gram(space: SpaceSpec, f: SparsePoly, g: SparsePoly, max_degree: int) -> GramSystem:
-    """Build the Gram system of {z^beta f : |beta| <= max_degree} against
-    target g over the basis the target reaches (see the module docstring),
-    exact when the inputs are; ValueError, before assembling anything, when
-    its matrix has more than GRAM_ENTRY_BUDGET entries."""
-    return _system(space, f, g, max_degree, "float" if _inexact_inputs(space, f, g) else "exact")
+    """The Gram system of {z^beta f : |beta| <= max_degree} against target
+    g over the basis the target reaches (see the module docstring), which
+    ``optimal_approximant`` assembles and solves; ValueError, before
+    anything is assembled, when its matrix has more than GRAM_ENTRY_BUDGET
+    entries."""
+    return _walk(space, f, g, max_degree)
 
 
 @dataclass(frozen=True)
@@ -607,16 +598,16 @@ def _chol_float(G: np.ndarray, c: np.ndarray, leading):
     on the longest leading block that factors in float: (L, y, pivots, gains,
     S), each of that block's size (0 when G[0][0] is not positive).
 
-    G is overwritten, so only a buffer no one reads again may be passed
-    (``_Factored`` says which): a Fortran-ordered G, as ``_gram_matrix``
-    builds it, is scaled and factored in place, so L is G's own buffer and
-    the solve holds no second n x n one.  A failed attempt leaves a partial
-    factor there, so the next one factors leading(k), a fresh
-    Fortran-ordered buffer holding the leading k-block of G as it was
-    passed; while it is formed, the failed buffer is held too.  ValueError
-    when a pivot or y is not finite (G or c held an inf or a nan, or
-    overflowed)."""
+    A Fortran-ordered G, as ``_gram_matrix`` builds it, is scaled and
+    factored in place, so L is G's own buffer and the solve holds no second
+    n x n one.  A failed attempt leaves a partial factor there, so the next
+    one factors leading(k), a fresh Fortran-ordered buffer holding the
+    leading k-block of G as it was passed; while it is formed, the failed
+    buffer is held too.  ValueError, before anything is scaled, when the
+    diagonal of G is not finite, and when a pivot or y is not finite (G or
+    c held an inf or a nan, or overflowed)."""
     dg = np.real(np.diag(G))
+    _check_finite("its diagonal", dg)
     n = int(np.argmin(np.append(dg > 0, False)))  # up to the first non-positive entry
     s = 1.0 / np.sqrt(dg[:n])
     G = G[:n, :n]
@@ -658,35 +649,30 @@ def _solve_path(method: str, space: SpaceSpec, f: SparsePoly, g: SparsePoly, siz
 
 
 class _Factored:
-    """A Gram system G a = c, factored whole and once on the path of its
-    storage: exact LDL* of its rows, or float Cholesky of its complex
-    arrays.  A leading k-block of it is factored by the leading k x k part
-    of the factor (L, or U = D L* on the exact path), so has pivots[:k] and
-    projection c_k* a_k = sum(gains[:k]).  ``projection``, ``low`` and
-    ``high`` hold, at entry k, that sum and the min and max of pivots[:k] as
-    floats (inf and 0 for the empty block), formed once: the projection adds
-    the gains left to right from 0, as sum() does, so block(k, m) reads its
-    values without a pass over them.
+    """A Gram system G a = c, assembled and factored whole and once on the
+    path ``_solve_path`` picks for method and its size: exact LDL* of the
+    rows of ``_gram_rows``, or float Cholesky of G in the buffer
+    ``_gram_matrix`` built, where a failed attempt factors the leading block
+    assembled again.  A leading k-block of it is factored by the leading k x
+    k part of the factor (L, or U = D L* on the exact path), so has
+    pivots[:k] and projection c_k* a_k = sum(gains[:k]).  ``projection``,
+    ``low`` and ``high`` hold, at entry k, that sum and the min and max of
+    pivots[:k] as floats (inf and 0 for the empty block), formed once: the
+    projection adds the gains left to right from 0, as sum() does, so
+    block(k, m) reads its values without a pass over them."""
 
-    A float system's G is handed over to ``_chol_float``, which factors it
-    in place, so the system is spent: only a system assembled for the
-    factorization and read no more is passed (``distance_profile`` passes
-    its own; ``optimal_approximant`` assembles one or copies a caller's G).
-    A failed attempt factors the leading block assembled again."""
-
-    def __init__(self, system: GramSystem):
-        if system.exact:
-            self.method, self.g_norm_sq = "exact", system.g_norm_sq
-            self.U, self.pivots, self.gains = _ldl_exact(system.data)
+    def __init__(self, system: GramSystem, method: str):
+        self.method = _solve_path(method, system.space, system.f, system.g, len(system.basis))
+        g_norm_sq = norm_sq(system.space, system.g)
+        if self.method == "exact":
+            self.g_norm_sq = g_norm_sq
+            self.U, self.pivots, self.gains = _ldl_exact(_assemble(system, True))
         else:
-            (G, c), self.method, self.g_norm_sq = system.data, "float", float(system.g_norm_sq)
-            # each entry of the block sums the same terms in the same order
-            # as in G, so it is bitwise G's
-            def leading(k):
-                return _gram_system(system.space, system.f, system.g, system.degree, system.basis[:k], False,
-                                    _shifts(system.f)).data[0]
-
-            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(G, c, leading)
+            self.g_norm_sq = float(g_norm_sq)
+            # each entry of a leading block sums the same terms in the same
+            # order as in G, so it is bitwise G's
+            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(
+                *_assemble(system, False), lambda k: _assemble(system, False, k)[0])
         self.projection = list(accumulate(self.gains, initial=0))
         # rounding is monotone, so the min and max of the rounded pivots are
         # the rounded min and max
@@ -751,31 +737,21 @@ def optimal_approximant(system: GramSystem, method: str = "auto") -> Approximant
     """Best approximation of g from {p f : deg p <= degree}, the system's
     degree, over its whole reachable basis.
 
-    The system is factored on the path ``_solve_path`` picks for its size,
-    as it is stored when it is stored on that path, else after
-    ``_gram_system`` assembles the same basis on that path.  So the pivots
-    are those a profile to the system degree reads at that degree, and a
-    float solve of an exact system factors the float assembly
-    ``distance_profile`` factors: the two agree bit for bit.  Every
-    coefficient of the full basis off the reachable one is 0.
+    The system is assembled and factored on the path ``_solve_path`` picks
+    for its size (``_Factored``), as ``distance_profile`` does: the pivots
+    are those a profile to the system degree reads at that degree, bit for
+    bit.  Every coefficient of the full basis off the reachable one is 0.
     ArithmeticError when the float path refuses the system; ValueError for
     method="exact" on inputs that hold floats, and for a float solve that
     meets an inf or a nan.
     """
     m, k = system.degree, len(system.basis)
-    exact = _solve_path(method, system.space, system.f, system.g, k) == "exact"
-    if exact != system.exact:
-        system = _gram_system(system.space, system.f, system.g, m, system.basis, exact, _shifts(system.f))
-    elif not exact:
-        # the factorization overwrites G, and the caller's G stays as it is
-        G, c = system.data
-        system = replace(system, data=(np.array(G, order="F"), c))
-    top = _Factored(system)
+    top = _Factored(system, method)
     dist_sq, pmin, pmax = top.block(k, m)
     return ApproximantResult(
         degree=m, basis=system.basis, coefficients=tuple(top.coefficients()), dist_sq=dist_sq,
         conditioning=ConditioningReport(top.method, pmin, pmax, k, math.comb(system.space.d + m, system.space.d)),
-        exact=exact,
+        exact=top.method == "exact",
     )
 
 
@@ -784,7 +760,7 @@ class ProfilePoint:
     m: int
     dist_sq: float
     min_pivot: float
-    runtime_ms: float  # since the previous point; the first carries the factorization
+    runtime_ms: float  # since the previous point; the first carries the assembly and factorization
     path: str
     unknowns: int = 0  # reachable unknowns, the ones factored
     full_unknowns: int = 0  # unknowns of the full basis |beta| <= m
@@ -805,12 +781,11 @@ def distance_profile(space: SpaceSpec, f: SparsePoly, g: SparsePoly, degrees, me
     if not degrees:
         _solve_path(method, space, f, g, 0)  # an unknown method, or exact on floats, fails here too
         return []
-    # one path for the whole sweep, from the reachable size, so blocks are
-    # sliced, not converted
-    system = _system(space, f, g, degrees[-1], method)
+    system = _walk(space, f, g, degrees[-1])
     sizes = system.block_sizes()
     t0 = time.perf_counter()
-    factored = _Factored(system)
+    # one path for the whole sweep, from the reachable size
+    factored = _Factored(system, method)
     out = []
     for m in degrees:
         dist_sq, min_pivot, _ = factored.block(sizes[m], m)

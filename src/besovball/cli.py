@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .approx import _system, optimal_approximant
+from .approx import assemble_gram, optimal_approximant
 from .certify import Certificate
 from .embeddings import sum_squares_compose, tau_compose
 from .experiments import (
@@ -188,9 +188,7 @@ def _cmd_approx(args) -> int:
     space = _load_space(args.space)
     f = _load_poly(args.f)
     g = _load_poly(args.g) if args.g else SparsePoly.one(space.d)
-    # assembled on the path the solve takes, so an exact system is never
-    # built to be discarded
-    res = optimal_approximant(_system(space, f, g, args.deg, args.method), method=args.method)
+    res = optimal_approximant(assemble_gram(space, f, g, args.deg), method=args.method)
     print(f"dist_sq = {_fmt_scalar(res.dist_sq)}")
     print(f"basis size = {res.conditioning.full_unknowns}, factored = {res.conditioning.unknowns}, solve path = {res.conditioning.path}")
     if args.json_out:

@@ -9,6 +9,7 @@ import pickle
 import random
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from operator import add, sub
 
@@ -142,10 +143,11 @@ def test_projection_oracle_random_systems():
             continue
         g = rand_poly()
         oracle = _projection_oracle(space, f, g, m)
-        res = optimal_approximant(assemble_gram(space, f, g, m), method="exact")
+        system = assemble_gram(space, f, g, m)
+        res = optimal_approximant(system, method="exact")
         assert res.exact
         assert res.dist_sq == oracle, (space, f.terms, g.terms, m)
-        resf = optimal_approximant(approx._system(space, f, g, m, "float"), method="float")
+        resf = optimal_approximant(system, method="float")
         scale = max(1.0, abs(float(oracle)))
         assert abs(resf.dist_sq - float(oracle)) <= 1e-10 * scale
         checked += 1
@@ -353,12 +355,10 @@ def test_float_path_holds_on_brutal_conditioning():
     # (test_float_path_refuses_collapsed_blocks reaches the refusal); the
     # float distance must be nonnegative and agree with the exact one
     sp = SpaceSpec.alpha_scale(1, -24)
-    sysm = approx._system(sp, ONE_MINUS_Z, SparsePoly.one(1), 12, "float")
+    sysm = assemble_gram(sp, ONE_MINUS_Z, SparsePoly.one(1), 12)
     res = optimal_approximant(sysm, method="float")
     assert res.dist_sq >= 0.0
-    exact = optimal_approximant(
-        assemble_gram(sp, ONE_MINUS_Z, SparsePoly.one(1), 12), method="exact"
-    )
+    exact = optimal_approximant(sysm, method="exact")
     assert res.dist_sq == pytest.approx(float(exact.dist_sq), rel=1e-6)
 
 
@@ -371,7 +371,7 @@ def test_float_rounding_below_zero_scales_with_g_norm():
     for s in (1, 1000):
         g = SparsePoly(1, {(2,): ComplexRational(6 * s, Fraction(65 * s, 9))})
         assert [p.dist_sq for p in distance_profile(sp, f, g, range(3), method="float")] == [0.0] * 3
-        assert optimal_approximant(approx._system(sp, f, g, 0, "float"), method="float").dist_sq == 0.0
+        assert optimal_approximant(assemble_gram(sp, f, g, 0), method="float").dist_sq == 0.0
 
 
 def test_float_path_refuses_collapsed_blocks(monkeypatch):
@@ -381,24 +381,24 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     # 12, so both blocks are refused, while degrees 0..11 keep their float
     # values.  Every block assembled here, approximant or profile, is the
     # leading block of H of its size
-    base = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 13, "float")
     H = scipy.linalg.hilbert(14).astype(complex)
     ones = np.ones(14)
     g_norm_sq = float(ones @ H.real @ ones) + 1.0
 
     assembled = []
 
-    def hilbert_block(space, f, g, degree, basis, exact, shifts):
-        k = len(basis)
+    def hilbert_block(system, exact, k=None):
+        assert not exact
+        k = len(system.basis[:k])
         assembled.append(k)
-        # a fresh buffer, as the assembly's own: a float solve overwrites it
-        return dataclasses.replace(base, degree=degree, basis=tuple(basis), data=(H[:k, :k].copy(), (H @ ones)[:k]),
-                                   g_norm_sq=g_norm_sq)
+        # a fresh Fortran-ordered buffer, as the assembly's own
+        return np.array(H[:k, :k], order="F"), (H @ ones)[:k]
 
-    monkeypatch.setattr(approx, "_gram_system", hilbert_block)
+    monkeypatch.setattr(approx, "_assemble", hilbert_block)
+    monkeypatch.setattr(approx, "norm_sq", lambda space, g: g_norm_sq)
 
     def system(m):
-        return approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), m, "float")
+        return assemble_gram(H1, ONE_MINUS_Z, SparsePoly.one(1), m)
 
     with pytest.raises(ArithmeticError, match=r'degree 13 \(14 unknowns\) factors only 13 of them; use method="exact"'):
         optimal_approximant(system(13), method="float")
@@ -415,16 +415,16 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     for top_degree in (12, 13):
         with pytest.raises(ArithmeticError, match=r"degree 12 \(13 unknowns\)"):
             distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
-    # the factorization overwrites the system's G in the failed attempt, so
-    # the retry assembles its 13-block again and factors the bits that the
-    # copying formula factors from the leading block of H; the approximant
-    # factors a copy of the caller's G and retries the same way
+    # the factorization overwrites the assembly's G in the failed attempt,
+    # so the retry assembles its 13-block again and factors the bits that
+    # the copying formula factors from the leading block of H; the
+    # approximant assembles and retries the same way
     assembled.clear()
     with pytest.raises(ArithmeticError, match="factors only 13 of them"):
         optimal_approximant(system(13), method="float")
     assert assembled == [14, 13]
     assembled.clear()
-    factored = approx._Factored(system(13))
+    factored = approx._Factored(system(13), "float")
     assert assembled == [14, 13]
     copies = _chol_float_by_copies(H, H @ ones)
     assert (factored.pivots, factored.gains) == (copies[2], copies[3])
@@ -433,10 +433,9 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
 def test_nonpositive_diagonal_refused_from_its_index(monkeypatch):
     # G = diag(1, 1, -1): the float Cholesky stops before index 2, so the
     # degree-2 block is refused and the smaller ones keep their values
-    base = approx._system(H1, ONE_MINUS_Z, SparsePoly.one(1), 2, "float")
-    system = dataclasses.replace(base, data=(np.diag([1.0, 1.0, -1.0]).astype(complex), np.ones(3, dtype=complex)),
-                                 g_norm_sq=3.0)
-    monkeypatch.setattr(approx, "_gram_system", lambda *args, **kwargs: system)
+    G, c = np.diag([1.0, 1.0, -1.0]).astype(complex), np.ones(3, dtype=complex)
+    monkeypatch.setattr(approx, "_assemble", lambda *args: (G.copy(), c))
+    monkeypatch.setattr(approx, "norm_sq", lambda space, g: 3.0)
     pts = distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(2), method="float")
     assert [(p.path, p.dist_sq) for p in pts] == [("float", 2.0), ("float", 1.0)]
     with pytest.raises(ArithmeticError, match=r'degree 2 \(3 unknowns\) factors only 2 of them; use method="exact"'):
@@ -597,7 +596,7 @@ def test_float_path_refuses_subnormal_weights():
 
 def test_exact_results_survive_pickle_and_deepcopy():
     res = optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), 4), method="exact")
-    flt = optimal_approximant(approx._system(DA2, F22, SparsePoly.one(2), 4, "float"), method="float")
+    flt = optimal_approximant(assemble_gram(DA2, F22, SparsePoly.one(2), 4), method="float")
     assert res.exact and any(res.coefficients) and not flt.exact
     for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
         again = clone(res)
@@ -697,12 +696,11 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_dense_systems(n, seed):
 def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_da4_system():
     # 101 banded unknowns at m = 400 whose weights run down to 1e-236: pivots
     # of hundreds of digits
-    one = SparsePoly.one(4)
-    system = approx._gram_system(DA4, F4, one, 400, approx._reachable(F4, one, 400, shifts := approx._shifts(F4)), True, shifts)
+    system = assemble_gram(DA4, F4, SparsePoly.one(4), 400)
     assert len(system.basis) == 101
     # the rows' one global denominator is about 1065 bits before each row
     # divides out its content
-    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
+    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, approx._assemble(system, True))
 
 
 def _bits(res):
@@ -726,31 +724,29 @@ _DA2_G = SparsePoly(2, {(0, 0): ComplexRational(Fraction(2, 3), 5), (1, 1): Frac
     (SpaceSpec.alpha_scale(2, 0.5), _DA2_F, _DA2_G.to_float(), 5),
 ])
 def test_a_solve_to_each_degree_equals_the_solve_of_that_system(space, f, g, top):
-    # optimal_approximant of a system stored on either path equals, bit for
-    # bit, the solve of the same basis assembled on the solve's path; an
-    # exact solve of a float-stored system of exact inputs assembles exact
-    # rows.  The system assembled to degree m over the degree-m prefix of
-    # the basis, the block a profile reads at m, is the leading block of the
-    # whole system: the rows of the leading part of G and c (exact), or its
-    # bits (float)
+    # optimal_approximant on either path gives the same bits on every solve
+    # of one system, since each solve assembles its own.  The system
+    # assembled over the degree-m prefix of the basis, the block a profile
+    # reads at m, is the leading block of the whole system: the rows of the
+    # leading part of G and c (exact), or its bits (float)
     paths = ("exact", "float") if space.is_exact and f.is_exact() and g.is_exact() else ("float",)
-    for stored in paths:
-        system = approx._system(space, f, g, top, stored)
-        sizes = system.block_sizes()
-        assert sizes[top] == len(system.basis) > sizes[0]
-        for path in paths:
-            whole = approx._gram_system(space, f, g, top, system.basis, path == "exact", approx._shifts(f))
-            res = optimal_approximant(system, method=path)
-            assert _bits(res) == _bits(optimal_approximant(whole, method=path)), (stored, path)
-            assert res.conditioning.path == path
+    system = assemble_gram(space, f, g, top)
+    sizes = system.block_sizes()
+    assert sizes[top] == len(system.basis) > sizes[0]
+    for path in paths:
+        res = optimal_approximant(system, method=path)
+        assert _bits(res) == _bits(optimal_approximant(system, method=path)), path
+        assert res.conditioning.path == path
+        exact = path == "exact"
+        G, c = (system.matrix, system.rhs) if exact else approx._assemble(system, False)
         for m in range(top + 1):
             k = sizes[m]
-            block = approx._gram_system(space, f, g, m, system.basis[:k], stored == "exact", approx._shifts(f))
-            if stored == "exact":
-                assert block.data == _rows([row[:k] for row in system.matrix[:k]], system.rhs[:k])
+            block = approx._assemble(system, exact, k)
+            if exact:
+                assert block == _rows([row[:k] for row in G[:k]], c[:k])
             else:
-                assert block.matrix.tobytes() == system.matrix[:k, :k].tobytes()
-                assert block.rhs.tobytes() == system.rhs[:k].tobytes()
+                assert block[0].tobytes() == G[:k, :k].tobytes()
+                assert block[1].tobytes() == c[:k].tobytes()
 
 
 def _dense_complex_poly(rng, d, degree):
@@ -767,20 +763,20 @@ def test_ldl_exact_equals_the_fraction_pair_oracle_on_complex_gram_systems(d, m,
     rng = random.Random(seed)
     space = SpaceSpec.drury_arveson(d)
     f, g = _dense_complex_poly(rng, d, 2), _dense_complex_poly(rng, d, 2)
-    system = approx._gram_system(space, f, g, m, approx._reachable(f, g, m, shifts := approx._shifts(f)), True, shifts)
+    system = assemble_gram(space, f, g, m)
     assert len(system.basis) == math.comb(d + m, d)
-    assert any(not x.is_real for row in system.matrix for x in row) and any(not x.is_real for x in system.rhs)
-    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
+    G, c = system.matrix, system.rhs
+    assert any(not x.is_real for row in G for x in row) and any(not x.is_real for x in c)
+    _assert_ldl_equals_the_pair_oracle(G, c, approx._assemble(system, True))
 
 
 @pytest.mark.parametrize("m", [12, 30, 60])
 def test_ldl_exact_equals_the_fraction_pair_oracle_on_the_d_minus4_system(m):
     # (1 - z)^12 in D_-4: 25 diagonals, and past m = 44 more unknowns than
     # the float Cholesky factors
-    sp, f, one = SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12, SparsePoly.one(1)
-    system = approx._gram_system(sp, f, one, m, approx._reachable(f, one, m, shifts := approx._shifts(f)), True, shifts)
+    system = assemble_gram(SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12, SparsePoly.one(1), m)
     assert len(system.basis) == m + 1
-    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, system.data)
+    _assert_ldl_equals_the_pair_oracle(system.matrix, system.rhs, approx._assemble(system, True))
 
 
 def _crs(*xs):
@@ -819,8 +815,9 @@ def test_exact_coefficients_solve_the_dense_complex_system(d, m, seed):
     assert res.exact and res.conditioning.unknowns == len(a) == math.comb(d + m, d)
     assert sum(not x.is_real for x in a) > len(a) // 2
     zero = ComplexRational()
-    assert [sum((x * y for x, y in zip(row, a)), zero) for row in system.matrix] == list(system.rhs)
-    assert system.g_norm_sq - sum((ci.conjugate() * ai for ci, ai in zip(system.rhs, a)), zero) == res.dist_sq
+    c = system.rhs
+    assert [sum((x * y for x, y in zip(row, a)), zero) for row in system.matrix] == c
+    assert norm_sq(space, g) - sum((ci.conjugate() * ai for ci, ai in zip(c, a)), zero) == res.dist_sq
 
 
 def test_target_orthogonal_to_every_multiple_has_no_unknowns():
@@ -833,13 +830,13 @@ def test_target_orthogonal_to_every_multiple_has_no_unknowns():
         pts = distance_profile(DA2, f, g, range(4), method=method)
         assert [(p.dist_sq, p.min_pivot, p.unknowns) for p in pts] == [(float(gn), math.inf, 0)] * 4
     system = assemble_gram(DA2, f, g, 3)
-    assert system.data == system.matrix == system.rhs == []
+    assert approx._assemble(system, True) == system.matrix == system.rhs == []
     # over the full basis every row of the exact system has c[i] = 0, as
     # the oracles have, and so does a zero target
     basis = graded_monomials(2, 3)
     for target in (g, SparsePoly.zero(2)):
-        full = approx._gram_system(DA2, f, target, 3, basis, True, approx._shifts(f))
-        assert all(re[-1] == im[-1] == 0 for re, im, _ in full.data)
+        full = approx.GramSystem(DA2, f, target, 3, tuple(basis), approx._shifts(f))
+        assert all(re[-1] == im[-1] == 0 for re, im, _ in approx._assemble(full, True))
         _assert_gram_rows_equal_oracle(DA2, f, target, 3, basis)
     res = optimal_approximant(system)
     assert res.dist_sq == gn and res.exact
@@ -912,11 +909,12 @@ def _assert_gram_rows_equal_oracle(space, f, g, degree, basis):
     """The exact system's rows are the adapter's rows of the dictionary
     oracles, and its matrix and rhs, formed from them, are the oracles
     themselves, ComplexRational entries included."""
-    system = approx._gram_system(space, f, g, degree, basis, True, approx._shifts(f))
+    system = approx.GramSystem(space, f, g, degree, tuple(basis), approx._shifts(f))
     G, c = _gram_by_dictionary(space, f, basis, True), _rhs_by_dictionary(space, f, g, basis, True)
-    assert system.data == _rows(G, c)
-    assert system.matrix == G and system.rhs == c
-    assert {type(x) for row in system.matrix for x in row} | {type(x) for x in system.rhs} <= {ComplexRational}
+    assert approx._assemble(system, True) == _rows(G, c)
+    matrix, rhs = system.matrix, system.rhs
+    assert matrix == G and rhs == c
+    assert {type(x) for row in matrix for x in row} | {type(x) for x in rhs} <= {ComplexRational}
 
 
 def _assert_gram_equals_oracle(space, f, basis):
@@ -930,7 +928,7 @@ def _assert_gram_equals_oracle(space, f, basis):
     assert G.dtype == complex and G.flags.f_contiguous  # the layout the float Cholesky factors in place
     assert np.array_equal(G, _gram_by_dictionary(space, f, basis, False))
     # bitwise, once signed zeros are normalised
-    c = approx._gram_system(space, f, g, degree, basis, False, approx._shifts(f)).rhs
+    _, c = approx._assemble(approx.GramSystem(space, f, g, degree, tuple(basis), approx._shifts(f)), False)
     assert (c + 0.0).tobytes() == (_rhs_by_dictionary(space, f, g, basis, False) + 0.0).tobytes()
 
 
@@ -985,23 +983,63 @@ def test_a_gram_system_runs_one_pairing(monkeypatch):
     for exact in (True, False):
         for g in (SparsePoly.one(space.d) + f * f, SparsePoly.zero(space.d)):
             calls.clear()
-            system = approx._gram_system(space, f, g, m, basis, exact, approx._shifts(f))
+            data = approx._assemble(approx.GramSystem(space, f, g, m, tuple(basis), approx._shifts(f)), exact)
             assert len(calls) == 1
             if g.is_zero():
-                assert list(system.rhs) == [0] * len(basis)
+                c = [re[-1] or im[-1] for re, im, _ in data] if exact else list(data[1])
+                assert c == [0] * len(basis)
 
 
 def test_a_gram_system_dedups_the_shifts_once(monkeypatch):
     # the walk and the pairing of one system share one dedup of the shifts
-    # delta - eps, on both paths
+    # delta - eps, on both paths, for an approximant and for a profile
     space, f, m = GRAM_CASES[1]
+    g = SparsePoly.one(space.d) + f
     calls = []
     shifts = approx._shifts
     monkeypatch.setattr(approx, "_shifts", lambda f: calls.append(f) or shifts(f))
     for method in ("exact", "float"):
         calls.clear()
-        system = approx._system(space, f, SparsePoly.one(space.d) + f, m, method)
-        assert calls == [f] and system.exact == (method == "exact") and len(system.basis) > 1
+        system = assemble_gram(space, f, g, m)
+        res = optimal_approximant(system, method=method)
+        assert calls == [f] and res.conditioning.path == method and len(system.basis) > 1
+        calls.clear()
+        (pt,) = distance_profile(space, f, g, [m], method=method)
+        assert calls == [f] and pt.path == method
+
+
+def test_two_assemblies_of_one_problem_are_equal():
+    # a system is its walk: two of one problem compare equal and hash alike
+    # on exact and on float inputs, and a solve assembles nothing it keeps
+    space, f, m = GRAM_CASES[1]
+    g = SparsePoly.one(space.d) + f
+    for f, g in ((f, g), (f.to_float(), g), (f, g.to_float())):
+        a, b = assemble_gram(space, f, g, m), assemble_gram(space, f, g, m)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        optimal_approximant(a, method="float")
+        assert a == b and hash(a) == hash(b)
+        assert a != assemble_gram(space, f, g, m - 1)
+
+
+def test_each_solve_assembles_once_on_its_own_path(monkeypatch):
+    # the walk assembles nothing; an approximant or a profile assembles its
+    # system once, on the path it factors: a float solve of exact inputs
+    # builds no exact rows, and an exact one no float G
+    space, f, m = GRAM_CASES[1]
+    g = SparsePoly.one(space.d) + f
+    calls = []
+    for name in ("_gram_rows", "_gram_matrix"):
+        real = getattr(approx, name)
+        monkeypatch.setattr(approx, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    system = assemble_gram(space, f, g, m)
+    assert system.exact and calls == []
+    for method, built in (("float", "_gram_matrix"), ("exact", "_gram_rows")):
+        calls.clear()
+        assert optimal_approximant(system, method=method).conditioning.path == method
+        assert calls == [built]
+        calls.clear()
+        assert distance_profile(space, f, g, range(m + 1), method=method)[-1].path == method
+        assert calls == [built]
 
 
 def _past_int64_generator():
@@ -1221,36 +1259,53 @@ def test_float_profile_holds_one_gram_buffer():
 
 
 def test_float_approximant_leaves_the_callers_matrix_alone():
-    # optimal_approximant factors a copy of a float system's G, so the
-    # system reads the same G afterwards, bit for bit, and a second solve
-    # gives the same bits
-    system = approx._system(DA4, _sumpow4(), SparsePoly.one(4), 8, "float")
-    before = system.matrix.copy()
+    # each solve factors the G it assembled, so the system reads the same G
+    # after a float solve, bit for bit, and a second solve gives the same
+    # bits
+    system = assemble_gram(DA4, _sumpow4().to_float(), SparsePoly.one(4), 8)
+    before = system.matrix.tobytes()
     first = optimal_approximant(system, method="float")
-    assert system.matrix.tobytes() == before.tobytes()
+    assert system.matrix.tobytes() == before
     second = optimal_approximant(system, method="float")
-    assert (first.dist_sq, first.coefficients) == (second.dist_sq, second.coefficients)
+    assert _bits(first) == _bits(second)
 
 
 def test_float_solve_refuses_a_system_that_is_not_finite():
-    # |1e200|^2 overflows, so G holds infs, and scaling it gives NaNs; the
-    # triangular solves run unchecked, and the pivots and y refuse them
+    # |1e200|^2 overflows, so the diagonal of G holds an inf, which is
+    # refused before the Jacobi scale (0 there) would turn it into NaNs with
+    # a RuntimeWarning; under an error filter the refusal is still the
+    # ValueError
     f = SparsePoly(2, {(0, 0): 1.0, (1, 0): 1e200})
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(ValueError, match="infs or NaNs"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="infs or NaNs in its diagonal"):
             distance_profile(DA2, f, SparsePoly.one(2), [3], method="float")
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            optimal_approximant(approx._system(DA2, f, SparsePoly.one(2), 3, "float"), method="float")
+        with pytest.raises(ValueError, match="infs or NaNs in its diagonal"):
+            optimal_approximant(assemble_gram(DA2, f, SparsePoly.one(2), 3), method="float")
 
 
-def test_float_factorization_forms_no_mask_of_the_factor():
+def test_float_solve_refuses_a_forward_solve_that_is_not_finite():
+    # G is finite, but 1e10 * 1e300 overflows in c: the triangular solves
+    # run unchecked, and the check of the pivots and y refuses the inf
+    f, g = SparsePoly(2, {(0, 0): 1.0, (1, 0): 1e10}), SparsePoly(2, {(1, 0): 1e300})
+    with pytest.raises(ValueError, match="infs or NaNs in its pivots or forward solve"):
+        distance_profile(DA2, f, g, [3], method="float")
+    with pytest.raises(ValueError, match="infs or NaNs in its pivots or forward solve"):
+        optimal_approximant(assemble_gram(DA2, f, g, 3), method="float")
+
+
+def test_float_factorization_forms_no_mask_of_the_factor(monkeypatch):
     # solve_triangular's check_finite formed isfinite(L), an n x n bool
-    # array of 0.43 MB at these 656 unknowns, in each triangular solve
-    system = approx._system(DA4, _sumpow4(), SparsePoly.one(4), 12, "float")
+    # array of 0.43 MB at these 656 unknowns, in each triangular solve; the
+    # system is assembled before the trace, so only the factorization and
+    # the back substitution are measured
+    system = assemble_gram(DA4, _sumpow4(), SparsePoly.one(4), 12)
     n = len(system.basis)
+    G, c = approx._assemble(system, False)
+    monkeypatch.setattr(approx, "_assemble", lambda *args: (G, c))
     tracemalloc.start()
     try:
-        factored = approx._Factored(system)
+        factored = approx._Factored(system, "float")
         factored.coefficients()
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1303,15 +1358,15 @@ if HAVE_HYPOTHESIS:
         if f.is_zero():
             return
         exact = assemble_gram(space, f, g, m)
-        flt = approx._system(space, f, g, m, "float")
-        assert exact.exact and not flt.exact
+        Gf, cf = approx._assemble(exact, False)
+        assert exact.exact
         G = np.array([[complex(x) for x in row] for row in exact.matrix])
         c = np.array([complex(x) for x in exact.rhs])
         # by Cauchy-Schwarz the terms of G[i][j] sum in modulus to at most
         # sqrt(G[i][i] G[j][j]), and those of c[i] to sqrt(G[i][i] ||g||^2)
         diag = np.diag(G).real
-        assert np.all(np.abs(flt.matrix - G) <= 1e-15 * np.sqrt(np.outer(diag, diag)))
-        assert np.all(np.abs(flt.rhs - c) <= 1e-15 * np.sqrt(diag * float(exact.g_norm_sq)))
+        assert np.all(np.abs(Gf - G) <= 1e-15 * np.sqrt(np.outer(diag, diag)))
+        assert np.all(np.abs(cf - c) <= 1e-15 * np.sqrt(diag * float(norm_sq(space, g))))
 
     @given(
         st.sampled_from(EXACT_SPACES).flatmap(lambda sp: st.tuples(st.just(sp), _exact_polys(sp.d), _exact_polys(sp.d))),
@@ -1326,14 +1381,14 @@ if HAVE_HYPOTHESIS:
             return
         system = assemble_gram(space, f, g, m)
         sizes = system.block_sizes()
-        tol = 1e-12 * float(system.g_norm_sq)
+        tol = 1e-12 * float(norm_sq(space, g))
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
         for p, fp in zip(pts, fpts):
-            prefix = system.basis[:sizes[p.m]]
-            res = optimal_approximant(approx._gram_system(space, f, g, p.m, prefix, True, approx._shifts(f)), method="exact")
+            prefix = approx.GramSystem(space, f, g, p.m, system.basis[:sizes[p.m]], system.shifts)
+            res = optimal_approximant(prefix, method="exact")
             assert (p.dist_sq, p.min_pivot, p.path) == (float(res.dist_sq), res.conditioning.min_pivot, "exact")
-            fres = optimal_approximant(approx._gram_system(space, f, g, p.m, prefix, False, approx._shifts(f)), method="float")
+            fres = optimal_approximant(prefix, method="float")
             assert fp.path == fres.conditioning.path
             assert abs(fp.dist_sq - fres.dist_sq) <= tol
 
@@ -1351,33 +1406,34 @@ if HAVE_HYPOTHESIS:
         if f.is_zero():
             return
         basis = graded_monomials(space.d, m)
-        full = approx._gram_system(space, f, g, m, basis, True, approx._shifts(f))
+        full = approx.GramSystem(space, f, g, m, tuple(basis), approx._shifts(f))
         exact = assemble_gram(space, f, g, m)
+        g_norm_sq = norm_sq(space, g)
         index = {b: i for i, b in enumerate(basis)}
         rows = [index[b] for b in exact.basis]
-        assert full.matrix == _gram_by_dictionary(space, f, basis, True)
-        assert exact.matrix == [[full.matrix[i][j] for j in rows] for i in rows]
-        assert exact.rhs == [full.rhs[i] for i in rows]
-        _, _, gains = approx._ldl_exact(full.data)
+        G, c = full.matrix, full.rhs
+        assert G == _gram_by_dictionary(space, f, basis, True)
+        assert exact.matrix == [[G[i][j] for j in rows] for i in rows]
+        assert exact.rhs == [c[i] for i in rows]
+        _, _, gains = approx._ldl_exact(approx._assemble(full, True))
         sizes = full.block_sizes()
         pts = distance_profile(space, f, g, range(m + 1), method="exact")
-        assert [p.dist_sq for p in pts] == [float(exact.g_norm_sq - sum(gains[:sizes[k]])) for k in range(m + 1)]
-        a = approx._Factored(full).coefficients()
+        assert [p.dist_sq for p in pts] == [float(g_norm_sq - sum(gains[:sizes[k]])) for k in range(m + 1)]
+        a = approx._Factored(full, "exact").coefficients()
         res = optimal_approximant(exact, method="exact")
-        assert res.dist_sq == exact.g_norm_sq - sum(gains)
+        assert res.dist_sq == g_norm_sq - sum(gains)
         assert res.coefficients == tuple(a[i] for i in rows)
         assert all(a[i] == ComplexRational() for i in set(range(len(basis))).difference(rows))
         # the float path: same full matrix rounded, one float Cholesky
-        fullf = approx._gram_system(space, f, g, m, basis, False, approx._shifts(f))
-        flt = approx._system(space, f, g, m, "float")
-        assert np.array_equal(fullf.matrix, _gram_by_dictionary(space, f, basis, False))
-        assert np.array_equal(flt.matrix, fullf.matrix[np.ix_(rows, rows)])
-        ffull = approx._Factored(fullf)
-        tol = 1e-12 * float(exact.g_norm_sq)
+        Gf = approx._assemble(full, False)[0]
+        assert np.array_equal(Gf, _gram_by_dictionary(space, f, basis, False))
+        assert np.array_equal(approx._assemble(exact, False)[0], Gf[np.ix_(rows, rows)])
+        ffull = approx._Factored(full, "float")
+        tol = 1e-12 * float(g_norm_sq)
         fpts = distance_profile(space, f, g, range(m + 1), method="float")
         for k, fp in enumerate(fpts):
             assert abs(fp.dist_sq - ffull.block(sizes[k], sizes[k])[0]) <= tol
-        assert abs(optimal_approximant(flt, method="float").dist_sq - ffull.block(sizes[m], sizes[m])[0]) <= tol
+        assert abs(optimal_approximant(exact, method="float").dist_sq - ffull.block(sizes[m], sizes[m])[0]) <= tol
 
 
 def test_assemble_gram_entry_budget(monkeypatch):
@@ -1419,7 +1475,7 @@ def test_profile_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Gram system was assembled")
 
-    monkeypatch.setattr(approx, "_gram_system", refuse)
+    monkeypatch.setattr(approx, "_assemble", refuse)
     f = SparsePoly(3, {b: i + 1 for i, b in enumerate(graded_monomials(3, 2))})
     da3, one = SpaceSpec.drury_arveson(3), SparsePoly.one(3)
     with pytest.raises(ValueError, match=r"the reachable Gram block to degree 31 in 3 variables has more than 5792 "
@@ -1545,8 +1601,8 @@ def test_running_sums_equal_the_sliced_sums_at_every_block(space, f, g, m, path)
     # every leading block (on the float path also one past the whole
     # system, which it refuses) and every point of the profile read the
     # values the per-block slices give
-    system = approx._system(space, f, g, m, path)
-    factored = approx._Factored(system)
+    system = assemble_gram(space, f, g, m)
+    factored = approx._Factored(system, path)
     assert factored.method == path
     for k in range(len(system.basis) + (2 if path == "float" else 1)):
         want = _block_by_slices(factored, k)
@@ -1566,18 +1622,15 @@ def test_running_sums_equal_the_sliced_sums_at_every_block(space, f, g, m, path)
 def test_block_refuses_a_dist_sq_below_the_clamp_window(path):
     # ||g||^2 replaced by values below the projection: a deficit inside the
     # window, DIST_SQ_CLAMP * max(1, ||g||^2), is rounding and reads 0; one
-    # past it is refused.  A float factorization spends its system's G, so
-    # each one gets a system of its own
-    def system(g_norm_sq=None):
-        s = approx._system(DA2, F22, SparsePoly.one(2), 4, path)
-        return s if g_norm_sq is None else dataclasses.replace(s, g_norm_sq=g_norm_sq)
-
-    k = len(system().basis)
-    projection = sum(approx._Factored(system()).gains)
+    # past it is refused
+    system = assemble_gram(DA2, F22, SparsePoly.one(2), 4)
+    k = len(system.basis)
+    factored = approx._Factored(system, path)
+    projection = sum(factored.gains)
     inside = projection - (Fraction(1, 10 ** 13) if path == "exact" else 1e-13)
-    factored = approx._Factored(system(inside))
+    factored.g_norm_sq = inside
     assert factored.block(k, 4)[0] == 0.0
     for g_norm_sq in (0, projection / 2):
-        factored = approx._Factored(system(g_norm_sq))
+        factored.g_norm_sq = g_norm_sq
         with pytest.raises(ArithmeticError, match="below the clamp window"):
             factored.block(k, 4)

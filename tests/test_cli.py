@@ -452,7 +452,7 @@ def test_approx_refuses_a_reachable_block_past_the_entry_budget(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Gram system was assembled")
 
-    monkeypatch.setattr(approx, "_gram_system", refuse)
+    monkeypatch.setattr(approx, "_assemble", refuse)
     f = json.dumps(poly_to_literal(SparsePoly(3, {b: i + 1 for i, b in enumerate(graded_monomials(3, 2))})))
     tracemalloc.start()
     try:
