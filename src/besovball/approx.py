@@ -63,27 +63,29 @@ solution are the rational ones.
 block has at most AUTO_EXACT_LIMIT unknowns, so profiles of sparse
 generators come out exact at degrees whose full basis is far larger;
 ``exact`` on inputs that hold floats is refused, naming them.  The
-graded order makes the leading blocks the lower-degree systems: every
-degree-k prefix of the reachable basis holds whole degree-k components,
-every reachable one among them, so a profile reads every degree from one
-factorization: dist^2 = ||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading
-k-block.  ``_Factored`` forms those sums, and the running min and max of
-the pivots, once for every k, so each degree is a lookup.  The float path
-answers a block or refuses it with ArithmeticError: it refuses a block
-past the longest leading block the float Cholesky factors, and one whose
-own scaled pivots collapse below PIVOT_COLLAPSE of the largest.  The
-Cholesky is backward stable, so such a block is singular at the precision
-G was rounded to, and no second factorization of the rounded G recovers
-the digits the rounding lost; method="exact" solves it.  A profile is
-refused at its first refused degree, while a shorter profile keeps the
-float values of its smaller blocks:
+graded order makes the leading blocks the lower-degree systems: the
+degree-k prefix of the walk to the top degree holds every unknown the walk
+to k reaches, and may hold unknowns reached only through higher degrees,
+whose components at k miss the right-hand side, so their solution is 0.
+So a profile reads every degree from one factorization, dist^2 =
+||g||^2 - sum_{i<k} |y_i|^2 / D_i on the leading k-block, and
+``_Factored`` forms those sums and the running min and max of the pivots
+once for every k.
+The float path answers a block or refuses it with ArithmeticError: past
+the leading block its one Cholesky completes, when its own scaled pivots
+collapse below PIVOT_COLLAPSE of the largest, or when its dist^2 falls
+below the clamp window.  The Cholesky is backward stable, so such a block
+is singular at the precision G was rounded to, and no second factorization
+of the rounded G recovers the digits the rounding lost; method="exact"
+solves it.  A profile is refused at its first refused degree, while a
+shorter profile keeps the float values of its smaller blocks:
 
 >>> D = SpaceSpec.alpha_scale(1, -4)
 >>> f = SparsePoly(1, {(0,): 1, (1,): -1}) ** 12
 >>> distance_profile(D, f, SparsePoly.one(1), range(61), method="float")
 Traceback (most recent call last):
     ...
-ArithmeticError: the float Cholesky of the Gram block to degree 45 (46 unknowns) factors only 45 of them; use method="exact"
+ArithmeticError: the float Cholesky of the Gram block to degree 48 (49 unknowns) factors only 48 of them; use method="exact"
 >>> round(float(distance_profile(D, f, SparsePoly.one(1), [45, 50], method="exact")[-1].dist_sq), 4)
 0.0339
 
@@ -480,12 +482,11 @@ def _inexact_inputs(space: SpaceSpec, f: SparsePoly, g: SparsePoly) -> str:
                                       coefficients and f"the coefficients of {coefficients}")))
 
 
-def _assemble(system: GramSystem, exact: bool, k=None):
-    """The Gram system over the leading k exponents of the basis (all of
-    them for k = None), assembled on one path: the rows of ``_gram_rows``
+def _assemble(system: GramSystem, exact: bool):
+    """The Gram system assembled on one path: the rows of ``_gram_rows``
     (exact), or G of ``_gram_matrix`` and c summed from 0 in ``_rhs_terms``
     order (float)."""
-    space, f, g, basis = system.space, system.f, system.g, system.basis[:k]
+    space, f, g, basis = system.space, system.f, system.g, system.basis
     if exact:
         return _gram_rows(space, f, g, basis, system.shifts)
     terms = [a.conjugate() * b for a in map(complex, f.terms.values()) for b in map(complex, g.terms.values())]
@@ -523,7 +524,7 @@ class ConditioningReport:
     path: str  # "exact" | "float"
     min_pivot: float
     max_pivot: float
-    unknowns: int = 0  # reachable unknowns, the ones factored
+    unknowns: int = 0  # the unknowns factored: the reachable basis to degree
     full_unknowns: int = 0  # unknowns of the full basis |beta| <= degree
 
 
@@ -593,39 +594,34 @@ def _ldl_exact(rows):
     return U, D, gains
 
 
-def _chol_float(G: np.ndarray, c: np.ndarray, leading):
+def _chol_float(G: np.ndarray, c: np.ndarray):
     """Jacobi-prescaled Cholesky S G S = L L* and the forward solve L y = S c
-    on the longest leading block that factors in float: (L, y, pivots, gains,
-    S), each of that block's size (0 when G[0][0] is not positive).
-
-    A Fortran-ordered G, as ``_gram_matrix`` builds it, is scaled and
-    factored in place, so L is G's own buffer and the solve holds no second
-    n x n one.  A failed attempt leaves a partial factor there, so the next
-    one factors leading(k), a fresh Fortran-ordered buffer holding the
-    leading k-block of G as it was passed; while it is formed, the failed
-    buffer is held too.  ValueError, before anything is scaled, when the
-    diagonal of G is not finite, and when a pivot or y is not finite (G or
-    c held an inf or a nan, or overflowed)."""
+    on the longest leading block that one factorization of G completes: (L,
+    y, pivots, gains, S), each of that block's size.  G is scaled and
+    factored in place, so for a Fortran-ordered G, as ``_gram_matrix``
+    builds it, L is G's own buffer and the solve holds no second n x n one.
+    A non-positive diagonal entry is scaled by 1, so the factorization stops
+    there at the latest.  When ``zpotrf`` stops at column info, it has
+    completed every column before it, so the leading info - 1 columns of its
+    factor are the Cholesky factor of the scaled leading block.  ValueError,
+    before anything is scaled, when the diagonal of G is not finite, and
+    when a pivot or y is not finite (G or c held an inf or a nan, or
+    overflowed)."""
     dg = np.real(np.diag(G))
     _check_finite("its diagonal", dg)
-    n = int(np.argmin(np.append(dg > 0, False)))  # up to the first non-positive entry
-    s = 1.0 / np.sqrt(dg[:n])
-    G = G[:n, :n]
-    while True:
-        G = np.asfortranarray(G)  # a copy only of a leading block or of a C-ordered G
-        G *= s[:n, None]
-        G *= s[None, :n]
-        L, info = scipy.linalg.lapack.zpotrf(G, lower=1, overwrite_a=1)
-        if info == 0:
-            break
-        n = info - 1  # the leading minor of order info is not positive definite
-        G = leading(n)
+    s = 1.0 / np.sqrt(np.where(dg > 0, dg, 1.0))
+    G *= s[:, None]
+    G *= s[None, :]
+    L, info = scipy.linalg.lapack.zpotrf(G, lower=1, overwrite_a=1)
+    # the leading minor of order info is not positive definite
+    n = info - 1 if info else len(s)
+    L, s = L[:n, :n], s[:n]
     # unchecked, so no n x n mask of isfinite(L) is formed: a non-finite
     # entry of L's lower triangle reaches its pivot or y, which are checked
-    y = scipy.linalg.solve_triangular(L, c[:n] * s[:n], lower=True, check_finite=False)
+    y = scipy.linalg.solve_triangular(L, c[:n] * s, lower=True, check_finite=False)
     pivots = np.diag(L).real ** 2
     _check_finite("its pivots or forward solve", pivots, y)
-    return L, y, pivots.tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
+    return L, y, pivots.tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s
 
 
 def _check_finite(what: str, *arrays) -> None:
@@ -652,9 +648,9 @@ class _Factored:
     """A Gram system G a = c, assembled and factored whole and once on the
     path ``_solve_path`` picks for method and its size: exact LDL* of the
     rows of ``_gram_rows``, or float Cholesky of G in the buffer
-    ``_gram_matrix`` built, where a failed attempt factors the leading block
-    assembled again.  A leading k-block of it is factored by the leading k x
-    k part of the factor (L, or U = D L* on the exact path), so has
+    ``_gram_matrix`` built, which keeps the leading block a failed
+    factorization completed.  A leading k-block of it is factored by the
+    leading k x k part of the factor (L, or U = D L* on the exact path), so has
     pivots[:k] and projection c_k* a_k = sum(gains[:k]).  ``projection``,
     ``low`` and ``high`` hold, at entry k, that sum and the min and max of
     pivots[:k] as floats (inf and 0 for the empty block), formed once: the
@@ -669,10 +665,7 @@ class _Factored:
             self.U, self.pivots, self.gains = _ldl_exact(_assemble(system, True))
         else:
             self.g_norm_sq = float(g_norm_sq)
-            # each entry of a leading block sums the same terms in the same
-            # order as in G, so it is bitwise G's
-            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(
-                *_assemble(system, False), lambda k: _assemble(system, False, k)[0])
+            self.L, self.y, self.pivots, self.gains, self.scale = _chol_float(*_assemble(system, False))
         self.projection = list(accumulate(self.gains, initial=0))
         # rounding is monotone, so the min and max of the rounded pivots are
         # the rounded min and max
@@ -683,23 +676,21 @@ class _Factored:
     def block(self, k: int, m: int):
         """(dist_sq, min_pivot, max_pivot) of the leading k-block, the system
         to degree m, read from the running sums.  ArithmeticError for a float
-        block that is past the longest leading block the Cholesky factors, or
-        whose own scaled pivots collapse below PIVOT_COLLAPSE of the largest."""
+        block past the longest leading block the Cholesky factors, whose own
+        scaled pivots collapse below PIVOT_COLLAPSE of the largest, or whose
+        dist_sq falls below the clamp window (an exact one is never < 0)."""
         n = len(self.pivots)
         pmin, pmax = self.low[min(k, n)], self.high[min(k, n)]
-        if self.method == "float" and (k > n or pmin < PIVOT_COLLAPSE * pmax):
-            raise ArithmeticError(
-                f"the float Cholesky of the Gram block to degree {m} ({k} unknowns) "
-                + (f"factors only {n} of them" if k > n else
-                   f"factors them, but its smallest scaled pivot is {pmin / pmax:.1e} of the largest, "
-                   f"below {PIVOT_COLLAPSE}")
-                + '; use method="exact"')
-        dist_sq = self.g_norm_sq - self.projection[k]
-        if dist_sq < 0:
-            if dist_sq < DIST_SQ_CLAMP * max(1.0, self.g_norm_sq):
-                raise ArithmeticError(f"dist_sq = {dist_sq} below the clamp window")
-            dist_sq = 0.0
-        return dist_sq, pmin, pmax
+        dist_sq = self.g_norm_sq - self.projection[min(k, n)]
+        if self.method == "float" and k > n:
+            why = f"factors only {n} of them"
+        elif self.method == "float" and pmin < PIVOT_COLLAPSE * pmax:
+            why = f"factors them, but its smallest scaled pivot is {pmin / pmax:.1e} of the largest, below {PIVOT_COLLAPSE}"
+        elif dist_sq < DIST_SQ_CLAMP * max(1.0, self.g_norm_sq):
+            why = f"factors them, but dist_sq = {dist_sq} is below the clamp window"
+        else:
+            return (0.0 if dist_sq < 0 else dist_sq), pmin, pmax
+        raise ArithmeticError(f'the float Cholesky of the Gram block to degree {m} ({k} unknowns) {why}; use method="exact"')
 
     def coefficients(self):
         """Solution of the whole block: U a = y, or a = S L^(-*) y.
@@ -762,7 +753,8 @@ class ProfilePoint:
     min_pivot: float
     runtime_ms: float  # since the previous point; the first carries the assembly and factorization
     path: str
-    unknowns: int = 0  # reachable unknowns, the ones factored
+    # factored for m: the degree-m prefix of the walk to the top degree
+    unknowns: int = 0
     full_unknowns: int = 0  # unknowns of the full basis |beta| <= m
 
 

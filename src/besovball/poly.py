@@ -8,7 +8,7 @@ or the float path (complex); see ``scalars``.
 The JSON literal for a polynomial maps the comma-joined exponent string
 to a coefficient list: ``[re_num, re_den, im_num, im_den]`` integers on the
 exact path (a whole float such as 2.0 counts, 1.5 is refused), or
-``[re, im]`` floats.
+``[re, im]`` finite floats.
 
 One-variable objects (slices f(lambda z), the disc-side inputs of the
 embeddings, the arguments of boundary functionals) are ``SparsePoly(1, ...)``;
@@ -28,7 +28,7 @@ from operator import add
 
 import numpy as np
 
-from .scalars import ComplexRational, check_int, is_exact_scalar, json_int, json_object
+from .scalars import ComplexRational, check_int, is_exact_scalar, json_float, json_int, json_object
 
 
 def multi_factorial(beta) -> int:
@@ -374,7 +374,8 @@ def poly_from_literal(lit) -> SparsePoly:
                 raise ValueError(f"the exact coefficient {val!r} for {key} has a zero denominator")
             c = ComplexRational(Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3]))
         elif size == 2 and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in val):
-            c = complex(float(val[0]), float(val[1]))
+            c = complex(*(json_float(f"{part} of the float coefficient {val!r} for {key}", x)
+                          for part, x in zip(("re", "im"), val)))
         else:
             raise ValueError(f"coefficient for {key} must be [re_num,re_den,im_num,im_den] or [re,im], got {val!r}")
         terms[beta] = c

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import SparsePoly, factorial_ratio
-from .scalars import ComplexRational, abs_sq, check_int, exact_parts, json_int, json_object, path_casts
+from .scalars import ComplexRational, abs_sq, check_int, exact_parts, json_float, json_int, json_object, path_casts
 
 # entries per memoised table: every builtin sweep fits (degrees <= 1024 in one
 # space), yet spaces built in a loop, with their quadrature rules, are evicted
@@ -176,7 +176,12 @@ def measure_from_json(obj):
     if kind == "beta_density":
         return BetaDensity(json_int(obj["beta"]))
     if kind == "quadrature":
-        return GeneralQuadrature(obj["nodes"], obj["weights"])
+        rule = {}
+        for key in ("nodes", "weights"):
+            if not isinstance(obj[key], list):
+                raise ValueError(f"the {key} of a quadrature measure must be a JSON list, got {obj[key]!r}")
+            rule[key] = [json_float(f"an entry of the {key} of a quadrature measure", x) for x in obj[key]]
+        return GeneralQuadrature(**rule)
     raise ValueError(f"unknown measure type: {kind!r}")
 
 

@@ -377,19 +377,19 @@ def test_float_rounding_below_zero_scales_with_g_norm():
 def test_float_path_refuses_collapsed_blocks(monkeypatch):
     # the float-rounded 14 x 14 Hilbert matrix H, rhs H 1 and ||g||^2 = 1'H1 + 1,
     # so dist^2 = 1 on the whole block; H is indefinite once rounded: its
-    # Cholesky fails at degree 13 and its scaled pivots collapse at degree
-    # 12, so both blocks are refused, while degrees 0..11 keep their float
-    # values.  Every block assembled here, approximant or profile, is the
-    # leading block of H of its size
+    # Cholesky fails at degree 13, and the scaled pivots of the 13 x 13
+    # system collapse, so both systems are refused, while degrees 0..11
+    # keep their float values.  Every system assembled here, approximant or
+    # profile, is the leading block of H of its size
     H = scipy.linalg.hilbert(14).astype(complex)
     ones = np.ones(14)
     g_norm_sq = float(ones @ H.real @ ones) + 1.0
 
     assembled = []
 
-    def hilbert_block(system, exact, k=None):
+    def hilbert_block(system, exact):
         assert not exact
-        k = len(system.basis[:k])
+        k = len(system.basis)
         assembled.append(k)
         # a fresh Fortran-ordered buffer, as the assembly's own
         return np.array(H[:k, :k], order="F"), (H @ ones)[:k]
@@ -412,22 +412,26 @@ def test_float_path_refuses_collapsed_blocks(monkeypatch):
     tol = 1e-12 * g_norm_sq
     for p in pts:
         assert p.dist_sq == pytest.approx(optimal_approximant(system(p.m), method="float").dist_sq, abs=tol)
+    # a profile to degree 12 factors the 13 x 13 system, whose pivots
+    # collapse; one to degree 13 reads its 13-block from the factor of the
+    # 14 x 14 system, whose pivots at degree 12 stay above PIVOT_COLLAPSE,
+    # and is refused at degree 13
     for top_degree in (12, 13):
-        with pytest.raises(ArithmeticError, match=r"degree 12 \(13 unknowns\)"):
+        with pytest.raises(ArithmeticError, match=rf"degree {top_degree} \({top_degree + 1} unknowns\)"):
             distance_profile(H1, ONE_MINUS_Z, SparsePoly.one(1), range(top_degree + 1), method="float")
-    # the factorization overwrites the assembly's G in the failed attempt,
-    # so the retry assembles its 13-block again and factors the bits that
-    # the copying formula factors from the leading block of H; the
-    # approximant assembles and retries the same way
+    # a failed factorization keeps the leading block it completed in the
+    # assembly's buffer, the bits that the copying formula gives: nothing
+    # is assembled or factored again, by the approximant or the profile
     assembled.clear()
     with pytest.raises(ArithmeticError, match="factors only 13 of them"):
         optimal_approximant(system(13), method="float")
-    assert assembled == [14, 13]
+    assert assembled == [14]
     assembled.clear()
     factored = approx._Factored(system(13), "float")
-    assert assembled == [14, 13]
+    assert assembled == [14]
     copies = _chol_float_by_copies(H, H @ ones)
     assert (factored.pivots, factored.gains) == (copies[2], copies[3])
+    assert len(factored.pivots) == 13
 
 
 def test_nonpositive_diagonal_refused_from_its_index(monkeypatch):
@@ -444,7 +448,7 @@ def test_nonpositive_diagonal_refused_from_its_index(monkeypatch):
 
 # the float profile of (1 - z)^12 against 1 in D_-4 over degrees 0..44,
 # float.hex per degree: the Cholesky of the 61-unknown system to degree 60
-# factors only its first 45 unknowns
+# completes only its first 48 unknowns
 D_MINUS4_FLOAT_PROFILE = (
     "0x1.ffb1fc58e8514p-1 0x1.fe529a2ae0294p-1 0x1.fad5eb6986cf8p-1 0x1.f43ed46291e25p-1 0x1.e9e9cedfbf13bp-1 "
     "0x1.dbae583261983p-1 0x1.c9d7682857227p-1 0x1.b502d9814c14fp-1 0x1.9df994acc18b6p-1 0x1.858ccb9dc1060p-1 "
@@ -460,12 +464,13 @@ D_MINUS4_FLOAT_PROFILE = (
 
 def test_float_path_refuses_a_system_it_formed_itself():
     # no patched matrix: the package's own float Gram system of (1 - z)^12
-    # in D_-4 is refused from degree 45 on, at once, where a second
+    # in D_-4 to degree 60 is refused at once, where a second
     # factorization of the rounded blocks took seconds and returned values
-    # up to 2.6 times the exact ones; below, the float values are unchanged
+    # up to 2.6 times the exact ones; to degree 44, the float values are
+    # unchanged
     sp, f = SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12
     t0 = time.perf_counter()
-    with pytest.raises(ArithmeticError, match=r'degree 45 \(46 unknowns\) factors only 45 of them; use method="exact"'):
+    with pytest.raises(ArithmeticError, match=r'degree 48 \(49 unknowns\) factors only 48 of them; use method="exact"'):
         distance_profile(sp, f, SparsePoly.one(1), range(61), method="float")
     assert time.perf_counter() - t0 < 0.1
     pts = distance_profile(sp, f, SparsePoly.one(1), range(45), method="float")
@@ -473,19 +478,28 @@ def test_float_path_refuses_a_system_it_formed_itself():
     assert {p.path for p in pts} == {"float"}
 
 
+def test_float_path_refuses_a_dist_sq_below_the_clamp_window_naming_its_degree():
+    # the same system over m = 0..50: its Cholesky completes, but the float
+    # dist^2 at degree 43 reads -0.0085, far past rounding; the exact
+    # distance there is positive
+    sp, f = SpaceSpec.alpha_scale(1, -4), ONE_MINUS_Z ** 12
+    message = (r'^the float Cholesky of the Gram block to degree 43 \(44 unknowns\) factors them, '
+               r'but dist_sq = -0\.0084\d+ is below the clamp window; use method="exact"$')
+    with pytest.raises(ArithmeticError, match=message):
+        distance_profile(sp, f, SparsePoly.one(1), range(51), method="float")
+    assert distance_profile(sp, f, SparsePoly.one(1), [43, 50], method="exact")[0].dist_sq > 0
+
+
 def _chol_float_by_copies(G, c):
-    """The float Cholesky with its scaled block and LAPACK input as copies."""
+    """The float Cholesky with its scaled G and LAPACK input as copies: one
+    factorization, of which a failed one keeps the columns it completed."""
     dg = np.real(np.diag(G))
-    n = int(np.argmin(np.append(dg > 0, False)))
-    s = 1.0 / np.sqrt(dg[:n])
-    Gs = G[:n, :n] * s[:, None] * s[None, :]
-    while True:
-        L, info = scipy.linalg.lapack.zpotrf(Gs[:n, :n], lower=1)
-        if info == 0:
-            break
-        n = info - 1
-    y = scipy.linalg.solve_triangular(L, c[:n] * s[:n], lower=True)
-    return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s[:n]
+    s = 1.0 / np.sqrt(np.where(dg > 0, dg, 1.0))
+    L, info = scipy.linalg.lapack.zpotrf(G * s[:, None] * s[None, :], lower=1)
+    n = info - 1 if info else len(G)
+    L, s = L[:n, :n], s[:n]
+    y = scipy.linalg.solve_triangular(L, c[:n] * s, lower=True)
+    return L, y, (np.diag(L).real ** 2).tolist(), (y.real ** 2 + y.imag ** 2).tolist(), s
 
 
 def test_chol_float_in_place_equals_the_copying_formula():
@@ -502,22 +516,33 @@ def test_chol_float_in_place_equals_the_copying_formula():
     bad[20, 20] = 1e-12
     for M, size in [(G, n), (bad, 20), (np.diag([1.0, 1.0, -1.0]).astype(complex), 2)]:
         want = _chol_float_by_copies(M, c[:len(M)])
-        retries = []
-
-        def leading(k, M=M):
-            retries.append(k)
-            return np.array(M[:k, :k], order="F")
-
         buffer = np.array(M, order="F")
-        got = approx._chol_float(buffer, c[:len(M)], leading)
+        got = approx._chol_float(buffer, c[:len(M)])
         assert len(got[2]) == size
         for a, b in zip(got, want):
             assert np.array_equal(np.asarray(a), np.asarray(b))
-        # a whole block is factored in the buffer handed over; a failed
-        # attempt factors a fresh leading block, and a block cut short at a
-        # non-positive diagonal entry is copied, not assembled again
-        assert np.shares_memory(got[0], buffer) == (size == n)
-        assert retries == ([20] if M is bad else [])
+        # every block is factored in the buffer handed over, a failed one
+        # and one cut short at a non-positive diagonal entry too
+        assert np.shares_memory(got[0], buffer)
+
+
+@pytest.mark.parametrize("n", [3, 14, 61, 300, 700])
+def test_a_failed_factorization_keeps_a_factor_of_its_leading_block(n):
+    # row and column j shrunk, as in the test above, so the Cholesky stops
+    # at column j; the columns before it are a Cholesky factor of the scaled
+    # leading j-block, at sizes on both sides of OpenBLAS's blocking
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    G = A @ A.conj().T + 1e-3 * np.eye(n)
+    j = 3 * n // 4
+    G[j, :] *= 1e-3
+    G[:, j] *= 1e-3
+    G[j, j] = 1e-12
+    L, _, pivots, _, s = approx._chol_float(np.array(G, order="F"), np.ones(n, dtype=complex))
+    assert len(pivots) == j
+    block = G[:j, :j] * s[:, None] * s[None, :]
+    L = np.tril(L)
+    assert np.linalg.norm(L @ L.conj().T - block) <= 1e-14 * np.linalg.norm(block)
 
 
 def test_profile_factors_the_top_block_once(monkeypatch):
@@ -558,6 +583,21 @@ def test_reduced_da4_profile_equals_the_onevar_oracle():
     assert {p.path for p in auto} == {"exact"}
     assert auto[-1].dist_sq == float(_onevar_da4_dist_sq(12))
     assert math.sqrt(auto[-1].dist_sq) == 0.9249292837973018
+
+
+def test_a_profile_factors_the_prefix_of_the_walk_to_its_top_degree():
+    # the walk to degree 5 reaches z2^m for m = 2, 3, 4 through exponents of
+    # degree above m, which the walk to m does not: a profile's unknowns
+    # count the degree-m prefix of the walk to its top degree, an
+    # approximant's the walk to m, and the values agree bit for bit
+    f = SparsePoly(2, {(0, 0): 1, (1, 0): ComplexRational(1, -2), (2, 1): Fraction(-3, 2)})
+    g = SparsePoly(2, {(0, 0): ComplexRational(Fraction(2, 3), 5), (1, 1): Fraction(1, 7)})
+    for path in ("exact", "float"):
+        pts = distance_profile(DA2, f, g, range(6), method=path)
+        res = [optimal_approximant(assemble_gram(DA2, f, g, m), method=path) for m in range(6)]
+        assert [p.unknowns for p in pts] == [1, 3, 6, 10, 15, 20]
+        assert [r.conditioning.unknowns for r in res] == [1, 3, 5, 9, 14, 20]
+        assert [p.dist_sq.hex() for p in pts] == [float(r.dist_sq).hex() for r in res]
 
 
 def test_paper_scale_da4_profile_never_lists_the_full_basis(monkeypatch):
@@ -741,7 +781,7 @@ def test_a_solve_to_each_degree_equals_the_solve_of_that_system(space, f, g, top
         G, c = (system.matrix, system.rhs) if exact else approx._assemble(system, False)
         for m in range(top + 1):
             k = sizes[m]
-            block = approx._assemble(system, exact, k)
+            block = approx._assemble(dataclasses.replace(system, basis=system.basis[:k]), exact)
             if exact:
                 assert block == _rows([row[:k] for row in G[:k]], c[:k])
             else:
@@ -1632,5 +1672,5 @@ def test_block_refuses_a_dist_sq_below_the_clamp_window(path):
     assert factored.block(k, 4)[0] == 0.0
     for g_norm_sq in (0, projection / 2):
         factored.g_norm_sq = g_norm_sq
-        with pytest.raises(ArithmeticError, match="below the clamp window"):
+        with pytest.raises(ArithmeticError, match=rf'degree 4 \({k} unknowns\) .*below the clamp window; use method="exact"'):
             factored.block(k, 4)

@@ -333,6 +333,35 @@ def test_norm_refuses_a_bad_exact_part_naming_the_coefficient(coeff, message):
     assert (code, out, err) == (2, "", message + "\n")
 
 
+QUADRATURE1 = '{"d":1,"kind":"besov","N":1,"measure":{"type":"quadrature","nodes":%s,"weights":%s}}'
+
+
+@pytest.mark.parametrize("args, message", [
+    (("norm", "--space", HARDY1, "--poly", '{"0":[NaN,0.0]}'),
+     "error: re of the float coefficient [nan, 0.0] for 0 must be a finite number, got nan"),
+    (("norm", "--space", HARDY1, "--poly", '{"0":[Infinity,0.0]}'),
+     "error: re of the float coefficient [inf, 0.0] for 0 must be a finite number, got inf"),
+    (("norm", "--space", HARDY1, "--poly", '{"0":[1.0,-Infinity]}'),
+     "error: im of the float coefficient [1.0, -inf] for 0 must be a finite number, got -inf"),
+    (("embed", "--kind", "tkd", "--k", "2", "--d", "2", "--poly", '{"1":[NaN,0.0]}'),
+     "error: re of the float coefficient [nan, 0.0] for 1 must be a finite number, got nan"),
+    (("norm", "--space", QUADRATURE1 % ("[0.5,1.0]", "[0.25,Infinity]"), "--poly", ONE_MINUS_Z),
+     "error: an entry of the weights of a quadrature measure must be a finite number, got inf"),
+    (("norm", "--space", QUADRATURE1 % ("[1.0]", "[true]"), "--poly", ONE_MINUS_Z),
+     "error: an entry of the weights of a quadrature measure must be a finite number, got True"),
+    (("norm", "--space", QUADRATURE1 % ("[NaN,1.0]", "[1,1]"), "--poly", ONE_MINUS_Z),
+     "error: an entry of the nodes of a quadrature measure must be a finite number, got nan"),
+    (("norm", "--space", QUADRATURE1 % ("1.0", "[1]"), "--poly", ONE_MINUS_Z),
+     "error: the nodes of a quadrature measure must be a JSON list, got 1.0"),
+])
+def test_non_finite_json_floats_exit_2_naming_the_key(args, message):
+    # json.loads reads NaN and Infinity: a polynomial literal printed
+    # norm_sq = nan and a rule of weight inf norm_sq = inf, both with exit
+    # 0, and a JSON true read as the weight 1.0
+    code, out, err = run(*args)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_verify_lemma_refuses_a_fractional_integer_param():
     code, out, err = run("verify-lemma", "slice-bound", "--params", '{"trials": 2.5}')
     assert code == 2 and out == ""
@@ -390,13 +419,13 @@ def test_profile_refuses_bad_spaces(space, message):
 
 
 def test_profile_refused_by_the_float_path_exits_2():
-    # the float Cholesky of (1 - z)^12 in D_-4 to degree 60 factors only its
-    # first 45 unknowns: one line on stderr, no traceback, no rows
+    # the float Cholesky of (1 - z)^12 in D_-4 to degree 60 completes only
+    # its first 48 unknowns: one line on stderr, no traceback, no rows
     f = json.dumps(poly_to_literal(SparsePoly(1, {(0,): 1, (1,): -1}) ** 12))
     code, out, err = run("profile", "--space", '{"d":1,"kind":"alpha","alpha":-4}', "--f", f,
                          "--degrees", "0:60:1", "--method", "float")
     assert code == 2 and out == ""
-    assert err == ("error: the float Cholesky of the Gram block to degree 45 (46 unknowns) factors only 45 of them; "
+    assert err == ("error: the float Cholesky of the Gram block to degree 48 (49 unknowns) factors only 48 of them; "
                    'use method="exact"\n')
 
 

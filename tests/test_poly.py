@@ -354,6 +354,9 @@ def test_literal_float_variant():
     back = poly_to_literal(f)
     g = poly_from_literal(back)
     assert abs(complex(g.coefficient((1, 0))) - complex(f.coefficient((1, 0)))) < 1e-15
+    # a finite part keeps its bits, and a JSON integer reads as its float
+    f = poly_from_literal(json.loads('{"0": [0.1, -2.5e-300], "1": [3, 1e308]}'))
+    assert f.terms == {(0,): complex(0.1, -2.5e-300), (1,): complex(3.0, 1e308)}
 
 
 if HAVE_HYPOTHESIS:

@@ -266,6 +266,11 @@ def test_measure_json_quadrature():
     back = measure_from_json({"type": "quadrature", "nodes": gq.nodes.tolist(), "weights": gq.weights.tolist()})
     assert back == gq
     assert abs(back.moment(3) - gq.moment(3)) < 1e-15
+    # JSON integers read as floats, and a subnormal weight keeps its bits
+    blob = '{"type":"quadrature","nodes":[0.5,0.9,0.99,1],"weights":[0.1,0.2,0.3,4e-320]}'
+    rule, raw = measure_from_json(blob), json.loads(blob)
+    for key in ("nodes", "weights"):
+        assert getattr(rule, key).tobytes() == np.array(raw[key], dtype=float).tobytes()
 
 
 def test_alpha_weights_exact_for_int():
