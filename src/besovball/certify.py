@@ -30,6 +30,7 @@ mu_total / sqrt(E) is the same for c mu as for mu.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -54,8 +55,8 @@ BOX_GRID_POINTS = 1 << 22  # largest box-integral grid; bounds time only, as the
 BOX_LEAF_POINTS = 1 << 14  # box-integral points summed at a time: 128 kB per float64 array
 NORM_CHUNK = 1 << 16  # terms of the functional-norm partial sum held at a time
 ENERGY_PAIR_BUDGET = 1 << 30  # kernel evaluations per energy level; 32^6 pairs at m = 3
-LATTICE_CHUNK = 1 << 14  # difference points of the lattice sum at a time
-LATTICE_CHART_ROWS = 1 << 11  # points of a chunk the chart takes at a time: about 1.5 MB of scratch on the torus
+LATTICE_CHUNK = 1 << 14  # pairs of a lattice-sum block (difference points of a torus table chunk)
+LATTICE_CHART_ROWS = 1 << 11  # rows of one chart call on the lattice: about 1.5 MB of scratch on the torus
 CHORD_GRID_NODES = 12  # nodes per axis, at most, of the reverse-Lipschitz grid
 
 
@@ -260,13 +261,16 @@ class CubeMeasure:
     away from chart degeneracies so the reverse-Lipschitz constant of the
     closed cube stays positive.
 
-    ``shift_invariant`` claims <phi(t), phi(s)> = <phi(t - s), phi(0)> for
-    all parameters t, s, including differences outside the cube.  ``torus``
-    sets it, since its points are exponentials of linear forms in t;
-    ``from_callable`` sets it when a pointwise probe on a small grid finds
-    it (a unitary turn of the torus keeps it); ``sphere_patch`` has none.
-    ``energy`` then sums over the difference lattice instead of all node
-    pairs, after checking the claim against the pair sum on the base grid.
+    ``shift_invariant`` claims that <phi(t), phi(s)> depends only on t - s
+    over the node pairs of the energy grids.  ``torus`` sets it, since its
+    points are exponentials of linear forms in t (there it holds for all
+    t, s, and the torus's table path reads <phi(t - s), phi(0)>);
+    ``from_callable`` sets it when a probe on a small grid finds every pair
+    equal to the representative pair of its difference, whose nodes are
+    grid nodes (a unitary turn of the torus keeps it); ``sphere_patch`` has
+    none.  ``energy`` then sums over the difference lattice instead of all
+    node pairs, after checking the claim against the pair sum on the base
+    grid.
     """
 
     m: int
@@ -321,8 +325,8 @@ class CubeMeasure:
 
     @staticmethod
     def from_callable(m: int, d: int, fn, label: str = "custom") -> "CubeMeasure":
-        """The cube parametrized by fn, shift-invariant when the pointwise
-        probe ``_probe_shift_invariance`` finds it so.  A unitary turn of the
+        """The cube parametrized by fn, shift-invariant when the probe
+        ``_probe_shift_invariance`` finds it so.  A unitary turn of the
         torus keeps its inner products, and with them its lattice:
 
         >>> torus = CubeMeasure.torus(4, 4)
@@ -528,31 +532,23 @@ def _pair_sum(measure: CubeMeasure, n: int) -> float:
 
 def _lattice_inner(measure: CubeMeasure, n: int):
     """<phi((u - 1/2) h), phi(0)> with h = 2 / n over the (2n - 1)^m difference
-    points u in {1 - n, ..., n - 1}^m, in the order of ``_tensor``: yields
-    (weights, inner) for LATTICE_CHUNK points at a time, the weight of u
-    being prod_j (n - |u_j|).
+    points u in {1 - n, ..., n - 1}^m, in the order of ``_tensor``, for a
+    chart with an ``on_lattice`` (the torus's): yields (weights, inner) for
+    LATTICE_CHUNK points at a time, the weight of u being prod_j (n - |u_j|).
 
     Each chunk reads its points' digits, which index per-axis tables of
     length 2n - 1: the counts n - |u_j|, whose product is the weight
     (integers, so exact in any order), and the parameters (u_j - 1/2) h.
-    The chart takes the chunk LATTICE_CHART_ROWS points at a time, never
-    one point alone: a one-row product may go to another BLAS routine.  A
-    chart with an ``on_lattice`` (the torus's) forms a block from its
-    digits and its own per-axis tables of e^(i a); any other chart takes
-    the block's parameters.  Either way the unit-sphere check of
-    ``points`` runs on every block."""
+    The chart forms the chunk LATTICE_CHART_ROWS points at a time, never one
+    point alone, from the digits and its own per-axis tables of e^(i a), and
+    the unit-sphere check of ``points`` runs on every block."""
     h = 2.0 / n
     m = measure.m
     u = np.arange(1 - n, n, dtype=float)
     axis_param, axis_count = (u - 0.5) * h, n - np.abs(u)
     count = (2 * n - 1) ** m
     z0c = measure.points(np.zeros((1, m)))[0].conj()
-    on_lattice = getattr(measure.phi, "on_lattice", None)
-    if on_lattice is not None:
-        chart = on_lattice(axis_param)
-    else:
-        def chart(digits):
-            return measure.phi(np.stack([axis_param[d] for d in digits], axis=1))
+    chart = measure.phi.on_lattice(axis_param)
     for start in range(0, count, LATTICE_CHUNK):
         digits = np.unravel_index(np.arange(start, min(start + LATTICE_CHUNK, count)), (2 * n - 1,) * m)
         rows = len(digits[0])
@@ -564,39 +560,142 @@ def _lattice_inner(measure: CubeMeasure, n: int):
         yield weights, np.concatenate([measure._on_sphere(chart(b), len(b[0])) @ z0c for b in blocks])
 
 
+def _sub_grid(axes):
+    """The tensor grid of per-axis (parameters, counts) tables, first axis
+    slowest: (size, take), where take(lo, hi) gives the parameters and the
+    weights (products of the counts) of its points lo..hi - 1, formed from
+    their digits."""
+    shape = tuple(len(param) for param, _ in axes)
+
+    def take(lo: int, hi: int):
+        digits = np.unravel_index(np.arange(lo, hi), shape)
+        weights = np.ones(hi - lo)
+        for (_, counts), d in zip(axes, digits):
+            weights *= counts[d]
+        return np.stack([param[d] for (param, _), d in zip(axes, digits)], axis=1), weights
+
+    return math.prod(shape), take
+
+
+def _chart_cuts(count: int):
+    """(lo, hi) pieces of range(count), count >= 2, of 2 to
+    LATTICE_CHART_ROWS (at least 3) rows each: a piece that would leave one
+    row behind gives it one of its own."""
+    lo = 0
+    while lo < count:
+        hi = min(lo + LATTICE_CHART_ROWS, count)
+        if count - hi == 1:
+            hi -= 1
+        yield lo, hi
+        lo = hi
+
+
+def _lattice_blocks(measure: CubeMeasure, n: int):
+    """The pairs ``_lattice_sum`` takes for a chart without an ``on_lattice``:
+    yields (weights, inner) blocks, inner[r, c] = <phi(t_r), phi(s_c)> of a
+    T node and an S node of ``grid(n)`` and ``grid(n, 0.5)``.
+
+    Per axis, node i of T and node j of S differ by u = i - j, which occurs
+    n - |u| times; its representative pair is (u, 0) for u >= 0 and (0, -u)
+    for u < 0.  For a sign pattern of u over the m axes, the representative
+    pairs are all pairs of two sub-grids: the T nodes with i free where
+    u >= 0 and 0 elsewhere, and the S nodes with j in 1..n - 1 where u < 0
+    and 0 elsewhere.  The weight of a pair is the product of n - i over the
+    first sub-grid's free axes and n - j over the second's.  So the 2^m
+    patterns cover the (2n - 1)^m differences once, and phi runs on
+    (n + 1)^m + n^m grid points, never off the closed cube.
+
+    Per pattern the smaller sub-grid is held whole and the larger one
+    streamed.  phi takes the held points and then the streamed ones through
+    ``points`` in pieces of ``_chart_cuts``, so a lone held point shares a
+    call with streamed ones.  Each streamed piece meets the held points in
+    blocks of at most LATTICE_CHUNK pairs, a T rows by S columns product
+    each."""
+    h = 2.0 / n
+    node = np.arange(n)
+    t, s = -1.0 + (node + 0.5) * h, -1.0 + (node + 1.0) * h  # the axes of grid(n) and grid(n, 0.5)
+    counts, one = n - node.astype(float), np.ones(1)
+    for free in itertools.product((True, False), repeat=measure.m):  # True: u >= 0 on that axis
+        T = _sub_grid([(t, counts) if f else (t[:1], one) for f in free])
+        S = _sub_grid([(s[:1], one) if f else (s[1:], counts[1:]) for f in free])
+        if not S[0]:  # n = 1 has no u < 0
+            continue
+        held_rows = T[0] <= S[0]
+        (a, take_held), (b, take_stream) = (T, S) if held_rows else (S, T)
+        held, held_w = [], []
+        for lo, hi in _chart_cuts(a + b):
+            P, w = take_held(min(lo, a), min(hi, a))
+            Q, v = take_stream(max(lo, a) - a, max(hi, a) - a)
+            Z = measure.points(np.concatenate([P, Q]))
+            if lo < a:
+                held.append(Z[:len(P)])
+                held_w.append(w)
+            if hi <= a:
+                continue
+            if lo <= a:  # the first streamed points: the held ones are all in
+                H, w_held = np.concatenate(held), np.concatenate(held_w)
+                H = H if held_rows else H.conj().T
+            Z = Z[len(P):]
+            yield from _blocks(H, w_held, Z.conj().T, v) if held_rows else _blocks(Z, v, H, w_held)
+
+
+def _blocks(R: np.ndarray, r_w: np.ndarray, C: np.ndarray, c_w: np.ndarray):
+    """(outer(r_w, c_w), R @ C) in blocks of at most LATTICE_CHUNK entries,
+    whole columns first."""
+    cols = min(C.shape[1], LATTICE_CHUNK)
+    rows = LATTICE_CHUNK // cols
+    for i in range(0, len(R), rows):
+        for j in range(0, C.shape[1], cols):
+            yield np.outer(r_w[i:i + rows], c_w[j:j + cols]), R[i:i + rows] @ C[:, j:j + cols]
+
+
 def _lattice_sum(measure: CubeMeasure, n: int) -> float:
     """``_pair_sum`` for a shift-invariant cube, as a sum over differences.
 
     Per axis t_i - s_j = (i - j - 1/2) h, and i - j = u occurs n - |u| times,
-    so the n^m x n^m pairs collapse to (2n - 1)^m difference points u with
-    weight prod_j (n - |u_j|) and kernel 1/|1 - <phi((u - 1/2) h), phi(0)>|.
-    The points go LATTICE_CHUNK at a time (``_lattice_inner``), and math.fsum
-    adds the chunk totals in that order.
+    so the n^m x n^m pairs collapse to (2n - 1)^m differences u with weight
+    prod_j (n - |u_j|), each taken at one pair: the table path of the
+    torus's ``on_lattice`` takes <phi((u - 1/2) h), phi(0)>
+    (``_lattice_inner``), any other chart the representative pair of
+    ``_lattice_blocks``.  math.fsum adds the blocks' np.sum of
+    weight / |1 - inner| in the order they come.
     """
-    return math.fsum(float(np.sum(weights / np.abs(1.0 - inner)))
-                     for weights, inner in _lattice_inner(measure, n))
+    blocks = (_lattice_inner if hasattr(measure.phi, "on_lattice") else _lattice_blocks)(measure, n)
+    return math.fsum(float(np.sum(weights / np.abs(1.0 - inner))) for weights, inner in blocks)
+
+
+def _flat_index(digit: np.ndarray, base: int, m: int) -> np.ndarray:
+    """sum_k digit[i_k] base^(m - 1 - k) over all m-tuples i of indices
+    into digit, in the order of ``_tensor``."""
+    out = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        out = np.add.outer(out * base, digit).ravel()
+    return out
 
 
 @kernels.blas_on_calling_thread()
 def _probe_shift_invariance(measure: CubeMeasure) -> bool:
-    """Whether <phi(t), phi(s)> = <phi(t - s), phi(0)> to LATTICE_CHECK_TOL on
-    every pair of the two offset midpoint grids with n = SHIFT_PROBE_NODES
-    nodes per axis, the pairs ``_pair_sum`` takes at that n.
+    """Whether every pair of the two offset midpoint grids with n =
+    SHIFT_PROBE_NODES nodes per axis, the pairs ``_pair_sum`` takes at that
+    n, has the inner product of the representative pair of its difference
+    (``_lattice_blocks``) to LATTICE_CHECK_TOL: exactly what the lattice sum
+    assumes.
 
-    phi is read only through ``points``, so a point off the unit sphere (a
-    difference t - s outside the cube included), or any other ValueError
-    from it, gives False.  The right side takes the (2n - 1)^m distinct
-    differences from ``_lattice_inner``, as ``_lattice_sum`` indexes them:
-    nodes i and j read the one at u = i - j + n - 1 per axis.  The n^(2m)
-    pairs are compared in blocks of rows of about LATTICE_CHUNK pairs; past
-    SHIFT_PROBE_PAIRS pairs (m > 5) the cube is not probed and gives False.
+    phi is read only through ``points`` on the two grids, never at a
+    difference t - s or at 0, so a point off the unit sphere, or any other
+    ValueError from it, gives False.  The inner products of the (2n - 1)^m
+    representative pairs are formed first, gathering n^m pairs of grid
+    points at a time; nodes i and j read the one at u = i - j + n - 1 per
+    axis.  The n^(2m) pairs are compared in blocks of rows of about
+    LATTICE_CHUNK pairs; past SHIFT_PROBE_PAIRS pairs (m > 5) the cube is
+    not probed and gives False.
 
-    Memory: the 16 * 7^m bytes of differences, the two grids (8 (m + 2d)
-    4^m bytes with their parameters), one block of about 1 MB and the
-    scratch of one ``_lattice_inner`` chunk, which phi sets (about 1.5 MB
-    for the torus on a full chunk, as in ``_lattice_sum``).  ``tracemalloc``
-    reads peaks of 0.26 MB at m = 3, 1.0 MB at m = 4 and 1.6 MB at m = 5 on
-    the torus.  numpy's BLAS runs on the calling thread, as in ``energy``.
+    Memory: the two grids (8 (m + 2d) 4^m bytes with their parameters), the
+    representative inner products and their two indices (32 * 7^m bytes),
+    one gather (32 d 4^m bytes) and one block of about 1 MB.
+    ``tracemalloc`` reads peaks of 0.26 MB at m = 3, 1.1 MB at m = 4 and
+    1.8 MB at m = 5 on the torus.  numpy's BLAS runs on the calling thread,
+    as in ``energy``.
     """
     n, m = SHIFT_PROBE_NODES, measure.m
     if n ** (2 * m) > SHIFT_PROBE_PAIRS:
@@ -604,17 +703,21 @@ def _probe_shift_invariance(measure: CubeMeasure) -> bool:
     try:
         _, Z1 = measure.grid(n, offset=0.0)
         _, Z2 = measure.grid(n, offset=0.5)
-        diff = np.concatenate([inner for _, inner in _lattice_inner(measure, n)])
     except ValueError:
         return False
+    u = np.arange(1 - n, n)
+    first, second = _flat_index(np.maximum(u, 0), n, m), _flat_index(np.maximum(-u, 0), n, m)
+    Z2c = Z2.conj()
+    rep = np.concatenate([np.einsum("ij,ij->i", Z1[first[r:r + len(Z1)]], Z2c[second[r:r + len(Z1)]])
+                          for r in range(0, len(first), len(Z1))])
     radix = (2 * n - 1) ** np.arange(m - 1, -1, -1)
     code, centre = _tensor(np.arange(n), m) @ radix, (n - 1) * int(radix.sum())
-    W = Z2.conj().T
+    W = Z2c.T
     rows = max(1, LATTICE_CHUNK // len(code))
     for r in range(0, len(code), rows):
         inner = Z1[r:r + rows] @ W
         at = code[r:r + rows, None] - code[None, :] + centre
-        if not np.all(np.abs(inner - diff[at]) <= LATTICE_CHECK_TOL):
+        if not np.all(np.abs(inner - rep[at]) <= LATTICE_CHECK_TOL):
             return False
     return True
 

@@ -22,7 +22,8 @@ does not depend on the number of workers, bit for bit.
 
 Inside ``blas_on_calling_thread`` numpy's own OpenBLAS runs on the calling
 thread.  ``certify.energy`` and the shift probe enter it, since their
-complex products (the lattice sum's points @ conj(phi(0)), the chord
+complex products (the lattice sum's T rows @ S* blocks, or points @
+conj(phi(0)) on the torus's table path, the probe's grid @ grid*, the chord
 scan's block @ 2 W*, a chart's own @ U) each wake an OpenBLAS helper thread,
 which then spins idle on a CPU for about 50 ms.  On a 2-CPU x86_64 machine
 the energy certificate of the rotated torus took 0.18 s with the helper
@@ -49,7 +50,11 @@ Shift-invariant cubes (the torus, and a cube from ``from_callable`` whose
 probe finds the lattice, such as a unitary turn of the torus) never reach
 ``energy_pair_sum`` at full size: ``certify.energy`` sums them over the
 difference lattice and calls the pair sum only once, at the base grid, to
-check that sum.
+check that sum.  The torus reads each difference u from its per-axis
+tables as <phi((u - 1/2) h), phi(0)>; any other chart takes it at one
+representative pair of grid nodes, the pairs of one sign pattern of u
+forming one block product of two sub-grids, so the chart runs on
+(n + 1)^m + n^m grid points per level rather than (2n - 1)^m differences.
 """
 
 from __future__ import annotations

@@ -342,8 +342,16 @@ def json_float(name: str, x) -> float:
     """A JSON number as a float: ValueError, naming the parameter, for
     anything else, so a string or a bool is not read as a number, nor the
     NaN or Infinity that ``json.loads`` accepts, which would make a
-    tolerance or a bound compare true or false whatever the values."""
-    if not isinstance(x, Real) or isinstance(x, bool) or not isfinite(x):
+    tolerance or a bound compare true or false whatever the values.  An
+    integer past the float range is refused by its size."""
+    if not isinstance(x, Real) or isinstance(x, bool):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
+    try:
+        finite = isfinite(x)
+    except OverflowError:  # isfinite converts an int to float first
+        raise ValueError(f"{name} must be a finite number, got an integer of {x.bit_length()} bits, "
+                         "past the float range") from None
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {x!r}")
     return float(x)
 

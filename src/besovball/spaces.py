@@ -119,7 +119,8 @@ class GeneralQuadrature:
     """Radial measure given by quadrature nodes/weights on [0,1] (float path).
 
     Admissibility demands mass near r = 1; construction rejects rules whose
-    largest positively weighted node sits below 0.99.
+    largest positively weighted node sits below 0.99, and weights that are
+    negative, nan or infinite.
     """
 
     __slots__ = ("nodes", "weights", "_hash")
@@ -135,6 +136,8 @@ class GeneralQuadrature:
             raise ValueError("nodes must lie in [0,1]")
         if not np.all(weights >= 0):
             raise ValueError("weights must be non-negative")
+        if not np.all(np.isfinite(weights)):  # an infinite weight made every norm inf
+            raise ValueError("weights must be finite")
         if not np.any(nodes[weights > 0] >= 0.99):
             raise ValueError("measure has no mass near r = 1 (inadmissible)")
         object.__setattr__(self, "nodes", nodes)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -269,34 +270,56 @@ def test_lattice_sum_in_chunks_matches_pair_sum(monkeypatch):
 
 
 def _householder_turn(cube: CubeMeasure):
-    """The cube after the reflection I - v v^T / 15, v = (1, 2, 3, 4), with
-    the complex (n, 4) @ (4, 4) product in its own chart."""
-    v = np.array([1.0, 2.0, 3.0, 4.0])
-    U = np.eye(4) - np.outer(v, v) / 15.0
+    """The cube after the reflection I - 2 v v^T / |v|^2, v = (1, 2, ..., d)
+    (I - v v^T / 15 in C^4), with the complex (n, d) @ (d, d) product in
+    its own chart."""
+    v = np.arange(1.0, cube.d + 1)
+    U = np.eye(cube.d) - np.outer(v, v) / (v @ v / 2.0)
     return lambda T: cube.phi(T) @ U
 
 
-def test_lattice_chart_blocks_keep_the_bits_and_never_take_one_row(monkeypatch):
-    # 15^3 = 3375 points in chunks of 1000 and chart blocks of 333: a chunk
-    # of 1000 ends in a block of 334, not in one of 333 and a lone row
-    torus = CubeMeasure.torus(4, 4)
-    turned = _householder_turn(torus)
-    whole = _lattice_sum(CubeMeasure.from_callable(3, 4, turned), 8)
-    rows = []
+def _recording_chart(chart, rows):
+    """chart, with the row count of each call appended to rows; an
+    AssertionError for a parameter off the closed cube."""
 
     def phi(T):
+        assert np.abs(T).max() <= 1.0
         rows.append(len(T))
-        return turned(T)
+        return chart(T)
 
-    mu = CubeMeasure.from_callable(3, 4, phi)
-    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1000)
-    monkeypatch.setattr(certify, "LATTICE_CHART_ROWS", 333)
-    rows.clear()
-    chunked = _lattice_sum(mu, 8)
-    assert rows == [1] + [333, 333, 334] * 3 + [333, 42]  # phi(0), then the blocks
-    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1 << 14)
-    assert _lattice_sum(mu, 8) == whole
-    assert chunked == pytest.approx(whole, rel=1e-14)
+    return phi
+
+
+@pytest.mark.parametrize("k, n", [(4, 1), (4, 2), (4, 8), (4, 16), (5, 8)])
+def test_lattice_chart_calls_take_two_to_the_chart_rows_each(monkeypatch, k, n):
+    # 2^m sign patterns, each phi of its two sub-grids in calls of 2 to
+    # LATTICE_CHART_ROWS rows, (n + 1)^m + n^m rows in all, none off the
+    # cube; each block is at most LATTICE_CHUNK pairs, and the sum does not
+    # depend on those sizes past rounding
+    m, rows, shapes = k - 1, [], []
+    mu = CubeMeasure.from_callable(m, k, _recording_chart(_householder_turn(CubeMeasure.torus(k, k)), rows))
+    lattice_blocks = certify._lattice_blocks
+
+    def recorded(measure, n):
+        for weights, inner in lattice_blocks(measure, n):
+            assert weights.shape == inner.shape
+            shapes.append(inner.shape)
+            yield weights, inner
+
+    monkeypatch.setattr(certify, "_lattice_blocks", recorded)
+    sums = []
+    for chunk, chart_rows in [(1 << 14, 1 << 11), (1000, 333), (7, 3)]:
+        monkeypatch.setattr(certify, "LATTICE_CHUNK", chunk)
+        monkeypatch.setattr(certify, "LATTICE_CHART_ROWS", chart_rows)
+        rows.clear()
+        shapes.clear()
+        sums.append(_lattice_sum(mu, n))
+        assert sum(rows) == ((n + 1) ** m + n**m if n > 1 else 2)  # n = 1 has no u < 0
+        assert all(2 <= r <= chart_rows for r in rows)
+        assert all(a * b <= chunk for a, b in shapes)
+        assert sum(a * b for a, b in shapes) == (2 * n - 1) ** m
+    assert sums[1] == pytest.approx(sums[0], rel=1e-14)
+    assert sums[2] == pytest.approx(sums[0], rel=1e-14)
 
 
 def _lattice_axis(n):
@@ -326,18 +349,21 @@ def test_torus_lattice_tables_equal_phi(k, d, n, shrink):
 
 def test_torus_energy_equals_the_per_point_chart(monkeypatch):
     # the reference: the torus chart with its table path taken away, so its
-    # lattice takes phi of every block's parameters
+    # lattice takes the representative pairs of the block formula; the
+    # table path's bits against phi per point are pinned by
+    # test_lattice_sum_equals_the_per_point_formula
     table = energy(CubeMeasure.torus(4, 4))
+    assert (table.value, table.c_estimate) == (85.13854290163819, 0.1719090952697469)
     monkeypatch.delattr(certify._TorusChart, "on_lattice")
     reference = energy(CubeMeasure.torus(4, 4))
-    assert table == reference
-    assert (table.value, table.c_estimate) == (85.13854290163819, 0.1719090952697469)
+    assert reference.value == pytest.approx(table.value, rel=1e-12)
+    assert reference.lattice_check_rel <= 1e-12
+    assert replace(reference, value=table.value, lattice_check_rel=table.lattice_check_rel) == table
 
 
 def test_torus_lattice_table_blocks_never_take_one_row(monkeypatch):
-    # the table path's blocks split as phi's do in
-    # test_lattice_chart_blocks_keep_the_bits_and_never_take_one_row, and
-    # each one passes the sphere check
+    # the table path's chunks of 1000 end in a block of 334, not in one of
+    # 333 and a lone row, and each block passes the sphere check
     torus = CubeMeasure.torus(4, 4)
     whole = _lattice_sum(torus, 8)
     rows, checked = [], []
@@ -434,17 +460,72 @@ def test_lattice_sum_equals_the_per_point_formula(k, n):
     assert _lattice_sum(CubeMeasure.torus(k, k), n) == _per_point_lattice_sum(_exp_torus_phi(k, k), k - 1, n)
 
 
+def _per_pattern_lattice_sum(phi, m, n):
+    """The lattice sum of a chart without ``on_lattice`` as one product per
+    sign pattern: phi of the pattern's two sub-grids, built whole by
+    ``meshgrid`` and taken in one call, the T rows against the S columns,
+    np.sum of weight / |1 - inner| over the pattern and math.fsum over the
+    patterns.  Where each pattern is one block of ``_lattice_blocks``
+    (LATTICE_CHUNK and LATTICE_CHART_ROWS past its sub-grids), the bits are
+    ``_lattice_sum``'s."""
+    h = 2.0 / n
+    node = np.arange(n)
+    t, s = -1.0 + (node + 0.5) * h, -1.0 + (node + 1.0) * h
+    counts, one = (n - node).astype(float), np.ones(1)
+
+    def grid(axes):
+        return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+    totals = []
+    for free in itertools.product((True, False), repeat=m):
+        T, S = grid([t if f else t[:1] for f in free]), grid([s[:1] if f else s[1:] for f in free])
+        if not len(S):
+            continue
+        wT = np.prod(grid([counts if f else one for f in free]), axis=1)
+        wS = np.prod(grid([one if f else counts[1:] for f in free]), axis=1)
+        Z = phi(np.concatenate([T, S]))
+        inner = Z[: len(T)] @ Z[len(T):].conj().T
+        totals.append(float(np.sum(np.outer(wT, wS) / np.abs(1.0 - inner))))
+    return math.fsum(totals)
+
+
 def test_lattice_sum_of_the_turned_torus_equals_the_per_point_formula(monkeypatch):
-    # the Householder reflection of test_rotated_torus_takes_lattice_path
-    v = np.array([1.0, 2.0, 3.0, 4.0])
-    U = np.eye(4) - np.outer(v, v) / 15.0
+    # the torus on its table path against phi per point; the turned torus
+    # against one product per sign pattern, with ==
     torus = CubeMeasure.torus(4, 4)
-    rotated = CubeMeasure.from_callable(3, 4, lambda T: torus.phi(T) @ U)
-    exp_phi = _exp_torus_phi(4, 4)
-    assert _lattice_sum(rotated, 8) == _per_point_lattice_sum(lambda T: exp_phi(T) @ U, 3, 8)
+    turned = _householder_turn(torus)
+    rotated = CubeMeasure.from_callable(3, 4, turned)
+    assert _lattice_sum(rotated, 8) == _per_pattern_lattice_sum(turned, 3, 8)
     # chunks of 1000 of the 15^3 points: three whole chunks and a partial one
     monkeypatch.setattr(certify, "LATTICE_CHUNK", 1000)
-    assert _lattice_sum(torus, 8) == _per_point_lattice_sum(exp_phi, 3, 8)
+    assert _lattice_sum(torus, 8) == _per_point_lattice_sum(_exp_torus_phi(4, 4), 3, 8)
+    # n = 16: 16^3 T nodes against one S node in one block
+    monkeypatch.setattr(certify, "LATTICE_CHUNK", 1 << 20)
+    monkeypatch.setattr(certify, "LATTICE_CHART_ROWS", 1 << 13)
+    assert _lattice_sum(rotated, 16) == _per_pattern_lattice_sum(turned, 3, 16)
+    tilted = _householder_turn(CubeMeasure.torus(5, 5))
+    assert _lattice_sum(CubeMeasure.from_callable(4, 5, tilted), 8) == _per_pattern_lattice_sum(tilted, 4, 8)
+
+
+@pytest.mark.parametrize("k, n", [(4, 8), (4, 16), (5, 8)])
+def test_lattice_sum_of_a_turned_torus_matches_the_pair_sum(k, n):
+    turned = CubeMeasure.from_callable(k - 1, k, _householder_turn(CubeMeasure.torus(k, k)))
+    assert turned.shift_invariant
+    assert _lattice_sum(turned, n) == pytest.approx(_pair_sum(turned, n), rel=1e-12)
+
+
+def test_block_lattice_sum_memory_is_bounded():
+    # the turned torus at n = 32: phi on 33^3 + 32^3 points and 63^3 pairs
+    # in blocks; the table path of the torus itself reads 1.47 MB
+    turned = CubeMeasure.from_callable(3, 4, _householder_turn(CubeMeasure.torus(4, 4)))
+    tracemalloc.start()
+    try:
+        total = _lattice_sum(turned, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+    assert total == pytest.approx(_lattice_sum(CubeMeasure.torus(4, 4), 32), rel=1e-12)
 
 
 def test_rotated_torus_takes_lattice_path():
@@ -477,9 +558,10 @@ def test_callable_sphere_patch_is_not_shift_invariant():
     assert b.kernel_evaluations == a.kernel_evaluations == 8**6 + 16**6
 
 
-def test_callable_leaving_the_sphere_outside_the_cube_is_not_shift_invariant():
-    # the torus on [-1, 1]^m and twice it outside: every grid point is on
-    # the sphere, but the differences t - s the lattice needs are not all
+def test_callable_leaving_the_sphere_outside_the_cube_takes_the_lattice_path():
+    # the torus on [-1, 1]^m and twice it outside: every node of either grid
+    # is on the sphere, and neither the probe nor the lattice sum reads phi
+    # anywhere else
     torus = CubeMeasure.torus(4, 4)
 
     def phi(T):
@@ -487,8 +569,26 @@ def test_callable_leaving_the_sphere_outside_the_cube_is_not_shift_invariant():
         return torus.phi(T) * np.where(inside, 1.0, 2.0)
 
     mu = CubeMeasure.from_callable(3, 4, phi)
-    assert not mu.shift_invariant
-    assert energy(mu, n_base=8, max_doublings=0).energy_sum == "pairs"
+    assert mu.shift_invariant
+    lattice = energy(mu, n_base=8, max_doublings=0)
+    pairs = energy(replace(mu, shift_invariant=False), n_base=8, max_doublings=0)
+    assert (lattice.energy_sum, pairs.energy_sum) == ("lattice", "pairs")
+    assert lattice.value == pytest.approx(pairs.value, rel=1e-12)
+
+
+def test_chart_raising_off_the_cube_takes_the_lattice_path():
+    torus = CubeMeasure.torus(4, 4)
+
+    def phi(T):
+        if np.abs(T).max() > 1.0:
+            raise RuntimeError("off the cube")
+        return torus.phi(T)
+
+    mu = CubeMeasure.from_callable(3, 4, phi)
+    assert mu.shift_invariant
+    res = energy(mu, n_base=8, max_doublings=1)
+    assert res.energy_sum == "lattice"
+    assert res.value == pytest.approx(energy(torus, n_base=8, max_doublings=1).value, rel=1e-12)
 
 
 def test_shift_probe_memory_is_bounded():

@@ -362,6 +362,18 @@ def test_non_finite_json_floats_exit_2_naming_the_key(args, message):
     assert (code, out, err) == (2, "", message + "\n")
 
 
+def test_a_json_integer_past_the_float_range_exits_2_naming_the_key():
+    # int too large to convert to float, naming neither key nor coefficient
+    huge = "1" + "0" * 400
+    code, out, err = run("norm", "--space", HARDY1, "--poly", '{"0":[%s,0.0]}' % huge)
+    assert (code, out) == (2, "")
+    assert err == (f"error: re of the float coefficient [{huge}, 0.0] for 0 must be a finite number, "
+                   "got an integer of 1329 bits, past the float range\n")
+    code, out, err = run("norm", "--space", QUADRATURE1 % ("[0.5,1.0]", "[1,%s]" % huge), "--poly", ONE_MINUS_Z)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: an entry of the weights of a quadrature measure must be a finite number, got an integer")
+
+
 def test_verify_lemma_refuses_a_fractional_integer_param():
     code, out, err = run("verify-lemma", "slice-bound", "--params", '{"trials": 2.5}')
     assert code == 2 and out == ""

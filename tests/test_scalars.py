@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from besovball.scalars import ComplexRational, check_int, exact_parts, from_parts
+from besovball.scalars import ComplexRational, check_int, exact_parts, from_parts, json_float
 
 try:
     from hypothesis import given, settings
@@ -232,3 +232,11 @@ def test_from_parts_inverts_exact_parts():
     assert exact_parts(Fraction(2, 4)) == (1, 0, 2) and exact_parts(0.5) is None
     y = from_parts(6, -4, 8)
     assert (y.re, y.im) == (Fraction(3, 4), Fraction(-1, 2)) and exact_parts(y) == (3, -2, 4)
+
+
+def test_json_float_refuses_an_integer_past_the_float_range():
+    for x in (10**400, -(10**400), 2**1024):
+        with pytest.raises(ValueError, match=r"^tol must be a finite number, got an integer of \d+ bits, past the float range$"):
+            json_float("tol", x)
+    assert json_float("tol", 2**1023) == 2.0**1023
+    assert json_float("tol", -7) == -7.0

@@ -475,6 +475,15 @@ def test_quadrature_without_positive_weights_is_inadmissible():
         GeneralQuadrature([math.nan, 1], [1, 1])
 
 
+def test_quadrature_refuses_an_infinite_weight():
+    # the rule was accepted, and every norm over it read inf
+    for nodes, weights in [([1.0], [math.inf]), ([0.5, 1.0], [0.25, math.inf]), ([0.5, 1.0], [math.inf, 1.0])]:
+        with pytest.raises(ValueError, match="weights must be finite"):
+            GeneralQuadrature(nodes, weights)
+    rule = GeneralQuadrature([0.5, 1.0], [0.25, 1e300])
+    assert rule.weights.tolist() == [0.25, 1e300]
+
+
 def test_constant_density_refuses_non_positive_c():
     for bad in (-1, 0, Fraction(-1, 2), math.nan):
         with pytest.raises(ValueError, match="c must be > 0"):
